@@ -98,23 +98,6 @@ void BM_ag_and_split(benchmark::State& state) {
 }
 BENCHMARK(BM_ag_and_split)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-void BM_eu_frontier_sweep(benchmark::State& state) {
-  const Computation& c = workload();
-  auto p = [] {
-    std::vector<LocalPredicatePtr> ls;
-    for (ProcId i = 0; i < kProcs; ++i)
-      ls.push_back(var_cmp(i, "v0", Cmp::kLe, 8));
-    return make_conjunctive(std::move(ls));
-  }();
-  PredicatePtr q = make_and(all_channels_empty(),
-                            PredicatePtr(var_cmp(0, "v0", Cmp::kGe, 3)));
-  const std::size_t par = static_cast<std::size_t>(state.range(0));
-  DetectResult last;
-  for (auto _ : state) last = detect_eu(c, *p, *q, par);
-  report(state, last);
-}
-BENCHMARK(BM_eu_frontier_sweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_au_two_refuters(benchmark::State& state) {
   const Computation& c = workload();
   auto mk = [](const char* var, std::int64_t k) {
@@ -176,14 +159,6 @@ bool emit_parallel_json(const std::string& path) {
 
   const auto dnf = wide_dnf();
   const auto cnf = wide_cnf();
-  const auto eu_p = [] {
-    std::vector<LocalPredicatePtr> ls;
-    for (ProcId i = 0; i < kProcs; ++i)
-      ls.push_back(var_cmp(i, "v0", Cmp::kLe, 8));
-    return make_conjunctive(std::move(ls));
-  }();
-  const PredicatePtr eu_q = make_and(
-      all_channels_empty(), PredicatePtr(var_cmp(0, "v0", Cmp::kGe, 3)));
 
   for (const std::size_t width : {std::size_t{1}, std::size_t{2},
                                   std::size_t{4}, std::size_t{8}}) {
@@ -212,15 +187,6 @@ bool emit_parallel_json(const std::string& path) {
       DetectResult last;
       row.ns = benchio::time_ns(
           kIters, [&] { last = detect(c, Op::kAG, cnf, nullptr, opt); });
-      row.label = last.algorithm + (last.holds() ? " -> true" : " -> false");
-      rows.push_back(std::move(row));
-    }
-    {
-      benchio::BenchRow row;
-      row.name = "eu_frontier_sweep" + suffix;
-      DetectResult last;
-      row.ns = benchio::time_ns(
-          kIters, [&] { last = detect_eu(c, *eu_p, *eu_q, width); });
       row.label = last.algorithm + (last.holds() ? " -> true" : " -> false");
       rows.push_back(std::move(row));
     }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench_report.h"
-#include "detect/until_inc.h"
 #include "obs/flight.h"
 #include "obs/trace.h"
 #include "predicate/local.h"
@@ -36,10 +35,9 @@ struct StreamPlan {
   std::int64_t gc_interval = 4096;  // <= 0: GC off
   bool recorder = true;  // flight recorder enabled during the pass
   /// Arm until watches too: one deciding mid-stream, one whose q never
-  /// holds, so the feed-time cost of the incremental evaluator is paid on
-  /// every event of the stream (the per-event-overhead A/B).
+  /// holds, so the feed-time cost of the until evaluator is paid on every
+  /// event of the stream.
   bool until_watch = false;
-  bool until_inc = true;  // incremental until evaluator (vs batch decision)
 };
 
 struct StreamOutcome {
@@ -99,7 +97,6 @@ std::vector<std::string> build_chunks(std::int64_t rounds) {
 void run_streams(const StreamPlan& plan, const std::vector<std::string>& chunks,
                  StreamOutcome* out) {
   FlightRecorder::global().set_enabled(plan.recorder);
-  set_until_inc_enabled(plan.until_inc);
   Tracer tracer;
   serve::ServiceOptions opt;
   opt.trace = &tracer;
@@ -137,7 +134,6 @@ void run_streams(const StreamPlan& plan, const std::vector<std::string>& chunks,
     for (SessionId sid : sids) svc.post(sid, chunk);
   svc.drain();
   FlightRecorder::global().set_enabled(true);
-  set_until_inc_enabled(true);
 
   if (out != nullptr) {
     out->events = 0;
@@ -198,6 +194,8 @@ bool emit_streaming_json(const char* path) {
        {8, 12'500, 0, true}},
       {"streaming/32x5k/gc", "32 sessions x 5k events, gc every 1024",
        {32, 2'500, 1024, true}},
+      {"streaming/8x25k/until", "8 sessions x 25k events, until watches",
+       {8, 12'500, 0, true, true}},
   };
 
   std::vector<StreamingRow> rows;
@@ -238,46 +236,6 @@ bool emit_streaming_json(const char* path) {
     nrow.base.ns = Summary::of(std::move(norec_ns));
     rows.push_back(std::move(rrow));
     rows.push_back(std::move(nrow));
-  }
-
-  // Until-watch A/B: incremental evaluator on vs off on an otherwise
-  // identical stream, passes interleaved. This is the per-event feed
-  // overhead of the amortized EG table: one watch stays undecided to end
-  // of stream, so the inc side pays its table advance on every event. GC
-  // off on both sides — a batch until watch pins the whole prefix, and
-  // asymmetric reclaim work would contaminate the comparison.
-  {
-    StreamPlan inc{8, 12'500, 0, true, true, true};
-    StreamPlan batch = inc;
-    batch.until_inc = false;
-    const auto chunks = build_chunks(inc.rounds);
-    StreamingRow irow, brow;
-    irow.base.name = "streaming/8x25k/until/inc";
-    irow.base.label = "8 sessions x 25k events, until watches, incremental";
-    irow.plan = inc;
-    brow.base.name = "streaming/8x25k/until/batch";
-    brow.base.label = "8 sessions x 25k events, until watches, batch decision";
-    brow.plan = batch;
-    run_streams(inc, chunks, nullptr);  // warmup
-    run_streams(batch, chunks, nullptr);
-    std::vector<double> inc_ns, batch_ns;
-    for (int i = 0; i < 9; ++i) {
-      auto t0 = std::chrono::steady_clock::now();
-      run_streams(inc, chunks, &irow.outcome);
-      auto t1 = std::chrono::steady_clock::now();
-      run_streams(batch, chunks, &brow.outcome);
-      auto t2 = std::chrono::steady_clock::now();
-      inc_ns.push_back(static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-              .count()));
-      batch_ns.push_back(static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1)
-              .count()));
-    }
-    irow.base.ns = Summary::of(std::move(inc_ns));
-    brow.base.ns = Summary::of(std::move(batch_ns));
-    rows.push_back(std::move(irow));
-    rows.push_back(std::move(brow));
   }
 
   for (const Config& c : configs) {
@@ -321,7 +279,6 @@ bool emit_streaming_json(const char* path) {
     w.kv("fire_p99_ns", r.outcome.fire_p99_ns);
     w.kv("recorder", r.plan.recorder);
     w.kv("until_watch", r.plan.until_watch);
-    w.kv("until_inc", r.plan.until_inc);
     w.kv("until_inc_evals", r.outcome.until_inc_evals);
     w.kv("until_dec_evals", r.outcome.until_dec_evals);
     w.end_object();

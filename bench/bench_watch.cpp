@@ -3,9 +3,7 @@
 // channel, relational (both riding watch_stable with predicates that are
 // stable by construction on the generated stream), and until — at a fixed
 // fire-latency objective, plus a recorder-on vs recorder-off A/B pair
-// measuring the always-on flight recorder's gating overhead and an
-// incremental-until vs batch-until A/B pair measuring the amortized A3
-// decision walk.
+// measuring the always-on flight recorder's gating overhead.
 //
 // Fire latency is measured from raw nanosecond samples (ServiceOptions::
 // fire_sample), not the serve histograms: the log2-bucketed histogram
@@ -41,7 +39,6 @@
 #include <vector>
 
 #include "bench_report.h"
-#include "detect/until_inc.h"
 #include "obs/expose.h"
 #include "obs/flight.h"
 #include "obs/trace.h"
@@ -68,8 +65,7 @@ struct WatchPlan {
   std::string cls;        // row label; "mixed" = one of each
   int sessions = 4;
   std::int64_t rounds = 4'000;
-  bool recorder = true;   // flight recorder enabled during the pass
-  bool until_inc = true;  // incremental until evaluator (vs batch decision)
+  bool recorder = true;  // flight recorder enabled during the pass
 };
 
 struct WatchOutcome {
@@ -253,7 +249,6 @@ std::int64_t arm(OnlineMonitor& m, const std::string& cls,
 void run_watches(const WatchPlan& plan, const std::vector<std::string>& chunks,
                  WatchOutcome* out, RawLatency* raw = nullptr) {
   FlightRecorder::global().set_enabled(plan.recorder);
-  set_until_inc_enabled(plan.until_inc);
   Tracer tracer;
   serve::ServiceOptions opt;
   opt.trace = &tracer;
@@ -282,7 +277,6 @@ void run_watches(const WatchPlan& plan, const std::vector<std::string>& chunks,
     for (SessionId sid : sids) svc.post(sid, chunk);
   svc.drain();
   FlightRecorder::global().set_enabled(true);
-  set_until_inc_enabled(true);
 
   if (out != nullptr) {
     out->events = 0;
@@ -408,17 +402,17 @@ bool emit_watch_json(const char* path) {
   };
   const Config configs[] = {
       {"watch/conjunctive", "4 sessions, conjunctive watches",
-       {"conjunctive", 4, 4'000, true, true}},
+       {"conjunctive", 4, 4'000, true}},
       {"watch/disjunctive", "4 sessions, disjunctive watches",
-       {"disjunctive", 4, 4'000, true, true}},
+       {"disjunctive", 4, 4'000, true}},
       {"watch/invariant", "4 sessions, invariant watches",
-       {"invariant", 4, 4'000, true, true}},
+       {"invariant", 4, 4'000, true}},
       {"watch/stable", "4 sessions, stable watches",
-       {"stable", 4, 4'000, true, true}},
+       {"stable", 4, 4'000, true}},
       {"watch/channel", "4 sessions, channel watches (stable ride)",
-       {"channel", 4, 4'000, true, true}},
+       {"channel", 4, 4'000, true}},
       {"watch/relational", "4 sessions, relational watches (stable ride)",
-       {"relational", 4, 4'000, true, true}},
+       {"relational", 4, 4'000, true}},
   };
 
   std::vector<WatchRow> rows;
@@ -430,29 +424,20 @@ bool emit_watch_json(const char* path) {
     rows.push_back(measure_row(c.name, c.label, c.plan, chunks, 51));
   }
 
-  // Until A/B: incremental evaluator (feed-time amortized EG table) vs
-  // batch decision (full A3 walk at I_q). Same workload, interleaved.
+  // Until: one session isolates decision latency at I_q, and a lone pump
+  // task cannot be preempted by a sibling session's pump mid-apply (which
+  // on a small box shows up as multi-ms scheduler stalls in the
+  // fire-latency tail that have nothing to do with the decision walk).
   {
-    // One session: this pair isolates decision latency at I_q, and a lone
-    // pump task cannot be preempted by a sibling session's pump mid-apply
-    // (which on a small box shows up as multi-ms scheduler stalls in the
-    // fire-latency tail that have nothing to do with the decision walk).
-    WatchPlan inc{"until", 1, 4'000, true, true};
-    WatchPlan batch = inc;
-    batch.until_inc = false;
-    const auto chunks = build_chunks(inc.rounds);
-    auto [a, b] = measure_ab(
-        "watch/until", "1 session, until watches, incremental", inc,
-        "watch/until/batch", "1 session, until watches, batch decision",
-        batch, chunks, 26);
-    rows.push_back(std::move(a));
-    rows.push_back(std::move(b));
+    const WatchPlan until{"until", 1, 4'000, true};
+    rows.push_back(measure_row("watch/until", "1 session, until watches",
+                               until, build_chunks(until.rounds), 51));
   }
 
   // Recorder A/B: the always-on flight recorder's gating overhead on the
   // mixed workload.
   {
-    WatchPlan rec{"mixed", 4, 4'000, true, true};
+    WatchPlan rec{"mixed", 4, 4'000, true};
     WatchPlan norec = rec;
     norec.recorder = false;
     const auto chunks = build_chunks(rec.rounds);
@@ -496,7 +481,6 @@ bool emit_watch_json(const char* path) {
     w.kv("p99_target_ns", kP99TargetNs);
     w.kv("met_p99", r.fire_p99_ns <= kP99TargetNs);
     w.kv("recorder", r.plan.recorder);
-    w.kv("until_inc", r.plan.until_inc);
     w.end_object();
     w.end_object();
   }

@@ -182,7 +182,7 @@ class BudgetTracker {
   /// and cancellation budgets fall back to the literal per-unit loop so
   /// the clock-probe stride and poll points stay bit-identical too. `st`
   /// must be the stats object this tracker watches. The incremental until
-  /// evaluator uses this to replay the batch sweep's budget arithmetic
+  /// evaluator uses this to replay the reference sweep's budget arithmetic
   /// over spans whose outcome it already knows (detect/until_inc.h).
   std::uint64_t charge_evals(DetectStats& st, std::uint64_t n) {
     HBCT_DASSERT(&st == &st_);

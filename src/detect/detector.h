@@ -79,13 +79,6 @@ struct DetectResult {
 DetectResult& mark_bounded(DetectResult& r, BoundReason why);
 DetectResult& mark_bounded(DetectResult& r, const BudgetTracker& t);
 
-/// Process-wide testing switch for incremental (cursor) evaluation. On by
-/// default; the differential tests flip it off to force every walk back
-/// onto scratch evaluation and compare verdicts, witnesses and stats
-/// against the incremental runs bit for bit.
-void set_cursor_eval_enabled(bool on);
-bool cursor_eval_enabled();
-
 /// Predicate evaluation with op counting; all detectors evaluate through
 /// this helper so stats are comparable across algorithms. An optional
 /// BudgetTracker turns every evaluation into a budget checkpoint: once the
@@ -121,30 +114,27 @@ class CountingEval {
   }
 
   /// Attaches an incremental cursor to `g`, which must outlive the binding
-  /// at a stable address. When cursor evaluation is globally disabled the
-  /// binding still works but at() evaluates from scratch.
-  void bind(const Cut& g) {
-    bound_ = &g;
-    cursor_ = cursor_eval_enabled() ? p_.make_cursor(c_, g) : nullptr;
-  }
-  bool bound() const { return bound_ != nullptr; }
+  /// at a stable address. Predicates without an O(1)-steppable cursor hand
+  /// out the scratch fallback, whose value() re-runs eval().
+  void bind(const Cut& g) { cursor_ = p_.make_cursor(c_, g); }
 
-  /// Evaluates the bound cut; counting and budget gating as operator().
+  /// Evaluates the bound cut (bind() first); counting and budget gating as
+  /// operator().
   bool at() const {
     if (budget_ != nullptr && !budget_->ok()) return false;
     ++st_.predicate_evals;
-    if (cursor_ != nullptr && cursor_->incremental()) {
+    if (cursor_->incremental()) {
       ++st_.eval_incremental;
     } else {
       ++st_.eval_fallback;
     }
-    return cursor_ != nullptr ? cursor_->value() : p_.eval(c_, *bound_);
+    return cursor_->value();
   }
 
   /// Notifies the cursor that component i moved away from old_pos (the cut
-  /// has already been mutated). No-op when unbound or scratch-bound.
+  /// has already been mutated).
   void moved(ProcId i, EventIndex old_pos) const {
-    if (cursor_ != nullptr) cursor_->on_update(i, old_pos);
+    cursor_->on_update(i, old_pos);
   }
 
   /// In-place mutations of the bound cut that keep the cursor in sync.
@@ -165,16 +155,13 @@ class CountingEval {
   }
 
   /// True when at() is served by an incremental cursor (for span tagging).
-  bool incremental() const {
-    return cursor_ != nullptr && cursor_->incremental();
-  }
+  bool incremental() const { return cursor_->incremental(); }
 
  private:
   const Predicate& p_;
   const Computation& c_;
   DetectStats& st_;
   BudgetTracker* budget_;
-  const Cut* bound_ = nullptr;
   EvalCursorPtr cursor_;
 };
 

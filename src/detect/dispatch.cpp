@@ -184,8 +184,7 @@ DetectResult detect_impl(const Computation& c, Op op, const PredicatePtr& p,
 
   switch (plan.algo) {
     case Algo::kA3Eu:
-      return detect_eu(c, *as_conjunctive(p), *q, opt.parallelism,
-                       opt.budget);
+      return detect_eu(c, *as_conjunctive(p), *q, opt.budget);
     // Distribute over a disjunctive second operand:
     // E[p U (q1 ∨ q2)] = E[p U q1] ∨ E[p U q2].
     case Algo::kEuOrSplit: {
@@ -196,7 +195,7 @@ DetectResult detect_impl(const Computation& c, Op op, const PredicatePtr& p,
       FirstMatch m = detect_first_match(
           opt.parallelism, parts.size(),
           [&](std::size_t i) {
-            return detect_eu(c, *conj, *parts[i], 1, opt.budget);
+            return detect_eu(c, *conj, *parts[i], opt.budget);
           },
           [](const DetectResult& sub) {
             return sub.verdict == Verdict::kHolds;

@@ -59,11 +59,11 @@ struct DispatchOptions {
   /// latency-bound monitors.
   bool allow_exponential = true;
   /// Number of branches evaluated concurrently in the independent fan-outs
-  /// (the or-/and-splits, A3's frontier sweep, AU's two refuters). 1 =
-  /// sequential (default); 0 = one branch per shared-pool worker. The
-  /// verdict, witnesses and operation counts are identical for every value:
-  /// fan-outs resolve to the lowest-index winning branch — never the first
-  /// finisher — and speculative work past the winner is discarded. Each
+  /// (the or-/and-splits and AU's two refuters). 1 = sequential (default);
+  /// 0 = one branch per shared-pool worker. The verdict, witnesses and
+  /// operation counts are identical for every value: fan-outs resolve to
+  /// the lowest-index winning branch — never the first finisher — and
+  /// speculative work past the winner is discarded. Each
   /// branch is metered against its own copy of the budget, so Verdict and
   /// BoundReason are also identical for every value.
   std::size_t parallelism = 1;

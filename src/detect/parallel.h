@@ -1,8 +1,8 @@
 // Deterministic parallel fan-out for the detection algorithms.
 //
 // Every independent fan-out in the detection stack — the dispatcher's
-// or-/and-splits, A3's per-frontier-event EG sweep, AU's two refuters — has
-// the same shape: evaluate N independent branches and commit to the LOWEST-
+// or-/and-splits, AU's two refuters, and (at width 1) A3's per-frontier-
+// event EG sweep — has the same shape: evaluate N independent branches and commit to the LOWEST-
 // indexed branch that "hits", accounting exactly the work a sequential
 // early-exit loop would have done. detect_first_match runs that shape either
 // inline (parallelism <= 1) or on ThreadPool::shared(), with identical

@@ -1,7 +1,5 @@
 #include "detect/until.h"
 
-#include <algorithm>
-
 #include "detect/conjunctive_gw.h"
 #include "detect/ef_linear.h"
 #include "detect/parallel.h"
@@ -12,22 +10,18 @@
 namespace hbct {
 
 DetectResult detect_eu_at(const Computation& c, const ConjunctivePredicate& p,
-                          const Cut& iq, std::size_t parallelism,
-                          const Budget& budget) {
-  if (until_inc_enabled()) {
-    // Shared-state mode: one transient EG(p) table serves every frontier
-    // branch, so overlapping sub-lattice sweeps are scanned once and
-    // replayed arithmetically after that. Bit-identical to the batch sweep
-    // below (verdict, witness, bound, stats) at every width and budget —
-    // tests/test_until_inc.cpp holds the two paths to that contract.
-    EgPrefixState state;
-    state.bind(c, p, /*instrumented=*/false);
-    return state.decide_at(iq, budget, /*want_path=*/true);
-  }
+                          const Cut& iq, const Budget& budget) {
+  EgPrefixState state;
+  state.bind(c, p, /*instrumented=*/false);
+  return state.decide_at(iq, budget, /*want_path=*/true);
+}
+
+DetectResult detect_eu_at_reference(const Computation& c,
+                                    const ConjunctivePredicate& p,
+                                    const Cut& iq, const Budget& budget) {
   DetectResult r;
   r.algorithm = "A3-eu (given I_q)";
   HBCT_ASSERT_MSG(c.is_consistent(iq), "I_q must be a consistent cut");
-  ScopedSpan span(budget.trace, "eu.frontier-sweep");
   BudgetTracker t(budget, r.stats);
   if (!t.ok()) return mark_bounded(r, t);
 
@@ -41,41 +35,32 @@ DetectResult detect_eu_at(const Computation& c, const ConjunctivePredicate& p,
   }
 
   // Step 2 of A3: EG(p) in some sub-computation E' = I_q \ {e},
-  // e in frontier(I_q). The sub-computations are independent, so the sweep
-  // fans out across the pool, committing to the lowest frontier index that
-  // succeeds. Each branch gets its own budget over its own stats — sharing a
-  // tracker across threads would make the trip point depend on scheduling
-  // and break the bit-identical-across-widths guarantee.
-  const std::vector<ProcId> frontier = c.frontier_procs(iq);
-  FirstMatch m = detect_first_match(
-      parallelism, frontier.size(),
-      [&](std::size_t k) {
-        // EG(p) over the prefix sublattice below retreat(I_q, e) — scanned
-        // in place instead of materializing a prefix Computation per branch.
-        const Cut sub = c.retreat(iq, frontier[k]);
-        DetectResult eg = detect_eg_conjunctive_within(c, p, sub, budget);
-        ++eg.stats.cut_steps;  // the retreat that formed this sub-computation
-        return eg;
-      },
-      [](const DetectResult& eg) { return eg.verdict == Verdict::kHolds; },
-      r.stats, budget.trace, "eu.frontier-fanout");
-  span.arg("frontier", static_cast<std::int64_t>(frontier.size()));
-  if (m.found()) {
-    // A witness prefix is definite even if some earlier branch was bounded.
-    r.verdict = Verdict::kHolds;
-    r.witness_path = std::move(m.result.witness_path);
-    r.witness_path.push_back(iq);
-    r.witness_cut = iq;
-  } else if (m.bound != BoundReason::kNone) {
-    r.verdict = Verdict::kUnknown;
-    r.bound = m.bound;
+  // e in frontier(I_q), tried in frontier order. Each branch gets its own
+  // budget over its own stats; the first holding branch decides.
+  BoundReason bound = BoundReason::kNone;
+  for (const ProcId e : c.frontier_procs(iq)) {
+    // EG(p) over the prefix sublattice below retreat(I_q, e) — scanned in
+    // place instead of materializing a prefix Computation per branch.
+    DetectResult eg =
+        detect_eg_conjunctive_within(c, p, c.retreat(iq, e), budget);
+    r.stats += eg.stats;
+    ++r.stats.cut_steps;  // the retreat that formed this sub-computation
+    if (eg.verdict == Verdict::kHolds) {
+      // A witness prefix is definite even if an earlier branch was bounded.
+      r.verdict = Verdict::kHolds;
+      r.witness_path = std::move(eg.witness_path);
+      r.witness_path.push_back(iq);
+      r.witness_cut = iq;
+      return r;
+    }
+    if (bound == BoundReason::kNone) bound = eg.bound;
   }
+  if (bound != BoundReason::kNone) mark_bounded(r, bound);
   return r;
 }
 
 DetectResult detect_eu(const Computation& c, const ConjunctivePredicate& p,
-                       const Predicate& q, std::size_t parallelism,
-                       const Budget& budget) {
+                       const Predicate& q, const Budget& budget) {
   DetectResult r;
   r.algorithm = "A3-eu";
   ScopedSpan span(budget.trace, "eu.a3");
@@ -102,7 +87,7 @@ DetectResult detect_eu(const Computation& c, const ConjunctivePredicate& p,
   if (t.exceeded()) return mark_bounded(r, t);
   if (!iq) return r;
 
-  DetectResult inner = detect_eu_at(c, p, *iq, parallelism, budget);
+  DetectResult inner = detect_eu_at(c, p, *iq, budget);
   inner.algorithm = "A3-eu";
   inner.stats += r.stats;
   return inner;
@@ -137,7 +122,7 @@ DetectResult detect_au_disjunctive(const Computation& c,
         merged.insert(merged.end(), notq->locals().begin(),
                       notq->locals().end());
         auto notp_and_notq = make_conjunctive(std::move(merged));
-        return detect_eu(c, *notq, *notp_and_notq, 1, budget);
+        return detect_eu(c, *notq, *notp_and_notq, budget);
       },
       [](const DetectResult& sub) { return sub.verdict == Verdict::kHolds; },
       r.stats, budget.trace, "au.refuter-fanout");

@@ -23,20 +23,28 @@ namespace hbct {
 /// E[p U q], p conjunctive, q linear (q must carry a linear-advancement
 /// oracle; any class whose closure includes kClassLinear works).
 /// On success witness_cut = I_q and witness_path is a full witness prefix
-/// ∅ … I_q. `parallelism` fans out Step 2's per-frontier-event EG scans
-/// (1 = sequential, 0 = one per shared-pool worker); the result is
-/// identical for every value.
+/// ∅ … I_q.
 DetectResult detect_eu(const Computation& c, const ConjunctivePredicate& p,
-                       const Predicate& q, std::size_t parallelism = 1,
-                       const Budget& budget = {});
+                       const Predicate& q, const Budget& budget = {});
 
 /// Theorem 7's footnote: q need not be linear — a least satisfying cut
 /// suffices. This entry point runs A3's Step 2 with a caller-supplied I_q
 /// (computed by any means, e.g. brute force or domain knowledge). I_q must
-/// be consistent; pass the initial cut when q holds initially.
+/// be consistent; pass the initial cut when q holds initially. Step 2
+/// decides through one transient EgPrefixState (detect/until_inc.h), so
+/// the overlapping per-frontier-event EG(p) sweeps scan each position once.
 DetectResult detect_eu_at(const Computation& c, const ConjunctivePredicate& p,
-                          const Cut& iq, std::size_t parallelism = 1,
-                          const Budget& budget = {});
+                          const Cut& iq, const Budget& budget = {});
+
+/// Reference implementation of A3's Step 2, kept only as the test oracle
+/// for detect_eu_at / EgPrefixState: the literal frontier sweep, one
+/// sequential EG(p) scan of each sub-computation E' = I_q \ {e} in
+/// frontier order, committing to the first that holds. Same contract and
+/// result — verdict, witnesses, BoundReason and DetectStats — as
+/// detect_eu_at; no production code calls it.
+DetectResult detect_eu_at_reference(const Computation& c,
+                                    const ConjunctivePredicate& p,
+                                    const Cut& iq, const Budget& budget = {});
 
 /// A[p U q], p and q disjunctive. `parallelism` > 1 runs the two refuters
 /// (EG(¬q) and E[¬q U (¬p ∧ ¬q)]) concurrently; same result either way.

@@ -1,7 +1,6 @@
 #include "detect/until_inc.h"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 
 #include "detect/parallel.h"
@@ -14,8 +13,6 @@ namespace hbct {
 namespace {
 
 std::size_t sz(std::int32_t v) { return static_cast<std::size_t>(v); }
-
-std::atomic<bool> g_until_inc_enabled{true};
 
 /// Position evaluator for one conjunct: the specialized LocalEval fast
 /// path while the timeline is fully resident, the function path once GC
@@ -37,14 +34,6 @@ class PosEval {
 };
 
 }  // namespace
-
-void set_until_inc_enabled(bool on) {
-  g_until_inc_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool until_inc_enabled() {
-  return g_until_inc_enabled.load(std::memory_order_relaxed);
-}
 
 void EgPrefixState::bind(const Computation& c, const ConjunctivePredicate& p,
                          bool instrumented) {
@@ -93,7 +82,7 @@ EgPrefixState::Sim EgPrefixState::sim_scan(std::size_t l, EventIndex last,
                                            EventIndex* false_pos) {
   const EventIndex ff = first_false_[l];
   if (ff >= 0 && ff <= last) {
-    // Batch scans 0..ff: ff true evaluations, then the false one.
+    // The reference scans 0..ff: ff true evaluations, then the false one.
     const auto need = static_cast<std::uint64_t>(ff) + 1;
     if (t.charge_evals(st, need) < need) return Sim::kTripped;
     *false_pos = ff;
@@ -106,7 +95,7 @@ EgPrefixState::Sim EgPrefixState::sim_scan(std::size_t l, EventIndex last,
   const auto span = static_cast<std::uint64_t>(known);
   if (t.charge_evals(st, span) < span) return Sim::kTripped;
   if (scanned_[l] > last) return Sim::kAllTrue;
-  // Lazy extension over the unscanned tail — the batch loop verbatim,
+  // Lazy extension over the unscanned tail — the reference loop verbatim,
   // additionally recording what it learns into the table.
   const PosEval ev(*c_, *pred_->locals()[l]);
   for (EventIndex pos = scanned_[l]; pos <= last; ++pos) {
@@ -172,12 +161,9 @@ DetectResult EgPrefixState::decide_at(const Cut& iq, const Budget& budget,
     return r;
   }
 
-  // The batch frontier sweep, replayed sequentially off the shared table.
-  // Width independence is free: the parallel fan-out is defined to merge
-  // exactly what this sequential early-exit loop accounts, so replaying at
-  // width 1 reproduces every width's verdict, bound and stats. Branches
-  // share the table — the first branch's physical scan turns the rest
-  // into arithmetic.
+  // The reference frontier sweep, replayed sequentially off the shared
+  // table. Branches share the table — the first branch's physical scan
+  // turns the rest into arithmetic.
   const std::vector<ProcId> frontier = c.frontier_procs(iq);
   FirstMatch m = detect_first_match(
       1, frontier.size(),

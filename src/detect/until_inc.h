@@ -18,18 +18,19 @@
 // table lookups plus a lazy extension of whatever tail the feed has not
 // reached — instead of a full prefix sweep at fire time.
 //
-// Bit-identity contract. decide_at() returns exactly what the batch
-// detect_eu_at() would: same verdict, same witness cut and path, same
-// BoundReason, and the same DetectStats — at every parallelism width and
-// under every budget. Stats parity is achieved by *replaying* the batch
-// sweep's accounting: spans whose outcome the table already knows are
-// charged arithmetically through BudgetTracker::charge_evals (which
-// reproduces the per-evaluation checkpoint semantics, including the trip
-// point), so the reported predicate_evals/cut_steps equal the batch scan's
-// logical work even though far fewer physical evaluations ran. The
-// physical work is visible separately through the until_inc_evals /
-// until_dec_evals counters, which only the instrumented (online) mode
-// bumps — the offline shared-state mode is stats-invisible.
+// Bit-identity contract. decide_at() returns exactly what the reference
+// frontier sweep detect_eu_at_reference() (detect/until.h) would: same
+// verdict, same witness cut and path, same BoundReason, and the same
+// DetectStats — under every budget. Stats parity is achieved by
+// *replaying* the reference sweep's accounting: spans whose outcome the
+// table already knows are charged arithmetically through
+// BudgetTracker::charge_evals (which reproduces the per-evaluation
+// checkpoint semantics, including the trip point), so the reported
+// predicate_evals/cut_steps equal the reference scan's logical work even
+// though far fewer physical evaluations ran. The physical work is visible
+// separately through the until_inc_evals / until_dec_evals counters, which
+// only the instrumented (online) mode bumps — the offline decision in
+// detect_eu_at is stats-invisible.
 //
 // GC interaction (online). The table only ever reads local positions
 // >= scanned[l], and a conjunct whose first false position is known is
@@ -58,8 +59,8 @@ class EgPrefixState {
   /// Binds the table to `c` and `p` (both must outlive the state; online
   /// use relies on OnlineAppender's Computation being a stable member).
   /// `instrumented` turns on the physical-work counters
-  /// (until_inc_evals/until_dec_evals); the offline shared-state mode
-  /// leaves it off so batch-written golden stats stay byte-identical.
+  /// (until_inc_evals/until_dec_evals); the offline decision leaves it off
+  /// so golden stats stay byte-identical to the reference sweep's.
   void bind(const Computation& c, const ConjunctivePredicate& p,
             bool instrumented);
   bool bound() const { return pred_ != nullptr; }
@@ -73,9 +74,9 @@ class EgPrefixState {
   /// position is found stops scanning permanently.
   void advance_to(const Cut& limits, DetectStats& st, BudgetTracker* t);
 
-  /// Replays detect_eu_at(c, p, iq, parallelism, budget) off the table:
+  /// Replays detect_eu_at_reference(c, p, iq, budget) off the table:
   /// bit-identical verdict, witness cut, BoundReason and DetectStats.
-  /// `want_path` additionally rebuilds the batch witness path (offline
+  /// `want_path` additionally rebuilds the reference witness path (offline
   /// only — the online monitor passes false because prefix GC may have
   /// trimmed the linearization the path is built from, and WatchFire does
   /// not carry paths).
@@ -95,10 +96,10 @@ class EgPrefixState {
  private:
   enum class Sim : std::uint8_t { kAllTrue, kFalse, kTripped };
 
-  /// Replays the batch scan of conjunct l over positions 0..last. Spans
-  /// with a known outcome are charged arithmetically; the unknown tail is
-  /// evaluated for real (extending the table). On kFalse, *false_pos is
-  /// the position batch would have reported.
+  /// Replays the reference scan of conjunct l over positions 0..last.
+  /// Spans with a known outcome are charged arithmetically; the unknown
+  /// tail is evaluated for real (extending the table). On kFalse,
+  /// *false_pos is the position the reference would have reported.
   Sim sim_scan(std::size_t l, EventIndex last, DetectStats& st,
                BudgetTracker& t, EventIndex* false_pos);
 
@@ -114,13 +115,5 @@ class EgPrefixState {
   std::vector<EventIndex> first_false_;  // -1: none in the scanned range
   std::vector<EventIndex> scanned_;      // next unevaluated position
 };
-
-/// Process-wide testing switch for the incremental until evaluator. On by
-/// default; the differential suite (tests/test_until_inc.cpp) flips it off
-/// to force detect_eu_at back onto the batch frontier sweep and compares
-/// verdicts, witnesses, bounds and stats bit for bit. Declared here next
-/// to the machinery it gates; same contract as set_cursor_eval_enabled.
-void set_until_inc_enabled(bool on);
-bool until_inc_enabled();
 
 }  // namespace hbct

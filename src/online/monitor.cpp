@@ -1,6 +1,5 @@
 #include "online/monitor.h"
 
-#include "detect/until.h"
 #include "obs/flight.h"
 #include "obs/trace.h"
 #include "util/assert.h"
@@ -247,8 +246,10 @@ WatchId OnlineMonitor::watch_until(ConjunctivePredicatePtr p,
   kinds_.push_back(WatchKind::kUntil);
   w.p = std::move(p);
   w.q = std::move(q);
-  w.inc = until_inc_enabled();
   w.cand = app_.computation().initial_cut();
+  // The computation is a stable member and the predicate lives on the
+  // heap, so the binding survives moves of the watch vector.
+  w.eg.bind(app_.computation(), *w.p, /*instrumented=*/true);
   until_.push_back(std::move(w));
   BudgetTracker t(budget_, work_);
   round_ = &t;
@@ -362,10 +363,21 @@ void OnlineMonitor::step_stable(StableWatch& w) {
   for (ProcId i = 0; i < c.num_procs(); ++i)
     frontier[sz(i)] = frozen_limit(i);
   ++work_.predicate_evals;
-  if (w.pred->eval(c, frontier)) {
-    w.done = true;
-    fire(w.id, frontier, "stable: " + w.pred->describe());
+  if (!w.pred->eval(c, frontier)) return;
+  // The frozen frontier is inconsistent when a frozen receive's send is
+  // still its sender's (thawing) newest event. Fire only at a consistent
+  // cut: the greatest one beneath the frontier, if p already holds there;
+  // otherwise a later round (at the latest finish(), whose frontier is the
+  // full computation) confirms it.
+  const Cut hit = frontier;
+  roll_back_to_consistent(frontier);
+  if (frontier != hit) {
+    if (!round_ok()) return;
+    ++work_.predicate_evals;
+    if (!w.pred->eval(c, frontier)) return;
   }
+  w.done = true;
+  fire(w.id, std::move(frontier), "stable: " + w.pred->describe());
 }
 
 void OnlineMonitor::step_until(UntilWatch& w) {
@@ -374,25 +386,22 @@ void OnlineMonitor::step_until(UntilWatch& w) {
   span.arg("watch", w.id);
   const Computation& c = app_.computation();
 
-  // Incremental mode: push the EG(p) table over the newly frozen prefix
-  // before resuming the q-walk, so the eventual Theorem-7 decision is
-  // table arithmetic plus at most a tiny lazy extension instead of a full
-  // prefix sweep at fire time. Every physical evaluation is charged to the
-  // round budget; a tripped round suspends the scan mid-position and the
-  // table resumes exactly there next round. Each frozen position is
-  // evaluated at most once over the watch's lifetime (a conjunct stops
-  // scanning forever once its first false position is known), so the
-  // amortized feed cost is O(1) per event per watch.
-  if (w.inc) {
-    if (!w.eg.bound()) w.eg.bind(c, *w.p, /*instrumented=*/true);
-    // Per-round hot path: no span (a span per event per watch dominates the
-    // feed when tracing is on — the work is visible as until_inc_evals) and
-    // a reused limits buffer instead of a fresh Cut allocation.
-    if (w.limits.size() != sz(c.num_procs())) w.limits = Cut(sz(c.num_procs()));
-    for (ProcId i = 0; i < c.num_procs(); ++i)
-      w.limits[sz(i)] = frozen_limit(i);
-    w.eg.advance_to(w.limits, work_, round_);
-  }
+  // Push the EG(p) table over the newly frozen prefix before resuming the
+  // q-walk, so the eventual Theorem-7 decision is table arithmetic plus at
+  // most a tiny lazy extension instead of a full prefix sweep at fire time.
+  // Every physical evaluation is charged to the round budget; a tripped
+  // round suspends the scan mid-position and the table resumes exactly
+  // there next round. Each frozen position is evaluated at most once over
+  // the watch's lifetime (a conjunct stops scanning forever once its first
+  // false position is known), so the amortized feed cost is O(1) per event
+  // per watch. Per-round hot path: no span (a span per event per watch
+  // dominates the feed when tracing is on — the work is visible as
+  // until_inc_evals) and a reused limits buffer instead of a fresh Cut
+  // allocation.
+  if (w.limits.size() != sz(c.num_procs())) w.limits = Cut(sz(c.num_procs()));
+  for (ProcId i = 0; i < c.num_procs(); ++i)
+    w.limits[sz(i)] = frozen_limit(i);
+  w.eg.advance_to(w.limits, work_, round_);
 
   // Resume the Chase–Garg walk toward I_q over the frozen prefix. The walk
   // is monotone, so work already done never repeats; a forbidden process
@@ -427,14 +436,12 @@ void OnlineMonitor::step_until(UntilWatch& w) {
   // the events below it — stable under all extensions. The decision gets
   // the monitor's budget too; since the sub-computation below I_q never
   // changes, a kUnknown here would repeat identically on every retry, so
-  // the watch fires kUnknown immediately instead of spinning. Incremental
-  // mode replays the decision off the fed table — bit-identical verdict,
-  // bound and charged stats; the witness path is skipped because prefix GC
+  // the watch fires kUnknown immediately instead of spinning. The decision
+  // replays off the fed table — bit-identical verdict, bound and charged
+  // stats to detect_eu_at; the witness path is skipped because prefix GC
   // may have trimmed the linearization it would be rebuilt from, and
   // WatchFire carries no path.
-  DetectResult r = w.inc
-                       ? w.eg.decide_at(w.cand, budget_, /*want_path=*/false)
-                       : detect_eu_at(c, *w.p, w.cand, 1, budget_);
+  DetectResult r = w.eg.decide_at(w.cand, budget_, /*want_path=*/false);
   work_ += r.stats;
   w.done = true;
   const std::string what =
@@ -488,22 +495,16 @@ Cut OnlineMonitor::min_watch_frontier() const {
       for (ProcId i = 0; i < n; ++i) pin(i, w.scan[sz(i)]);
   for (const UntilWatch& w : until_) {
     if (w.done) continue;
-    if (w.inc) {
-      // Incremental mode pins only what the evaluator may still read on
-      // each process: the q-walk's candidate position (eval/forbidden read
-      // there; join_irreducible_of reads cand+1, which is above the pin)
-      // and the EG table's scan resume point. Positions below both are
-      // never touched again — already-scanned prefix outcomes live in the
-      // table as stored indices, and a decided conjunct is pure
-      // arithmetic at decision time. DESIGN.md §18 spells out the case
-      // analysis; tests/test_until_inc.cpp pins it differentially.
-      for (ProcId i = 0; i < n; ++i)
-        pin(i, w.eg.scan_floor(i, /*fallback=*/w.cand[sz(i)]));
-    } else {
-      // Theorem 7 decides E[p U q] from the whole sub-computation below
-      // I_q, so an undecided batch until watch pins the entire prefix.
-      for (ProcId i = 0; i < n; ++i) pin(i, 0);
-    }
+    // Pin only what the evaluator may still read on each process: the
+    // q-walk's candidate position (eval/forbidden read there;
+    // join_irreducible_of reads cand+1, which is above the pin) and the EG
+    // table's scan resume point. Positions below both are never touched
+    // again — already-scanned prefix outcomes live in the table as stored
+    // indices, and a decided conjunct is pure arithmetic at decision time.
+    // DESIGN.md §18 spells out the case analysis; tests/test_until_inc.cpp
+    // pins it differentially.
+    for (ProcId i = 0; i < n; ++i)
+      pin(i, w.eg.scan_floor(i, /*fallback=*/w.cand[sz(i)]));
   }
   // Stable watches evaluate on the frontier only: no pin. Never retreat
   // below a previous collection.
@@ -512,17 +513,9 @@ Cut OnlineMonitor::min_watch_frontier() const {
   return f;
 }
 
-std::int64_t OnlineMonitor::collect_prefix() {
-  ScopedSpan span(budget_.trace, "monitor.gc");
-  static const std::uint16_t kGc = FlightRecorder::global().intern(
-      "monitor.gc", "reclaimed", "resident");
-  FlightScope flight(FlightRecorder::global(), kGc);
+void OnlineMonitor::roll_back_to_consistent(Cut& b) const {
   const Computation& c = app_.computation();
   const std::int32_t n = c.num_procs();
-  Cut b = min_watch_frontier();
-  // Lower b to the greatest consistent cut beneath it (the standard
-  // rollback fixpoint). The previous trim cut is consistent and <= b, so
-  // the loop never drops below it — every clock row it reads is resident.
   bool changed = true;
   while (changed) {
     changed = false;
@@ -541,6 +534,15 @@ std::int64_t OnlineMonitor::collect_prefix() {
       }
     }
   }
+}
+
+std::int64_t OnlineMonitor::collect_prefix() {
+  ScopedSpan span(budget_.trace, "monitor.gc");
+  static const std::uint16_t kGc = FlightRecorder::global().intern(
+      "monitor.gc", "reclaimed", "resident");
+  FlightScope flight(FlightRecorder::global(), kGc);
+  Cut b = min_watch_frontier();
+  roll_back_to_consistent(b);
   const std::int64_t reclaimed = app_.collect_prefix(b);
   span.arg("reclaimed", reclaimed);
   flight.args(reclaimed, app_.resident_events());

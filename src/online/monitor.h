@@ -11,7 +11,8 @@
 //  - invariant(disjunctive): AG(p) violations are EF(¬p) hits with ¬p
 //    conjunctive — the same incremental machinery, reporting the violating
 //    cut.
-//  - stable predicates: evaluated on the current frontier after each event;
+//  - stable predicates: evaluated on the frozen frontier after each event
+//    and, on a hit, confirmed at the greatest consistent cut beneath it;
 //    once true they stay true, so the first hit decides EF (= AF).
 //
 // All verdicts are *prefix-stable*: once fired they remain correct for
@@ -67,7 +68,8 @@ struct WatchFire {
   /// verdict == kHolds, kept for ergonomic positive-fire checks.
   bool holds = true;
   /// The cut exhibiting the watched condition (satisfying cut, violating
-  /// cut, I_q for until-watches, or the frontier for stable watches).
+  /// cut, I_q for until-watches, or for stable watches the greatest
+  /// consistent cut under the frozen frontier). Always a consistent cut.
   Cut cut;
   /// Sequence number of the event (1-based index into the observation)
   /// whose arrival triggered the fire; 0 when fired at registration.
@@ -124,7 +126,8 @@ class OnlineMonitor {
   WatchId watch_possibly(DisjunctivePredicatePtr p);
   /// AG(p), p disjunctive: fires on violation with the violating cut.
   WatchId watch_invariant(DisjunctivePredicatePtr p);
-  /// Stable p: fires when the frontier first satisfies p.
+  /// Stable p: fires when p first holds at the greatest consistent cut
+  /// under the frozen frontier.
   WatchId watch_stable(PredicatePtr p);
 
   /// E[p U q], p conjunctive, q linear: streaming A3. The Chase–Garg walk
@@ -149,11 +152,9 @@ class OnlineMonitor {
   /// Starts at the frozen limits and is pulled down by every undecided
   /// watch: a conjunctive watch needs its candidate/scan positions, a
   /// disjunctive watch its scan positions, and an until watch its q-walk
-  /// candidate and EG-table scan floors (incremental mode — the decision
-  /// replays off the table, so the already-scanned prefix is never re-read;
-  /// DESIGN.md §18) or the whole prefix below I_q (batch mode, where
-  /// Theorem 7's decision re-reads the entire sub-computation under the
-  /// walk target). Monotone nondecreasing over the session's lifetime.
+  /// candidate and EG-table scan floors (the decision replays off the
+  /// table, so the already-scanned prefix is never re-read; DESIGN.md §18).
+  /// Monotone nondecreasing over the session's lifetime.
   Cut min_watch_frontier() const;
 
   /// Reclaims the computation prefix below the min-watch frontier (lowered
@@ -215,21 +216,21 @@ class OnlineMonitor {
     ConjunctivePredicatePtr p;
     PredicatePtr q;
     bool done = false;
-    bool started = false;
-    /// Incremental mode, latched from until_inc_enabled() at registration
-    /// (flipping the global toggle mid-session is unsupported, as with the
-    /// cursor toggle): the EG(p) table advances at feed time and the
-    /// Theorem-7 decision replays off it, so the fire costs O(frontier)
-    /// new work instead of a prefix sweep. Also selects the tighter GC pin
-    /// in min_watch_frontier.
-    bool inc = false;
     Cut cand;    // Chase-Garg frontier toward I_q
-    Cut limits;  // reused frozen-limits buffer (inc feed path, no realloc)
-    EgPrefixState eg;  // incremental EG(p) decision state (inc mode)
+    Cut limits;  // reused frozen-limits buffer (feed path, no realloc)
+    /// EG(p) decision table: advanced at feed time, and the Theorem-7
+    /// decision replays off it, so the fire costs O(frontier) new work
+    /// instead of a prefix sweep.
+    EgPrefixState eg;
   };
 
   /// Largest local position of proc i whose state can no longer change.
   EventIndex frozen_limit(ProcId i) const;
+  /// Lowers b to the greatest consistent cut beneath it (the standard
+  /// rollback fixpoint). b must dominate the last trim cut, which is
+  /// consistent, so the rollback never drops below it and every clock row
+  /// it reads is resident.
+  void roll_back_to_consistent(Cut& b) const;
 
   void on_event(ProcId i);
   void step_conj(ConjWatch& w);

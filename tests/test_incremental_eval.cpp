@@ -4,13 +4,15 @@
 // eval() at every consistent cut, for every predicate class, under
 // arbitrary advance/retreat/seek stepping. The detectors additionally
 // promise identical verdicts, witnesses and DetectStats whether their
-// CountingEval runs cursor-backed or scratch-backed (the global testing
-// switch set_cursor_eval_enabled flips between the two), including at
-// budget-trip points. Both promises are checked here over many seeds and
-// every simulator workload.
+// CountingEval runs on a structured cursor or on the scratch fallback
+// (forced here by a forwarding predicate that keeps the base
+// make_cursor), including at budget-trip points. Both promises are checked
+// here over many seeds and every simulator workload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "detect/ag_linear.h"
@@ -201,9 +203,52 @@ TEST(IncrementalEval, CursorMatchesScratchOnRandomWalks) {
   }
 }
 
-/// Restores cursor evaluation even when an assertion fails mid-test.
-struct CursorModeGuard {
-  ~CursorModeGuard() { set_cursor_eval_enabled(true); }
+/// Forwards every Predicate virtual except make_cursor to `inner`, so
+/// detectors evaluating it get the base class's scratch cursor: the same
+/// walk, with every evaluation re-run from scratch.
+class ScratchOnly final : public Predicate {
+ public:
+  explicit ScratchOnly(const Predicate& inner) : inner_(inner) {}
+  bool eval(const Computation& c, const Cut& g) const override {
+    return inner_.eval(c, g);
+  }
+  ClassSet classes(const Computation& c) const override {
+    return inner_.classes(c);
+  }
+  std::string describe() const override { return inner_.describe(); }
+  ProcId forbidden(const Computation& c, const Cut& g) const override {
+    return inner_.forbidden(c, g);
+  }
+  ProcId forbidden_down(const Computation& c, const Cut& g) const override {
+    return inner_.forbidden_down(c, g);
+  }
+  bool has_forbidden() const override { return inner_.has_forbidden(); }
+  bool has_forbidden_down() const override {
+    return inner_.has_forbidden_down();
+  }
+  bool classes_asserted() const override {
+    return inner_.classes_asserted();
+  }
+  PredicatePtr negate() const override { return inner_.negate(); }
+  std::optional<bool> as_constant() const override {
+    return inner_.as_constant();
+  }
+  std::vector<PredicatePtr> disjuncts() const override {
+    return inner_.disjuncts();
+  }
+  std::vector<PredicatePtr> conjuncts() const override {
+    return inner_.conjuncts();
+  }
+
+ private:
+  const Predicate& inner_;
+};
+
+/// The predicate operands of one parity comparison.
+struct ParityOperands {
+  const Predicate& conj;
+  const Predicate& lin;
+  const Predicate& chan;
 };
 
 void expect_same_result(const DetectResult& a, const DetectResult& b,
@@ -224,8 +269,8 @@ class CursorModeParity : public ::testing::TestWithParam<std::uint64_t> {};
 /// Every cursor-backed detector must be bit-identical to its scratch-backed
 /// self: verdict, witness cut and path, evals and steps.
 TEST_P(CursorModeParity, DetectorsMatchScratchMode) {
-  CursorModeGuard guard;
   const std::uint64_t seed = GetParam();
+  std::uint64_t cursor_evals = 0;  // the cursor side must really use cursors
   for (std::size_t kind = 0; kind < kNumWorkloads; ++kind) {
     const Computation c = workload_comp(kind, seed);
     const std::int32_t n = c.num_procs();
@@ -236,47 +281,67 @@ TEST_P(CursorModeParity, DetectorsMatchScratchMode) {
     const auto conj = make_conjunctive(std::move(ls));
     const PredicatePtr chan = channel_bound_le(0, n > 1 ? 1 : 0, 1);
     const PredicatePtr lin = make_and(PredicatePtr(conj), chan);
+    const ParityOperands cursor{*conj, *lin, *chan};
+    const ScratchOnly s_conj(*conj), s_lin(*lin), s_chan(*chan);
+    const ParityOperands scratch{s_conj, s_lin, s_chan};
 
     auto compare = [&](const char* what, auto&& run) {
-      set_cursor_eval_enabled(true);
-      const DetectResult inc = run();
-      set_cursor_eval_enabled(false);
-      const DetectResult scr = run();
-      set_cursor_eval_enabled(true);
+      const DetectResult inc = run(cursor);
+      const DetectResult scr = run(scratch);
       expect_same_result(inc, scr, what);
       // The mode counters partition the evals of the walking detectors.
       EXPECT_EQ(inc.stats.eval_incremental + inc.stats.eval_fallback,
                 inc.stats.predicate_evals)
           << what;
       EXPECT_EQ(scr.stats.eval_incremental, 0u) << what;
+      cursor_evals += inc.stats.eval_incremental;
     };
 
-    compare("eg-linear", [&] { return detect_eg_linear(c, *lin); });
-    compare("eg-linear-randomized",
-            [&] { return detect_eg_linear_randomized(c, *lin, seed); });
-    compare("eg-post-linear", [&] { return detect_eg_post_linear(c, *lin); });
-    compare("ag-linear", [&] { return detect_ag_linear(c, *lin); });
-    compare("ag-post-linear", [&] { return detect_ag_post_linear(c, *lin); });
-    compare("ef-linear", [&] { return detect_ef_linear(c, *conj); });
-    compare("ef-post-linear", [&] { return detect_ef_post_linear(c, *conj); });
-    compare("ef-oi",
-            [&] { return detect_ef_observer_independent(c, *lin); });
-    compare("eu", [&] { return detect_eu(c, *conj, *chan, 1); });
+    compare("eg-linear",
+            [&](const ParityOperands& o) { return detect_eg_linear(c, o.lin); });
+    compare("eg-linear-randomized", [&](const ParityOperands& o) {
+      return detect_eg_linear_randomized(c, o.lin, seed);
+    });
+    compare("eg-post-linear", [&](const ParityOperands& o) {
+      return detect_eg_post_linear(c, o.lin);
+    });
+    compare("ag-linear",
+            [&](const ParityOperands& o) { return detect_ag_linear(c, o.lin); });
+    compare("ag-post-linear", [&](const ParityOperands& o) {
+      return detect_ag_post_linear(c, o.lin);
+    });
+    compare("ef-linear", [&](const ParityOperands& o) {
+      return detect_ef_linear(c, o.conj);
+    });
+    compare("ef-post-linear", [&](const ParityOperands& o) {
+      return detect_ef_post_linear(c, o.conj);
+    });
+    compare("ef-oi", [&](const ParityOperands& o) {
+      return detect_ef_observer_independent(c, o.lin);
+    });
+    compare("eu",
+            [&](const ParityOperands& o) { return detect_eu(c, *conj, o.chan); });
 
     // Budget-trip parity: the work budget must trip at the same point with
     // the same three-valued outcome in both modes.
     for (const std::uint64_t work : {3u, 9u, 27u}) {
       Budget b;
       b.max_work = work;
-      compare("eg-linear (budget)",
-              [&] { return detect_eg_linear(c, *lin, b); });
-      compare("ag-linear (budget)",
-              [&] { return detect_ag_linear(c, *lin, b); });
-      compare("ef-linear (budget)",
-              [&] { return detect_ef_linear(c, *conj, b); });
-      compare("eu (budget)", [&] { return detect_eu(c, *conj, *chan, 1, b); });
+      compare("eg-linear (budget)", [&](const ParityOperands& o) {
+        return detect_eg_linear(c, o.lin, b);
+      });
+      compare("ag-linear (budget)", [&](const ParityOperands& o) {
+        return detect_ag_linear(c, o.lin, b);
+      });
+      compare("ef-linear (budget)", [&](const ParityOperands& o) {
+        return detect_ef_linear(c, o.conj, b);
+      });
+      compare("eu (budget)", [&](const ParityOperands& o) {
+        return detect_eu(c, *conj, o.chan, b);
+      });
     }
   }
+  EXPECT_GT(cursor_evals, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CursorModeParity,

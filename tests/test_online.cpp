@@ -246,6 +246,7 @@ TEST_P(OnlineWatch, StableFiresAtEarliestPrefix) {
   EXPECT_GE(fires[0].at_event, threshold);
   EXPECT_GE(fires[0].cut.total(), threshold);
   EXPECT_TRUE(p->eval(feed.monitor.computation(), fires[0].cut));
+  EXPECT_TRUE(feed.monitor.computation().is_consistent(fires[0].cut));
 }
 
 TEST_P(OnlineWatch, ConjunctiveFiresAtEarliestPossiblePrefix) {
@@ -385,6 +386,29 @@ TEST(OnlineMonitor, FreezeRulePreventsPrematureFiring) {
   m.write(0, "x", 0);   // the event actually set x = 0
   m.finish();
   EXPECT_FALSE(m.fired(w));
+}
+
+TEST(OnlineMonitor, StableFiresAtAConsistentCutUnderAnInconsistentFrontier) {
+  // After the internal event the frozen frontier is [0,1]: P1's receive is
+  // frozen, but its send is still P0's (thawing) newest event, so the
+  // frontier is inconsistent. p holds there, but not at the greatest
+  // consistent cut beneath it ([0,0]), so the watch must wait; finish()
+  // thaws P0 and the watch fires at the full, consistent computation.
+  OnlineMonitor m(2);
+  const WatchId w = m.watch_stable(make_stable(
+      [](const Computation&, const Cut& g) { return g[1] >= 1; },
+      "P1 started"));
+  const MsgId msg = m.send(0, 1);
+  m.receive(1, msg);
+  m.internal(1);
+  std::vector<WatchFire> fires = m.poll();
+  m.finish();
+  for (WatchFire& f : m.poll()) fires.push_back(std::move(f));
+  EXPECT_TRUE(m.fired(w));
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_TRUE(m.computation().is_consistent(fires[0].cut))
+      << fires[0].cut.to_string();
+  EXPECT_EQ(fires[0].cut, Cut({1, 2}));
 }
 
 }  // namespace

@@ -1,16 +1,19 @@
 // Differential suite for the incremental until evaluator (detect/until_inc):
 // the amortized EG(p) prefix table must be *observationally invisible* —
 // bit-identical verdicts, witness cuts, witness paths, bounds and stats
-// against the batch A3 decision, at every parallelism width and down a
-// budget ladder that trips mid-scan. Plus the online contracts the
-// amortization leans on: suspension/resume under round budgets, GC-on vs
-// GC-off invariance, and the tightened (but still sound) frontier pin.
+// against the reference frontier sweep detect_eu_at_reference, down a
+// budget ladder that trips mid-scan and from any pre-fed table state. Plus
+// the online contracts the amortization leans on: suspension/resume under
+// round budgets, GC-on vs GC-off invariance, and the tightened (but still
+// sound) frontier pin.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "detect/dispatch.h"
+#include "detect/ef_linear.h"
 #include "detect/until.h"
 #include "detect/until_inc.h"
 #include "online/monitor.h"
@@ -45,9 +48,8 @@ std::string stats_diff(const DetectStats& a, const DetectStats& b) {
 }
 
 /// Full bit-identity: everything the result carries that the detection
-/// semantics define (branch-superseded parallel counters are excluded from
-/// the determinism contract by parallel.h, but A3's sweep merges branches
-/// 0..winner in index order, so even stats must match exactly).
+/// semantics define, stats included (A3's sweep merges branches 0..winner
+/// in index order, so even the counters must match exactly).
 void expect_same_result(const DetectResult& a, const DetectResult& b,
                         const char* where) {
   EXPECT_EQ(a.verdict, b.verdict) << where;
@@ -90,12 +92,6 @@ EuInstance make_instance(std::uint64_t seed) {
   return inst;
 }
 
-/// Restores the process-global toggle even when an assertion throws.
-struct IncMode {
-  explicit IncMode(bool on) { set_until_inc_enabled(on); }
-  ~IncMode() { set_until_inc_enabled(true); }
-};
-
 // ---- Offline bit-identity -----------------------------------------------------
 
 class UntilIncDifferential : public ::testing::TestWithParam<std::uint64_t> {};
@@ -109,38 +105,71 @@ TEST_P(UntilIncDifferential, OfflineBitIdenticalAcrossWidthsAndBudgets) {
   opt.seed = seed;
   const Computation c = generate_random(opt);
   const EuInstance inst = make_instance(seed);
+  // The decision point: I_q when q is reachable, else the final cut (the
+  // Step-2 contract holds at any consistent cut).
+  DetectStats walk;
+  const Cut iq =
+      least_satisfying_cut(c, *inst.q, walk).value_or(c.final_cut());
+  const DetectResult unbudgeted = detect_eu(c, *inst.p, *inst.q);
 
-  // Widths: sequential, fixed fan-out, one-per-pool-worker. The budget
-  // ladder steps through trip points from "never" to "first eval".
-  const std::size_t widths[] = {1, 2, 0};
+  // The budget ladder steps through trip points from "never" to "first
+  // eval"; dispatcher widths: sequential, fixed fan-out, one per worker.
   const std::uint64_t work_caps[] = {0, 512, 64, 8, 1};
-  for (std::size_t width : widths) {
-    for (std::uint64_t cap : work_caps) {
-      Budget b;
-      if (cap != 0) b.max_work = cap;
-      DetectResult batch, inc;
-      {
-        IncMode off(false);
-        batch = detect_eu(c, *inst.p, *inst.q, width, b);
-      }
-      {
-        IncMode on(true);
-        inc = detect_eu(c, *inst.p, *inst.q, width, b);
-      }
-      const std::string where = "seed " + std::to_string(seed) + " width " +
-                                std::to_string(width) + " cap " +
-                                std::to_string(cap);
-      expect_same_result(batch, inc, where.c_str());
-      // Offline, the incremental state is bound uninstrumented: the new
-      // stats cells must stay zero or goldens/CursorModeParity would split
-      // by mode.
-      EXPECT_EQ(inc.stats.until_inc_evals, 0u) << where;
-      EXPECT_EQ(inc.stats.until_dec_evals, 0u) << where;
+  const std::size_t widths[] = {1, 2, 0};
+  Rng rng(seed * 7 + 1);
+  for (std::uint64_t cap : work_caps) {
+    Budget b;
+    if (cap != 0) b.max_work = cap;
+    const std::string where =
+        "seed " + std::to_string(seed) + " cap " + std::to_string(cap);
+    const DetectResult ref = detect_eu_at_reference(c, *inst.p, iq, b);
+    const DetectResult dec = detect_eu_at(c, *inst.p, iq, b);
+    expect_same_result(ref, dec, where.c_str());
+    // Offline, the table is bound uninstrumented: the physical-work cells
+    // must stay zero or goldens would drift from the reference.
+    EXPECT_EQ(dec.stats.until_inc_evals, 0u) << where;
+    EXPECT_EQ(dec.stats.until_dec_evals, 0u) << where;
+
+    // A table pre-fed to arbitrary limits, as the online feed leaves it,
+    // decides exactly as the reference: known spans replay arithmetically.
+    EgPrefixState fed;
+    fed.bind(c, *inst.p, /*instrumented=*/false);
+    Cut limits = c.initial_cut();
+    for (ProcId i = 0; i < c.num_procs(); ++i)
+      limits[static_cast<std::size_t>(i)] = static_cast<EventIndex>(
+          rng.next_in(0, c.num_events(i)));
+    DetectStats feed_stats;
+    fed.advance_to(limits, feed_stats, nullptr);
+    expect_same_result(ref, fed.decide_at(iq, b, /*want_path=*/true),
+                       (where + " pre-fed").c_str());
+
+    // The dispatcher's width knob must not change the until route.
+    const DetectResult direct = detect_eu(c, *inst.p, *inst.q, b);
+    if (direct.definite()) {
+      EXPECT_EQ(direct.verdict, unbudgeted.verdict) << where;
+      EXPECT_EQ(direct.witness_path, unbudgeted.witness_path) << where;
     }
+    for (std::size_t width : widths) {
+      DispatchOptions dopt;
+      dopt.parallelism = width;
+      dopt.budget = b;
+      expect_same_result(
+          direct, detect(c, Op::kEU, inst.p, inst.q, dopt),
+          (where + " width " + std::to_string(width)).c_str());
+    }
+  }
+  if (unbudgeted.verdict == Verdict::kHolds) {
+    ASSERT_TRUE(unbudgeted.witness_cut.has_value());
+    EXPECT_EQ(*unbudgeted.witness_cut, iq);
+    EXPECT_EQ(unbudgeted.witness_path,
+              detect_eu_at_reference(c, *inst.p, iq).witness_path);
   }
 }
 
 TEST_P(UntilIncDifferential, OfflineWidthsAgreeWithEachOther) {
+  // A disjunctive q takes the dispatcher's E[p U (q1 ∨ q2)] split, which
+  // fans its A3 branches out across the pool: every width must agree with
+  // the sequential run bit for bit.
   const std::uint64_t seed = GetParam();
   GenOptions opt;
   opt.num_procs = 3;
@@ -149,9 +178,20 @@ TEST_P(UntilIncDifferential, OfflineWidthsAgreeWithEachOther) {
   opt.seed = seed + 5000;
   const Computation c = generate_random(opt);
   const EuInstance inst = make_instance(seed + 5000);
-  const DetectResult serial = detect_eu(c, *inst.p, *inst.q, 1);
-  const DetectResult two = detect_eu(c, *inst.p, *inst.q, 2);
-  const DetectResult pool = detect_eu(c, *inst.p, *inst.q, 0);
+  // Both disjuncts carry a channel term so make_or cannot fold them into
+  // one disjunctive local predicate (which would skip the split).
+  const PredicatePtr q = make_or(
+      make_and(inst.q, all_channels_empty()),
+      make_and(PredicatePtr(progress_ge(static_cast<ProcId>(seed % 3),
+                                        static_cast<EventIndex>(seed % 9 + 2))),
+               all_channels_empty()));
+  DispatchOptions dopt;
+  const DetectResult serial = detect(c, Op::kEU, inst.p, q, dopt);
+  EXPECT_EQ(serial.algorithm, "eu-or-split(A3)");
+  dopt.parallelism = 2;
+  const DetectResult two = detect(c, Op::kEU, inst.p, q, dopt);
+  dopt.parallelism = 0;
+  const DetectResult pool = detect(c, Op::kEU, inst.p, q, dopt);
   expect_same_result(serial, two, "width 1 vs 2");
   expect_same_result(serial, pool, "width 1 vs pool");
 }
@@ -159,7 +199,7 @@ TEST_P(UntilIncDifferential, OfflineWidthsAgreeWithEachOther) {
 INSTANTIATE_TEST_SUITE_P(Seeds, UntilIncDifferential,
                          ::testing::Range<std::uint64_t>(1, 41));
 
-// ---- Online: incremental vs batch, streamed ------------------------------------
+// ---- Online: streamed fires vs the reference ------------------------------------
 
 struct OnlineFire {
   WatchId watch;
@@ -169,15 +209,13 @@ struct OnlineFire {
   std::string description;
 };
 
-/// Streams `ref` into a monitor with the given evaluator mode and round
-/// budget; returns the accumulated fires. `gc_every` > 0 collects the
-/// prefix periodically.
-std::vector<OnlineFire> stream_until(const Computation& ref, bool inc,
+/// Streams `ref` into a monitor with the given round budget; returns the
+/// accumulated fires. `gc_every` > 0 collects the prefix periodically.
+std::vector<OnlineFire> stream_until(const Computation& ref,
                                      const Budget* budget,
                                      std::int64_t gc_every,
                                      const EuInstance& inst,
                                      std::int64_t* reclaimed_out = nullptr) {
-  IncMode mode(inc);
   OnlineMonitor m(ref.num_procs());
   if (budget != nullptr) m.set_budget(*budget);
   for (VarId v = 0; v < ref.num_vars(); ++v) m.var(ref.var_name(v));
@@ -242,9 +280,13 @@ TEST_P(UntilIncOnline, StreamedVerdictsMatchBatchMode) {
   opt.seed = GetParam() + 300;
   const Computation ref = generate_random(opt);
   const EuInstance inst = make_instance(GetParam() + 300);
-  const auto inc = stream_until(ref, /*inc=*/true, nullptr, 0, inst);
-  const auto batch = stream_until(ref, /*inc=*/false, nullptr, 0, inst);
-  expect_same_online(inc, batch, "unbudgeted inc vs batch");
+  const auto fires = stream_until(ref, nullptr, 0, inst);
+  // A fire decides at I_q exactly as the reference sweep does there.
+  for (const OnlineFire& f : fires) {
+    const DetectResult at = detect_eu_at_reference(ref, *inst.p, f.cut);
+    EXPECT_EQ(f.verdict, at.verdict);
+    EXPECT_EQ(f.holds, at.verdict == Verdict::kHolds);
+  }
   // Cross-check against the offline detector on the full computation. An
   // until watch whose q-walk exhausts without ever finding I_q closes
   // silently at finish() (no stable cut to report), which is exactly the
@@ -252,13 +294,13 @@ TEST_P(UntilIncOnline, StreamedVerdictsMatchBatchMode) {
   // have fired, and a holds verdict pins the offline witness cut.
   const DetectResult off = detect_eu(ref, *inst.p, *inst.q);
   if (off.verdict == Verdict::kHolds) {
-    ASSERT_EQ(inc.size(), 1u) << "I_q exists: the watch must fire";
-    EXPECT_TRUE(inc[0].holds);
+    ASSERT_EQ(fires.size(), 1u) << "I_q exists: the watch must fire";
+    EXPECT_TRUE(fires[0].holds);
     ASSERT_TRUE(off.witness_cut.has_value());
-    EXPECT_EQ(inc[0].cut, *off.witness_cut);
-  } else if (!inc.empty()) {
-    ASSERT_EQ(inc.size(), 1u);
-    EXPECT_FALSE(inc[0].holds);
+    EXPECT_EQ(fires[0].cut, *off.witness_cut);
+  } else if (!fires.empty()) {
+    ASSERT_EQ(fires.size(), 1u);
+    EXPECT_FALSE(fires[0].holds);
     EXPECT_EQ(off.verdict, Verdict::kFails);
   } else {
     EXPECT_EQ(off.verdict, Verdict::kFails) << "silent close requires no I_q";
@@ -280,41 +322,34 @@ TEST_P(UntilIncOnline, SuspensionResumeUnderRoundBudgets) {
   opt.seed = GetParam() + 700;
   const Computation ref = generate_random(opt);
   const EuInstance inst = make_instance(GetParam() + 700);
-  const auto free_run = stream_until(ref, /*inc=*/true, nullptr, 0, inst);
+  const auto free_run = stream_until(ref, nullptr, 0, inst);
   ASSERT_LE(free_run.size(), 1u);  // empty = q-walk exhausted with no I_q
   for (const std::uint64_t cap :
        {std::uint64_t{4}, std::uint64_t{16}, std::uint64_t{64}}) {
     Budget b;
     b.max_work = cap;
-    const auto inc = stream_until(ref, /*inc=*/true, &b, 0, inst);
-    const auto batch = stream_until(ref, /*inc=*/false, &b, 0, inst);
+    const auto fires = stream_until(ref, &b, 0, inst);
     const std::string where = "cap " + std::to_string(cap);
     // A budgeted run fires at most once: the decided verdict, the
     // finish-round give-up (kUnknown), or — when the q-walk exhausted
     // without finding I_q and the final round stayed under budget — the
     // same silent close as the free run.
-    ASSERT_LE(inc.size(), 1u) << where;
-    ASSERT_LE(batch.size(), 1u) << where;
-    for (const auto* fires : {&inc, &batch}) {
-      if (fires->empty()) {
-        EXPECT_TRUE(free_run.empty()) << where << ": silent close requires "
-                                                  "an exhausted q-walk";
-        continue;
-      }
-      const OnlineFire& f = (*fires)[0];
-      if (f.verdict == Verdict::kUnknown) continue;
-      ASSERT_EQ(free_run.size(), 1u) << where;
-      EXPECT_EQ(f.verdict, free_run[0].verdict) << where;
-      EXPECT_EQ(f.holds, free_run[0].holds) << where;
-      EXPECT_EQ(f.cut, free_run[0].cut) << where;
+    ASSERT_LE(fires.size(), 1u) << where;
+    if (fires.empty()) {
+      EXPECT_TRUE(free_run.empty()) << where << ": silent close requires "
+                                                "an exhausted q-walk";
+      continue;
     }
-    // When both modes decide under the same cap they must agree exactly.
-    if (inc.size() == 1 && batch.size() == 1 &&
-        inc[0].verdict != Verdict::kUnknown &&
-        batch[0].verdict != Verdict::kUnknown) {
-      EXPECT_EQ(inc[0].description, batch[0].description) << where;
-      EXPECT_EQ(inc[0].cut, batch[0].cut) << where;
-    }
+    const OnlineFire& f = fires[0];
+    if (f.verdict == Verdict::kUnknown) continue;
+    ASSERT_EQ(free_run.size(), 1u) << where;
+    EXPECT_EQ(f.verdict, free_run[0].verdict) << where;
+    EXPECT_EQ(f.holds, free_run[0].holds) << where;
+    EXPECT_EQ(f.cut, free_run[0].cut) << where;
+    EXPECT_EQ(f.description, free_run[0].description) << where;
+    EXPECT_EQ(f.verdict,
+              detect_eu_at_reference(ref, *inst.p, f.cut).verdict)
+        << where;
   }
 }
 
@@ -326,8 +361,8 @@ TEST_P(UntilIncOnline, GcInvisibleWithIncrementalUntilWatches) {
   opt.seed = GetParam() + 1100;
   const Computation ref = generate_random(opt);
   const EuInstance inst = make_instance(GetParam() + 1100);
-  const auto nogc = stream_until(ref, /*inc=*/true, nullptr, 0, inst);
-  const auto gc = stream_until(ref, /*inc=*/true, nullptr, 5, inst);
+  const auto nogc = stream_until(ref, nullptr, 0, inst);
+  const auto gc = stream_until(ref, nullptr, 5, inst);
   expect_same_online(nogc, gc, "gc on vs off");
 }
 
@@ -336,26 +371,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UntilIncOnline,
 
 // ---- Frontier pin --------------------------------------------------------------
 
-TEST(UntilIncFrontier, BatchModeUntilStillPinsTheWholePrefix) {
-  // The batch decision re-reads the whole sub-computation below I_q, so a
-  // batch-mode watch must keep the conservative pin at 0 (the tighter pin
-  // is only sound for the incremental table, which re-reads nothing).
-  IncMode mode(false);
-  OnlineMonitor m(2);
-  m.var("x");
-  m.watch_until(make_conjunctive({var_cmp(0, "x", Cmp::kLe, 100)}),
-                PredicatePtr(progress_ge(1, 50)));
-  for (int i = 0; i < 20; ++i) m.internal(0);
-  const Cut f = m.min_watch_frontier();
-  for (std::size_t i = 0; i < f.size(); ++i) EXPECT_EQ(f[i], 0);
-  EXPECT_EQ(m.collect_prefix(), 0);
-}
-
 TEST(UntilIncFrontier, IncrementalPinTracksCandidateAndScanFloor) {
   // q refutes position-by-position on P0, so the Chase–Garg candidate
-  // advances through the prefix; the incremental pin follows min(cand,
-  // scan floor) and periodic GC reclaims the refuted prefix while the
-  // watch is still undecided — the batch pin would hold it all.
+  // advances through the prefix; the pin follows min(cand, scan floor) and
+  // periodic GC reclaims the refuted prefix while the watch is still
+  // undecided.
   OnlineMonitor m(2);
   m.var("x");
   m.watch_until(make_conjunctive({var_cmp(0, "x", Cmp::kGe, 0)}),
@@ -372,8 +392,7 @@ TEST(UntilIncFrontier, IncrementalPinTracksCandidateAndScanFloor) {
       << "tighter pin never released the refuted prefix";
   m.finish();
   // No I_q exists anywhere, so the q-walk exhausts and the watch closes
-  // silently — the documented no-stable-cut outcome, identical to batch
-  // mode.
+  // silently — the documented no-stable-cut outcome.
   EXPECT_TRUE(m.poll().empty());
 }
 
@@ -388,8 +407,8 @@ TEST(UntilIncFrontier, PinSoundnessUnderGcDifferential) {
   opt.seed = 77;
   const Computation ref = generate_random(opt);
   const EuInstance inst = make_instance(77);
-  const auto nogc = stream_until(ref, /*inc=*/true, nullptr, 0, inst);
-  const auto gc = stream_until(ref, /*inc=*/true, nullptr, 1, inst);
+  const auto nogc = stream_until(ref, nullptr, 0, inst);
+  const auto gc = stream_until(ref, nullptr, 1, inst);
   expect_same_online(nogc, gc, "gc every event");
 }
 

@@ -94,28 +94,6 @@ def main():
             inversions += 1
             print(flag)
 
-    # Incremental-until A/B pairs (X vs X/batch or X/inc vs X/batch): the
-    # speedup of the amortized feed-time evaluator over the batch decision
-    # walk, in wall clock and (for bench_watch rows) fire-latency p99.
-    for name in sorted(cur):
-        if not name.endswith("/batch"):
-            continue
-        base_name = name[: -len("/batch")]
-        inc_name = next((n for n in (base_name + "/inc", base_name)
-                         if n in cur), None)
-        if inc_name is None:
-            continue
-        inc = cur[inc_name]["ns"]["median"]
-        batch = cur[name]["ns"]["median"]
-        if inc:
-            print(f"until incremental speedup {inc_name} vs {name}: "
-                  f"{batch / inc:.2f}x wall")
-        iw = cur[inc_name].get("watch")
-        bw = cur[name].get("watch")
-        if iw and bw and iw.get("fire_p99_ns"):
-            print(f"until incremental fire p99 {inc_name} vs {name}: "
-                  f"{iw['fire_p99_ns']} ns vs {bw['fire_p99_ns']} ns "
-                  f"({bw['fire_p99_ns'] / iw['fire_p99_ns']:.1f}x)")
     if inversions:
         print(f"\n{inversions} inverted A/B pair(s): the measurement is "
               f"suspect (report-only, not failing the build)")

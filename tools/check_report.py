@@ -85,9 +85,8 @@ def check_report(path, doc):
 STREAMING_KEYS = {"sessions", "gc_interval_events", "events",
                   "events_per_sec", "resident_peak", "gc_reclaimed_events",
                   "gc_rounds", "fire_p50_ns", "fire_p99_ns", "recorder",
-                  "until_watch", "until_inc", "until_inc_evals",
-                  "until_dec_evals"}
-STREAMING_BOOLS = {"recorder", "until_watch", "until_inc"}
+                  "until_watch", "until_inc_evals", "until_dec_evals"}
+STREAMING_BOOLS = {"recorder", "until_watch"}
 
 
 def check_streaming(path, name, s):
@@ -109,9 +108,6 @@ def check_streaming(path, name, s):
         fail(path, f"row {name!r} fire-latency percentiles not monotone")
     if not s["until_watch"] and (s["until_inc_evals"] or s["until_dec_evals"]):
         fail(path, f"row {name!r} counts until work without until watches")
-    if not s["until_inc"] and s["until_inc_evals"]:
-        fail(path, f"row {name!r} counts feed-time until work with the "
-                   f"incremental evaluator disabled")
     if s["gc_interval_events"] <= 0 and s["gc_rounds"] != 0:
         fail(path, f"row {name!r} reports GC rounds with GC disabled")
     if s["gc_interval_events"] > 0:
@@ -126,8 +122,7 @@ def check_streaming(path, name, s):
 
 WATCH_KEYS = {"class", "sessions", "watches", "events",
               "watch_evals_per_sec", "fires", "fire_p50_ns", "fire_p99_ns",
-              "fire_samples", "p99_target_ns", "met_p99", "recorder",
-              "until_inc"}
+              "fire_samples", "p99_target_ns", "met_p99", "recorder"}
 WATCH_CLASSES = {"conjunctive", "disjunctive", "invariant", "stable",
                  "channel", "relational", "until", "mixed"}
 
@@ -136,18 +131,17 @@ def check_watch(path, name, s, require_met=frozenset()):
     """The optional per-row extension emitted by bench_watch. Percentiles
     are exact (raw nanosecond samples accumulated across the row's measured
     passes), not the serve histogram's log2 buckets. `require_met` turns
-    met_p99 into a hard gate for those classes (--require-met-p99); rows
-    that deliberately run with the incremental until evaluator disabled
-    are exempt — they exist to measure the before side."""
+    met_p99 into a hard gate for every row of those classes
+    (--require-met-p99)."""
     if s.keys() != WATCH_KEYS:
         fail(path, f"row {name!r} watch keys {sorted(s.keys())} != "
                    f"{sorted(WATCH_KEYS)}")
     if s["class"] not in WATCH_CLASSES:
         fail(path, f"row {name!r} unknown watch class {s['class']!r}")
-    for k in ("met_p99", "recorder", "until_inc"):
+    for k in ("met_p99", "recorder"):
         if not isinstance(s[k], bool):
             fail(path, f"row {name!r} watch.{k} is not a bool")
-    for k in WATCH_KEYS - {"class", "met_p99", "recorder", "until_inc"}:
+    for k in WATCH_KEYS - {"class", "met_p99", "recorder"}:
         if not isinstance(s[k], (int, float)) or isinstance(s[k], bool):
             fail(path, f"row {name!r} watch.{k} is not a number")
     if s["sessions"] <= 0 or s["watches"] <= 0 or s["events"] <= 0:
@@ -162,7 +156,7 @@ def check_watch(path, name, s, require_met=frozenset()):
         fail(path, f"row {name!r} fire-latency percentiles not monotone")
     if s["met_p99"] != (s["fire_p99_ns"] <= s["p99_target_ns"]):
         fail(path, f"row {name!r} met_p99 inconsistent with percentiles")
-    if (s["class"] in require_met and s["until_inc"] and not s["met_p99"]):
+    if s["class"] in require_met and not s["met_p99"]:
         fail(path, f"row {name!r} class {s['class']!r} missed the p99 "
                    f"objective ({s['fire_p99_ns']} > {s['p99_target_ns']} ns)"
                    f" [--require-met-p99]")
@@ -345,9 +339,7 @@ def check_file(path, require_met=frozenset()):
 
 def main(argv):
     # --require-met-p99 CLASS (repeatable): fail any bench_watch row of that
-    # class whose p99 missed the latency objective. Rows measuring the
-    # disabled incremental until evaluator (the "before" side of an A/B
-    # pair) are exempt.
+    # class whose p99 missed the latency objective.
     require_met = set()
     paths = []
     args = argv[1:]
