@@ -75,6 +75,10 @@ struct BadQuery {
   const char* text;
 };
 
+// Print the case name so the parameter shows as its name, not its pointer
+// bytes, and test names stay the same from build to build.
+void PrintTo(const BadQuery& q, std::ostream* os) { *os << q.name; }
+
 class CtlParserErrors : public ::testing::TestWithParam<BadQuery> {};
 
 TEST_P(CtlParserErrors, Rejected) {
@@ -94,10 +98,7 @@ INSTANTIATE_TEST_SUITE_P(
                       BadQuery{"empty", ""},
                       BadQuery{"lone_op", "&& x@P0 < 1"},
                       BadQuery{"illegal_char", "EF(x@P0 < 4 $ 3)"},
-                      BadQuery{"bad_proc", "EF(x@Q1 < 4)"}),
-    [](const ::testing::TestParamInfo<BadQuery>& info) {
-      return info.param.name;
-    });
+                      BadQuery{"bad_proc", "EF(x@Q1 < 4)"}));
 
 // ---- Compiler lowering ---------------------------------------------------------
 

@@ -82,6 +82,10 @@ struct BadTraceCase {
   const char* expect_substr;
 };
 
+// Print the case name so the parameter shows as its name, not its pointer
+// bytes, and test names stay the same from build to build.
+void PrintTo(const BadTraceCase& c, std::ostream* os) { *os << c.name; }
+
 class TraceIoErrors : public ::testing::TestWithParam<BadTraceCase> {};
 
 TEST_P(TraceIoErrors, ReportsError) {
@@ -122,10 +126,7 @@ INSTANTIATE_TEST_SUITE_P(
                      "hbct-trace v1\nprocs 1\nfoo bar\nend\n", "unknown"},
         BadTraceCase{"bad_assignment",
                      "hbct-trace v1\nprocs 1\nev 0 internal x=abc\nend\n",
-                     "bad integer"}),
-    [](const ::testing::TestParamInfo<BadTraceCase>& info) {
-      return info.param.name;
-    });
+                     "bad integer"}));
 
 // ---- Binary form: text <-> binary round-trip properties ------------------------
 
