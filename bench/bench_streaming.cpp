@@ -16,7 +16,7 @@
 
 #include "bench_report.h"
 #include "obs/flight.h"
-#include "obs/trace.h"
+#include "obs/metrics.h"
 #include "predicate/local.h"
 #include "predicate/predicate.h"
 #include "serve/service.h"
@@ -93,13 +93,13 @@ std::vector<std::string> build_chunks(std::int64_t rounds) {
   return chunks;
 }
 
-/// One full pass: open, stream, drain; outcome read off the tracer metrics.
+/// One full pass: open, stream, drain; outcome read off the pass's registry.
 void run_streams(const StreamPlan& plan, const std::vector<std::string>& chunks,
                  StreamOutcome* out) {
   FlightRecorder::global().set_enabled(plan.recorder);
-  Tracer tracer;
+  MetricsRegistry metrics;  // keeps this pass's serve.* out of global()
   serve::ServiceOptions opt;
-  opt.trace = &tracer;
+  opt.metrics = &metrics;
   StreamingService svc(opt);
 
   SessionConfig cfg;
@@ -144,7 +144,7 @@ void run_streams(const StreamPlan& plan, const std::vector<std::string>& chunks,
       }
       out->events += svc.stats(sid).events;
     }
-    const MetricsSnapshot snap = tracer.metrics().snapshot();
+    const MetricsSnapshot snap = metrics.snapshot();
     out->resident_peak = snap.gauges.at("serve.resident_events.peak");
     out->gc_reclaimed = static_cast<std::int64_t>(
         snap.counters.at("serve.gc.reclaimed_events"));

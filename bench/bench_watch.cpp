@@ -41,7 +41,7 @@
 #include "bench_report.h"
 #include "obs/expose.h"
 #include "obs/flight.h"
-#include "obs/trace.h"
+#include "obs/metrics.h"
 #include "predicate/channel.h"
 #include "predicate/conjunctive.h"
 #include "predicate/disjunctive.h"
@@ -249,9 +249,9 @@ std::int64_t arm(OnlineMonitor& m, const std::string& cls,
 void run_watches(const WatchPlan& plan, const std::vector<std::string>& chunks,
                  WatchOutcome* out, RawLatency* raw = nullptr) {
   FlightRecorder::global().set_enabled(plan.recorder);
-  Tracer tracer;
+  MetricsRegistry metrics;  // keeps this pass's serve.* out of global()
   serve::ServiceOptions opt;
-  opt.trace = &tracer;
+  opt.metrics = &metrics;
   if (raw != nullptr) {
     opt.fire_sample = [raw](WatchKind k, std::uint64_t ns) {
       std::lock_guard<std::mutex> lk(raw->mu);

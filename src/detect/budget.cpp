@@ -9,16 +9,11 @@
 namespace hbct {
 
 void record_budget_trip(Tracer* t, BoundReason r) {
-  t->instant(std::string("budget.trip.") + to_string(r));
-  t->metrics()
-      .counter(std::string("budget.trips.") + to_string(r))
-      .add(1);
-}
-
-void record_flight_trip(BoundReason r) {
   static const std::uint16_t kTrip =
-      FlightRecorder::global().intern("budget.trip", "reason", "");
-  FlightRecorder::global().anomaly(kTrip, static_cast<std::int64_t>(r), 0);
+      FlightRecorder::intern("budget.trip", "reason", "");
+  FlightRecorder::global().anomaly(kTrip, static_cast<std::int64_t>(r), 0, t);
+  if (t != nullptr)
+    t->metrics().counter(std::string("budget.trips.") + to_string(r)).add(1);
 }
 
 const char* to_string(Verdict v) {

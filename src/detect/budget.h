@@ -57,17 +57,10 @@ enum class BoundReason : std::uint8_t {
 const char* to_string(Verdict v);
 const char* to_string(BoundReason r);
 
-/// Emits a "budget.trip" instant event plus a counter bump on `t`'s
-/// metrics registry. Out of line so budget.h need not include the tracer;
-/// callers guard on `t != nullptr`.
+/// Raises a "budget.trip" anomaly on the global flight recorder, traced or
+/// not; a non-null `t` also gets the record in its capture and a
+/// budget.trips.<reason> counter. Out of line: budget.h includes no obs.
 void record_budget_trip(Tracer* t, BoundReason r);
-
-/// Raises a "budget.trip" anomaly on the global flight recorder. Unlike
-/// record_budget_trip this runs on EVERY trip, traced or not — the flight
-/// recorder is the always-on layer, and a trip is exactly the kind of
-/// anomaly whose surrounding window it exists to capture. Out of line so
-/// budget.h need not include obs/flight.h.
-void record_flight_trip(BoundReason r);
 
 inline Verdict verdict_of(bool holds) {
   return holds ? Verdict::kHolds : Verdict::kFails;
@@ -101,10 +94,10 @@ struct Budget {
   /// Caller-supplied cooperative cancellation; polled at every checkpoint.
   /// Not owned; must outlive the detection.
   CancelToken* cancel = nullptr;
-  /// Span tracer of the enclosing detection (obs/trace.h); not owned. Set
-  /// by dispatch when DispatchOptions::trace is on and threaded here so
+  /// Capture of the enclosing traced detection (obs/trace.h); not owned.
+  /// Set by dispatch when DispatchOptions::trace is on and threaded here so
   /// every detector can emit spans without signature changes. nullptr (the
-  /// default) keeps all instrumentation on a single-pointer-test fast path.
+  /// default) keeps capture-only sites on a single-pointer-test fast path.
   Tracer* trace = nullptr;
 
   /// True when any bound other than the (rarely reached) state cap is set —
@@ -166,8 +159,7 @@ class BudgetTracker {
   void trip(BoundReason r) {
     if (reason_ != BoundReason::kNone) return;
     reason_ = r;
-    if (b_.trace != nullptr) record_budget_trip(b_.trace, r);
-    record_flight_trip(r);
+    record_budget_trip(b_.trace, r);
   }
 
   /// Charges `n` predicate evaluations against `st` with the exact

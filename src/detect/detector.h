@@ -28,11 +28,11 @@ const char* to_string(Op op);
 
 class Tracer;
 
-/// Shared ownership of the span tracer of a traced detection. Dispatch
+/// Shared ownership of the capture of a traced detection: the flight
+/// records (obs/flight.h) the run wrote, with parent links. Dispatch
 /// creates one per detect() call when DispatchOptions::trace is set and
 /// hands it out on the result, so callers can export the span tree
-/// (Tracer::chrome_trace_json) or the full run report (obs/report.h) after
-/// the detection returns.
+/// (Tracer::chrome_trace_json) or the full run report (obs/report.h).
 using TraceHandle = std::shared_ptr<Tracer>;
 
 struct DetectResult {
@@ -60,8 +60,8 @@ struct DetectResult {
   /// any audit violations (severity kError, code E1xx). Empty when audit is
   /// off.
   std::vector<Diagnostic> diagnostics;
-  /// The span tracer of this run; null unless DispatchOptions::trace was
-  /// set. Shared so the result stays copyable.
+  /// The capture of this run; null unless DispatchOptions::trace was set.
+  /// Shared so the result stays copyable.
   TraceHandle trace;
   /// The equivalence-preserving rewrite chain the query optimizer applied
   /// (OptimizeMode::kApply) or proposes (kAnalyzeOnly), in application

@@ -314,7 +314,7 @@ DetectResult detect_routed(const Computation& c, Op op, const PredicatePtr& p,
     // also means a predicate lied about its class — exactly the incident a
     // flight-recorder window should capture.
     static const std::uint16_t kAuditFail =
-        FlightRecorder::global().intern("audit.fail", "op", "");
+        FlightRecorder::intern("audit.fail", "op", "");
     FlightRecorder::global().anomaly(kAuditFail,
                                      static_cast<std::int64_t>(op), 0);
     pre.algorithm = std::string(plan.name) + " (audit failed)";
@@ -342,36 +342,24 @@ DetectResult detect(const Computation& c, Op op, const PredicatePtr& p,
 
   // Always-on flight span around the whole detection (a few ns; see
   // obs/flight.h) so anomaly dumps show what detections surrounded the
-  // incident even when the opt-in tracer is off.
+  // incident; a traced run captures the same record as its root span.
   static const std::uint16_t kDetect =
-      FlightRecorder::global().intern("detect", "op", "verdict");
-  FlightScope flight(FlightRecorder::global(), kDetect,
-                     static_cast<std::int64_t>(op), -1);
-
-  if (!opt.trace) {
-    DetectResult r = detect_routed(c, op, p, q, opt);
-    finish_metrics(r, opt.budget.trace);
-    flight.args(static_cast<std::int64_t>(op),
-                static_cast<std::int64_t>(r.verdict));
-    return r;
-  }
-
-  TraceHandle tracer = std::make_shared<Tracer>();
-  // Materialize the registry up front: Tracer::end() records the per-phase
-  // span.<name>.ns histograms only once the registry exists.
-  tracer->metrics();
-  DispatchOptions traced = opt;
-  traced.budget.trace = tracer.get();
+      FlightRecorder::intern("detect", "op", "verdict");
+  TraceHandle tracer = opt.trace ? std::make_shared<Tracer>() : nullptr;
   DetectResult r;
   {
-    ScopedSpan root(tracer.get(), "detect");
-    root.arg("op", static_cast<std::int64_t>(op));
-    r = detect_routed(c, op, p, q, traced);
-    root.arg("verdict", static_cast<std::int64_t>(r.verdict));
-  }
-  finish_metrics(r, tracer.get());
-  flight.args(static_cast<std::int64_t>(op),
+    FlightScope root(FlightRecorder::global(), kDetect, tracer.get());
+    if (tracer == nullptr) {
+      r = detect_routed(c, op, p, q, opt);
+    } else {
+      DispatchOptions traced = opt;
+      traced.budget.trace = tracer.get();
+      r = detect_routed(c, op, p, q, traced);
+    }
+    root.args(static_cast<std::int64_t>(op),
               static_cast<std::int64_t>(r.verdict));
+  }
+  finish_metrics(r, tracer != nullptr ? tracer.get() : opt.budget.trace);
   r.trace = std::move(tracer);
   return r;
 }

@@ -71,13 +71,13 @@ struct DispatchOptions {
   /// query only — sub-detections spawned by the distributive splits run
   /// with the analysis already done.
   AuditMode audit = AuditMode::kOff;
-  /// Record a span trace of the detection (obs/trace.h). detect() creates a
-  /// Tracer, threads it to every algorithm on the route via Budget::trace,
-  /// and hands it out as DetectResult::trace, from which the caller can
-  /// export Chrome trace JSON or the hbct.report/1 run report. Off by
-  /// default: the disabled path costs one pointer test per instrumentation
-  /// site (no clock reads, no allocation). Overrides any caller-set
-  /// Budget::trace.
+  /// Capture the detection's span records (obs/trace.h). detect() creates
+  /// a Tracer, threads it to every algorithm on the route via
+  /// Budget::trace, and hands it out as DetectResult::trace, from which the
+  /// caller can export Chrome trace JSON or the hbct.report/1 run report.
+  /// Off by default: the disabled path costs one pointer test per
+  /// capture-only site (no clock reads, no allocation). Overrides any
+  /// caller-set Budget::trace.
   bool trace = false;
   /// Budgets for AuditMode::kFull (lattice cap, sample count, seed).
   AuditOptions audit_options;

@@ -40,7 +40,6 @@ FirstMatch detect_first_match(
   par = std::min(par, count);
   ScopedSpan fan(trace, span_name != nullptr ? span_name : "fanout");
   fan.arg("count", static_cast<std::int64_t>(count));
-  fan.arg("parallelism", static_cast<std::int64_t>(par));
   if (par <= 1) {
     for (std::size_t i = 0; i < count; ++i) {
       DetectResult r;
@@ -67,7 +66,7 @@ FirstMatch detect_first_match(
 
   // Children run on pool workers where the calling thread's open-span stack
   // is invisible; parent them on the fan-out span explicitly.
-  const std::size_t span_parent = fan.id();
+  const std::uint32_t span_parent = fan.id();
   if (trace != nullptr) {
     trace->metrics()
         .gauge("parallel.queue_depth.max")

@@ -4,26 +4,166 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <type_traits>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/assert.h"
 
 namespace hbct {
 
 namespace {
 
-std::uint32_t flight_tid() {
-  // The dense per-thread id also used for metric shards: consecutive pool
-  // workers land on distinct rings by construction.
-  return static_cast<std::uint32_t>(obs_detail::shard_index());
-}
-
 static_assert(std::is_trivially_copyable_v<FlightRecorder::Record>,
               "Record is memcpy'd through the slot's atomic words");
 
+struct NameTable {
+  std::mutex mu;
+  std::vector<FlightRecorder::Name> entries;
+  std::map<std::string, std::uint16_t, std::less<>> ids;
+};
+
+/// The process-wide intern table; never destroyed. Id 0 is the unnamed
+/// sentinel so a zero-initialized (torn) record never aliases a real site.
+NameTable& table() {
+  static NameTable* t = new NameTable{{}, {{"?", "", ""}}, {}};
+  return *t;
+}
+
+FlightRecorder::Record make_record(FlightRecorder::Kind kind,
+                                   std::uint16_t name, std::uint64_t ts_ns,
+                                   std::uint64_t dur_ns, std::int64_t a0,
+                                   std::int64_t a1) {
+  // Value-initialized: the padding bytes the ring copies are zero too.
+  FlightRecorder::Record rec = FlightRecorder::Record();
+  rec.ts_ns = ts_ns;
+  rec.dur_ns = dur_ns;
+  rec.a0 = a0;
+  rec.a1 = a1;
+  rec.tid = static_cast<std::uint32_t>(obs_detail::shard_index());
+  rec.name = name;
+  rec.kind = kind;
+  rec.flags = FlightRecorder::Record::kArg0 | FlightRecorder::Record::kArg1;
+  return rec;
+}
+
 }  // namespace
+
+// ---- Shared machinery ---------------------------------------------------------
+
+std::uint16_t FlightRecorder::intern(std::string_view name,
+                                     std::string_view arg0,
+                                     std::string_view arg1) {
+  NameTable& t = table();
+  std::lock_guard<std::mutex> lk(t.mu);
+  const auto it = t.ids.find(name);
+  if (it != t.ids.end()) return it->second;
+  HBCT_ASSERT_MSG(t.entries.size() < 0xffff, "record name table exhausted");
+  const auto id = static_cast<std::uint16_t>(t.entries.size());
+  t.entries.push_back(
+      {std::string(name), std::string(arg0), std::string(arg1)});
+  t.ids.emplace(std::string(name), id);
+  return id;
+}
+
+std::string FlightRecorder::name_of(std::uint16_t id) {
+  NameTable& t = table();
+  std::lock_guard<std::mutex> lk(t.mu);
+  return id < t.entries.size() ? t.entries[id].name : std::string("?");
+}
+
+int FlightRecorder::arg_slot(std::uint16_t name, std::string_view key) {
+  NameTable& t = table();
+  std::lock_guard<std::mutex> lk(t.mu);
+  HBCT_ASSERT(name < t.entries.size());
+  Name& n = t.entries[name];
+  for (std::string* label : {&n.arg0, &n.arg1}) {
+    if (label->empty()) *label = key;
+    if (*label == key) return label == &n.arg0 ? 0 : 1;
+  }
+  HBCT_ASSERT_MSG(false, "a record name carries at most two arg labels");
+  return 1;
+}
+
+std::vector<FlightRecorder::Name> FlightRecorder::names() {
+  NameTable& t = table();
+  std::lock_guard<std::mutex> lk(t.mu);
+  return t.entries;
+}
+
+std::uint64_t FlightRecorder::now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+void FlightRecorder::write_args(JsonWriter& w, const Record& r,
+                                const Name& name) {
+  const auto label = [](const std::string& l, const char* unlabeled) {
+    return std::string_view(l.empty() ? unlabeled : l.c_str());
+  };
+  if ((r.flags & Record::kArg0) != 0) w.kv(label(name.arg0, "a0"), r.a0);
+  if ((r.flags & Record::kArg1) != 0) w.kv(label(name.arg1, "a1"), r.a1);
+}
+
+std::string FlightRecorder::chrome_json(const std::vector<Record>& records,
+                                        std::string_view process,
+                                        std::uint64_t epoch_ns, bool span_ids,
+                                        std::uint64_t trigger_ticket) {
+  const std::vector<Name> table = names();
+  // trace_event timestamps are microseconds; three decimals keep the ns.
+  const auto us = [](std::uint64_t ns) {
+    return static_cast<double>(ns) / 1000.0;
+  };
+
+  JsonWriter w;
+  w.begin_object();
+  w.key("traceEvents").begin_array();
+  w.begin_object()
+      .kv("name", "process_name")
+      .kv("ph", "M")
+      .kv("pid", std::int64_t{1})
+      .kv("tid", std::int64_t{0});
+  w.key("args").begin_object().kv("name", process).end_object();
+  w.end_object();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const Record& r = records[i];
+    const Name& name = r.name < table.size() ? table[r.name] : table[0];
+    w.begin_object().kv("name", name.name).kv("cat", "hbct");
+    if (r.kind == Kind::kSpan) {
+      w.kv("ph", "X");
+    } else {
+      // Anomalies render as global-scope instants so they are visible
+      // across the whole track height.
+      w.kv("ph", "i").kv("s", r.kind == Kind::kAnomaly ? "g" : "t");
+    }
+    w.kv("pid", std::int64_t{1}).kv("tid", static_cast<std::int64_t>(r.tid));
+    w.kv("ts", us(r.ts_ns >= epoch_ns ? r.ts_ns - epoch_ns : 0));
+    if (r.kind == Kind::kSpan) w.kv("dur", us(r.dur_ns));
+    w.key("args").begin_object();
+    if (span_ids && r.kind == Kind::kSpan) {
+      w.kv("id", static_cast<std::int64_t>(i));
+      w.kv("parent", r.parent == Record::kNoParent
+                         ? std::int64_t{-1}
+                         : static_cast<std::int64_t>(r.parent));
+    }
+    write_args(w, r, name);
+    if (r.kind == Kind::kAnomaly) w.kv("anomaly", std::int64_t{1});
+    if (trigger_ticket != kNoTrigger && r.ticket == trigger_ticket)
+      w.kv("trigger", std::int64_t{1});
+    w.end_object();
+    w.end_object();
+  }
+  w.end_array();
+  w.kv("displayTimeUnit", "ns");
+  w.end_object();
+  return w.take();
+}
+
+// ---- The ring -----------------------------------------------------------------
 
 FlightRecorder::FlightRecorder() : FlightRecorder(Config{}) {}
 
@@ -33,9 +173,6 @@ FlightRecorder::FlightRecorder(Config cfg) : cfg_(cfg) {
   mask_ = cap - 1;
   min_dump_gap_ns_.store(cfg_.min_dump_gap_ns, std::memory_order_relaxed);
   for (Shard& sh : shards_) sh.slots = std::make_unique<Slot[]>(cap);
-  // Id 0 is the unnamed sentinel so a zero-initialized (torn) record never
-  // aliases a real site.
-  names_.push_back({"?", "", ""});
 }
 
 FlightRecorder::~FlightRecorder() = default;
@@ -45,47 +182,12 @@ FlightRecorder& FlightRecorder::global() {
   return *rec;
 }
 
-std::uint64_t FlightRecorder::now_ns() const {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-std::uint16_t FlightRecorder::intern(std::string_view name,
-                                     std::string_view arg0,
-                                     std::string_view arg1) {
-  std::lock_guard<std::mutex> lk(names_mu_);
-  for (std::size_t i = 0; i < names_.size(); ++i)
-    if (names_[i].name == name) return static_cast<std::uint16_t>(i);
-  HBCT_ASSERT_MSG(names_.size() < 0xffff, "flight name table exhausted");
-  names_.push_back(
-      {std::string(name), std::string(arg0), std::string(arg1)});
-  return static_cast<std::uint16_t>(names_.size() - 1);
-}
-
-std::string FlightRecorder::name_of(std::uint16_t id) const {
-  std::lock_guard<std::mutex> lk(names_mu_);
-  return id < names_.size() ? names_[id].name : std::string("?");
-}
-
-void FlightRecorder::write(Kind kind, std::uint16_t name, std::uint64_t ts_ns,
-                           std::uint64_t dur_ns, std::int64_t a0,
-                           std::int64_t a1, std::uint64_t* ticket_out) {
-  Shard& sh = shards_[flight_tid() % kShards];
+void FlightRecorder::write(Record& rec) {
+  Shard& sh = shards_[rec.tid % kShards];
   const std::uint64_t ticket =
       sh.tickets.fetch_add(1, std::memory_order_relaxed);
   Slot& s = sh.slots[ticket & mask_];
-  Record rec;
-  std::memset(&rec, 0, sizeof(rec));  // padding too: the words are compared
-  rec.ts_ns = ts_ns;
-  rec.dur_ns = dur_ns;
-  rec.a0 = a0;
-  rec.a1 = a1;
   rec.ticket = ticket;
-  rec.tid = flight_tid();
-  rec.name = name;
-  rec.kind = kind;
   std::uint64_t packed[kRecordWords] = {};
   std::memcpy(packed, &rec, sizeof(rec));
   // Per-slot seqlock: odd while writing, 2*(ticket+1) once published. The
@@ -97,28 +199,30 @@ void FlightRecorder::write(Kind kind, std::uint16_t name, std::uint64_t ts_ns,
     s.words[w].store(packed[w], std::memory_order_relaxed);
   s.seq.store(2 * (ticket + 1), std::memory_order_release);
   recorded_.fetch_add(1, std::memory_order_relaxed);
-  if (ticket_out != nullptr) *ticket_out = ticket;
 }
 
 void FlightRecorder::span(std::uint16_t name, std::uint64_t start_ns,
                           std::uint64_t end_ns, std::int64_t a0,
                           std::int64_t a1) {
   if (!enabled()) return;
-  write(Kind::kSpan, name, start_ns,
-        end_ns >= start_ns ? end_ns - start_ns : 0, a0, a1, nullptr);
+  Record rec = make_record(Kind::kSpan, name, start_ns,
+                           end_ns >= start_ns ? end_ns - start_ns : 0, a0, a1);
+  write(rec);
 }
 
 void FlightRecorder::instant(std::uint16_t name, std::int64_t a0,
                              std::int64_t a1) {
   if (!enabled()) return;
-  write(Kind::kInstant, name, now_ns(), 0, a0, a1, nullptr);
+  Record rec = make_record(Kind::kInstant, name, now_ns(), 0, a0, a1);
+  write(rec);
 }
 
 std::uint64_t FlightRecorder::anomaly(std::uint16_t name, std::int64_t a0,
-                                      std::int64_t a1) {
+                                      std::int64_t a1, Tracer* capture) {
+  Record rec = make_record(Kind::kAnomaly, name, now_ns(), 0, a0, a1);
+  if (capture != nullptr) capture->add(rec);
   if (!enabled()) return kNoTrigger;
-  std::uint64_t ticket = kNoTrigger;
-  write(Kind::kAnomaly, name, now_ns(), 0, a0, a1, &ticket);
+  write(rec);
   anomalies_.fetch_add(1, std::memory_order_relaxed);
 
   DumpSink sink;
@@ -136,9 +240,9 @@ std::uint64_t FlightRecorder::anomaly(std::uint16_t name, std::int64_t a0,
   }
   if (sink) {
     dumps_.fetch_add(1, std::memory_order_relaxed);
-    sink(dump_chrome(ticket), name_of(name));
+    sink(dump_chrome(rec.ticket), name_of(name));
   }
-  return ticket;
+  return rec.ticket;
 }
 
 void FlightRecorder::set_dump_sink(DumpSink sink) {
@@ -184,58 +288,30 @@ std::vector<FlightRecorder::Record> FlightRecorder::snapshot() const {
 }
 
 std::string FlightRecorder::dump_chrome(std::uint64_t trigger_ticket) const {
-  const std::vector<Record> recs = snapshot();
-  std::vector<NameEntry> names;
-  {
-    std::lock_guard<std::mutex> lk(names_mu_);
-    names = names_;
-  }
-  const auto entry = [&](std::uint16_t id) -> const NameEntry& {
-    return id < names.size() ? names[id] : names[0];
-  };
-  // trace_event timestamps are microseconds; three decimals keep the ns.
-  const auto us = [](std::uint64_t ns) {
-    return static_cast<double>(ns) / 1000.0;
-  };
+  return chrome_json(snapshot(), "hbct-flight", 0, false, trigger_ticket);
+}
 
-  JsonWriter w;
-  w.begin_object();
-  w.key("traceEvents").begin_array();
-  w.begin_object()
-      .kv("name", "process_name")
-      .kv("ph", "M")
-      .kv("pid", std::int64_t{1})
-      .kv("tid", std::int64_t{0});
-  w.key("args").begin_object().kv("name", "hbct-flight").end_object();
-  w.end_object();
-  for (const Record& r : recs) {
-    const NameEntry& ne = entry(r.name);
-    w.begin_object().kv("name", ne.name).kv("cat", "flight");
-    if (r.kind == Kind::kSpan) {
-      w.kv("ph", "X").kv("ts", us(r.ts_ns)).kv("dur", us(r.dur_ns));
-    } else {
-      // Anomalies render as global-scope instants so they are visible
-      // across the whole track height.
-      w.kv("ph", "i").kv("s", r.kind == Kind::kAnomaly ? "g" : "t");
-      w.kv("ts", us(r.ts_ns));
-    }
-    w.kv("pid", std::int64_t{1});
-    w.kv("tid", static_cast<std::int64_t>(r.tid));
-    w.key("args").begin_object();
-    w.kv(ne.arg0.empty() ? std::string_view("a0") : std::string_view(ne.arg0),
-         r.a0);
-    w.kv(ne.arg1.empty() ? std::string_view("a1") : std::string_view(ne.arg1),
-         r.a1);
-    if (r.kind == Kind::kAnomaly) w.kv("anomaly", std::int64_t{1});
-    if (trigger_ticket != kNoTrigger && r.ticket == trigger_ticket)
-      w.kv("trigger", std::int64_t{1});
-    w.end_object();
-    w.end_object();
+// ---- FlightScope --------------------------------------------------------------
+
+FlightScope::FlightScope(FlightRecorder& rec, std::uint16_t name,
+                         Tracer* capture)
+    : rec_(rec),
+      capture_(capture),
+      t0_(FlightRecorder::now_ns()),
+      name_(name) {
+  if (capture_ != nullptr) id_ = capture_->begin_at(name_, t0_);
+}
+
+std::uint64_t FlightScope::close() {
+  if (!open_) return 0;
+  open_ = false;
+  const std::uint64_t t1 = FlightRecorder::now_ns();
+  rec_.span(name_, t0_, t1, a0_, a1_);
+  if (capture_ != nullptr) {
+    capture_->set_args(id_, a0_, a1_);
+    capture_->end_at(id_, t1);
   }
-  w.end_array();
-  w.kv("displayTimeUnit", "ns");
-  w.end_object();
-  return w.take();
+  return t1 >= t0_ ? t1 - t0_ : 0;
 }
 
 }  // namespace hbct

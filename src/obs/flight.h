@@ -1,11 +1,16 @@
-// Always-on flight recorder: a fixed-capacity, lock-free ring of compact
-// span/instant records that costs a handful of nanoseconds per record and
-// is therefore left enabled in production. When an anomaly strikes — a
-// budget trip, an audit failure, a wire decode error, a session isolation
-// failure, an SLO breach — the recorder snapshots the recent window into a
-// Chrome-trace-compatible dump with the triggering record marked, so the
-// incident can be explained after the fact without re-running with the
-// (opt-in, heavier) span tracer of obs/trace.h.
+// Span records for the whole stack (DESIGN.md §10): one record format,
+// one name table, one clock, one thread id and one Chrome trace_event
+// writer, shared by two consumers — this always-on ring and the
+// per-detection capture of obs/trace.h. An always-recorded site (detect,
+// monitor.finish, monitor.gc, serve.ingest, budget trips) makes one
+// FlightScope or anomaly() call, which writes the ring and, when one is
+// attached, the capture.
+//
+// The ring costs a handful of nanoseconds per record and is therefore left
+// enabled in production. When an anomaly strikes — a budget trip, an audit
+// failure, a wire decode error, a session isolation failure, an SLO breach
+// — it snapshots the recent window into a Chrome trace with the triggering
+// record marked, so the incident can be explained after the fact.
 //
 // Write-path design — the same sharded cache-line-padded slot layout as
 // MetricsRegistry's counters: records land in one of kShards rings indexed
@@ -22,10 +27,9 @@
 // even then the damage is one garbled diagnostic record, never corrupted
 // JSON (record payloads are integers; names are table-bounded).
 //
-// Record names are interned into a small table (fixed low-cardinality
-// taxonomy, as with spans); call sites resolve the id once into a
-// function-local static and pass integers ever after. Variable data rides
-// in two int64 args whose labels are part of the interned name entry.
+// Call sites intern a name once into a function-local static and pass
+// integers ever after; variable data rides in two int64 args whose labels
+// are part of the interned name entry.
 #pragma once
 
 #include <array>
@@ -40,23 +44,38 @@
 
 namespace hbct {
 
+class JsonWriter;
+class Tracer;
+
 class FlightRecorder {
  public:
   static constexpr std::size_t kShards = 16;
 
   enum class Kind : std::uint8_t { kSpan, kInstant, kAnomaly };
 
-  /// One compact record: 48 bytes, all integers. `name` indexes the intern
-  /// table; a0/a1 carry the two args the name entry labels.
+  /// The one record format: 56 bytes, all integers. `name` indexes the
+  /// intern table; a0/a1 carry the two args the name entry labels; `flags`
+  /// says which args are set (ring records set both) and whether a
+  /// captured span is still open.
   struct Record {
+    static constexpr std::uint32_t kNoParent = ~std::uint32_t{0};
+    static constexpr std::uint8_t kArg0 = 1, kArg1 = 2, kOpen = 4;
+
     std::uint64_t ts_ns = 0;   // start (spans) or occurrence time
     std::uint64_t dur_ns = 0;  // 0 for instants/anomalies
     std::int64_t a0 = 0;
     std::int64_t a1 = 0;
-    std::uint64_t ticket = 0;  // global-ish order within a shard
+    std::uint64_t ticket = 0;  // ring: order within a shard
+    std::uint32_t parent = kNoParent;  // capture: enclosing span's index
     std::uint32_t tid = 0;
     std::uint16_t name = 0;
     Kind kind = Kind::kInstant;
+    std::uint8_t flags = 0;
+  };
+
+  /// An interned name with its two arg labels.
+  struct Name {
+    std::string name, arg0, arg1;
   };
 
   struct Config {
@@ -85,13 +104,35 @@ class FlightRecorder {
   /// to. Enabled from the first use; never destroyed.
   static FlightRecorder& global();
 
-  /// Interns a record name with its two arg labels; returns a stable id.
-  /// Re-interning the same name returns the same id (labels of the first
-  /// registration win). Call once per site, keep the id in a static.
-  std::uint16_t intern(std::string_view name, std::string_view arg0 = {},
-                       std::string_view arg1 = {});
+  // ---- Shared machinery (rings and captures alike) ------------------------
+  /// Interns a record name with its two arg labels into the process-wide
+  /// table; returns a stable id (labels of the first registration win).
+  static std::uint16_t intern(std::string_view name,
+                              std::string_view arg0 = {},
+                              std::string_view arg1 = {});
   /// Name for an id; "?" when out of range (torn record).
-  std::string name_of(std::uint16_t id) const;
+  static std::string name_of(std::uint16_t id);
+  /// Which arg (0 or 1) of `name` the label `key` names, claiming a free
+  /// label on first use. Asserts when both labels are already taken.
+  static int arg_slot(std::uint16_t name, std::string_view key);
+  /// The one clock: steady nanoseconds. (The one thread id is the dense
+  /// per-thread index the metric shards use, obs_detail::shard_index.)
+  static std::uint64_t now_ns();
+
+  /// The one Chrome trace_event writer ("X" spans, "i" instants, µs
+  /// timestamps since `epoch_ns` with ns precision), loadable in
+  /// chrome://tracing or Perfetto. With `span_ids` (captures) each span
+  /// carries "id" (its position; spans must come first) and "parent" args;
+  /// the record whose ticket is `trigger_ticket` is marked "trigger": 1.
+  static std::string chrome_json(const std::vector<Record>& records,
+                                 std::string_view process,
+                                 std::uint64_t epoch_ns, bool span_ids,
+                                 std::uint64_t trigger_ticket);
+  /// Writes the "args" object of one record: each set arg under its label
+  /// ("a0"/"a1" when unlabeled).
+  static void write_args(JsonWriter& w, const Record& r, const Name& name);
+  /// Copy of the name table, indexed by id.
+  static std::vector<Name> names();
 
   /// Cheap on/off switch probed first on every write path (one relaxed
   /// load). The A/B rows of bench_streaming/bench_watch toggle this.
@@ -102,13 +143,13 @@ class FlightRecorder {
   void span(std::uint16_t name, std::uint64_t start_ns, std::uint64_t end_ns,
             std::int64_t a0 = 0, std::int64_t a1 = 0);
   void instant(std::uint16_t name, std::int64_t a0 = 0, std::int64_t a1 = 0);
-  /// Records an anomaly and, when a dump sink is installed (and the dump
-  /// gap allows), synchronously snapshots the window and hands the Chrome
-  /// JSON to the sink. Returns the anomaly's ticket for explicit dumps.
+  /// Records an anomaly — into `capture` too when given, whether or not
+  /// the ring is enabled — and, when a dump sink is installed (and the
+  /// dump gap allows), synchronously snapshots the window and hands the
+  /// Chrome JSON to the sink. Returns the anomaly's ticket for explicit
+  /// dumps.
   std::uint64_t anomaly(std::uint16_t name, std::int64_t a0 = 0,
-                        std::int64_t a1 = 0);
-
-  std::uint64_t now_ns() const;
+                        std::int64_t a1 = 0, Tracer* capture = nullptr);
 
   // ---- Snapshot / dump (rare; locks only the name table) ------------------
   /// All valid records within the window, oldest first.
@@ -167,9 +208,9 @@ class FlightRecorder {
     std::unique_ptr<Slot[]> slots;
   };
 
-  void write(Kind kind, std::uint16_t name, std::uint64_t ts_ns,
-             std::uint64_t dur_ns, std::int64_t a0, std::int64_t a1,
-             std::uint64_t* ticket_out);
+  /// Stamps the ticket into `rec` and publishes it in the calling thread's
+  /// shard.
+  void write(Record& rec);
 
   Config cfg_;
   std::size_t mask_;  // ring_capacity - 1 (power of two)
@@ -181,29 +222,19 @@ class FlightRecorder {
   std::atomic<std::uint64_t> last_dump_ns_{0};
   std::atomic<std::uint64_t> min_dump_gap_ns_{0};  // seeded from cfg_
 
-  mutable std::mutex names_mu_;
-  struct NameEntry {
-    std::string name, arg0, arg1;
-  };
-  std::vector<NameEntry> names_;
-
   mutable std::mutex sink_mu_;
   DumpSink sink_;
 };
 
-/// RAII flight span: one clock read at construction, a record at scope
-/// exit. Disabled-recorder cost is two relaxed loads.
+/// RAII span of an always-recorded site: one clock read at construction,
+/// one record at scope exit, written to `rec` (when enabled) and to
+/// `capture` (when non-null, opened at construction so nested spans parent
+/// on it). Both args are recorded under the name's interned labels.
 class FlightScope {
  public:
-  FlightScope(FlightRecorder& rec, std::uint16_t name, std::int64_t a0 = 0,
-              std::int64_t a1 = 0)
-      : rec_(rec), name_(name), a0_(a0), a1_(a1) {
-    if (rec_.enabled()) t0_ = rec_.now_ns();
-  }
-  ~FlightScope() {
-    if (rec_.enabled() && t0_ != 0)
-      rec_.span(name_, t0_, rec_.now_ns(), a0_, a1_);
-  }
+  FlightScope(FlightRecorder& rec, std::uint16_t name,
+              Tracer* capture = nullptr);
+  ~FlightScope() { close(); }
 
   FlightScope(const FlightScope&) = delete;
   FlightScope& operator=(const FlightScope&) = delete;
@@ -212,12 +243,18 @@ class FlightScope {
     a0_ = a0;
     a1_ = a1;
   }
+  /// Ends the span now (the destructor is then a no-op); returns its
+  /// duration so a site can also feed a histogram from the same clock pair.
+  std::uint64_t close();
 
  private:
   FlightRecorder& rec_;
-  std::uint64_t t0_ = 0;
+  Tracer* capture_;
+  std::uint64_t t0_;
+  std::uint32_t id_ = 0;  // the capture's span id
   std::uint16_t name_;
-  std::int64_t a0_, a1_;
+  bool open_ = true;
+  std::int64_t a0_ = 0, a1_ = 0;
 };
 
 }  // namespace hbct

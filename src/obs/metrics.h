@@ -2,8 +2,8 @@
 //
 // The registry extends DetectStats beyond a single detection: the process-
 // wide instance (MetricsRegistry::global()) aggregates every detection's
-// operation counts and verdict tally, and each Tracer carries a private
-// registry whose snapshot lands in that run's report (obs/report.h).
+// operation counts and verdict tally, and each capture (obs/trace.h)
+// carries a private registry whose snapshot lands in its run's report.
 //
 // Write-path design: counters are sharded across cache-line-padded atomic
 // slots indexed by a per-thread id, so concurrent increments from pool

@@ -32,22 +32,24 @@ void write_metrics(JsonWriter& w, const MetricsSnapshot& snap) {
 }
 
 void write_spans(JsonWriter& w, const Tracer& t) {
-  const std::vector<Span> spans = t.spans();
+  const std::vector<Tracer::Record> spans = t.spans();
+  const std::vector<FlightRecorder::Name> names = FlightRecorder::names();
   w.begin_array();
   for (std::size_t i = 0; i < spans.size(); ++i) {
-    const Span& s = spans[i];
+    const Tracer::Record& s = spans[i];
+    const FlightRecorder::Name& name = names[s.name];
     w.begin_object();
     w.kv("id", static_cast<std::int64_t>(i));
-    w.kv("name", s.name);
+    w.kv("name", name.name);
     w.kv("tid", static_cast<std::int64_t>(s.tid));
-    w.kv("parent", s.parent == Span::npos
+    w.kv("parent", s.parent == Tracer::npos
                        ? std::int64_t{-1}
                        : static_cast<std::int64_t>(s.parent));
-    w.kv("start_ns", s.start_ns);
+    w.kv("start_ns", s.ts_ns - t.epoch_ns());
     w.kv("dur_ns", s.dur_ns);
-    w.kv("open", s.open);
+    w.kv("open", (s.flags & Tracer::Record::kOpen) != 0);
     w.key("args").begin_object();
-    for (const auto& [k, v] : s.args) w.kv(k, v);
+    FlightRecorder::write_args(w, s, name);
     w.end_object();
     w.end_object();
   }

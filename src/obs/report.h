@@ -19,10 +19,10 @@
 //                    // (kAnalyzeOnly) chain; [] when optimize was off
 //     "diagnostics": [ {"code","severity","message"}, ... ],
 //     "metrics":     { "counters": {..}, "gauges": {..},
-//                      "histograms": { name: {"count","sum","p50","p90",
-//                                             "p99"} } } | null,
+//                      "histograms": { name: {"count","sum","mean","p50",
+//                                             "p90","p99"} } } | null,
 //     "spans":       [ {"id","name","tid","parent","start_ns","dur_ns",
-//                       "args":{..}}, ... ] | null
+//                       "open","args":{..}}, ... ] | null
 //   }
 // metrics/spans are null unless the detection ran with tracing enabled
 // (DispatchOptions::trace) or a report registry is passed explicitly.

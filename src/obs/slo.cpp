@@ -45,7 +45,7 @@ SloStatus SloTracker::eval_one(const SloSpec& spec,
 }
 
 std::vector<SloStatus> SloTracker::evaluate(const MetricsSnapshot& snap) {
-  static const std::uint16_t kBreach = FlightRecorder::global().intern(
+  static const std::uint16_t kBreach = FlightRecorder::intern(
       "slo.breach", "measured_ns", "max_ns");
   std::vector<SloStatus> out;
   std::lock_guard<std::mutex> lk(mu_);

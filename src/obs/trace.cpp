@@ -1,9 +1,5 @@
 #include "obs/trace.h"
 
-#include <atomic>
-#include <chrono>
-
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "util/assert.h"
 
@@ -11,68 +7,48 @@ namespace hbct {
 
 namespace {
 
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-std::uint32_t this_thread_tag() {
-  static std::atomic<std::uint32_t> next{1};
-  thread_local const std::uint32_t tag =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return tag;
-}
-
 /// Per-thread stack of open spans. Frames carry the owning tracer so two
 /// concurrently-active tracers on one thread can't adopt each other's
 /// spans as parents.
 struct OpenFrame {
   const Tracer* tracer;
-  std::size_t span;
+  std::uint32_t span;
 };
 thread_local std::vector<OpenFrame> tl_open;
 
 }  // namespace
 
-Tracer::Tracer() : clock_(&steady_now_ns), epoch_(clock_()) {}
-
-Tracer::Tracer(std::uint64_t (*clock)()) : clock_(clock), epoch_(clock_()) {}
+Tracer::Tracer(std::uint64_t (*clock)())
+    : clock_(clock),
+      epoch_(clock_()),
+      metrics_(std::make_unique<MetricsRegistry>()) {}
 
 Tracer::~Tracer() = default;
 
-std::uint64_t Tracer::now_ns() const { return clock_(); }
+std::uint32_t Tracer::begin(std::string_view name, std::uint32_t parent) {
+  return begin_at(FlightRecorder::intern(name), clock_(), parent);
+}
 
-std::size_t Tracer::begin(std::string name, std::size_t parent) {
-  const std::uint64_t t0 = clock_() - epoch_;
-  std::size_t resolved = parent;
-  if (parent == kInheritParent) {
-    resolved = Span::npos;
-    for (auto it = tl_open.rbegin(); it != tl_open.rend(); ++it) {
-      if (it->tracer == this) {
-        resolved = it->span;
-        break;
-      }
-    }
-  }
-  std::size_t id;
+std::uint32_t Tracer::begin_at(std::uint16_t name, std::uint64_t ts_ns,
+                               std::uint32_t parent) {
+  if (parent == kInheritParent) parent = current();
+  const Record r{.ts_ns = ts_ns,
+                 .parent = parent,
+                 .tid = static_cast<std::uint32_t>(obs_detail::shard_index()),
+                 .name = name,
+                 .kind = FlightRecorder::Kind::kSpan,
+                 .flags = Record::kOpen};
+  std::uint32_t id;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    Span s;
-    s.name = std::move(name);
-    s.tid = this_thread_tag();
-    s.start_ns = t0;
-    s.parent = resolved;
-    spans_.push_back(std::move(s));
-    id = spans_.size() - 1;
+    spans_.push_back(r);
+    id = static_cast<std::uint32_t>(spans_.size() - 1);
   }
   tl_open.push_back(OpenFrame{this, id});
   return id;
 }
 
-void Tracer::end(std::size_t id) {
-  const std::uint64_t t1 = clock_() - epoch_;
+void Tracer::end_at(std::uint32_t id, std::uint64_t ts_ns) {
   // RAII guarantees LIFO per thread; the innermost frame of this tracer is
   // the span being closed.
   for (auto it = tl_open.rbegin(); it != tl_open.rend(); ++it) {
@@ -82,54 +58,74 @@ void Tracer::end(std::size_t id) {
       break;
     }
   }
-  std::string hist_key;
-  std::uint64_t dur = 0;
+  std::uint64_t dur;
+  Histogram* hist;  // `span.<name>.ns`, resolved once per name id
   {
     std::lock_guard<std::mutex> lock(mu_);
     HBCT_ASSERT(id < spans_.size());
-    Span& s = spans_[id];
-    HBCT_DASSERT(s.open);
-    dur = t1 >= s.start_ns ? t1 - s.start_ns : 0;
+    Record& s = spans_[id];
+    HBCT_DASSERT((s.flags & Record::kOpen) != 0);
+    dur = ts_ns >= s.ts_ns ? ts_ns - s.ts_ns : 0;
     s.dur_ns = dur;
-    s.open = false;
-    if (metrics_ != nullptr) hist_key = "span." + s.name + ".ns";
+    s.flags &= static_cast<std::uint8_t>(~Record::kOpen);
+    if (s.name >= span_ns_.size()) span_ns_.resize(s.name + 1u, nullptr);
+    Histogram*& cached = span_ns_[s.name];
+    if (cached == nullptr)
+      cached = &metrics_->histogram("span." + FlightRecorder::name_of(s.name) +
+                                    ".ns");
+    hist = cached;
   }
-  // Histogram write happens outside the span lock (the registry has its
-  // own synchronization).
-  if (!hist_key.empty()) metrics_->histogram(hist_key).record(dur);
+  // The histogram write happens outside the span lock (the registry has
+  // its own synchronization).
+  hist->record(dur);
 }
 
-void Tracer::set_arg(std::size_t id, const char* key, std::int64_t value) {
+void Tracer::set_arg(std::uint32_t id, std::string_view key,
+                     std::int64_t value) {
   std::lock_guard<std::mutex> lock(mu_);
   HBCT_ASSERT(id < spans_.size());
-  spans_[id].args.emplace_back(key, value);
+  Record& s = spans_[id];
+  if (FlightRecorder::arg_slot(s.name, key) == 0) {
+    s.a0 = value;
+    s.flags |= Record::kArg0;
+  } else {
+    s.a1 = value;
+    s.flags |= Record::kArg1;
+  }
 }
 
-void Tracer::instant(
-    std::string name,
-    std::vector<std::pair<std::string, std::int64_t>> args) {
-  const std::uint64_t ts = clock_() - epoch_;
+void Tracer::set_args(std::uint32_t id, std::int64_t a0, std::int64_t a1) {
   std::lock_guard<std::mutex> lock(mu_);
-  InstantEvent e;
-  e.name = std::move(name);
-  e.tid = this_thread_tag();
-  e.ts_ns = ts;
-  e.args = std::move(args);
-  instants_.push_back(std::move(e));
+  HBCT_ASSERT(id < spans_.size());
+  Record& s = spans_[id];
+  s.a0 = a0;
+  s.a1 = a1;
+  s.flags |= Record::kArg0 | Record::kArg1;
 }
 
-std::size_t Tracer::current() const {
+void Tracer::instant(std::string_view name) {
+  add({.ts_ns = clock_(),
+       .tid = static_cast<std::uint32_t>(obs_detail::shard_index()),
+       .name = FlightRecorder::intern(name)});
+}
+
+void Tracer::add(const Record& r) {
+  std::lock_guard<std::mutex> lock(mu_);
+  instants_.push_back(r);
+}
+
+std::uint32_t Tracer::current() const {
   for (auto it = tl_open.rbegin(); it != tl_open.rend(); ++it)
     if (it->tracer == this) return it->span;
-  return Span::npos;
+  return npos;
 }
 
-std::vector<Span> Tracer::spans() const {
+std::vector<Tracer::Record> Tracer::spans() const {
   std::lock_guard<std::mutex> lock(mu_);
   return spans_;
 }
 
-std::vector<InstantEvent> Tracer::instants() const {
+std::vector<Tracer::Record> Tracer::instants() const {
   std::lock_guard<std::mutex> lock(mu_);
   return instants_;
 }
@@ -139,78 +135,15 @@ std::size_t Tracer::span_count() const {
   return spans_.size();
 }
 
-MetricsRegistry& Tracer::metrics() {
-  // Lazy so a tracer used purely for spans costs no registry. Guarded by
-  // the span mutex; callers then use the registry's own lock-free paths.
-  std::lock_guard<std::mutex> lock(mu_);
-  if (metrics_ == nullptr) metrics_ = std::make_unique<MetricsRegistry>();
-  return *metrics_;
-}
-
-const MetricsRegistry& Tracer::metrics() const {
-  return const_cast<Tracer*>(this)->metrics();
-}
-
 std::string Tracer::chrome_trace_json() const {
-  // Timestamps in the trace_event format are microseconds; emit with three
-  // decimals to keep the full nanosecond resolution.
-  const auto us = [](std::uint64_t ns) {
-    return static_cast<double>(ns) / 1000.0;
-  };
-  std::vector<Span> spans;
-  std::vector<InstantEvent> instants;
+  std::vector<Record> records;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    spans = spans_;
-    instants = instants_;
+    records = spans_;
+    records.insert(records.end(), instants_.begin(), instants_.end());
   }
-  JsonWriter w;
-  w.begin_object();
-  w.key("traceEvents").begin_array();
-  w.begin_object()
-      .kv("name", "process_name")
-      .kv("ph", "M")
-      .kv("pid", std::int64_t{1})
-      .kv("tid", std::int64_t{0});
-  w.key("args").begin_object().kv("name", "hbct").end_object();
-  w.end_object();
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const Span& s = spans[i];
-    w.begin_object()
-        .kv("name", s.name)
-        .kv("cat", "hbct")
-        .kv("ph", "X")
-        .kv("pid", std::int64_t{1})
-        .kv("tid", static_cast<std::int64_t>(s.tid))
-        .kv("ts", us(s.start_ns))
-        .kv("dur", us(s.dur_ns));
-    w.key("args").begin_object();
-    w.kv("id", static_cast<std::int64_t>(i));
-    w.kv("parent", s.parent == Span::npos
-                       ? std::int64_t{-1}
-                       : static_cast<std::int64_t>(s.parent));
-    for (const auto& [k, v] : s.args) w.kv(k, v);
-    w.end_object();
-    w.end_object();
-  }
-  for (const InstantEvent& e : instants) {
-    w.begin_object()
-        .kv("name", e.name)
-        .kv("cat", "hbct")
-        .kv("ph", "i")
-        .kv("s", "t")
-        .kv("pid", std::int64_t{1})
-        .kv("tid", static_cast<std::int64_t>(e.tid))
-        .kv("ts", us(e.ts_ns));
-    w.key("args").begin_object();
-    for (const auto& [k, v] : e.args) w.kv(k, v);
-    w.end_object();
-    w.end_object();
-  }
-  w.end_array();
-  w.kv("displayTimeUnit", "ns");
-  w.end_object();
-  return w.take();
+  return FlightRecorder::chrome_json(records, "hbct", epoch_, true,
+                                     FlightRecorder::kNoTrigger);
 }
 
 }  // namespace hbct

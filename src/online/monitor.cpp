@@ -82,13 +82,12 @@ AppendError OnlineMonitor::try_write(ProcId i, VarId v, std::int64_t value) {
 void OnlineMonitor::finish() {
   if (finished_) return;
   finished_ = true;
-  ScopedSpan span(budget_.trace, "monitor.finish");
-  static const std::uint16_t kFinish = FlightRecorder::global().intern(
-      "monitor.finish", "events", "watches");
-  FlightScope flight(
-      FlightRecorder::global(), kFinish, events_seen(),
-      static_cast<std::int64_t>(conj_.size() + disj_.size() +
-                                stable_.size() + until_.size()));
+  static const std::uint16_t kFinish =
+      FlightRecorder::intern("monitor.finish", "events", "watches");
+  FlightScope flight(FlightRecorder::global(), kFinish, budget_.trace);
+  flight.args(events_seen(),
+              static_cast<std::int64_t>(conj_.size() + disj_.size() +
+                                        stable_.size() + until_.size()));
   BudgetTracker t(budget_, work_);
   round_ = &t;
   for (auto& w : conj_) step_conj(w);
@@ -164,7 +163,7 @@ void OnlineMonitor::fire(WatchId id, Cut cut, const std::string& what,
   pending_.push_back(std::move(f));
   fired_[sz(id)] = true;
   static const std::uint16_t kFire =
-      FlightRecorder::global().intern("watch.fire", "watch", "verdict");
+      FlightRecorder::intern("watch.fire", "watch", "verdict");
   FlightRecorder::global().instant(kFire, id,
                                    static_cast<std::int64_t>(verdict));
 }
@@ -537,14 +536,12 @@ void OnlineMonitor::roll_back_to_consistent(Cut& b) const {
 }
 
 std::int64_t OnlineMonitor::collect_prefix() {
-  ScopedSpan span(budget_.trace, "monitor.gc");
-  static const std::uint16_t kGc = FlightRecorder::global().intern(
-      "monitor.gc", "reclaimed", "resident");
-  FlightScope flight(FlightRecorder::global(), kGc);
+  static const std::uint16_t kGc =
+      FlightRecorder::intern("monitor.gc", "reclaimed", "resident");
+  FlightScope flight(FlightRecorder::global(), kGc, budget_.trace);
   Cut b = min_watch_frontier();
   roll_back_to_consistent(b);
   const std::int64_t reclaimed = app_.collect_prefix(b);
-  span.arg("reclaimed", reclaimed);
   flight.args(reclaimed, app_.resident_events());
   return reclaimed;
 }

@@ -1,6 +1,5 @@
 #include "serve/service.h"
 
-#include <chrono>
 #include <utility>
 
 #include "obs/expose.h"
@@ -22,11 +21,10 @@ std::int32_t default_shards() {
 StreamingService::StreamingService(ServiceOptions opt)
     : opt_(opt),
       pool_(opt.pool != nullptr ? opt.pool : &ThreadPool::shared()),
-      trace_(opt.trace),
       shards_(static_cast<std::size_t>(
           opt.num_shards > 0 ? opt.num_shards : default_shards())) {
   MetricsRegistry& reg =
-      trace_ != nullptr ? trace_->metrics() : MetricsRegistry::global();
+      opt.metrics != nullptr ? *opt.metrics : MetricsRegistry::global();
   records_ = &reg.counter("serve.records");
   events_ = &reg.counter("serve.events");
   fires_ = &reg.counter("serve.fires");
@@ -77,10 +75,8 @@ SessionId StreamingService::open(
     const SessionConfig& cfg,
     const std::function<void(OnlineMonitor&)>& setup) {
   HBCT_ASSERT_MSG(cfg.num_procs > 0, "session needs at least one process");
-  SessionConfig c = cfg;
-  if (c.budget.trace == nullptr) c.budget.trace = trace_;
   const SessionId sid = next_id_.fetch_add(1, std::memory_order_relaxed);
-  auto entry = std::make_shared<Entry>(sid, c);
+  auto entry = std::make_shared<Entry>(sid, cfg);
   entry->session.set_fire_instruments(fire_inst_);
   if (opt_.per_session_metrics) {
     const std::string s = std::to_string(sid);
@@ -175,21 +171,15 @@ void StreamingService::pump(const std::shared_ptr<Entry>& e) {
     // flag guarantees a single pump per session), while post() may briefly
     // hold the mutex to enqueue the next chunk.
     std::lock_guard<std::mutex> lk(e->mu);
-    ScopedSpan span(trace_, "serve.ingest");
-    static const std::uint16_t kIngest = FlightRecorder::global().intern(
-        "serve.ingest", "session", "records");
-    FlightScope flight(FlightRecorder::global(), kIngest, e->session.id());
-    const auto t0 = std::chrono::steady_clock::now();
+    static const std::uint16_t kIngest =
+        FlightRecorder::intern("serve.ingest", "session", "records");
+    FlightScope flight(FlightRecorder::global(), kIngest);
     const SessionStats before = e->session.stats();
     const std::size_t nrec = e->session.ingest(chunk);
     const SessionStats after = e->session.stats();
-    const auto dt = std::chrono::steady_clock::now() - t0;
-    ingest_ns_->record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()));
-    absorb(*e, before, after);
-    span.arg("session", e->session.id());
-    span.arg("records", static_cast<std::int64_t>(nrec));
     flight.args(e->session.id(), static_cast<std::int64_t>(nrec));
+    ingest_ns_->record(flight.close());
+    absorb(*e, before, after);
   }
 }
 

@@ -14,8 +14,9 @@
 //  - A malformed stream fails only its own session; the service, the pool
 //    and every other session keep running.
 //
-// Observability: serve.* counters/gauges/histograms in the tracer's metrics
-// registry (or the global one), plus a "serve.ingest" span per drained chunk.
+// Observability: serve.* counters/gauges/histograms in the registry of
+// ServiceOptions::metrics (or the global one), plus a "serve.ingest" record
+// per drained chunk in the global flight ring (obs/flight.h).
 #pragma once
 
 #include <atomic>
@@ -28,7 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/trace.h"
+#include "obs/metrics.h"
 #include "serve/session.h"
 #include "util/thread_pool.h"
 
@@ -40,9 +41,8 @@ struct ServiceOptions {
   std::int32_t num_shards = 0;
   /// Pool running ingest work; nullptr uses ThreadPool::shared().
   ThreadPool* pool = nullptr;
-  /// Receives "serve.ingest" / "monitor.gc" spans; its metrics registry
-  /// takes the serve.* metrics. nullptr = no spans, global registry.
-  Tracer* trace = nullptr;
+  /// Registry taking the serve.* metrics; nullptr = the global one.
+  MetricsRegistry* metrics = nullptr;
   /// Raw fire-latency sink forwarded to every session's FireInstruments
   /// (exact ns per fire, pre-histogram-quantization). Shared across all
   /// sessions and called on pump threads — must be thread-safe. Benches
@@ -119,7 +119,6 @@ class StreamingService {
 
   ServiceOptions opt_;
   ThreadPool* pool_;
-  Tracer* trace_;
   mutable std::vector<Shard> shards_;
   std::atomic<SessionId> next_id_{1};
 

@@ -84,7 +84,7 @@ bool Session::fail(std::string msg) {
     // Session isolation kicking in (malformed stream, decode error, append
     // rejection) is an anomaly worth a flight-recorder window: the dump
     // shows what the service was doing when the bad stream arrived.
-    static const std::uint16_t kFail = FlightRecorder::global().intern(
+    static const std::uint16_t kFail = FlightRecorder::intern(
         "serve.session_fail", "session", "records");
     FlightRecorder::global().anomaly(kFail, id_, stats_.records);
   }

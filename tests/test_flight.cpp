@@ -18,7 +18,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/trace.h"
 #include "poset/generate.h"
 #include "poset/trace_io.h"
 #include "predicate/conjunctive.h"
@@ -583,9 +582,9 @@ TEST(ServeClassMetrics, FiresLandInPerClassSeries) {
     wire::encode_record(stream, end);
   }
 
-  Tracer tracer;
+  MetricsRegistry metrics;
   serve::ServiceOptions opt;
-  opt.trace = &tracer;
+  opt.metrics = &metrics;
   serve::StreamingService svc(opt);
   serve::SessionConfig cfg;
   cfg.num_procs = 1;
@@ -598,7 +597,7 @@ TEST(ServeClassMetrics, FiresLandInPerClassSeries) {
   ASSERT_EQ(svc.state(sid), serve::SessionState::kFinished);
   ASSERT_GE(svc.stats(sid).fires, 1);
 
-  const MetricsSnapshot snap = tracer.metrics().snapshot();
+  const MetricsSnapshot snap = metrics.snapshot();
   const std::string fires = labeled("serve.fires", "class", "conjunctive");
   ASSERT_EQ(snap.counters.count(fires), 1u);
   EXPECT_GE(snap.counters.at(fires), 1u);

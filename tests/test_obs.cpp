@@ -1,7 +1,9 @@
 // Observability layer: span nesting (same-thread and under the parallel
-// engine), histogram bucket layout, metrics determinism across parallelism
-// widths, the golden Chrome trace export under an injected clock, the
-// hbct.report/1 document, and the DetectStats X-macro plumbing.
+// engine), captures against the flight ring (no lost spans, shared thread
+// ids, one `detect` record per call), histogram bucket layout, metrics
+// determinism across parallelism widths, the golden Chrome trace export
+// under an injected clock, the hbct.report/1 document, and the DetectStats
+// X-macro plumbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 
 #include "detect/dispatch.h"
 #include "detect/parallel.h"
+#include "obs/flight.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -48,11 +51,19 @@ PredicatePtr wide_dnf(std::int32_t procs) {
   return make_or(std::move(ds));
 }
 
+std::string name_of(const Tracer::Record& r) {
+  return FlightRecorder::name_of(r.name);
+}
+
+bool is_open(const Tracer::Record& r) {
+  return (r.flags & Tracer::Record::kOpen) != 0;
+}
+
 // ---- Span nesting --------------------------------------------------------------
 
 TEST(Trace, SameThreadNestingInheritsParent) {
   Tracer t;
-  EXPECT_EQ(t.current(), Span::npos);
+  EXPECT_EQ(t.current(), Tracer::npos);
   ScopedSpan outer(&t, "outer");
   EXPECT_EQ(t.current(), outer.id());
   {
@@ -61,17 +72,17 @@ TEST(Trace, SameThreadNestingInheritsParent) {
     const auto spans = t.spans();
     ASSERT_EQ(spans.size(), 2u);
     EXPECT_EQ(spans[1].parent, outer.id());
-    EXPECT_EQ(spans[0].parent, Span::npos);
-    EXPECT_TRUE(spans[1].open);
+    EXPECT_EQ(spans[0].parent, Tracer::npos);
+    EXPECT_TRUE(is_open(spans[1]));
   }
   EXPECT_EQ(t.current(), outer.id());
-  EXPECT_FALSE(t.spans()[1].open);
+  EXPECT_FALSE(is_open(t.spans()[1]));
 }
 
 TEST(Trace, NullTracerIsNoOp) {
   ScopedSpan s(nullptr, "nothing");
   s.arg("k", 1);
-  EXPECT_EQ(s.id(), Span::npos);
+  EXPECT_EQ(s.id(), Tracer::npos);
   EXPECT_FALSE(static_cast<bool>(s));
 }
 
@@ -79,7 +90,7 @@ TEST(Trace, TwoTracersOnOneThreadDoNotAdoptEachOther) {
   Tracer a, b;
   ScopedSpan sa(&a, "a-root");
   ScopedSpan sb(&b, "b-root");
-  EXPECT_EQ(b.spans()[0].parent, Span::npos);  // not parented on a-root
+  EXPECT_EQ(b.spans()[0].parent, Tracer::npos);  // not parented on a-root
   ScopedSpan sa2(&a, "a-child");
   EXPECT_EQ(a.spans()[1].parent, sa.id());  // skips b's frame
 }
@@ -97,22 +108,22 @@ TEST(Trace, ParallelEngineParentsBranchesOnTheFanout) {
       },
       [](const DetectResult&) { return false; }, st, &t, "test.fanout");
 
-  const std::vector<Span> spans = t.spans();
-  std::size_t fan = Span::npos;
+  const std::vector<Tracer::Record> spans = t.spans();
+  std::size_t fan = Tracer::npos;
   for (std::size_t i = 0; i < spans.size(); ++i)
-    if (spans[i].name == "test.fanout") fan = i;
-  ASSERT_NE(fan, Span::npos);
+    if (name_of(spans[i]) == "test.fanout") fan = i;
+  ASSERT_NE(fan, Tracer::npos);
   std::size_t branches = 0;
-  for (const Span& s : spans) {
-    EXPECT_FALSE(s.open) << s.name;  // parent closed after all children
-    if (s.name != "fanout.branch") continue;
+  for (const Tracer::Record& s : spans) {
+    // parent closed after all children
+    EXPECT_FALSE(is_open(s)) << name_of(s);
+    if (name_of(s) != "fanout.branch") continue;
     ++branches;
     EXPECT_EQ(s.parent, fan);
     // The fan-out span's extent covers every branch, even those running on
     // pool workers: it opens before the dispatch and joins before closing.
-    EXPECT_GE(s.start_ns, spans[fan].start_ns);
-    EXPECT_LE(s.start_ns + s.dur_ns,
-              spans[fan].start_ns + spans[fan].dur_ns);
+    EXPECT_GE(s.ts_ns, spans[fan].ts_ns);
+    EXPECT_LE(s.ts_ns + s.dur_ns, spans[fan].ts_ns + spans[fan].dur_ns);
   }
   EXPECT_EQ(branches, kBranches);
   // Deterministic fan-out counters: one fan-out, all branches merged (no
@@ -120,6 +131,85 @@ TEST(Trace, ParallelEngineParentsBranchesOnTheFanout) {
   const MetricsSnapshot m = t.metrics().snapshot();
   EXPECT_EQ(m.counters.at("parallel.fanouts"), 1u);
   EXPECT_EQ(m.counters.at("parallel.branches.merged"), kBranches);
+}
+
+// ---- Captures and the flight ring ----------------------------------------------
+
+TEST(Capture, KeepsEverySpanPastRingWrap) {
+  FlightRecorder::Config cfg;
+  cfg.ring_capacity = 8;
+  FlightRecorder ring(cfg);
+  Tracer t;
+  const std::uint16_t name = FlightRecorder::intern("capture.wrap", "i");
+  constexpr std::int64_t kSpans = 100;
+  for (std::int64_t i = 0; i < kSpans; ++i) {
+    FlightScope s(ring, name, &t);
+    s.args(i, 0);
+  }
+  // The ring wrapped and kept only its newest records; the capture kept all.
+  EXPECT_LE(ring.snapshot().size(), cfg.ring_capacity);
+  EXPECT_EQ(ring.stats().recorded, static_cast<std::uint64_t>(kSpans));
+  const std::vector<Tracer::Record> spans = t.spans();
+  ASSERT_EQ(spans.size(), static_cast<std::size_t>(kSpans));
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].a0, static_cast<std::int64_t>(i));
+    EXPECT_FALSE(is_open(spans[i]));
+  }
+}
+
+/// `detect` records this thread wrote to the global ring in [t0, t1].
+std::vector<FlightRecorder::Record> detect_records(std::uint64_t t0,
+                                                   std::uint64_t t1) {
+  const std::uint16_t detect = FlightRecorder::intern("detect");
+  const auto tid = static_cast<std::uint32_t>(obs_detail::shard_index());
+  std::vector<FlightRecorder::Record> out;
+  for (const auto& r : FlightRecorder::global().snapshot())
+    if (r.name == detect && r.tid == tid && r.ts_ns >= t0 && r.ts_ns <= t1)
+      out.push_back(r);
+  return out;
+}
+
+TEST(Capture, SpanTidsMatchFlightRecordTids) {
+  const Computation c = small_comp();
+  DispatchOptions opt;
+  opt.trace = true;
+  const std::uint64_t t0 = FlightRecorder::now_ns();
+  const DetectResult r = detect(c, Op::kEF, wide_dnf(c.num_procs()), nullptr,
+                                opt);
+  const std::vector<FlightRecorder::Record> ring =
+      detect_records(t0, FlightRecorder::now_ns());
+  ASSERT_NE(r.trace, nullptr);
+  const std::vector<Tracer::Record> spans = r.trace->spans();
+  ASSERT_FALSE(spans.empty());
+  ASSERT_EQ(ring.size(), 1u);
+  // The capture's root is the very record the ring received.
+  EXPECT_EQ(name_of(spans[0]), "detect");
+  EXPECT_EQ(spans[0].ts_ns, ring[0].ts_ns);
+  EXPECT_EQ(spans[0].dur_ns, ring[0].dur_ns);
+  // Width 1: every span ran on this thread, under the ring's thread id.
+  for (const Tracer::Record& s : spans)
+    EXPECT_EQ(s.tid, ring[0].tid) << name_of(s);
+}
+
+TEST(Capture, DetectWritesOneFlightRecordPerCall) {
+  const Computation c = small_comp();
+  const PredicatePtr p = wide_dnf(c.num_procs());
+  for (const bool traced : {false, true}) {
+    DispatchOptions opt;
+    opt.trace = traced;
+    const std::uint64_t t0 = FlightRecorder::now_ns();
+    const DetectResult r = detect(c, Op::kEF, p, nullptr, opt);
+    const std::vector<FlightRecorder::Record> ring =
+        detect_records(t0, FlightRecorder::now_ns());
+    ASSERT_EQ(ring.size(), 1u) << "traced " << traced;
+    EXPECT_EQ(ring[0].a0, static_cast<std::int64_t>(Op::kEF));
+    EXPECT_EQ(ring[0].a1, static_cast<std::int64_t>(r.verdict));
+    if (!traced) continue;
+    std::size_t roots = 0;
+    for (const Tracer::Record& s : r.trace->spans())
+      roots += name_of(s) == "detect" ? 1 : 0;
+    EXPECT_EQ(roots, 1u);
+  }
 }
 
 // ---- Histogram layout ----------------------------------------------------------
@@ -349,7 +439,9 @@ TEST(Report, BudgetTripRecordsInstantAndCounter) {
   ASSERT_NE(r.trace, nullptr);
   const auto instants = r.trace->instants();
   ASSERT_FALSE(instants.empty());
-  EXPECT_EQ(instants[0].name, "budget.trip.step-budget");
+  EXPECT_EQ(name_of(instants[0]), "budget.trip");
+  EXPECT_EQ(instants[0].a0,
+            static_cast<std::int64_t>(BoundReason::kStepBudget));
   EXPECT_EQ(r.trace->metrics().snapshot().counters.at(
                 "budget.trips.step-budget"),
             1u);

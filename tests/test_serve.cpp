@@ -7,7 +7,8 @@
 #include <vector>
 
 #include "ctl/parser.h"
-#include "obs/trace.h"
+#include "obs/flight.h"
+#include "obs/metrics.h"
 #include "predicate/local.h"
 #include "predicate/predicate.h"
 #include "serve/service.h"
@@ -340,10 +341,10 @@ TEST(StreamingService, RecordPostAndFinishConvenience) {
   EXPECT_FALSE(svc.close(SessionId{999}));
 }
 
-TEST(StreamingService, MetricsLandInTheTracerRegistry) {
-  Tracer tracer;
+TEST(StreamingService, MetricsLandInTheOptionsRegistry) {
+  MetricsRegistry metrics;
   serve::ServiceOptions opt;
-  opt.trace = &tracer;
+  opt.metrics = &metrics;
   StreamingService svc(opt);
   const SessionId sid = svc.open(two_proc_cfg(/*gc_interval=*/8));
   std::vector<Record> rs{procs_rec(2)};
@@ -356,7 +357,7 @@ TEST(StreamingService, MetricsLandInTheTracerRegistry) {
   svc.drain();
   ASSERT_EQ(svc.state(sid), SessionState::kFinished) << svc.error(sid);
 
-  const MetricsSnapshot snap = tracer.metrics().snapshot();
+  const MetricsSnapshot snap = metrics.snapshot();
   EXPECT_EQ(snap.counters.at("serve.records"), 82u);
   EXPECT_EQ(snap.counters.at("serve.events"), 80u);
   EXPECT_EQ(snap.counters.at("serve.sessions_opened"), 1u);
@@ -364,13 +365,15 @@ TEST(StreamingService, MetricsLandInTheTracerRegistry) {
   EXPECT_GT(snap.counters.at("serve.gc.reclaimed_events"), 0u);
   EXPECT_EQ(snap.gauges.at("serve.open_sessions"), 1);
   EXPECT_GT(snap.histograms.at("serve.ingest.ns").count, 0u);
-  // Ingest work is span-traced.
+  // Ingest work lands in the flight ring, one record per drained chunk.
+  const std::uint16_t ingest = FlightRecorder::intern("serve.ingest");
   bool saw_ingest = false;
-  for (const Span& sp : tracer.spans()) saw_ingest |= sp.name == "serve.ingest";
+  for (const auto& r : FlightRecorder::global().snapshot())
+    saw_ingest |= r.name == ingest && r.a0 == sid && r.a1 == 82;
   EXPECT_TRUE(saw_ingest);
 
   svc.close(sid);
-  EXPECT_EQ(tracer.metrics().snapshot().gauges.at("serve.open_sessions"), 0);
+  EXPECT_EQ(metrics.snapshot().gauges.at("serve.open_sessions"), 0);
 }
 
 TEST(StreamingService, ResidentEventsAggregatesLiveSessions) {

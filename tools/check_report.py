@@ -218,15 +218,32 @@ def check_bench(path, doc, require_met=frozenset()):
 
 
 def check_chrome(path, doc):
+    """Chrome trace_event JSON. Capture exports (Tracer::chrome_trace_json)
+    give every span an "id" and "parent" arg under the same rule as
+    check_spans: the id is the span's position among the "X" events and the
+    parent is -1 or an earlier id. Flight dumps carry no ids."""
     events = doc.get("traceEvents")
     if not isinstance(events, list) or not events:
         fail(path, "no traceEvents")
     phases = {"X", "i", "M"}
+    spans = 0
     for i, e in enumerate(events):
         if e.get("ph") not in phases:
             fail(path, f"event {i} has unexpected ph {e.get('ph')!r}")
-        if e["ph"] == "X" and ("ts" not in e or "dur" not in e):
+        if e["ph"] != "X":
+            continue
+        if "ts" not in e or "dur" not in e:
             fail(path, f"event {i} ({e.get('name')!r}) missing ts/dur")
+        args = e.get("args", {})
+        if "id" in args:
+            if args["id"] != spans:
+                fail(path, f"span event {i} has id {args['id']}, "
+                           f"expected {spans}")
+            parent = args.get("parent")
+            if not (parent == -1 or
+                    (isinstance(parent, int) and 0 <= parent < spans)):
+                fail(path, f"span event {i} has dangling parent {parent!r}")
+        spans += 1
     return f"chrome trace ({len(events)} events)"
 
 
