@@ -18,34 +18,11 @@ Computation make_ref(std::int32_t procs, std::int32_t events) {
   return generate_random(opt);
 }
 
-template <typename Sink>
-void stream_into(const Computation& ref, Sink&& sink) {
-  std::vector<MsgId> msg_map(static_cast<std::size_t>(ref.num_messages()),
-                             kNoMsg);
-  for (const EventId& eid : ref.linearization()) {
-    const Event& ev = ref.event(eid);
-    switch (ev.kind) {
-      case EventKind::kInternal:
-        sink.internal(eid.proc);
-        break;
-      case EventKind::kSend:
-        msg_map[static_cast<std::size_t>(ev.msg)] = sink.send(eid.proc, ev.peer);
-        break;
-      case EventKind::kReceive:
-        sink.receive(eid.proc, msg_map[static_cast<std::size_t>(ev.msg)]);
-        break;
-    }
-    for (const Assignment& a : ev.writes)
-      sink.write(eid.proc, ref.var_name(a.var), a.value);
-  }
-}
-
 void BM_online_appender_only(benchmark::State& state) {
   Computation ref = make_ref(6, static_cast<std::int32_t>(state.range(0)));
   for (auto _ : state) {
     OnlineAppender app(ref.num_procs());
-    for (VarId v = 0; v < ref.num_vars(); ++v) app.var(ref.var_name(v));
-    stream_into(ref, app);
+    replay(ref, app);
     benchmark::DoNotOptimize(app.computation());
   }
   state.SetItemsProcessed(state.iterations() * ref.total_events());
@@ -56,7 +33,7 @@ void BM_online_monitor_with_watches(benchmark::State& state) {
   Computation ref = make_ref(6, static_cast<std::int32_t>(state.range(0)));
   for (auto _ : state) {
     OnlineMonitor m(ref.num_procs());
-    for (VarId v = 0; v < ref.num_vars(); ++v) m.var(ref.var_name(v));
+    replay_initial(ref, m);
     // Arm a mix of watches: two conjunctive, one invariant, one stable.
     m.watch_possibly(make_conjunctive({var_cmp(0, "v0", Cmp::kEq, 4),
                                        var_cmp(1, "v0", Cmp::kEq, 4)}));
@@ -65,7 +42,7 @@ void BM_online_monitor_with_watches(benchmark::State& state) {
     m.watch_invariant(make_disjunctive({var_cmp(0, "v0", Cmp::kLe, 8),
                                         var_cmp(4, "v1", Cmp::kLe, 8)}));
     m.watch_stable(make_terminated());
-    stream_into(ref, m);
+    replay_events(ref, ref.linearization(), m, [](EventId) {});
     m.finish();
     benchmark::DoNotOptimize(m.poll());
   }

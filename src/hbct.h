@@ -59,6 +59,7 @@
 #include "poset/diagram.h"
 #include "poset/computation.h"
 #include "poset/generate.h"
+#include "poset/replay.h"
 #include "poset/trace_io.h"
 #include "predicate/channel.h"
 #include "predicate/classify.h"

@@ -1,6 +1,7 @@
 #include "online/appender.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/assert.h"
 
@@ -69,24 +70,27 @@ void OnlineAppender::set_initial(ProcId i, VarId v, std::int64_t value) {
   HBCT_ASSERT_MSG(e == AppendError::kNone, to_string(e));
 }
 
-EventId OnlineAppender::append(ProcId i, Event ev, const VClock* extra) {
+EventId OnlineAppender::append(ProcId i, Event ev,
+                               const std::int32_t* send_row) {
   HBCT_ASSERT(i >= 0 && i < c_.num_procs());
   const std::size_t n = c_.procs_.size();
   auto& list = c_.procs_[sz(i)];
-
-  // Forward vector clock, seeded from the last arena row of process i (the
-  // boundary row of a collected prefix counts: it is the clock of the
-  // newest reclaimed event).
-  VClock vc(n);
-  auto& arena = c_.vclocks_[sz(i)];
-  if (!arena.empty()) {
-    const std::int32_t* prev = arena.data() + (arena.size() - n);
-    for (std::size_t j = 0; j < n; ++j) vc[j] = prev[j];
-  }
-  if (extra) vc.merge(*extra);
   const EventIndex idx =
       c_.trimmed(i) + static_cast<EventIndex>(list.size()) + 1;
-  vc[sz(i)] = idx;
+
+  // Forward vector clock, written in place as a new arena row seeded from
+  // the previous row of process i (the boundary row of a collected prefix
+  // counts: it is the clock of the newest reclaimed event). A receive's
+  // send row lives in another process's arena, so growing this one leaves
+  // it valid.
+  auto& arena = c_.vclocks_[sz(i)];
+  const std::size_t at = arena.size();
+  arena.resize(at + n);
+  std::int32_t* row = arena.data() + at;
+  if (at != 0) std::copy_n(row - n, n, row);
+  if (send_row)
+    for (std::size_t j = 0; j < n; ++j) row[j] = std::max(row[j], send_row[j]);
+  row[sz(i)] = idx;
 
   // Channel prefix counters: every existing table of process i grows by
   // one; the affected channel's tail is bumped below.
@@ -111,7 +115,6 @@ EventId OnlineAppender::append(ProcId i, Event ev, const VClock* extra) {
   for (auto& timeline : c_.values_[sz(i)]) timeline.push_back(timeline.back());
 
   list.push_back(std::move(ev));
-  arena.insert(arena.end(), vc.raw().begin(), vc.raw().end());
   const EventId id{i, idx};
   c_.linearization_.push_back(id);
   ++c_.total_events_;
@@ -166,15 +169,14 @@ AppendError OnlineAppender::try_receive(ProcId to, MsgId m, EventId* out) {
   ev.kind = EventKind::kReceive;
   ev.peer = it->second.src;
   ev.msg = m;
-  // Materialize the send clock: append() grows process `to`'s arena, and
-  // collect_prefix may already have reclaimed the source row (in which case
-  // the pending entry carries an owned copy).
-  const VClock send_vc =
-      it->second.clock_valid
-          ? std::move(it->second.clock)
-          : VClock(c_.vclock(it->second.src, it->second.send_index));
+  // The send's clock row, or the owned copy collect_prefix made when it
+  // reclaimed that row.
+  const PendingMsg& pm = it->second;
+  const EventId id = append(
+      to, std::move(ev),
+      pm.clock_valid ? pm.clock.raw().data()
+                     : c_.vclock(pm.src, pm.send_index).data());
   in_flight_.erase(it);
-  const EventId id = append(to, std::move(ev), &send_vc);
   if (out) *out = id;
   return AppendError::kNone;
 }
@@ -204,6 +206,25 @@ void OnlineAppender::write(ProcId i, VarId v, std::int64_t value) {
 void OnlineAppender::write(ProcId i, std::string_view name,
                            std::int64_t value) {
   write(i, var(name), value);
+}
+
+OnlineAppender& OnlineAppender::label(ProcId i, std::string_view text) {
+  HBCT_ASSERT(i >= 0 && i < c_.num_procs());
+  auto& list = c_.procs_[sz(i)];
+  HBCT_ASSERT_MSG(!list.empty(), to_string(AppendError::kNoEventToWrite));
+  list.back().label = std::string(text);
+  return *this;
+}
+
+Computation OnlineAppender::build() && {
+  for (auto& rows : c_.vclocks_) rows.shrink_to_fit();
+  for (auto& per_var : c_.values_)
+    for (auto& timeline : per_var) timeline.shrink_to_fit();
+  for (auto* tables : {&c_.sends_to_, &c_.recvs_from_})
+    for (auto& per_peer : *tables)
+      for (auto& counts : per_peer) counts.shrink_to_fit();
+  if (c_.trimmed_events() == 0) c_.compute_rvclocks();
+  return std::move(c_);
 }
 
 std::int64_t OnlineAppender::collect_prefix(const Cut& keep_from) {

@@ -1,19 +1,25 @@
-// Incremental (online) construction of a Computation.
+// Construction of a Computation, one event at a time.
 //
-// The paper closes with "develop efficient on-line versions of our
-// algorithms" as future work; this module is the substrate for that: a
-// Computation that grows one event at a time while keeping every
-// append-friendly table (forward vector clocks, variable timelines,
-// channel prefix counters, linearization) valid after each event, in O(n)
-// amortized per event. Reverse vector clocks depend on the future and are
-// recomputed lazily by Computation when an offline-style query needs them.
+// OnlineAppender is the only writer of an owning Computation. Every table a
+// detector reads (forward vector clocks, variable timelines, channel prefix
+// counters, the linearization) is kept valid after each event, in O(n)
+// amortized per event, so a finished trace is just a stream that has ended:
+// ComputationBuilder (poset/builder.h) is this class, build() hands over the
+// result, and the trace readers, Computation::materialize()/prefix(), the
+// simulator, the corpus and the generators all append through it. Reverse
+// vector clocks depend on the future: build() derives them for the finished
+// computation, and while a stream still grows Computation recomputes them
+// lazily when an offline-style query needs them. The paper closes with
+// "develop efficient on-line versions of our algorithms" as future work;
+// the online monitor (online/monitor.h) watches this growing model.
 //
 // Two feed surfaces share one implementation:
 //   - the unchecked methods (internal/send/receive/...) assert on misuse,
-//     matching ComputationBuilder's contract for trusted in-process callers;
+//     for trusted in-process callers;
 //   - the try_* methods return a typed AppendError instead, so a stream fed
-//     from an untrusted source (the serve layer's wire decoder) can reject a
-//     malformed append without corrupting the session or crashing the host.
+//     from an untrusted source (the trace readers, the serve layer's wire
+//     decoder) can reject a malformed append without corrupting the
+//     computation or crashing the host.
 //
 // Prefix garbage collection: collect_prefix(cut) discards the storage of
 // every event at or below a consistent cut — payloads, vector-clock rows,
@@ -67,6 +73,9 @@ class OnlineAppender {
   void write(ProcId i, VarId v, std::int64_t value);
   void write(ProcId i, std::string_view name, std::int64_t value);
 
+  /// Attaches a label to the most recently appended event of proc i.
+  OnlineAppender& label(ProcId i, std::string_view text);
+
   // ---- Guarded appends ----------------------------------------------------
   // Same semantics as the methods above, but every misuse the unchecked API
   // asserts on is returned as an AppendError and leaves the computation
@@ -97,8 +106,17 @@ class OnlineAppender {
   /// The cut of everything observed so far (the current frontier).
   Cut current_cut() const { return c_.final_cut(); }
 
+  /// Hands over the finished computation. The appender is consumed. A
+  /// finished computation no longer grows, so build() releases the growth
+  /// slack of its per-event tables and derives its reverse clocks once,
+  /// instead of on the first M(e) query (a collected prefix has none).
+  Computation build() &&;
+
  private:
-  EventId append(ProcId i, Event ev, const VClock* extra);
+  /// Appends `ev` to process i, writing its clock row in place: the
+  /// previous row of i, merged with `send_row` (the matching send's clock)
+  /// on a receive.
+  EventId append(ProcId i, Event ev, const std::int32_t* send_row);
 
   /// Bookkeeping for a sent-but-not-yet-received message. The map holds
   /// only in-flight messages (receives erase their entry), so message

@@ -94,6 +94,7 @@ class OnlineMonitor {
   /// Writes apply to the latest event of proc i (call before the next
   /// event of that process, as with OnlineAppender).
   void write(ProcId i, std::string_view name, std::int64_t value);
+  void write(ProcId i, VarId v, std::int64_t value) { app_.write(i, v, value); }
 
   // ---- Guarded feed (serve layer / untrusted streams) ---------------------
   // AppendError instead of asserting; kFinished after finish(). A rejected

@@ -1,68 +1,18 @@
-// Incremental construction of Computations.
+// Construction of Computations by hand.
 //
-// The builder enforces the two structural rules of the happened-before model
-// at append time: events of one process are appended in program order, and a
-// receive may only be appended after its matching send. The append order is
-// recorded as the computation's canonical linearization (one valid
-// observation).
+// A Computation is built by appending its events: ComputationBuilder is the
+// online appender under the name in-process construction reads best with.
+// It enforces the two structural rules of the happened-before model at
+// append time (events of one process arrive in program order; a receive
+// follows its matching send) and records the append order as the
+// computation's canonical linearization (one valid observation).
+// std::move(b).build() hands over the finished computation.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <string_view>
-
-#include "poset/computation.h"
+#include "online/appender.h"
 
 namespace hbct {
 
-class ComputationBuilder {
- public:
-  /// Creates a builder for `num_procs` processes.
-  explicit ComputationBuilder(std::int32_t num_procs);
-
-  std::int32_t num_procs() const { return c_.num_procs(); }
-
-  /// Registers (or looks up) a variable name; variables default to 0 on
-  /// every process unless set_initial is called.
-  VarId var(std::string_view name);
-
-  /// Sets the initial (pre-first-event) value of `v` on process `i`.
-  void set_initial(ProcId i, VarId v, std::int64_t value);
-
-  /// Appends an internal event on process i; returns its EventId.
-  EventId internal(ProcId i);
-
-  /// Appends a send event on process `from` to process `to`; returns the
-  /// message id to pass to receive().
-  MsgId send(ProcId from, ProcId to);
-
-  /// Appends the receive of message `m` on process `to`. The send must have
-  /// been appended already.
-  EventId receive(ProcId to, MsgId m);
-
-  /// Attaches `var = value` to the most recently appended event of proc i.
-  ComputationBuilder& write(ProcId i, VarId v, std::int64_t value);
-  ComputationBuilder& write(ProcId i, std::string_view name, std::int64_t value);
-
-  /// Attaches a label to the most recently appended event of proc i.
-  ComputationBuilder& label(ProcId i, std::string_view text);
-
-  /// Id of the most recently appended send event's message (for chaining).
-  MsgId last_msg() const { return next_msg_ - 1; }
-
-  /// Finalizes and returns the computation. The builder is consumed.
-  Computation build() &&;
-
- private:
-  Event& last_event(ProcId i);
-  EventId append(ProcId i, Event ev);
-
-  Computation c_;
-  MsgId next_msg_ = 0;
-  std::vector<ProcId> msg_src_;   // indexed by MsgId
-  std::vector<ProcId> msg_dst_;   // destination declared at send time
-  std::vector<bool> msg_received_;
-  bool built_ = false;
-};
+using ComputationBuilder = OnlineAppender;
 
 }  // namespace hbct

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <mutex>
 
+#include "online/appender.h"
+#include "poset/replay.h"
 #include "util/assert.h"
 
 namespace hbct {
@@ -11,13 +13,6 @@ namespace hbct {
 namespace {
 std::size_t sz(std::int32_t v) { return static_cast<std::size_t>(v); }
 }  // namespace
-
-const Event& Computation::event(ProcId i, EventIndex idx) const {
-  HBCT_DASSERT(!is_view());  // event() needs owning storage; use event_view()
-  HBCT_DASSERT(i >= 0 && i < num_procs());
-  HBCT_DASSERT(idx >= trimmed(i) + 1 && idx <= num_events(i));
-  return procs_[sz(i)][sz(idx - 1 - trimmed(i))];
-}
 
 EventView Computation::event_view(ProcId i, EventIndex idx) const {
   HBCT_DASSERT(i >= 0 && i < num_procs());
@@ -241,157 +236,22 @@ Computation Computation::from_arena(MappedArenaPtr arena,
 
 Computation Computation::materialize() const {
   if (!is_view()) return *this;
-  Computation out;
-  const std::size_t n = sz(num_procs());
-  const std::size_t nv = sz(num_vars());
-  out.procs_.resize(n);
-  out.var_names_ = var_names_;
-  out.var_ids_ = var_ids_;
-  out.linearization_ = linearization_;
-  for (ProcId i = 0; i < num_procs(); ++i) {
-    auto& dst = out.procs_[sz(i)];
-    dst.reserve(sz(num_events(i)));
-    for (EventIndex k = 1; k <= num_events(i); ++k) {
-      const EventView v = event_view(i, k);
-      Event e;
-      e.kind = v.kind;
-      e.peer = v.peer;
-      e.msg = v.msg;
-      e.label = std::string(v.label);
-      e.writes.reserve(v.num_writes());
-      for (std::size_t w = 0; w < v.num_writes(); ++w)
-        e.writes.push_back(v.write_at(w));
-      dst.push_back(std::move(e));
-    }
-  }
-  out.initial_.assign(n, std::vector<std::int64_t>(nv, 0));
-  for (ProcId i = 0; i < num_procs(); ++i)
-    for (VarId v = 0; v < num_vars(); ++v)
-      out.initial_[sz(i)][sz(v)] = value_at(i, v, 0);
-  out.finalize();
-  return out;
+  return prefix(final_cut());
 }
 
 Computation Computation::prefix(const Cut& k) const {
-  if (is_view()) return materialize().prefix(k);
   HBCT_ASSERT_MSG(trimmed_events_ == 0,
                   "prefix of a GC'd computation is not supported");
   HBCT_ASSERT_MSG(is_consistent(k), "prefix requires a consistent cut");
-  Computation out;
-  const std::size_t n = sz(num_procs());
-  out.procs_.resize(n);
-  out.var_names_ = var_names_;
-  out.var_ids_ = var_ids_;
-  out.initial_ = initial_;
-  for (ProcId i = 0; i < num_procs(); ++i) {
-    auto& dst = out.procs_[sz(i)];
-    dst.assign(procs_[sz(i)].begin(), procs_[sz(i)].begin() + k[sz(i)]);
-  }
-  // Keep the original linearization restricted to K (still a valid
-  // topological order of the prefix).
+  // The linearization restricted to K is still a valid observation of the
+  // prefix.
+  std::vector<EventId> order;
   for (const EventId& e : linearization_)
-    if (e.index <= k[sz(e.proc)]) out.linearization_.push_back(e);
-  out.finalize();
-  return out;
-}
-
-void Computation::finalize() {
-  const std::size_t n = procs_.size();
-  total_events_ = 0;
-  num_messages_ = 0;
-  for (const auto& p : procs_) total_events_ += static_cast<std::int64_t>(p.size());
-  HBCT_ASSERT(static_cast<std::int64_t>(linearization_.size()) == total_events_);
-
-  // --- Vector clocks, following the recorded linearization. Each receive
-  // merges the clock of its matching send, so sends must precede their
-  // receives in the linearization (validated below via send_clock presence).
-  // The arenas are pre-sized, so rows are stable and send_clock can hold
-  // views straight into them.
-  vclocks_.assign(n, {});
-  for (std::size_t i = 0; i < n; ++i)
-    vclocks_[i].assign(procs_[i].size() * n, 0);
-  std::unordered_map<MsgId, VClockView> send_clock;
-  std::unordered_map<MsgId, EventId> send_event;
-  VClock vc(n);
-  for (const EventId& eid : linearization_) {
-    const Event& ev = event(eid);
-    if (eid.index > 1) {
-      const VClockView prev = vclock(eid.proc, eid.index - 1);
-      for (std::size_t j = 0; j < n; ++j) vc[j] = prev[j];
-    } else {
-      for (std::size_t j = 0; j < n; ++j) vc[j] = 0;
-    }
-    if (ev.kind == EventKind::kReceive) {
-      auto it = send_clock.find(ev.msg);
-      HBCT_ASSERT_MSG(it != send_clock.end(),
-                      "receive precedes its send in the linearization");
-      vc.merge(it->second);
-      // Cross-check the peer annotation.
-      HBCT_ASSERT(send_event.at(ev.msg).proc == ev.peer);
-    }
-    vc[sz(eid.proc)] = eid.index;
-    if (ev.kind == EventKind::kSend) {
-      HBCT_ASSERT_MSG(!send_clock.count(ev.msg), "duplicate send msg id");
-      ++num_messages_;
-    }
-    std::copy(vc.raw().begin(), vc.raw().end(),
-              vclocks_[sz(eid.proc)].data() + sz(eid.index - 1) * n);
-    if (ev.kind == EventKind::kSend) {
-      send_clock.emplace(ev.msg, vclock(eid.proc, eid.index));
-      send_event.emplace(ev.msg, eid);
-    }
-  }
-
-  compute_rvclocks();
-
-  // --- Variable timelines.
-  const std::size_t nv = var_names_.size();
-  initial_.resize(n);
-  for (auto& iv : initial_) iv.resize(nv, 0);
-  values_.assign(n, {});
-  for (std::size_t i = 0; i < n; ++i) {
-    values_[i].assign(nv, {});
-    for (std::size_t v = 0; v < nv; ++v) {
-      auto& tl = values_[i][v];
-      tl.resize(procs_[i].size() + 1);
-      tl[0] = initial_[i][v];
-    }
-    for (std::size_t k = 0; k < procs_[i].size(); ++k) {
-      for (std::size_t v = 0; v < nv; ++v)
-        values_[i][v][k + 1] = values_[i][v][k];
-      for (const Assignment& a : procs_[i][k].writes) {
-        HBCT_ASSERT(a.var >= 0 && sz(a.var) < nv);
-        values_[i][sz(a.var)][k + 1] = a.value;
-      }
-    }
-  }
-
-  // --- Channel prefix counters.
-  sends_to_.assign(n, std::vector<std::vector<std::int32_t>>(n));
-  recvs_from_.assign(n, std::vector<std::vector<std::int32_t>>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < procs_[i].size(); ++k) {
-      const Event& ev = procs_[i][k];
-      if (ev.kind == EventKind::kSend) {
-        auto& tab = sends_to_[i][sz(ev.peer)];
-        if (tab.empty()) tab.assign(procs_[i].size() + 1, 0);
-      } else if (ev.kind == EventKind::kReceive) {
-        auto& tab = recvs_from_[i][sz(ev.peer)];
-        if (tab.empty()) tab.assign(procs_[i].size() + 1, 0);
-      }
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      auto fill = [&](std::vector<std::int32_t>& tab, EventKind kind) {
-        if (tab.empty()) return;
-        for (std::size_t k = 0; k < procs_[i].size(); ++k) {
-          const Event& ev = procs_[i][k];
-          tab[k + 1] = tab[k] + ((ev.kind == kind && sz(ev.peer) == j) ? 1 : 0);
-        }
-      };
-      fill(sends_to_[i][j], EventKind::kSend);
-      fill(recvs_from_[i][j], EventKind::kReceive);
-    }
-  }
+    if (e.index <= k[sz(e.proc)]) order.push_back(e);
+  OnlineAppender app(num_procs());
+  replay_initial(*this, app);
+  replay_events(*this, order, app, [](EventId) {});
+  return std::move(app).build();
 }
 
 void Computation::compute_rvclocks() const {

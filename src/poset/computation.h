@@ -2,19 +2,22 @@
 // of a distributed program, plus the cut geometry every detection algorithm
 // in this library is built on.
 //
-// The structure is finalized once (by ComputationBuilder) and then read-only:
-// vector clocks, reverse vector clocks, per-variable state timelines and
-// channel prefix counters are all precomputed so that the predicate
-// detectors' inner loops are O(n) or O(1) per step, matching the cost model
-// used in the paper's complexity claims.
+// One writer builds it: OnlineAppender (online/appender.h, also spelled
+// ComputationBuilder) appends one event at a time and keeps vector clocks,
+// per-variable state timelines and channel prefix counters valid after each
+// event; reverse vector clocks are derived by build() (lazily, on first
+// use, while the computation still grows). Readers see a read-only
+// structure whose tables make the predicate detectors' inner loops O(n) or
+// O(1) per step, matching the cost model used in the paper's complexity
+// claims.
 //
 // Two storage modes share one interface:
-//   owning  the builder/online path: per-event vectors plus flat clock and
-//           timeline arenas computed by finalize().
+//   owning  built by appending: per-event payloads plus flat clock and
+//           timeline arenas.
 //   view    zero-copy over a MappedArena (poset/arena.h): every accessor
 //           reads straight from the mapped hbct-mtrace sections. Loading is
-//           O(procs + vars) allocations; event() is unavailable (payloads
-//           are packed) — use event_view(), which works in both modes.
+//           O(procs + vars) allocations; event payloads are packed records,
+//           read through event_view() in both modes.
 #pragma once
 
 #include <atomic>
@@ -33,8 +36,6 @@
 
 namespace hbct {
 
-class ComputationBuilder;
-
 class Computation {
  public:
   Computation() = default;
@@ -50,7 +51,7 @@ class Computation {
 
   /// True when this computation borrows from a MappedArena (mtrace load)
   /// instead of owning its event storage. View computations are frozen:
-  /// OnlineAppender refuses them and event() is unavailable.
+  /// nothing appends to them.
   bool is_view() const { return arena_ != nullptr; }
 
   /// Wraps a fully-validated arena (the mtrace loader's product) without
@@ -59,8 +60,8 @@ class Computation {
   static Computation from_arena(MappedArenaPtr arena,
                                 std::vector<std::string> var_names);
 
-  /// Deep-copies a view computation into owning storage (recomputing the
-  /// derived tables via the builder-path finalize). Owning computations
+  /// Deep-copies a view computation into owning storage by replaying it
+  /// through an OnlineAppender (prefix(final_cut())). Owning computations
   /// return a plain copy.
   Computation materialize() const;
   /// |E| — total number of events across all processes (including events
@@ -74,7 +75,7 @@ class Computation {
   /// are no longer resident (payloads, clock rows, timeline entries and
   /// channel counters below the trim cut are gone). All public indices stay
   /// absolute — accessors subtract the offset internally — but reading a
-  /// reclaimed position is an error. 0 on every builder-produced computation.
+  /// reclaimed position is an error. 0 unless collect_prefix ran.
   EventIndex trimmed(ProcId i) const {
     return trim_.empty() ? 0 : trim_[static_cast<std::size_t>(i)];
   }
@@ -83,14 +84,8 @@ class Computation {
   /// Events currently resident in memory.
   std::int64_t resident_events() const { return total_events_ - trimmed_events_; }
 
-  /// Event payload; `idx` is 1-based. Owning mode only (view-mode events
-  /// are packed records, not Event structs) — use event_view() for code
-  /// that must serve both modes.
-  const Event& event(ProcId i, EventIndex idx) const;
-  const Event& event(EventId e) const { return event(e.proc, e.index); }
-
-  /// Mode-independent event payload view; valid while the computation (and
-  /// its arena) is alive.
+  /// Event payload view (`idx` is 1-based), in both storage modes; valid
+  /// while the computation (and its arena) is alive.
   EventView event_view(ProcId i, EventIndex idx) const;
   EventView event_view(EventId e) const { return event_view(e.proc, e.index); }
 
@@ -239,12 +234,14 @@ class Computation {
   // ---- Whole-computation helpers -------------------------------------------
 
   /// One valid observation (topological order) of all events: the order in
-  /// which events were appended at build time.
+  /// which they were appended.
   const std::vector<EventId>& linearization() const { return linearization_; }
 
   /// The sub-computation induced by the (consistent) prefix K: process i
   /// keeps its first K[i] events. Message sends whose receive falls outside
-  /// K remain unmatched (the message stays in transit forever).
+  /// K remain unmatched (the message stays in transit forever). Built by
+  /// replaying the linearization restricted to K through an OnlineAppender,
+  /// so message ids are renumbered in send order.
   Computation prefix(const Cut& k) const;
 
   /// Find an event by its label; nullopt if absent or ambiguous labels exist
@@ -256,10 +253,8 @@ class Computation {
   void validate() const;
 
  private:
-  friend class ComputationBuilder;
   friend class OnlineAppender;
 
-  void finalize();            // computes clocks and tables (builder path)
   void compute_rvclocks() const;  // (re)derives the reverse clocks
 
   /// Timeline row of variable v on process i inside the arena.
@@ -347,9 +342,8 @@ class Computation {
   std::int64_t total_events_ = 0;
   std::int64_t num_messages_ = 0;
 
-  /// Per-process count of events reclaimed by prefix GC; empty (the builder
-  /// path, and online sessions before their first collection) means nothing
-  /// was ever trimmed.
+  /// Per-process count of events reclaimed by prefix GC; empty (before the
+  /// first collection) means nothing was ever trimmed.
   std::vector<EventIndex> trim_;
   std::int64_t trimmed_events_ = 0;
 };

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "poset/builder.h"
+#include "online/appender.h"
 #include "util/assert.h"
 #include "util/string_util.h"
 
@@ -73,7 +73,7 @@ struct Parser {
 };
 
 // Parses trailing "label=..." / "name=value" tokens onto the last event.
-bool parse_annotations(Parser& p, ComputationBuilder& b, ProcId proc,
+bool parse_annotations(Parser& p, OnlineAppender& b, ProcId proc,
                        const std::vector<std::string>& toks, std::size_t first) {
   for (std::size_t t = first; t < toks.size(); ++t) {
     const std::string& tok = toks[t];
@@ -132,13 +132,12 @@ TraceParseResult read_trace(std::istream& is) {
     return out;
   }
 
-  ComputationBuilder b(static_cast<std::int32_t>(n));
-  struct MsgInfo {
-    MsgId id;
-    ProcId dst;
-    bool received;
+  OnlineAppender b(static_cast<std::int32_t>(n));
+  // A rejected append becomes the parse error of the current line.
+  const auto applied = [&p](AppendError e) {
+    return e == AppendError::kNone || p.fail(to_string(e));
   };
-  std::unordered_map<long long, MsgInfo> msg_map;  // file msg id -> builder msg
+  std::unordered_map<long long, MsgId> msg_map;  // file msg id -> appended
   bool saw_end = false;
 
   while (next_tokens(toks)) {
@@ -159,7 +158,9 @@ TraceParseResult read_trace(std::istream& is) {
         p.fail("expected 'init <proc> <var> <value>'");
         break;
       }
-      b.set_initial(static_cast<ProcId>(proc), b.var(toks[2]), value);
+      if (!applied(b.try_set_initial(static_cast<ProcId>(proc),
+                                     b.var(toks[2]), value)))
+        break;
       continue;
     }
     if (kw == "ev") {
@@ -181,9 +182,7 @@ TraceParseResult read_trace(std::istream& is) {
           break;
         }
         if (msg_map.count(mid)) { p.fail("duplicate msg id"); break; }
-        msg_map[mid] =
-            MsgInfo{b.send(pi, static_cast<ProcId>(to)),
-                    static_cast<ProcId>(to), false};
+        msg_map[mid] = b.send(pi, static_cast<ProcId>(to));
         first_ann = 5;
       } else if (kind == "recv") {
         long long mid = 0;
@@ -193,10 +192,7 @@ TraceParseResult read_trace(std::istream& is) {
         }
         auto it = msg_map.find(mid);
         if (it == msg_map.end()) { p.fail("recv before matching send"); break; }
-        if (it->second.received) { p.fail("message received twice"); break; }
-        if (it->second.dst != pi) { p.fail("recv on wrong process"); break; }
-        it->second.received = true;
-        b.receive(pi, it->second.id);
+        if (!applied(b.try_receive(pi, it->second))) break;
         first_ann = 4;
       } else {
         p.fail("unknown event kind '" + kind + "'");
@@ -546,15 +542,16 @@ TraceParseResult trace_from_binary_string(std::string_view bytes) {
   }
   const std::int32_t n = r.nprocs;
 
-  ComputationBuilder b(n);
-  std::vector<VarId> vars;  // registration index -> builder VarId
-  struct MsgInfo {
-    MsgId id;
-    ProcId dst;
-    bool received;
-  };
-  std::unordered_map<std::uint64_t, MsgInfo> msg_map;
+  OnlineAppender b(n);
+  std::vector<VarId> vars;  // registration index -> appended VarId
+  std::unordered_map<std::uint64_t, MsgId> msg_map;  // wire id -> appended
   bool saw_end = false;
+  // A rejected append becomes the parse error of the current record.
+  const auto applied = [&](AppendError e) {
+    if (e == AppendError::kNone) return true;
+    fail(to_string(e));
+    return false;
+  };
 
   const auto apply_tail = [&](const wire::Record& er, ProcId pi) -> bool {
     for (const wire::WireWrite& w : er.writes) {
@@ -587,41 +584,31 @@ TraceParseResult trace_from_binary_string(std::string_view bytes) {
         vars.push_back(b.var(r.name));
         break;
       case wire::Record::Kind::kInit:
-        if (r.proc < 0 || r.proc >= n) { fail("bad process id"); return out; }
         if (r.var >= vars.size()) { fail("unknown variable"); return out; }
-        b.set_initial(r.proc, vars[r.var], r.value);
+        if (!applied(b.try_set_initial(r.proc, vars[r.var], r.value)))
+          return out;
         break;
       case wire::Record::Kind::kInternal:
-        if (r.proc < 0 || r.proc >= n) { fail("bad process id"); return out; }
-        b.internal(r.proc);
-        if (!apply_tail(r, r.proc)) return out;
+        if (!applied(b.try_internal(r.proc)) || !apply_tail(r, r.proc))
+          return out;
         break;
       case wire::Record::Kind::kSend: {
-        if (r.proc < 0 || r.proc >= n || r.peer < 0 || r.peer >= n) {
-          fail("bad process id");
-          return out;
-        }
-        if (r.peer == r.proc) { fail("self-message"); return out; }
         if (msg_map.count(r.msg)) { fail("duplicate msg id"); return out; }
-        msg_map[r.msg] = MsgInfo{b.send(r.proc, r.peer), r.peer, false};
+        MsgId m = kNoMsg;
+        if (!applied(b.try_send(r.proc, r.peer, &m))) return out;
+        msg_map[r.msg] = m;
         if (!apply_tail(r, r.proc)) return out;
         break;
       }
       case wire::Record::Kind::kRecv: {
-        if (r.proc < 0 || r.proc >= n) { fail("bad process id"); return out; }
         auto it = msg_map.find(r.msg);
         if (it == msg_map.end()) {
           fail("recv before matching send");
           return out;
         }
-        if (it->second.received) { fail("message received twice"); return out; }
-        if (it->second.dst != r.proc) {
-          fail("recv on wrong process");
+        if (!applied(b.try_receive(r.proc, it->second)) ||
+            !apply_tail(r, r.proc))
           return out;
-        }
-        it->second.received = true;
-        b.receive(r.proc, it->second.id);
-        if (!apply_tail(r, r.proc)) return out;
         break;
       }
       case wire::Record::Kind::kEnd:

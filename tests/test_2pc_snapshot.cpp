@@ -115,16 +115,17 @@ Computation strip_markers(const Computation& c) {
   const VarId x = *c.var_id("x");
   std::unordered_map<MsgId, bool> is_work;
   for (const EventId& eid : c.linearization()) {
-    const Event& ev = c.event(eid);
+    const EventView ev = c.event_view(eid);
     if (ev.kind != EventKind::kReceive) continue;
     bool wrote_x = false;
-    for (const Assignment& a : ev.writes) wrote_x |= a.var == x;
+    for (std::size_t k = 0; k < ev.num_writes(); ++k)
+      wrote_x |= ev.write_at(k).var == x;
     is_work[ev.msg] = wrote_x;
   }
 
   std::unordered_map<MsgId, MsgId> msg_map;
   for (const EventId& eid : c.linearization()) {
-    const Event& ev = c.event(eid);
+    const EventView ev = c.event_view(eid);
     bool emitted = true;
     switch (ev.kind) {
       case EventKind::kInternal:
@@ -135,7 +136,7 @@ Computation strip_markers(const Computation& c) {
         const bool work = it != is_work.end() && it->second;
         if (work)
           msg_map[ev.msg] = b.send(eid.proc, ev.peer);
-        else if (!ev.writes.empty() || !ev.label.empty())
+        else if (ev.num_writes() != 0 || !ev.label.empty())
           b.internal(eid.proc);  // keep annotated marker sends as internal
         else
           emitted = false;  // bare marker send: erased
@@ -150,8 +151,10 @@ Computation strip_markers(const Computation& c) {
       }
     }
     if (!emitted) continue;
-    for (const Assignment& a : ev.writes)
+    for (std::size_t k = 0; k < ev.num_writes(); ++k) {
+      const Assignment a = ev.write_at(k);
       b.write(eid.proc, c.var_name(a.var), a.value);
+    }
     if (!ev.label.empty()) b.label(eid.proc, ev.label);
   }
   return std::move(b).build();
@@ -161,7 +164,7 @@ Cut snapshot_positions(const Computation& c) {
   Cut snap(static_cast<std::size_t>(c.num_procs()));
   for (ProcId i = 0; i < c.num_procs(); ++i)
     for (EventIndex k = 1; k <= c.num_events(i); ++k)
-      if (c.event(i, k).label == "snapshot")
+      if (c.event_view(i, k).label == "snapshot")
         snap[static_cast<std::size_t>(i)] = k;
   return snap;
 }

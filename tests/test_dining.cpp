@@ -6,6 +6,7 @@
 
 #include "detect/dispatch.h"
 #include "online/monitor.h"
+#include "poset/replay.h"
 #include "predicate/conjunctive.h"
 #include "sim/workloads.h"
 
@@ -91,30 +92,9 @@ TEST(Dining, OnlineMonitorCatchesTheDeadlockAsItForms) {
     if (!stuck(ref)) continue;
 
     OnlineMonitor m(ref.num_procs());
-    for (VarId v = 0; v < ref.num_vars(); ++v) m.var(ref.var_name(v));
-    for (ProcId i = 0; i < ref.num_procs(); ++i)
-      for (VarId v = 0; v < ref.num_vars(); ++v)
-        m.set_initial(i, v, ref.value_at(i, v, 0));
+    replay_initial(ref, m);
     WatchId w = m.watch_possibly(deadlock_pred());
-
-    std::vector<MsgId> msg_map(static_cast<std::size_t>(ref.num_messages()),
-                               kNoMsg);
-    for (const EventId& eid : ref.linearization()) {
-      const Event& ev = ref.event(eid);
-      switch (ev.kind) {
-        case EventKind::kInternal:
-          m.internal(eid.proc);
-          break;
-        case EventKind::kSend:
-          msg_map[static_cast<std::size_t>(ev.msg)] = m.send(eid.proc, ev.peer);
-          break;
-        case EventKind::kReceive:
-          m.receive(eid.proc, msg_map[static_cast<std::size_t>(ev.msg)]);
-          break;
-      }
-      for (const Assignment& a : ev.writes)
-        m.write(eid.proc, ref.var_name(a.var), a.value);
-    }
+    replay_events(ref, ref.linearization(), m, [](EventId) {});
     m.finish();
     ASSERT_TRUE(m.fired(w)) << "seed " << seed;
     auto fires = m.poll();

@@ -143,7 +143,8 @@ TEST(Fig4, MutualExclusionStyleAuExample) {
   b.internal(0);
   b.write(0, t, 1);
   b.internal(0);
-  b.write(0, t, 0).write(0, cs, 1);
+  b.write(0, t, 0);
+  b.write(0, cs, 1);
   b.internal(1);
   Computation c = std::move(b).build();
   auto r = ctl::evaluate_query(

@@ -8,6 +8,7 @@
 #include "detect/dispatch.h"
 #include "online/appender.h"
 #include "poset/generate.h"
+#include "poset/replay.h"
 #include "predicate/channel.h"
 #include "predicate/conjunctive.h"
 #include "util/rng.h"
@@ -29,32 +30,12 @@ std::vector<EventId> random_observation(const Computation& ref, Rng& rng) {
   return order;
 }
 
-Computation replay(const Computation& ref, const std::vector<EventId>& order) {
+/// The model recorded by feeding ref's events to an appender in `order`.
+Computation record(const Computation& ref, const std::vector<EventId>& order) {
   OnlineAppender app(ref.num_procs());
-  for (VarId v = 0; v < ref.num_vars(); ++v) app.var(ref.var_name(v));
-  for (ProcId i = 0; i < ref.num_procs(); ++i)
-    for (VarId v = 0; v < ref.num_vars(); ++v)
-      app.set_initial(i, v, ref.value_at(i, v, 0));
-  std::vector<MsgId> msg_map(static_cast<std::size_t>(ref.num_messages()),
-                             kNoMsg);
-  for (const EventId& eid : order) {
-    const Event& ev = ref.event(eid);
-    switch (ev.kind) {
-      case EventKind::kInternal:
-        app.internal(eid.proc);
-        break;
-      case EventKind::kSend:
-        msg_map[static_cast<std::size_t>(ev.msg)] = app.send(eid.proc, ev.peer);
-        break;
-      case EventKind::kReceive:
-        app.receive(eid.proc, msg_map[static_cast<std::size_t>(ev.msg)]);
-        break;
-    }
-    for (const Assignment& a : ev.writes)
-      app.write(eid.proc, ref.var_name(a.var), a.value);
-  }
-  Computation c = app.computation();  // copy out the finished model
-  return c;
+  replay_initial(ref, app);
+  replay_events(ref, order, app, [](EventId) {});
+  return std::move(app).build();
 }
 
 class ObservationInvariance : public ::testing::TestWithParam<std::uint64_t> {
@@ -78,7 +59,7 @@ TEST_P(ObservationInvariance, ModelIndependentOfRecordingOrder) {
 
   for (int round = 0; round < 4; ++round) {
     const auto order = random_observation(ref, rng);
-    Computation c = replay(ref, order);
+    Computation c = record(ref, order);
     c.validate();
 
     // Structure is identical: clocks and values per event, channel state.

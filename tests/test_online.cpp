@@ -1,9 +1,10 @@
-// Tests for the online module: the incremental appender must agree with
-// the batch builder event-for-event, and every online watch verdict must
-// match offline detection on the final computation — including the fired
-// witness cuts and the earliest-prefix property.
+// Tests for the online module: the incremental appender must agree with a
+// batch recomputation of its tables event-for-event, and every online watch
+// verdict must match offline detection on the final computation — including
+// the fired witness cuts and the earliest-prefix property.
 #include <gtest/gtest.h>
 
+#include "batch_reference.h"
 #include "detect/brute_force.h"
 #include "detect/conjunctive_gw.h"
 #include "detect/disjunctive.h"
@@ -12,59 +13,48 @@
 #include "online/appender.h"
 #include "online/monitor.h"
 #include "poset/generate.h"
+#include "poset/replay.h"
 #include "predicate/channel.h"
 #include "util/rng.h"
 
 namespace hbct {
 namespace {
 
-// ---- Appender vs batch builder -------------------------------------------------
+// ---- Appender vs batch reference -----------------------------------------------
 
 /// Replays a finished computation through the online appender and checks
-/// every table matches after *each* event.
+/// every table against the batch reference after *each* event.
 void replay_and_check(const Computation& ref) {
+  const BatchReference batch(ref);
   OnlineAppender app(ref.num_procs());
-  for (VarId v = 0; v < ref.num_vars(); ++v) app.var(ref.var_name(v));
-  for (ProcId i = 0; i < ref.num_procs(); ++i)
-    for (VarId v = 0; v < ref.num_vars(); ++v)
-      app.set_initial(i, v, ref.value_at(i, v, 0));
-
-  std::vector<MsgId> msg_map(static_cast<std::size_t>(ref.num_messages()),
-                             kNoMsg);
-  for (const EventId& eid : ref.linearization()) {
-    const Event& ev = ref.event(eid);
-    switch (ev.kind) {
-      case EventKind::kInternal:
-        app.internal(eid.proc);
-        break;
-      case EventKind::kSend:
-        msg_map[static_cast<std::size_t>(ev.msg)] =
-            app.send(eid.proc, ev.peer);
-        break;
-      case EventKind::kReceive:
-        app.receive(eid.proc, msg_map[static_cast<std::size_t>(ev.msg)]);
-        break;
-    }
-    for (const Assignment& a : ev.writes)
-      app.write(eid.proc, ref.var_name(a.var), a.value);
-
+  replay_initial(ref, app);
+  replay_events(ref, ref.linearization(), app, [&](EventId eid) {
     // Incremental invariants after every event.
     const Computation& c = app.computation();
-    ASSERT_EQ(c.vclock(eid), ref.vclock(eid));
+    ASSERT_EQ(c.vclock(eid), batch.vclock(eid));
+    for (VarId v = 0; v < ref.num_vars(); ++v)
+      ASSERT_EQ(c.value_at(eid.proc, v, eid.index),
+                batch.value_at(eid.proc, v, eid.index));
+    for (ProcId j = 0; j < ref.num_procs(); ++j) {
+      ASSERT_EQ(c.sends_up_to(eid.proc, j, eid.index),
+                batch.sends_up_to(eid.proc, j, eid.index));
+      ASSERT_EQ(c.recvs_up_to(eid.proc, j, eid.index),
+                batch.recvs_up_to(eid.proc, j, eid.index));
+    }
     ASSERT_TRUE(c.is_consistent(c.final_cut()));
-  }
+  });
 
   const Computation& c = app.computation();
   c.validate();
   ASSERT_EQ(c.total_events(), ref.total_events());
   for (ProcId i = 0; i < ref.num_procs(); ++i) {
     for (EventIndex k = 1; k <= ref.num_events(i); ++k) {
-      EXPECT_EQ(c.vclock(i, k), ref.vclock(i, k));
+      EXPECT_EQ(c.vclock(i, k), batch.vclock(EventId{i, k}));
       EXPECT_EQ(c.reverse_vclock(i, k), ref.reverse_vclock(i, k));
     }
     for (VarId v = 0; v < ref.num_vars(); ++v)
       for (EventIndex k = 0; k <= ref.num_events(i); ++k)
-        EXPECT_EQ(c.value_at(i, v, k), ref.value_at(i, v, k));
+        EXPECT_EQ(c.value_at(i, v, k), batch.value_at(i, v, k));
     for (ProcId j = 0; j < ref.num_procs(); ++j)
       EXPECT_EQ(c.in_transit(i, j, c.final_cut()),
                 ref.in_transit(i, j, ref.final_cut()));
@@ -118,32 +108,10 @@ class OnlineWatch : public ::testing::TestWithParam<std::uint64_t> {};
 struct Feed {
   OnlineMonitor monitor;
   explicit Feed(const Computation& ref) : monitor(ref.num_procs()) {
-    for (VarId v = 0; v < ref.num_vars(); ++v) monitor.var(ref.var_name(v));
-    for (ProcId i = 0; i < ref.num_procs(); ++i)
-      for (VarId v = 0; v < ref.num_vars(); ++v)
-        monitor.set_initial(i, v, ref.value_at(i, v, 0));
+    replay_initial(ref, monitor);
   }
   void run(const Computation& ref) {
-    std::vector<MsgId> msg_map(static_cast<std::size_t>(ref.num_messages()),
-                               kNoMsg);
-    for (const EventId& eid : ref.linearization()) {
-      const Event& ev = ref.event(eid);
-      switch (ev.kind) {
-        case EventKind::kInternal:
-          monitor.internal(eid.proc);
-          break;
-        case EventKind::kSend:
-          msg_map[static_cast<std::size_t>(ev.msg)] =
-              monitor.send(eid.proc, ev.peer);
-          break;
-        case EventKind::kReceive:
-          monitor.receive(eid.proc,
-                          msg_map[static_cast<std::size_t>(ev.msg)]);
-          break;
-      }
-      for (const Assignment& a : ev.writes)
-        monitor.write(eid.proc, ref.var_name(a.var), a.value);
-    }
+    replay_events(ref, ref.linearization(), monitor, [](EventId) {});
     monitor.finish();  // thaw the tails: the stream is complete
   }
 };

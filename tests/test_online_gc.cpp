@@ -11,6 +11,7 @@
 
 #include "online/monitor.h"
 #include "poset/generate.h"
+#include "poset/replay.h"
 #include "predicate/channel.h"
 #include "predicate/conjunctive.h"
 #include "predicate/disjunctive.h"
@@ -87,10 +88,7 @@ void run_differential(const Computation& ref, std::uint64_t seed,
   OnlineMonitor off(ref.num_procs());
   for (OnlineMonitor* m : {&on, &off}) {
     if (budget != nullptr) m->set_budget(*budget);
-    for (VarId v = 0; v < ref.num_vars(); ++v) m->var(ref.var_name(v));
-    for (ProcId i = 0; i < ref.num_procs(); ++i)
-      for (VarId v = 0; v < ref.num_vars(); ++v)
-        m->set_initial(i, v, ref.value_at(i, v, 0));
+    replay_initial(ref, *m);
     register_watches(*m, seed, mix);
   }
 
@@ -100,7 +98,7 @@ void run_differential(const Computation& ref, std::uint64_t seed,
   std::int64_t reclaimed = 0;
   std::int64_t step = 0;
   for (const EventId& eid : ref.linearization()) {
-    const Event& ev = ref.event(eid);
+    const EventView ev = ref.event_view(eid);
     switch (ev.kind) {
       case EventKind::kInternal:
         on.internal(eid.proc);
@@ -115,9 +113,10 @@ void run_differential(const Computation& ref, std::uint64_t seed,
         off.receive(eid.proc, map_off[static_cast<std::size_t>(ev.msg)]);
         break;
     }
-    for (const Assignment& a : ev.writes) {
-      on.write(eid.proc, ref.var_name(a.var), a.value);
-      off.write(eid.proc, ref.var_name(a.var), a.value);
+    for (std::size_t k = 0; k < ev.num_writes(); ++k) {
+      const Assignment a = ev.write_at(k);
+      on.write(eid.proc, a.var, a.value);
+      off.write(eid.proc, a.var, a.value);
     }
     if (++step % 7 == 0) reclaimed += on.collect_prefix();
     expect_same_fires(on.poll(), off.poll(), "mid-stream");
@@ -236,25 +235,12 @@ TEST(PrefixGc, FrontierIsMonotoneNondecreasing) {
   const Computation ref = generate_random(opt);
 
   OnlineMonitor m(ref.num_procs());
-  for (VarId v = 0; v < ref.num_vars(); ++v) m.var(ref.var_name(v));
+  replay_initial(ref, m);
   register_watches(m, 9, WatchMix::kScanning);
 
-  std::vector<MsgId> map(static_cast<std::size_t>(ref.num_messages()), kNoMsg);
   Cut prev = m.min_watch_frontier();
   std::int64_t step = 0;
-  for (const EventId& eid : ref.linearization()) {
-    const Event& ev = ref.event(eid);
-    switch (ev.kind) {
-      case EventKind::kInternal:
-        m.internal(eid.proc);
-        break;
-      case EventKind::kSend:
-        map[static_cast<std::size_t>(ev.msg)] = m.send(eid.proc, ev.peer);
-        break;
-      case EventKind::kReceive:
-        m.receive(eid.proc, map[static_cast<std::size_t>(ev.msg)]);
-        break;
-    }
+  replay_events(ref, ref.linearization(), m, [&](EventId) {
     if (++step % 5 == 0) m.collect_prefix();
     const Cut cur = m.min_watch_frontier();
     for (ProcId i = 0; i < ref.num_procs(); ++i) {
@@ -264,7 +250,21 @@ TEST(PrefixGc, FrontierIsMonotoneNondecreasing) {
       EXPECT_GE(cur[static_cast<std::size_t>(i)], m.computation().trimmed(i));
     }
     prev = cur;
-  }
+  });
+}
+
+TEST(PrefixGc, BuildAfterCollectionKeepsTheTrim) {
+  // build() derives reverse clocks only for a whole computation; a
+  // collected prefix hands over its resident part as it is.
+  OnlineAppender app(2);
+  const MsgId m = app.send(0, 1);
+  app.receive(1, m);
+  app.internal(0);
+  ASSERT_EQ(app.collect_prefix(Cut({1, 1})), 2);
+  const Computation c = std::move(app).build();
+  EXPECT_EQ(c.trimmed_events(), 2);
+  EXPECT_EQ(c.num_events(0), 2);
+  EXPECT_EQ(c.vclock(0, 2)[0], 2);
 }
 
 // ---- Typed append errors -------------------------------------------------------
@@ -337,11 +337,9 @@ TEST(FireOnce, NoWatchFiresTwiceUnderTinyBudgets) {
     Budget b;
     b.max_work = 8;  // trips nearly every evaluation round
     m.set_budget(b);
-    for (VarId v = 0; v < ref.num_vars(); ++v) m.var(ref.var_name(v));
+    replay_initial(ref, m);
     register_watches(m, seed, WatchMix::kWithUntil);
 
-    std::vector<MsgId> map(static_cast<std::size_t>(ref.num_messages()),
-                           kNoMsg);
     std::vector<int> fires_per_watch;
     const auto drain = [&] {
       for (const WatchFire& f : m.poll()) {
@@ -350,21 +348,7 @@ TEST(FireOnce, NoWatchFiresTwiceUnderTinyBudgets) {
         ++fires_per_watch[static_cast<std::size_t>(f.watch)];
       }
     };
-    for (const EventId& eid : ref.linearization()) {
-      const Event& ev = ref.event(eid);
-      switch (ev.kind) {
-        case EventKind::kInternal:
-          m.internal(eid.proc);
-          break;
-        case EventKind::kSend:
-          map[static_cast<std::size_t>(ev.msg)] = m.send(eid.proc, ev.peer);
-          break;
-        case EventKind::kReceive:
-          m.receive(eid.proc, map[static_cast<std::size_t>(ev.msg)]);
-          break;
-      }
-      drain();
-    }
+    replay_events(ref, ref.linearization(), m, [&](EventId) { drain(); });
     m.finish();
     drain();
     m.finish();  // idempotent: a second finish must not re-fire anything

@@ -9,6 +9,8 @@
 #include "ctl/parser.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
+#include "online/appender.h"
+#include "poset/trace_io.h"
 #include "predicate/local.h"
 #include "predicate/predicate.h"
 #include "serve/service.h"
@@ -224,6 +226,27 @@ TEST(ServeSession, MalformedStreamFailsWithTypedErrorNotCrash) {
     // Failed sessions ignore further input instead of asserting.
     EXPECT_EQ(s.ingest(enc({internal_rec(0)})), 0u);
   }
+}
+
+TEST(ServeSession, LateInitFailsLikeTheTraceReaders) {
+  // One record stream, fed to a session and to the btrace reader: both
+  // reject the init that follows an event with the appender's typed error
+  // instead of rewriting the initial state of an observed history.
+  Record ev = internal_rec(0);
+  ev.writes.push_back({0, 5});
+  const std::vector<Record> records = {procs_rec(2), var_rec("x"), ev,
+                                       init_rec(0, 0, 7), end_rec()};
+  const std::string expected = to_string(AppendError::kInitialAfterEvent);
+
+  Session s(1, two_proc_cfg());
+  s.ingest(enc(records));
+  ASSERT_EQ(s.state(), SessionState::kFailed);
+  EXPECT_NE(s.error().find(expected), std::string::npos) << s.error();
+
+  const TraceParseResult r =
+      trace_from_binary_string(std::string(wire::kBinaryMagic) + enc(records));
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find(expected), std::string::npos) << r.error;
 }
 
 TEST(ServeSession, MsgIdReuseAfterDeliveryIsAFreshMessage) {

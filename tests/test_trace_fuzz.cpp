@@ -200,6 +200,29 @@ TEST(BinaryTraceFuzz, HandCraftedMalformedRecords) {
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("duplicate"), std::string::npos) << r.error;
   }
+  // Initial values after the first event are a clean parse error, not a
+  // rewrite of the history already read.
+  {
+    wire::Record var;
+    var.kind = wire::Record::Kind::kVar;
+    var.name = "x";
+    wire::Record ev;
+    ev.kind = wire::Record::Kind::kInternal;
+    ev.proc = 0;
+    ev.writes.push_back({0, 5});
+    wire::Record init;
+    init.kind = wire::Record::Kind::kInit;
+    init.proc = 0;
+    init.var = 0;
+    init.value = 7;
+    std::string bytes(wire::kBinaryMagic);
+    bytes += rec(procs) + rec(var) + rec(ev) + rec(init) + rec(end);
+    const TraceParseResult r = trace_from_binary_string(bytes);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("initial values must precede the first event"),
+              std::string::npos)
+        << r.error;
+  }
   // An 11-byte varint inside a payload can never be valid.
   {
     std::string payload(1, '\x01');  // kProcs

@@ -31,7 +31,7 @@ TEST(TraceIo, RoundTripRandomComputations) {
       ASSERT_EQ(a.num_events(i), b.num_events(i));
       for (EventIndex k = 1; k <= a.num_events(i); ++k) {
         EXPECT_EQ(a.vclock(i, k), b.vclock(i, k));
-        EXPECT_EQ(a.event(i, k).kind, b.event(i, k).kind);
+        EXPECT_EQ(a.event_view(i, k).kind, b.event_view(i, k).kind);
       }
       for (VarId v = 0; v < a.num_vars(); ++v)
         for (EventIndex k = 0; k <= a.num_events(i); ++k)
@@ -126,7 +126,11 @@ INSTANTIATE_TEST_SUITE_P(
                      "hbct-trace v1\nprocs 1\nfoo bar\nend\n", "unknown"},
         BadTraceCase{"bad_assignment",
                      "hbct-trace v1\nprocs 1\nev 0 internal x=abc\nend\n",
-                     "bad integer"}));
+                     "bad integer"},
+        BadTraceCase{"init_after_event",
+                     "hbct-trace v1\nprocs 1\nvar x\nev 0 internal x=5\n"
+                     "init 0 x 7\nend\n",
+                     "initial values must precede the first event"}));
 
 // ---- Binary form: text <-> binary round-trip properties ------------------------
 

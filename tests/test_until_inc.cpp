@@ -18,6 +18,7 @@
 #include "detect/until_inc.h"
 #include "online/monitor.h"
 #include "poset/generate.h"
+#include "poset/replay.h"
 #include "predicate/channel.h"
 #include "predicate/conjunctive.h"
 #include "predicate/local.h"
@@ -218,10 +219,7 @@ std::vector<OnlineFire> stream_until(const Computation& ref,
                                      std::int64_t* reclaimed_out = nullptr) {
   OnlineMonitor m(ref.num_procs());
   if (budget != nullptr) m.set_budget(*budget);
-  for (VarId v = 0; v < ref.num_vars(); ++v) m.var(ref.var_name(v));
-  for (ProcId i = 0; i < ref.num_procs(); ++i)
-    for (VarId v = 0; v < ref.num_vars(); ++v)
-      m.set_initial(i, v, ref.value_at(i, v, 0));
+  replay_initial(ref, m);
   m.watch_until(inst.p, inst.q);
 
   std::vector<OnlineFire> fires;
@@ -229,29 +227,13 @@ std::vector<OnlineFire> stream_until(const Computation& ref,
     for (WatchFire& f : m.poll())
       fires.push_back({f.watch, f.verdict, f.holds, f.cut, f.description});
   };
-  std::vector<MsgId> msgs(static_cast<std::size_t>(ref.num_messages()),
-                          kNoMsg);
   std::int64_t step = 0;
   std::int64_t reclaimed = 0;
-  for (const EventId& eid : ref.linearization()) {
-    const Event& ev = ref.event(eid);
-    switch (ev.kind) {
-      case EventKind::kInternal:
-        m.internal(eid.proc);
-        break;
-      case EventKind::kSend:
-        msgs[static_cast<std::size_t>(ev.msg)] = m.send(eid.proc, ev.peer);
-        break;
-      case EventKind::kReceive:
-        m.receive(eid.proc, msgs[static_cast<std::size_t>(ev.msg)]);
-        break;
-    }
-    for (const Assignment& a : ev.writes)
-      m.write(eid.proc, ref.var_name(a.var), a.value);
+  replay_events(ref, ref.linearization(), m, [&](EventId) {
     if (gc_every > 0 && ++step % gc_every == 0)
       reclaimed += m.collect_prefix();
     drain();
-  }
+  });
   m.finish();
   drain();
   if (reclaimed_out != nullptr) *reclaimed_out += reclaimed;
