@@ -24,7 +24,7 @@
 // The optimizer never changes verdicts: every candidate is equivalent on
 // the lattice-of-cuts semantics (tests/test_optimize.cpp pins
 // kApply-vs-kOff bit-identical verdicts across the query corpus, seed
-// sweeps, budget ladders and parallelism widths).
+// sweeps and budget ladders).
 #pragma once
 
 #include <string>

@@ -203,26 +203,33 @@ PredicatePtr lower(const NodePtr& node) {
 
 /// Per-node labels of a (possibly nested) formula on the explicit lattice.
 /// Temporal-free subtrees are compiled to predicates and labeled in one
-/// pass; temporal nodes apply the checker's operator labelings.
+/// pass; temporal nodes apply the checker's operator labelings. The budget
+/// is probed between labelling passes, never inside one; once it trips the
+/// recursion unwinds with empty labels (a lattice is never empty).
 std::vector<char> eval_node_on_lattice(const LatticeChecker& chk,
-                                       const NodePtr& node, DetectStats& st) {
+                                       const NodePtr& node, DetectStats& st,
+                                       BudgetTracker& t) {
   HBCT_ASSERT(node);
+  if (!t.ok()) return {};
   if (!contains_temporal(node)) {
     CompileResult cr = compile_state(node);
     HBCT_ASSERT_MSG(cr.ok, "validated formula must compile");
-    return chk.label(*cr.pred, &st);
+    std::vector<char> labels = chk.label(*cr.pred, &st);
+    if (!t.ok()) return {};
+    return labels;
   }
   switch (node->kind) {
     case Node::Kind::kNot: {
-      auto v = eval_node_on_lattice(chk, node->children[0], st);
+      auto v = eval_node_on_lattice(chk, node->children[0], st, t);
       for (auto& x : v) x = !x;
       return v;
     }
     case Node::Kind::kAnd:
     case Node::Kind::kOr: {
-      auto acc = eval_node_on_lattice(chk, node->children[0], st);
-      for (std::size_t i = 1; i < node->children.size(); ++i) {
-        const auto v = eval_node_on_lattice(chk, node->children[i], st);
+      auto acc = eval_node_on_lattice(chk, node->children[0], st, t);
+      for (std::size_t i = 1; i < node->children.size() && !acc.empty(); ++i) {
+        const auto v = eval_node_on_lattice(chk, node->children[i], st, t);
+        if (v.empty()) return v;
         for (std::size_t k = 0; k < acc.size(); ++k)
           acc[k] = node->kind == Node::Kind::kAnd
                        ? static_cast<char>(acc[k] && v[k])
@@ -231,7 +238,8 @@ std::vector<char> eval_node_on_lattice(const LatticeChecker& chk,
       return acc;
     }
     case Node::Kind::kTemporal: {
-      const auto p = eval_node_on_lattice(chk, node->children[0], st);
+      const auto p = eval_node_on_lattice(chk, node->children[0], st, t);
+      if (p.empty()) return p;
       switch (node->op) {
         case Op::kEF: return chk.ef(p);
         case Op::kAF: return chk.af(p);
@@ -239,7 +247,8 @@ std::vector<char> eval_node_on_lattice(const LatticeChecker& chk,
         case Op::kAG: return chk.ag(p);
         case Op::kEU:
         case Op::kAU: {
-          const auto q = eval_node_on_lattice(chk, node->children[1], st);
+          const auto q = eval_node_on_lattice(chk, node->children[1], st, t);
+          if (q.empty()) return q;
           return node->op == Op::kEU ? chk.eu(p, q) : chk.au(p, q);
         }
       }
@@ -311,6 +320,34 @@ std::string validate_query(const Computation& c, const Query& q) {
 
 namespace {
 
+/// Evaluates a nested query on the explicit lattice under the dispatcher's
+/// contract: refused when allow_exponential is off, and kUnknown with the
+/// tripped BoundReason when the lattice exceeds max_states or the budget
+/// runs out before or between labelling passes.
+DetectResult detect_nested(const Computation& c, const NodePtr& root,
+                           const DispatchOptions& opt) {
+  DetectResult r;
+  r.algorithm = "lattice-nested-ctl";
+  if (!opt.allow_exponential) {
+    r.algorithm += " (refused)";
+    return mark_bounded(r, BoundReason::kStateCap);
+  }
+  BudgetTracker t(opt.budget, r.stats);
+  if (!t.ok()) return mark_bounded(r, t);
+  auto lat = Lattice::try_build(c, opt.budget.max_states);
+  if (!lat) {
+    t.trip(BoundReason::kStateCap);
+    return mark_bounded(r, t);
+  }
+  const LatticeChecker chk(std::move(*lat));
+  r.stats.lattice_nodes = chk.lattice().size();
+  r.stats.lattice_edges = chk.lattice().num_edges();
+  const auto labels = eval_node_on_lattice(chk, root, r.stats, t);
+  if (labels.empty()) return mark_bounded(r, t);
+  r.verdict = verdict_of(labels[chk.lattice().bottom()] != 0);
+  return r;
+}
+
 /// Evaluates a (validated) query. When `oc` is non-null the query came out
 /// of the optimizer under OptimizeMode::kApply: its pre-compiled (possibly
 /// class-refined) operands are used, the applied rewrite chain is attached
@@ -340,6 +377,7 @@ EvalResult evaluate_plain(const Computation& c, const Query& q,
   // Outside the paper's fragment (nested temporal operators, or boolean
   // structure over temporal subformulas): evaluate on the explicit lattice.
   if (!q.temporal && q.root && contains_temporal(q.root)) {
+    out.result = detect_nested(c, q.root, opt);
     if (opt.audit != AuditMode::kOff) {
       out.result.plan = "lattice-nested-ctl (exponential)";
       out.result.diagnostics = oc != nullptr
@@ -354,23 +392,7 @@ EvalResult evaluate_plain(const Computation& c, const Query& q,
       }
     }
     if (oc != nullptr) out.result.rewrites = oc->steps;
-    auto lat = Lattice::try_build(c, opt.budget.max_states);
-    if (!lat) {
-      out.error = strfmt(
-          "nested temporal formula needs the explicit lattice, which "
-          "exceeds %zu cuts on this computation",
-          opt.budget.max_states);
-      return out;
-    }
-    LatticeChecker chk(std::move(*lat));
-    DetectStats st;
-    st.lattice_nodes = chk.lattice().size();
-    st.lattice_edges = chk.lattice().num_edges();
-    const auto labels = eval_node_on_lattice(chk, q.root, st);
     out.ok = true;
-    out.result.verdict = verdict_of(labels[chk.lattice().bottom()] != 0);
-    out.result.algorithm = "lattice-nested-ctl";
-    out.result.stats = st;
     out.algorithm = out.result.algorithm;
     return out;
   }

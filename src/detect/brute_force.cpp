@@ -1,11 +1,7 @@
 #include "detect/brute_force.h"
 
-#include <atomic>
-
-#include "detect/parallel.h"
 #include "obs/trace.h"
 #include "util/assert.h"
-#include "util/thread_pool.h"
 
 namespace hbct {
 
@@ -16,18 +12,9 @@ LatticeChecker::LatticeChecker(Lattice lattice) : lat_(std::move(lattice)) {}
 
 std::vector<char> LatticeChecker::label(const Predicate& p,
                                         DetectStats* st) const {
-  // The per-node evaluations are independent; the sweep fans out across the
-  // pool when asked to. The eval count is exact either way (every node is
-  // evaluated exactly once), so stats stay identical across parallelism.
   std::vector<char> out(lat_.size());
-  const auto eval_node = [&](std::size_t v) {
-    out[v] = p.eval(lat_.computation(), lat_.cut(static_cast<NodeId>(v))) ? 1 : 0;
-  };
-  if (parallelism_ == 1) {
-    for (std::size_t v = 0; v < lat_.size(); ++v) eval_node(v);
-  } else {
-    ThreadPool::shared().parallel_for(lat_.size(), eval_node, parallelism_);
-  }
+  for (NodeId v = 0; v < lat_.size(); ++v)
+    out[v] = p.eval(lat_.computation(), lat_.cut(v)) ? 1 : 0;
   if (st) st->predicate_evals += lat_.size();
   return out;
 }
@@ -150,9 +137,7 @@ DetectResult LatticeChecker::detect(Op op, const Predicate& p,
   ScopedSpan span(budget.trace, "brute.lattice");
   span.arg("nodes", static_cast<std::int64_t>(lat_.size()));
   span.arg("edges", static_cast<std::int64_t>(lat_.num_edges()));
-  // Bounds are probed at sweep boundaries only: the per-node sweeps may fan
-  // out across the pool, and a mid-sweep trip point would depend on the
-  // schedule. Boundary checks keep Verdict/BoundReason parallelism-invariant.
+  // Bounds are probed at sweep boundaries only, never inside a sweep.
   BudgetTracker t(budget, r.stats);
   if (!t.ok()) return mark_bounded(r, t);
   if (lat_.size() > t.budget().max_states) {
@@ -194,62 +179,34 @@ BruteClassCheck brute_check_classes(const LatticeChecker& chk,
                                     const Predicate& p) {
   const Lattice& lat = chk.lattice();
   const std::vector<char> lp = chk.label(p);
-  const std::size_t par = chk.parallelism();
 
   BruteClassCheck out;
   std::vector<NodeId> sat;
   for (NodeId v = 0; v < lat.size(); ++v)
     if (lp[v]) sat.push_back(v);
 
-  // The O(S^2) semilattice sweep fans out by row. The flags only ever move
-  // true -> false, and a row is skipped only once both are already false,
-  // so the outcome equals the sequential double loop for any schedule.
-  std::atomic<bool> linear{true}, post_linear{true};
-  const auto check_row = [&](std::size_t a) {
-    bool lin = linear.load(std::memory_order_relaxed);
-    bool post = post_linear.load(std::memory_order_relaxed);
-    for (std::size_t b = a + 1; b < sat.size() && (lin || post); ++b) {
-      if (lin && !lp[lat.meet(sat[a], sat[b])]) {
-        linear.store(false, std::memory_order_relaxed);
-        lin = false;
-      }
-      if (post && !lp[lat.join(sat[a], sat[b])]) {
-        post_linear.store(false, std::memory_order_relaxed);
-        post = false;
-      }
+  // The O(S^2) semilattice sweep stops once both flags are false.
+  out.linear = out.post_linear = true;
+  for (std::size_t a = 0; a < sat.size() && (out.linear || out.post_linear);
+       ++a) {
+    for (std::size_t b = a + 1;
+         b < sat.size() && (out.linear || out.post_linear); ++b) {
+      if (out.linear && !lp[lat.meet(sat[a], sat[b])]) out.linear = false;
+      if (out.post_linear && !lp[lat.join(sat[a], sat[b])])
+        out.post_linear = false;
     }
-  };
-  if (par == 1) {
-    for (std::size_t a = 0; a < sat.size(); ++a) {
-      if (!linear.load(std::memory_order_relaxed) &&
-          !post_linear.load(std::memory_order_relaxed))
-        break;
-      check_row(a);
-    }
-  } else if (!sat.empty()) {
-    ThreadPool::shared().parallel_for(sat.size(), check_row, par);
   }
-  out.linear = linear.load(std::memory_order_relaxed);
-  out.post_linear = post_linear.load(std::memory_order_relaxed);
   out.regular = out.linear && out.post_linear;
 
-  std::atomic<bool> stable{true};
-  const auto check_node = [&](std::size_t v) {
-    if (!lp[v]) return;
-    for (NodeId s : lat.successors(static_cast<NodeId>(v)))
+  out.stable = true;
+  for (NodeId v = 0; v < lat.size() && out.stable; ++v) {
+    if (!lp[v]) continue;
+    for (NodeId s : lat.successors(v))
       if (!lp[s]) {
-        stable.store(false, std::memory_order_relaxed);
-        return;
+        out.stable = false;
+        break;
       }
-  };
-  if (par == 1) {
-    for (std::size_t v = 0;
-         v < lat.size() && stable.load(std::memory_order_relaxed); ++v)
-      check_node(v);
-  } else {
-    ThreadPool::shared().parallel_for(lat.size(), check_node, par);
   }
-  out.stable = stable.load(std::memory_order_relaxed);
 
   out.observer_independent =
       chk.ef(lp)[lat.bottom()] == chk.af(lp)[lat.bottom()];

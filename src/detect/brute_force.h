@@ -24,13 +24,6 @@ class LatticeChecker {
 
   const Lattice& lattice() const { return lat_; }
 
-  /// Fan-out width for the per-node sweeps (label() and the class checks):
-  /// 1 = sequential (default), 0 = one per shared-pool worker. Labels,
-  /// verdicts and stats are identical for every value; the operator
-  /// labelings themselves stay sequential (they walk the topo order).
-  void set_parallelism(std::size_t p) { parallelism_ = p; }
-  std::size_t parallelism() const { return parallelism_; }
-
   /// Per-node truth labels of a state predicate.
   std::vector<char> label(const Predicate& p, DetectStats* st = nullptr) const;
 
@@ -46,16 +39,14 @@ class LatticeChecker {
 
   /// Verdict at the initial cut; the DetectResult records the lattice size
   /// in stats.lattice_nodes/edges. `q` is required for kEU/kAU.
-  /// The budget is probed at deterministic sweep boundaries (before work
-  /// starts, after each labeling pass), so Verdict and BoundReason do not
-  /// depend on the parallelism of the per-node sweeps. A lattice larger
-  /// than budget.max_states yields kUnknown/kStateCap up front.
+  /// The budget is probed at sweep boundaries (before work starts, after
+  /// each labeling pass). A lattice larger than budget.max_states yields
+  /// kUnknown/kStateCap up front.
   DetectResult detect(Op op, const Predicate& p, const Predicate* q = nullptr,
                       const Budget& budget = {}) const;
 
  private:
   Lattice lat_;
-  std::size_t parallelism_ = 1;
 };
 
 /// Ground-truth membership of a predicate's satisfying set in the

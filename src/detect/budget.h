@@ -29,8 +29,8 @@
 #include <optional>
 
 #include "util/assert.h"
+#include "util/cancel.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace hbct {
 
@@ -118,9 +118,8 @@ struct Budget {
 /// (they share the DetectStats object, so work already counted by
 /// CountingEval and the cut-step counters is exactly the work charged
 /// against the budget). Trackers are cheap to construct and NOT
-/// thread-safe; parallel fan-outs give every branch its own tracker over
-/// the branch's own stats, which keeps verdicts deterministic across
-/// parallelism widths.
+/// thread-safe; first-match loops (detect/first_match.h) give every branch
+/// its own tracker over the branch's own stats.
 class BudgetTracker {
  public:
   BudgetTracker(const Budget& b, const DetectStats& st)

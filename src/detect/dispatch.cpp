@@ -12,7 +12,7 @@
 #include "detect/ef_linear.h"
 #include "detect/eg_linear.h"
 #include "detect/equilevel.h"
-#include "detect/parallel.h"
+#include "detect/first_match.h"
 #include "detect/until.h"
 #include "predicate/conjunctive.h"
 #include "predicate/disjunctive.h"
@@ -97,19 +97,15 @@ DetectResult detect_unary(const Computation& c, Op op, const PredicatePtr& p,
 
     // Distributive laws before the exponential fallback: EF over top-level
     // disjunctions and AG over top-level conjunctions recurse into the
-    // operands, keeping e.g. DNF-of-comparisons polynomial. The operand
-    // detections are independent, so they are the unit of parallelism;
-    // nested fan-outs stay sequential.
+    // operands, keeping e.g. DNF-of-comparisons polynomial.
     case Algo::kEfOrSplit: {
       const auto parts = p->disjuncts();
       DetectResult r;
       r.algorithm = "ef-or-split";
-      DispatchOptions sub_opt = opt;
-      sub_opt.parallelism = 1;
       FirstMatch m = detect_first_match(
-          opt.parallelism, parts.size(),
+          parts.size(),
           [&](std::size_t i) {
-            return detect_unary(c, Op::kEF, parts[i], sub_opt);
+            return detect_unary(c, Op::kEF, parts[i], opt);
           },
           [](const DetectResult& sub) {
             return sub.verdict == Verdict::kHolds;
@@ -131,12 +127,10 @@ DetectResult detect_unary(const Computation& c, Op op, const PredicatePtr& p,
       const auto parts = p->conjuncts();
       DetectResult r;
       r.algorithm = "ag-and-split";
-      DispatchOptions sub_opt = opt;
-      sub_opt.parallelism = 1;
       FirstMatch m = detect_first_match(
-          opt.parallelism, parts.size(),
+          parts.size(),
           [&](std::size_t i) {
-            return detect_unary(c, Op::kAG, parts[i], sub_opt);
+            return detect_unary(c, Op::kAG, parts[i], opt);
           },
           [](const DetectResult& sub) {
             return sub.verdict == Verdict::kFails;
@@ -193,7 +187,7 @@ DetectResult detect_impl(const Computation& c, Op op, const PredicatePtr& p,
       DetectResult r;
       r.algorithm = "eu-or-split(A3)";
       FirstMatch m = detect_first_match(
-          opt.parallelism, parts.size(),
+          parts.size(),
           [&](std::size_t i) {
             return detect_eu(c, *conj, *parts[i], opt.budget);
           },
@@ -216,7 +210,7 @@ DetectResult detect_impl(const Computation& c, Op op, const PredicatePtr& p,
 
     case Algo::kAuDisjunctive:
       return detect_au_disjunctive(c, *as_disjunctive(p), *as_disjunctive(q),
-                                   opt.parallelism, opt.budget);
+                                   opt.budget);
     case Algo::kAuDfs:
       return detect_au_dfs(c, p, q, opt.budget);
 

@@ -58,14 +58,9 @@ struct DispatchOptions {
   /// of falling back to a worst-case-exponential search — useful in
   /// latency-bound monitors.
   bool allow_exponential = true;
-  /// Number of branches evaluated concurrently in the independent fan-outs
-  /// (the or-/and-splits and AU's two refuters). 1 = sequential (default);
-  /// 0 = one branch per shared-pool worker. The verdict, witnesses and
-  /// operation counts are identical for every value: fan-outs resolve to
-  /// the lowest-index winning branch — never the first finisher — and
-  /// speculative work past the winner is discarded. Each
-  /// branch is metered against its own copy of the budget, so Verdict and
-  /// BoundReason are also identical for every value.
+  /// Inert: nothing reads it, and detection is sequential at every value.
+  /// It stays declared only because perfbench/src/offline_workloads.cpp
+  /// assigns it; it goes once the benchmark drops that assignment.
   std::size_t parallelism = 1;
   /// Pre-flight plan/lint/audit; see AuditMode. Applies to the top-level
   /// query only — sub-detections spawned by the distributive splits run

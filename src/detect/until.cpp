@@ -2,7 +2,7 @@
 
 #include "detect/conjunctive_gw.h"
 #include "detect/ef_linear.h"
-#include "detect/parallel.h"
+#include "detect/first_match.h"
 #include "detect/until_inc.h"
 #include "obs/trace.h"
 #include "util/assert.h"
@@ -96,7 +96,6 @@ DetectResult detect_eu(const Computation& c, const ConjunctivePredicate& p,
 DetectResult detect_au_disjunctive(const Computation& c,
                                    const DisjunctivePredicate& p,
                                    const DisjunctivePredicate& q,
-                                   std::size_t parallelism,
                                    const Budget& budget) {
   DetectResult r;
   r.algorithm = "au-disjunctive = !(eg(!q) | eu(!q, !p & !q))";
@@ -107,13 +106,13 @@ DetectResult detect_au_disjunctive(const Computation& c,
   auto notq = as_conjunctive(q.negate());
   HBCT_ASSERT(notq);
 
-  // The two refuters are independent; run them as a (tiny) fan-out.
+  // The two refuters are independent; the first that holds decides.
   // Branch 0 — EG(¬q): a path on which q never holds refutes A[p U q].
   // Branch 1 — E[¬q U (¬p ∧ ¬q)]: a path reaching a cut where neither p nor
   // q holds, with q false all the way, also refutes A[p U q]. ¬p ∧ ¬q is a
   // conjunction of two conjunctive predicates — conjunctive, hence linear.
   FirstMatch m = detect_first_match(
-      parallelism, 2,
+      2,
       [&](std::size_t k) {
         if (k == 0) return detect_eg_conjunctive(c, *notq, budget);
         auto notp = as_conjunctive(p.negate());

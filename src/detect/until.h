@@ -46,12 +46,11 @@ DetectResult detect_eu_at_reference(const Computation& c,
                                     const ConjunctivePredicate& p,
                                     const Cut& iq, const Budget& budget = {});
 
-/// A[p U q], p and q disjunctive. `parallelism` > 1 runs the two refuters
-/// (EG(¬q) and E[¬q U (¬p ∧ ¬q)]) concurrently; same result either way.
+/// A[p U q], p and q disjunctive: holds unless one of the two refuters
+/// EG(¬q) or E[¬q U (¬p ∧ ¬q)] holds, tried in that order.
 DetectResult detect_au_disjunctive(const Computation& c,
                                    const DisjunctivePredicate& p,
                                    const DisjunctivePredicate& q,
-                                   std::size_t parallelism = 1,
                                    const Budget& budget = {});
 
 }  // namespace hbct

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <optional>
 
-#include "detect/parallel.h"
+#include "detect/first_match.h"
 #include "obs/trace.h"
 #include "predicate/local.h"
 #include "util/assert.h"
@@ -166,7 +166,7 @@ DetectResult EgPrefixState::decide_at(const Cut& iq, const Budget& budget,
   // turns the rest into arithmetic.
   const std::vector<ProcId> frontier = c.frontier_procs(iq);
   FirstMatch m = detect_first_match(
-      1, frontier.size(),
+      frontier.size(),
       [&](std::size_t k) {
         const Cut sub = c.retreat(iq, frontier[k]);
         DetectResult eg = eg_within(sub, budget, want_path);

@@ -11,8 +11,10 @@
 //
 //   sim::Simulator s = sim::make_token_mutex(4, 3, /*inject_violation=*/true);
 //   Computation c = std::move(s).run({});
-//   auto verdict = ctl::evaluate_query(c, "EF(cs@P0 == 1 && cs@P3 == 1)");
-//   if (verdict.result.holds()) { /* mutual exclusion violated */ }
+//   auto r = ctl::evaluate_query(c, "EF(cs@P0 == 1 && cs@P3 == 1)");
+//   if (r.result.verdict == Verdict::kHolds) {
+//     /* mutual exclusion violated */
+//   }
 //
 // Detections are three-valued (detect/budget.h): pass a Budget via
 // DispatchOptions to cap states, work, wall-clock time, or to cancel from

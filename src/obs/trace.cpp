@@ -25,15 +25,13 @@ Tracer::Tracer(std::uint64_t (*clock)())
 
 Tracer::~Tracer() = default;
 
-std::uint32_t Tracer::begin(std::string_view name, std::uint32_t parent) {
-  return begin_at(FlightRecorder::intern(name), clock_(), parent);
+std::uint32_t Tracer::begin(std::string_view name) {
+  return begin_at(FlightRecorder::intern(name), clock_());
 }
 
-std::uint32_t Tracer::begin_at(std::uint16_t name, std::uint64_t ts_ns,
-                               std::uint32_t parent) {
-  if (parent == kInheritParent) parent = current();
+std::uint32_t Tracer::begin_at(std::uint16_t name, std::uint64_t ts_ns) {
   const Record r{.ts_ns = ts_ns,
-                 .parent = parent,
+                 .parent = current(),
                  .tid = static_cast<std::uint32_t>(obs_detail::shard_index()),
                  .name = name,
                  .kind = FlightRecorder::Kind::kSpan,

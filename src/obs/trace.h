@@ -13,12 +13,9 @@
 // lock. When enabled, span begin/end take a mutex; spans are phase-grained
 // (never per cut step), so contention is negligible next to the work.
 //
-// Threading: begin/end are safe from any thread — the parallel engine's
-// tasks record spans from pool workers. Parent linkage is tracked per
-// thread (a thread-local stack of open spans); cross-thread children (a
-// branch on a worker on behalf of a fan-out opened on the caller) pass the
-// parent id explicitly — Tracer::current() names the innermost open span of
-// the calling thread for exactly that hand-off.
+// Threading: begin/end are safe from any thread. Parent linkage is tracked
+// per thread (a thread-local stack of open spans): a span nests under the
+// innermost span its own thread has open, or is a root.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +37,6 @@ class Tracer {
   using Record = FlightRecorder::Record;
   /// "No span": a root's parent, current() outside any span.
   static constexpr std::uint32_t npos = Record::kNoParent;
-  /// Parent sentinel: inherit the calling thread's innermost open span.
-  static constexpr std::uint32_t kInheritParent = npos - 1;
 
   /// Tests inject `clock` (monotone ns) to make golden-file comparisons of
   /// the exported JSON exact.
@@ -51,16 +46,13 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Opens a span now; returns its id (its index in spans()). `parent` is
-  /// an explicit span id, npos for a root, or kInheritParent (default) to
-  /// nest under the calling thread's innermost open span. Span names are a
-  /// fixed low-cardinality taxonomy (DESIGN.md §10): variable data goes
-  /// into args, never into the name.
-  std::uint32_t begin(std::string_view name,
-                      std::uint32_t parent = kInheritParent);
+  /// Opens a span now, nested under the calling thread's innermost open
+  /// span; returns its id (its index in spans()). Span names are a fixed
+  /// low-cardinality taxonomy (DESIGN.md §10): variable data goes into
+  /// args, never into the name.
+  std::uint32_t begin(std::string_view name);
   /// Opens a span at an explicit time (FlightScope's clock read).
-  std::uint32_t begin_at(std::uint16_t name, std::uint64_t ts_ns,
-                         std::uint32_t parent = kInheritParent);
+  std::uint32_t begin_at(std::uint16_t name, std::uint64_t ts_ns);
   /// Closes the span (must be called on the thread that opened it — RAII
   /// via ScopedSpan/FlightScope guarantees this). Records the duration
   /// into the per-phase histogram `span.<name>.ns` of metrics().
@@ -79,8 +71,6 @@ class Tracer {
   void add(const Record& r);
 
   /// Innermost span currently open on the calling thread, or npos.
-  /// Capture this before fanning work out to pool threads and pass it as
-  /// the explicit parent of their spans.
   std::uint32_t current() const;
 
   /// Snapshots (copies, taken under the lock; safe while tracing). Record
@@ -116,10 +106,8 @@ class Tracer {
 /// pointer test.
 class ScopedSpan {
  public:
-  ScopedSpan(Tracer* t, const char* name,
-             std::uint32_t parent = Tracer::kInheritParent)
-      : t_(t) {
-    if (t_ != nullptr) id_ = t_->begin(name, parent);
+  ScopedSpan(Tracer* t, const char* name) : t_(t) {
+    if (t_ != nullptr) id_ = t_->begin(name);
   }
   ~ScopedSpan() {
     if (t_ != nullptr) t_->end(id_);

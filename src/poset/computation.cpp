@@ -34,9 +34,10 @@ VClockView Computation::reverse_vclock(ProcId i, EventIndex idx) const {
   HBCT_DASSERT(idx >= 1 && idx <= num_events(i));
   HBCT_DASSERT(trimmed_events_ == 0);
   if (rvcache_.dirty.load(std::memory_order_acquire)) {
-    // Double-checked: concurrent readers (parallel detection branches) may
-    // race to refresh after an online append. The mutex is global — refresh
-    // is rare and the fast path above stays lock-free.
+    // Double-checked: concurrent const readers (detections running on
+    // several threads over one Computation) may race to refresh after load
+    // or an online append. The mutex is global — refresh is rare and the
+    // fast path above stays lock-free.
     static std::mutex mu;
     std::lock_guard<std::mutex> lk(mu);
     if (rvcache_.dirty.load(std::memory_order_relaxed)) compute_rvclocks();

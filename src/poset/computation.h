@@ -282,8 +282,9 @@ class Computation {
   }
 
   /// Reverse-clock cache: recomputed lazily after OnlineAppender
-  /// invalidates it, with double-checked locking so the parallel detection
-  /// fan-outs can share one Computation race-free. The wrapper restores the
+  /// invalidates it, with double-checked locking so concurrent const readers
+  /// (detections on several threads) can share one Computation race-free.
+  /// A loaded mmap view starts dirty. The wrapper restores the
   /// copy/move semantics std::atomic deletes, keeping Computation a value
   /// type.
   struct RvClockCache {

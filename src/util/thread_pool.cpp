@@ -79,11 +79,6 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
-std::size_t ThreadPool::queue_depth() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return queue_.size();
-}
-
 void ThreadPool::submit(std::function<void()> task) {
   HBCT_ASSERT(task);
   {

@@ -1,9 +1,7 @@
-// Minimal work-stealing-free thread pool used to parallelize embarrassingly
-// parallel sweeps: the brute-force lattice checker over seeds in property
-// tests, per-instance fan-out in benches, and the detection stack's branch
-// fan-outs (detect/parallel.h). The pool follows the usual HPC idiom of
-// explicit parallelism (cf. MPI/OpenMP programming model): the caller decides
-// the decomposition; the pool only runs closures.
+// Minimal thread pool: the streaming service's ingest work (serve/service.h)
+// is submitted to it as closures, and parallel_for runs index sweeps with
+// the caller participating. Detection itself is sequential and never
+// touches a pool.
 #pragma once
 
 #include <atomic>
@@ -16,21 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "util/cancel.h"
+
 namespace hbct {
-
-/// Cooperative cancellation for parallel_for: iterations poll the token and
-/// stop being claimed once it is cancelled. Cancellation is advisory — an
-/// iteration already running completes normally.
-class CancelToken {
- public:
-  void cancel() noexcept { cancelled_.store(true, std::memory_order_release); }
-  bool cancelled() const noexcept {
-    return cancelled_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
 
 class ThreadPool {
  public:
@@ -55,11 +41,6 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Instantaneous number of queued-but-unstarted tasks. Advisory (the
-  /// value is stale the moment it returns) — used by the observability
-  /// layer's queue-depth gauges, never for scheduling decisions.
-  std::size_t queue_depth() const;
-
   /// Run fn(i) for i in [0, count) across the pool plus the calling thread,
   /// then wait for this call's own batch only (concurrent parallel_for
   /// callers do not block on each other's work). Iterations are claimed in
@@ -78,10 +59,9 @@ class ThreadPool {
                     std::size_t max_parallelism = 0, std::size_t chunk = 0,
                     CancelToken* cancel = nullptr);
 
-  /// Process-wide pool shared by the parallel detection paths. Sized
-  /// max(4, hardware_concurrency) so those paths exercise real concurrency
-  /// even on single-core CI boxes (the branches are compute-short and the
-  /// oversubscription is harmless).
+  /// Process-wide pool, the service's default (ServiceOptions::pool).
+  /// Sized max(4, hardware_concurrency) so sessions drain concurrently even
+  /// on single-core boxes.
   static ThreadPool& shared();
 
  private:
@@ -91,7 +71,7 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;
   std::size_t in_flight_ = 0;

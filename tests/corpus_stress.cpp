@@ -39,7 +39,7 @@ void record(const std::string& line) {
 
 /// Returns false on any failure (recorded in g_diff).
 bool run_case(const char* scenario, const CorpusOptions& copt,
-              std::int64_t min_events, std::size_t parallelism) {
+              std::int64_t min_events) {
   std::vector<BatteryCell> battery;
   std::int64_t total = 0;
   const std::string path =
@@ -68,10 +68,8 @@ bool run_case(const char* scenario, const CorpusOptions& copt,
     return false;
   }
 
-  DispatchOptions opt;
-  opt.parallelism = parallelism;
   const std::vector<CellOutcome> outcomes =
-      run_battery(view.computation, battery, opt, /*stress_only=*/true);
+      run_battery(view.computation, battery, {}, /*stress_only=*/true);
   bool ok = true;
   for (const CellOutcome& o : outcomes) {
     if (o.got == o.expect && o.witness_ok) {
@@ -95,12 +93,11 @@ bool run_case(const char* scenario, const CorpusOptions& copt,
 int main() {
   bool ok = true;
   // The headline config: >= 1M events over 128 procs, zero-copy view.
-  ok &= run_case("mpi_alltoall", {128, 3907, 2002}, 1'000'000, 1);
-  // Asymmetric event counts (root-heavy) at the same width.
-  ok &= run_case("mpi_barrier", {128, 200, 2002}, 100'000, 1);
-  // Relational/channel-heavy battery; parallelism 2 exercises the
-  // fan-out pool under the sanitizer jobs.
-  ok &= run_case("replication", {128, 300, 2002}, 150'000, 2);
+  ok &= run_case("mpi_alltoall", {128, 3907, 2002}, 1'000'000);
+  // Asymmetric event counts (root-heavy).
+  ok &= run_case("mpi_barrier", {128, 200, 2002}, 100'000);
+  // Relational/channel-heavy battery.
+  ok &= run_case("replication", {128, 300, 2002}, 150'000);
 
   if (!g_diff.empty()) {
     std::ofstream out("corpus_verdict_diff.txt", std::ios::trunc);

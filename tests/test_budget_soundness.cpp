@@ -10,6 +10,7 @@
 //     some rung, every larger rung is definite with the same verdict.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <optional>
 
 #include "detect/brute_force.h"
@@ -190,6 +191,61 @@ TEST(BudgetSoundness, StateCapOnDfsIsUnknownWithReason) {
   DetectResult cap = detect(c, Op::kEF, unreachable, nullptr, opt);
   EXPECT_EQ(cap.verdict, Verdict::kUnknown);
   EXPECT_EQ(cap.bound, BoundReason::kStateCap);
+}
+
+// A spent budget on the split routes: EF over a DNF and AG over a CNF run
+// their branches one by one (detect/first_match.h), and the first branch
+// already stops at its first checkpoint.
+
+PredicatePtr random_dnf(Rng& rng, std::int32_t procs) {
+  std::vector<PredicatePtr> ds;
+  const std::size_t m = 2 + rng.next_below(3);
+  for (std::size_t i = 0; i < m; ++i)
+    ds.push_back(PredicatePtr(random_conjunctive(rng, procs)));
+  return make_or(std::move(ds));
+}
+
+PredicatePtr random_cnf(Rng& rng, std::int32_t procs) {
+  std::vector<PredicatePtr> cs;
+  const std::size_t m = 2 + rng.next_below(3);
+  for (std::size_t i = 0; i < m; ++i)
+    cs.push_back(PredicatePtr(random_disjunctive(rng, procs)));
+  return make_and(std::move(cs));
+}
+
+TEST(ParallelBudget, PreCancelledTokenAbortsBeforeAnyEvaluation) {
+  // A token cancelled before the detection starts must surface at the very
+  // first checkpoint: kUnknown/kCancelled with zero predicate evaluations.
+  Computation c = random_comp(5);
+  Rng rng(5);
+  PredicatePtr dnf = random_dnf(rng, c.num_procs());
+  CancelToken token;
+  token.cancel();
+  DispatchOptions opt;
+  opt.budget.cancel = &token;
+  const DetectResult r = detect(c, Op::kEF, dnf, nullptr, opt);
+  EXPECT_EQ(r.verdict, Verdict::kUnknown);
+  EXPECT_EQ(r.bound, BoundReason::kCancelled);
+  EXPECT_EQ(r.stats.predicate_evals, 0u);
+}
+
+TEST(ParallelBudget, PastDeadlineAbortsAtFirstCheckpoint) {
+  // The deadline clock is probed on the first checkpoint regardless of the
+  // probe stride, so an already-expired deadline can never produce a
+  // definite verdict.
+  Computation c = random_comp(6);
+  Rng rng(6);
+  PredicatePtr cnf = random_cnf(rng, c.num_procs());
+  DispatchOptions opt;
+  opt.budget = Budget::with_deadline_in(std::chrono::nanoseconds{-1});
+  const DetectResult r = detect(c, Op::kAG, cnf, nullptr, opt);
+  EXPECT_EQ(r.verdict, Verdict::kUnknown);
+  EXPECT_EQ(r.bound, BoundReason::kDeadline);
+  const DetectResult eu = detect(
+      c, Op::kEU, PredicatePtr(random_conjunctive(rng, c.num_procs())), cnf,
+      opt);
+  EXPECT_EQ(eu.verdict, Verdict::kUnknown);
+  EXPECT_EQ(eu.bound, BoundReason::kDeadline);
 }
 
 }  // namespace

@@ -24,7 +24,6 @@
 #include "predicate/local.h"
 #include "serve/service.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace hbct {
 namespace {
@@ -61,9 +60,9 @@ TEST(FlightRing, ConcurrentWritersNeverTearNames) {
 
   constexpr int kThreads = 8;
   constexpr int kWrites = 5'000;
-  ThreadPool pool(kThreads);
   std::atomic<int> dumps{0};
-  pool.parallel_for(kThreads, [&](std::size_t t) {
+  std::vector<std::thread> writers;
+  for (std::size_t t = 0; t < kThreads; ++t) writers.emplace_back([&, t] {
     for (int i = 0; i < kWrites; ++i) {
       rec.instant(name, static_cast<std::int64_t>(t), i);
       // Snapshot concurrently with the writers: readers must only ever see
@@ -78,6 +77,7 @@ TEST(FlightRing, ConcurrentWritersNeverTearNames) {
       }
     }
   });
+  for (std::thread& w : writers) w.join();
   EXPECT_EQ(rec.stats().recorded,
             static_cast<std::uint64_t>(kThreads) * kWrites);
   EXPECT_GT(dumps.load(), 0);
@@ -308,8 +308,8 @@ TEST(MetricsRace, SnapshotConcurrentWithRegistration) {
     }
   });
 
-  ThreadPool pool(kWriters);
-  pool.parallel_for(kWriters, [&](std::size_t t) {
+  std::vector<std::thread> writers;
+  for (std::size_t t = 0; t < kWriters; ++t) writers.emplace_back([&, t] {
     for (int i = 0; i < kPerWriter; ++i) {
       // Fresh names force map mutation under the registry mutex while the
       // reader snapshots; the increment after resolution is lock-free.
@@ -320,6 +320,7 @@ TEST(MetricsRace, SnapshotConcurrentWithRegistration) {
       reg.histogram("race.h" + std::to_string(t)).record(i);
     }
   });
+  for (std::thread& w : writers) w.join();
   stop.store(true, std::memory_order_release);
   reader.join();
 

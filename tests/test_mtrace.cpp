@@ -10,12 +10,14 @@
 //   3. Differential: detection over an owning Computation and over the
 //      zero-copy view of its mtrace bytes is bit-identical — verdict,
 //      bound, algorithm, every stats counter, witness cut and path — across
-//      seeds, budgets, and every parallelism width.
+//      seeds and budgets, and under concurrent readers of one view.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc_hook.h"
@@ -245,14 +247,9 @@ TEST_P(MtraceDifferential, OwningAndViewDetectBitIdentically) {
   ASSERT_TRUE(r.ok) << r.error;
   const Computation& view = r.computation;
 
-  const std::size_t widths[] = {1, 2, 0};
   for (const DiffQuery& q : differential_queries(g.num_procs)) {
-    for (const std::size_t width : widths) {
-      DispatchOptions opt;
-      opt.parallelism = width;
-      expect_same_result(detect(own, q.op, q.p, nullptr, opt),
-                         detect(view, q.op, q.p, nullptr, opt), q.name);
-    }
+    expect_same_result(detect(own, q.op, q.p), detect(view, q.op, q.p),
+                       q.name);
     // Tight budget: the bounded verdict and partial work must agree too.
     DispatchOptions tight;
     tight.budget.max_work = 1 + seed % 23;
@@ -263,6 +260,47 @@ TEST_P(MtraceDifferential, OwningAndViewDetectBitIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MtraceDifferential,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+TEST(MtraceConcurrentReaders, DetectOnOneFreshViewMatchesSingleThreaded) {
+  // A loaded view's reverse-clock cache starts dirty, and A2 reads reverse
+  // clocks through meet_irreducible_of: threads released together onto one
+  // fresh view race to refresh the cache, which the double-checked lock in
+  // Computation::reverse_vclock must serialize.
+  GenOptions g;
+  g.num_procs = 8;
+  g.events_per_proc = 400;
+  g.num_vars = 2;
+  g.seed = 23;
+  const Computation own = generate_random(g);
+  // A bound no channel can exceed: AG holds, so A2 visits every
+  // meet-irreducible cut instead of stopping at a counterexample.
+  const PredicatePtr p = channel_bound_le(1, 0, g.events_per_proc);
+  const DetectResult expect = detect(own, Op::kAG, p);
+  ASSERT_EQ(expect.algorithm, "A2-ag-linear");
+  ASSERT_EQ(expect.verdict, Verdict::kHolds);
+
+  const std::string path = ::testing::TempDir() + "/hbct_readers.mtrace";
+  std::string err;
+  ASSERT_TRUE(write_mtrace_file(path, own, &err)) << err;
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 16; ++round) {
+    MtraceLoadResult r = load_mtrace(path, MtraceMode::kMap);
+    ASSERT_TRUE(r.ok) << r.error;
+    const Computation& view = r.computation;
+    std::vector<DetectResult> got(kThreads);
+    std::atomic<int> waiting{kThreads};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        waiting.fetch_sub(1);
+        while (waiting.load() > 0) std::this_thread::yield();
+        got[t] = detect(view, Op::kAG, p);
+      });
+    for (std::thread& t : threads) t.join();
+    for (const DetectResult& d : got) expect_same_result(expect, d, "reader");
+  }
+  std::remove(path.c_str());
+}
 
 // ---- File-level API ---------------------------------------------------------
 

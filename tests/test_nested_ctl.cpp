@@ -3,6 +3,8 @@
 // the single-operator fast path where the two overlap.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "ctl/compile.h"
 #include "detect/brute_force.h"
 #include "poset/generate.h"
@@ -105,14 +107,56 @@ TEST(NestedCtl, ValidationStillAppliesInsideNesting) {
   EXPECT_NE(q.error.find("unknown variable"), std::string::npos);
 }
 
-TEST(NestedCtl, LatticeCapIsReportedAsError) {
+TEST(NestedCtl, LatticeOverCapIsUnknownStateCap) {
   Computation c = generate_independent(8, 6);  // 7^8 ≈ 5.7M cuts
-  ctl::parse_query("AG(EF(true))");
   DispatchOptions opt;
   opt.budget.max_states = 1000;
   auto q = ctl::evaluate_query(c, "AG(EF(true))", opt);
-  ASSERT_FALSE(q.ok);
-  EXPECT_NE(q.error.find("exceeds"), std::string::npos);
+  ASSERT_TRUE(q.ok) << q.error;
+  EXPECT_EQ(q.result.verdict, Verdict::kUnknown);
+  EXPECT_EQ(q.result.bound, BoundReason::kStateCap);
+  EXPECT_EQ(q.algorithm, "lattice-nested-ctl");
+}
+
+TEST(NestedCtl, RefusedExponentialBuildsNoLattice) {
+  Computation c = generate_independent(2, 7);  // 8^2 = 64 cuts
+  DispatchOptions opt;
+  opt.allow_exponential = false;
+  auto q = ctl::evaluate_query(c, "AG(EF(true))", opt);
+  ASSERT_TRUE(q.ok) << q.error;
+  EXPECT_EQ(q.result.verdict, Verdict::kUnknown);
+  EXPECT_EQ(q.result.bound, BoundReason::kStateCap);
+  EXPECT_EQ(q.result.stats.lattice_nodes, 0u);
+  EXPECT_EQ(q.result.stats.predicate_evals, 0u);
+}
+
+TEST(NestedCtl, SpentBudgetIsUnknown) {
+  Computation c = generate_independent(2, 7);
+  CancelToken token;
+  token.cancel();
+  DispatchOptions cancelled;
+  cancelled.budget.cancel = &token;
+  auto a = ctl::evaluate_query(c, "AG(EF(true))", cancelled);
+  ASSERT_TRUE(a.ok) << a.error;
+  EXPECT_EQ(a.result.verdict, Verdict::kUnknown);
+  EXPECT_EQ(a.result.bound, BoundReason::kCancelled);
+  EXPECT_EQ(a.result.stats.predicate_evals, 0u);
+
+  DispatchOptions expired;
+  expired.budget = Budget::with_deadline_in(std::chrono::nanoseconds{-1});
+  auto b = ctl::evaluate_query(c, "AG(EF(true))", expired);
+  ASSERT_TRUE(b.ok) << b.error;
+  EXPECT_EQ(b.result.verdict, Verdict::kUnknown);
+  EXPECT_EQ(b.result.bound, BoundReason::kDeadline);
+
+  // The work budget trips at the probe after the first labelling pass.
+  DispatchOptions tight;
+  tight.budget.max_work = 10;
+  auto w = ctl::evaluate_query(c, "AG(EF(true))", tight);
+  ASSERT_TRUE(w.ok) << w.error;
+  EXPECT_EQ(w.result.verdict, Verdict::kUnknown);
+  EXPECT_EQ(w.result.bound, BoundReason::kStepBudget);
+  EXPECT_EQ(w.result.stats.predicate_evals, 64u);
 }
 
 TEST(NestedCtl, NegationOfTemporal) {

@@ -1,7 +1,8 @@
-// Observability layer: span nesting (same-thread and under the parallel
-// engine), captures against the flight ring (no lost spans, shared thread
+// Observability layer: span nesting (same-thread and under the first-match
+// loop), captures against the flight ring (no lost spans, shared thread
 // ids, one `detect` record per call), histogram bucket layout, metrics
-// determinism across parallelism widths, the golden Chrome trace export
+// determinism (the inert parallelism field included), the golden Chrome
+// trace export
 // under an injected clock, the hbct.report/1 document, and the DetectStats
 // X-macro plumbing.
 #include <gtest/gtest.h>
@@ -13,7 +14,7 @@
 #include <vector>
 
 #include "detect/dispatch.h"
-#include "detect/parallel.h"
+#include "detect/first_match.h"
 #include "obs/flight.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -99,14 +100,17 @@ TEST(Trace, ParallelEngineParentsBranchesOnTheFanout) {
   Tracer t;
   DetectStats st;
   const std::size_t kBranches = 8;
-  detect_first_match(
-      /*parallelism=*/4, kBranches,
-      [](std::size_t) {
-        DetectResult r;
-        r.verdict = Verdict::kFails;
-        return r;
-      },
-      [](const DetectResult&) { return false; }, st, &t, "test.fanout");
+  const auto eval = [](std::size_t i) {
+    DetectResult r;
+    r.verdict = i == 5 ? Verdict::kHolds : Verdict::kFails;
+    r.stats.predicate_evals = 1;
+    return r;
+  };
+  const FirstMatch none = detect_first_match(
+      kBranches, eval, [](const DetectResult&) { return false; }, st, &t,
+      "test.fanout");
+  EXPECT_FALSE(none.found());
+  EXPECT_EQ(st.predicate_evals, kBranches);
 
   const std::vector<Tracer::Record> spans = t.spans();
   std::size_t fan = Tracer::npos;
@@ -120,17 +124,26 @@ TEST(Trace, ParallelEngineParentsBranchesOnTheFanout) {
     if (name_of(s) != "fanout.branch") continue;
     ++branches;
     EXPECT_EQ(s.parent, fan);
-    // The fan-out span's extent covers every branch, even those running on
-    // pool workers: it opens before the dispatch and joins before closing.
     EXPECT_GE(s.ts_ns, spans[fan].ts_ns);
     EXPECT_LE(s.ts_ns + s.dur_ns, spans[fan].ts_ns + spans[fan].dur_ns);
   }
   EXPECT_EQ(branches, kBranches);
-  // Deterministic fan-out counters: one fan-out, all branches merged (no
-  // branch hit, so the sequential loop would have evaluated every one).
-  const MetricsSnapshot m = t.metrics().snapshot();
+  // One fan-out, all branches merged (no branch hit).
+  MetricsSnapshot m = t.metrics().snapshot();
   EXPECT_EQ(m.counters.at("parallel.fanouts"), 1u);
   EXPECT_EQ(m.counters.at("parallel.branches.merged"), kBranches);
+
+  // A hit at branch 5 ends the loop there: branches 0..5 are merged.
+  DetectStats hit_st;
+  const FirstMatch hit = detect_first_match(
+      kBranches, eval,
+      [](const DetectResult& r) { return r.verdict == Verdict::kHolds; },
+      hit_st, &t, "test.fanout");
+  EXPECT_EQ(hit.index, 5u);
+  EXPECT_EQ(hit_st.predicate_evals, 6u);
+  m = t.metrics().snapshot();
+  EXPECT_EQ(m.counters.at("parallel.fanouts"), 2u);
+  EXPECT_EQ(m.counters.at("parallel.branches.merged"), kBranches + 6);
 }
 
 // ---- Captures and the flight ring ----------------------------------------------
@@ -323,20 +336,16 @@ TEST(Stats, XMacroPlusEqualsAndToString) {
   EXPECT_NE(s.find("steps=5"), std::string::npos);
 }
 
-// ---- Determinism across widths -------------------------------------------------
-
-/// Counters whose values are allowed to depend on scheduling (documented in
-/// detect/parallel.h); everything else must be bit-identical at any width.
-bool scheduling_dependent(const std::string& name) {
-  return name == "parallel.branches.superseded" ||
-         name == "parallel.queue_depth.max";
-}
+// ---- Determinism ---------------------------------------------------------------
 
 TEST(Metrics, DeterministicAcrossParallelismWidths) {
+  // Detection is sequential, so a traced run's counters are a function of
+  // the query alone: repeating it, or setting the inert
+  // DispatchOptions::parallelism field, leaves every counter unchanged.
   const Computation c = small_comp();
   const PredicatePtr p = wide_dnf(c.num_procs());
   std::map<std::string, std::uint64_t> baseline;
-  for (const std::size_t width : {1u, 2u, 4u}) {
+  for (const std::size_t width : {1u, 1u, 2u, 4u}) {
     DispatchOptions opt;
     opt.parallelism = width;
     opt.trace = true;
@@ -344,10 +353,8 @@ TEST(Metrics, DeterministicAcrossParallelismWidths) {
     ASSERT_NE(r.trace, nullptr);
     std::map<std::string, std::uint64_t> counters =
         r.trace->metrics().snapshot().counters;
-    for (auto it = counters.begin(); it != counters.end();)
-      it = scheduling_dependent(it->first) ? counters.erase(it)
-                                           : std::next(it);
-    if (width == 1)
+    EXPECT_EQ(counters.at("parallel.fanouts"), 1u);
+    if (baseline.empty())
       baseline = std::move(counters);
     else
       EXPECT_EQ(counters, baseline) << "width " << width;

@@ -431,6 +431,8 @@ TEST(OptimizeDifferential, BudgetLadderIsKleeneCompatible) {
 }
 
 TEST(OptimizeDifferential, ParallelWidthsAgree) {
+  // DispatchOptions::parallelism is inert: an optimized query answers the
+  // same at every value of it.
   for (const std::size_t width : {1ul, 4ul}) {
     DispatchOptions on;
     on.optimize = OptimizeMode::kApply;

@@ -1,11 +1,13 @@
-// Sequential-vs-parallel equivalence: DispatchOptions::parallelism must not
-// change any observable output — verdict, chosen algorithm, witness cut,
-// witness path, or operation counts. The parallel fan-outs resolve to the
-// lowest-index winning branch and merge exactly the stats the sequential
-// early-exit loop would have accumulated, so equality here is exact, not
-// merely semantic.
+// The distributive split routes against the explicit-lattice oracle. The
+// dispatcher's splits (ef-or-split, ag-and-split, eu-or-split) and the AU
+// refuters evaluate their branches one by one through the first-match loop
+// (detect/first_match.h); each verdict here must equal the oracle's, and a
+// second run with the inert DispatchOptions::parallelism field set must be
+// bit-identical: verdict, chosen algorithm, witness cut, witness path and
+// operation counts.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "detect/brute_force.h"
@@ -105,22 +107,22 @@ void expect_identical(const DetectResult& seq, const DetectResult& par,
   EXPECT_EQ(seq.stats.lattice_edges, par.stats.lattice_edges) << what;
 }
 
-/// Runs detect() at parallelism 1, 4, and 0 (= pool width) and demands
-/// bit-identical results.
-void check_all_widths(const Computation& c, Op op, const PredicatePtr& p,
-                      const PredicatePtr& q = nullptr) {
-  DispatchOptions seq_opt;
-  seq_opt.parallelism = 1;
-  const DetectResult seq = detect(c, op, p, q, seq_opt);
-  for (std::size_t par : {std::size_t{4}, std::size_t{0}}) {
-    DispatchOptions par_opt;
-    par_opt.parallelism = par;
-    const DetectResult r = detect(c, op, p, q, par_opt);
-    expect_identical(seq, r,
-                     std::string(to_string(op)) + " " + p->describe() +
-                         (q ? " U " + q->describe() : std::string()) +
-                         " @ par=" + std::to_string(par));
-  }
+std::string what(Op op, const PredicatePtr& p, const PredicatePtr& q) {
+  return std::string(to_string(op)) + " " + p->describe() +
+         (q ? " U " + q->describe() : std::string());
+}
+
+/// Runs detect() with default options, demands the oracle's verdict, then
+/// reruns with the parallelism field set and demands a bit-identical result.
+void check_route(const Computation& c, const LatticeChecker& oracle, Op op,
+                 const PredicatePtr& p, const PredicatePtr& q = nullptr) {
+  const DetectResult r = detect(c, op, p, q);
+  EXPECT_TRUE(r.definite()) << what(op, p, q);
+  EXPECT_EQ(r.verdict, oracle.detect(op, *p, q.get()).verdict)
+      << what(op, p, q) << " via " << r.algorithm;
+  DispatchOptions inert;
+  inert.parallelism = 4;
+  expect_identical(r, detect(c, op, p, q, inert), what(op, p, q));
 }
 
 class ParallelDetect : public ::testing::TestWithParam<std::uint64_t> {};
@@ -128,109 +130,125 @@ class ParallelDetect : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ParallelDetect, OrSplitAllOperators) {
   Rng rng(GetParam() * 101 + 7);
   Computation c = random_comp(GetParam() + 900);
+  const LatticeChecker oracle(c);
   for (int round = 0; round < 3; ++round) {
     PredicatePtr dnf = random_dnf(rng, c.num_procs());
     for (Op op : {Op::kEF, Op::kAF, Op::kEG, Op::kAG})
-      check_all_widths(c, op, dnf);
+      check_route(c, oracle, op, dnf);
   }
 }
 
 TEST_P(ParallelDetect, AndSplitAllOperators) {
   Rng rng(GetParam() * 103 + 11);
   Computation c = random_comp(GetParam() + 950);
+  const LatticeChecker oracle(c);
   for (int round = 0; round < 3; ++round) {
     PredicatePtr cnf = random_cnf(rng, c.num_procs());
     for (Op op : {Op::kEF, Op::kAF, Op::kEG, Op::kAG})
-      check_all_widths(c, op, cnf);
+      check_route(c, oracle, op, cnf);
   }
 }
 
 TEST_P(ParallelDetect, UntilA3FrontierSweep) {
   Rng rng(GetParam() * 107 + 13);
   Computation c = random_comp(GetParam() + 1000);
+  const LatticeChecker oracle(c);
   for (int round = 0; round < 3; ++round) {
     PredicatePtr p = PredicatePtr(random_conjunctive(rng, c.num_procs()));
     PredicatePtr q = random_linear(rng, c.num_procs());
-    check_all_widths(c, Op::kEU, p, q);
+    check_route(c, oracle, Op::kEU, p, q);
   }
 }
 
 TEST_P(ParallelDetect, UntilOrSplitTarget) {
   Rng rng(GetParam() * 109 + 17);
   Computation c = random_comp(GetParam() + 1050);
+  const LatticeChecker oracle(c);
   for (int round = 0; round < 2; ++round) {
     PredicatePtr p = PredicatePtr(random_conjunctive(rng, c.num_procs()));
     PredicatePtr q = random_dnf(rng, c.num_procs());
-    check_all_widths(c, Op::kEU, p, q);
+    check_route(c, oracle, Op::kEU, p, q);
   }
 }
 
 TEST_P(ParallelDetect, AuTwoRefuters) {
   Rng rng(GetParam() * 113 + 19);
   Computation c = random_comp(GetParam() + 1100);
+  const LatticeChecker oracle(c);
   for (int round = 0; round < 3; ++round) {
     PredicatePtr p = PredicatePtr(random_disjunctive(rng, c.num_procs()));
     PredicatePtr q = PredicatePtr(random_disjunctive(rng, c.num_procs()));
-    check_all_widths(c, Op::kAU, p, q);
+    check_route(c, oracle, Op::kAU, p, q);
   }
 }
 
 TEST_P(ParallelDetect, SingleClassPredicatesUnaffected) {
-  // Non-split paths must also be invariant under the knob (it is simply
-  // never consulted), covering the dispatcher pass-throughs.
+  // Non-split paths: the dispatcher's pass-throughs to one algorithm.
   Rng rng(GetParam() * 127 + 23);
   Computation c = random_comp(GetParam() + 1150);
+  const LatticeChecker oracle(c);
   PredicatePtr p = PredicatePtr(random_conjunctive(rng, c.num_procs()));
   for (Op op : {Op::kEF, Op::kAF, Op::kEG, Op::kAG})
-    check_all_widths(c, op, p);
+    check_route(c, oracle, op, p);
 }
 
 TEST_P(ParallelDetect, LatticeCheckerLabelAndClasses) {
+  // A checker over an adopted lattice labels exactly like one that builds
+  // its own, and the exhaustive class check confirms every class the
+  // predicate claims on this computation.
   Rng rng(GetParam() * 131 + 29);
   Computation c = random_comp(GetParam() + 1200);
-  LatticeChecker seq(c), par(c);
-  par.set_parallelism(4);
+  const LatticeChecker built(c);
+  const LatticeChecker adopted(Lattice::build(c));
   for (int round = 0; round < 3; ++round) {
     PredicatePtr p = rng.next_bool()
                          ? PredicatePtr(random_conjunctive(rng, c.num_procs()))
                          : PredicatePtr(random_disjunctive(rng, c.num_procs()));
-    DetectStats st_seq, st_par;
-    EXPECT_EQ(seq.label(*p, &st_seq), par.label(*p, &st_par)) << p->describe();
-    EXPECT_EQ(st_seq.predicate_evals, st_par.predicate_evals);
-    const BruteClassCheck a = brute_check_classes(seq, *p);
-    const BruteClassCheck b = brute_check_classes(par, *p);
-    EXPECT_EQ(a.linear, b.linear) << p->describe();
-    EXPECT_EQ(a.post_linear, b.post_linear) << p->describe();
-    EXPECT_EQ(a.regular, b.regular) << p->describe();
-    EXPECT_EQ(a.stable, b.stable) << p->describe();
-    EXPECT_EQ(a.observer_independent, b.observer_independent) << p->describe();
+    DetectStats st_built, st_adopted;
+    EXPECT_EQ(built.label(*p, &st_built), adopted.label(*p, &st_adopted))
+        << p->describe();
+    EXPECT_EQ(st_built.predicate_evals, built.lattice().size());
+    EXPECT_EQ(st_built.predicate_evals, st_adopted.predicate_evals);
+    const BruteClassCheck a = brute_check_classes(built, *p);
+    EXPECT_EQ(a.regular, a.linear && a.post_linear) << p->describe();
+    const ClassSet claimed = p->classes(c);
+    if (claimed & kClassLinear) EXPECT_TRUE(a.linear) << p->describe();
+    if (claimed & kClassPostLinear) EXPECT_TRUE(a.post_linear) << p->describe();
+    if (claimed & kClassRegular) EXPECT_TRUE(a.regular) << p->describe();
+    if (claimed & kClassStable) EXPECT_TRUE(a.stable) << p->describe();
+    if (claimed & kClassObserverIndependent)
+      EXPECT_TRUE(a.observer_independent) << p->describe();
   }
 }
 
 TEST_P(ParallelDetect, BudgetedVerdictsAgreeAcrossWidths) {
-  // Budgets must not reintroduce nondeterminism: per-branch trackers and
-  // the lowest-index merge mean a bounded run is as width-invariant as a
-  // definite one — including which BoundReason is reported.
+  // A bounded run is sound (a definite verdict is the oracle's, kUnknown
+  // names its bound) and as deterministic as a definite one: the inert
+  // parallelism field changes nothing, including which BoundReason is
+  // reported.
   Rng rng(GetParam() * 137 + 31);
   Computation c = random_comp(GetParam() + 1250);
+  const LatticeChecker oracle(c);
   PredicatePtr dnf = random_dnf(rng, c.num_procs());
   PredicatePtr cnf = random_cnf(rng, c.num_procs());
   for (std::uint64_t w : {std::uint64_t{1}, std::uint64_t{10},
                           std::uint64_t{100}}) {
     for (Op op : {Op::kEF, Op::kAG}) {
       const PredicatePtr& p = op == Op::kEF ? dnf : cnf;
+      const std::string where =
+          what(op, p, nullptr) + " work=" + std::to_string(w);
       DispatchOptions seq_opt;
-      seq_opt.parallelism = 1;
       seq_opt.budget.max_work = w;
       const DetectResult seq = detect(c, op, p, nullptr, seq_opt);
+      if (seq.definite())
+        EXPECT_EQ(seq.verdict, oracle.detect(op, *p).verdict) << where;
+      else
+        EXPECT_NE(seq.bound, BoundReason::kNone) << where;
       for (std::size_t par : {std::size_t{2}, std::size_t{4}}) {
         DispatchOptions par_opt = seq_opt;
         par_opt.parallelism = par;
-        const DetectResult r = detect(c, op, p, nullptr, par_opt);
-        expect_identical(seq, r,
-                         std::string(to_string(op)) + " " + p->describe() +
-                             " work=" + std::to_string(w) +
-                             " @ par=" + std::to_string(par));
+        expect_identical(seq, detect(c, op, p, nullptr, par_opt),
+                         where + " @ par=" + std::to_string(par));
       }
     }
   }
@@ -238,48 +256,6 @@ TEST_P(ParallelDetect, BudgetedVerdictsAgreeAcrossWidths) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDetect,
                          ::testing::Range<std::uint64_t>(1, 41));
-
-TEST(ParallelBudget, PreCancelledTokenAbortsBeforeAnyEvaluation) {
-  // A token cancelled before the detection starts must surface at the very
-  // first checkpoint: kUnknown/kCancelled with zero predicate evaluations,
-  // at every parallelism width.
-  Computation c = random_comp(5);
-  Rng rng(5);
-  PredicatePtr dnf = random_dnf(rng, c.num_procs());
-  CancelToken token;
-  token.cancel();
-  for (std::size_t par : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    DispatchOptions opt;
-    opt.parallelism = par;
-    opt.budget.cancel = &token;
-    const DetectResult r = detect(c, Op::kEF, dnf, nullptr, opt);
-    EXPECT_EQ(r.verdict, Verdict::kUnknown) << "par=" << par;
-    EXPECT_EQ(r.bound, BoundReason::kCancelled) << "par=" << par;
-    EXPECT_EQ(r.stats.predicate_evals, 0u) << "par=" << par;
-  }
-}
-
-TEST(ParallelBudget, PastDeadlineAbortsAtFirstCheckpoint) {
-  // The deadline clock is probed on the first checkpoint regardless of the
-  // probe stride, so an already-expired deadline can never produce a
-  // definite verdict.
-  Computation c = random_comp(6);
-  Rng rng(6);
-  PredicatePtr cnf = random_cnf(rng, c.num_procs());
-  for (std::size_t par : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    DispatchOptions opt;
-    opt.parallelism = par;
-    opt.budget = Budget::with_deadline_in(std::chrono::nanoseconds{-1});
-    const DetectResult r = detect(c, Op::kAG, cnf, nullptr, opt);
-    EXPECT_EQ(r.verdict, Verdict::kUnknown) << "par=" << par;
-    EXPECT_EQ(r.bound, BoundReason::kDeadline) << "par=" << par;
-    const DetectResult eu =
-        detect(c, Op::kEU, PredicatePtr(random_conjunctive(rng, c.num_procs())),
-               cnf, opt);
-    EXPECT_EQ(eu.verdict, Verdict::kUnknown) << "par=" << par;
-    EXPECT_EQ(eu.bound, BoundReason::kDeadline) << "par=" << par;
-  }
-}
 
 }  // namespace
 }  // namespace hbct

@@ -367,7 +367,8 @@ TEST(ThreadPool, StressManySmallBatches) {
 TEST(ThreadPool, SharedPoolHasWorkers) {
   EXPECT_GE(ThreadPool::shared().size(), 4u);
   std::atomic<int> hits{0};
-  ThreadPool::shared().parallel_for(64, [&](std::size_t) { ++hits; });
+  for (int i = 0; i < 64; ++i) ThreadPool::shared().submit([&] { ++hits; });
+  ThreadPool::shared().wait_idle();
   EXPECT_EQ(hits.load(), 64);
 }
 
