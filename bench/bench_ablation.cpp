@@ -10,6 +10,7 @@
 //  4. EU: A3 vs the generic DFS search on the same instance.
 #include <benchmark/benchmark.h>
 
+#include "bench_report.h"
 #include "hbct.h"
 
 namespace hbct {
@@ -41,7 +42,7 @@ void BM_a1_greedy(benchmark::State& state) {
   DetectResult last;
   for (auto _ : state) last = detect_eg_linear(c, *p);
   state.counters["evals"] = static_cast<double>(last.stats.predicate_evals);
-  state.SetLabel(last.holds() ? "true" : "false");
+  state.SetLabel(benchio::verdict_word(last.verdict));
 }
 BENCHMARK(BM_a1_greedy)->Arg(128)->Arg(1024);
 
@@ -52,7 +53,7 @@ void BM_a1_randomized(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) last = detect_eg_linear_randomized(c, *p, seed++);
   state.counters["evals"] = static_cast<double>(last.stats.predicate_evals);
-  state.SetLabel(last.holds() ? "true" : "false");
+  state.SetLabel(benchio::verdict_word(last.verdict));
 }
 BENCHMARK(BM_a1_randomized)->Arg(128)->Arg(1024);
 
@@ -116,7 +117,7 @@ void BM_eu_a3(benchmark::State& state) {
   DetectResult last;
   for (auto _ : state) last = detect_eu(c, *p, *q);
   state.counters["evals"] = static_cast<double>(last.stats.predicate_evals);
-  state.SetLabel(last.holds() ? "true" : "false");
+  state.SetLabel(benchio::verdict_word(last.verdict));
 }
 BENCHMARK(BM_eu_a3)->Arg(8)->Arg(16)->Arg(32);
 
@@ -130,7 +131,7 @@ void BM_eu_dfs(benchmark::State& state) {
   DetectResult last;
   for (auto _ : state) last = detect_eu_dfs(c, *p, *q);
   state.counters["evals"] = static_cast<double>(last.stats.predicate_evals);
-  state.SetLabel(last.holds() ? "true" : "false");
+  state.SetLabel(benchio::verdict_word(last.verdict));
 }
 BENCHMARK(BM_eu_dfs)->Arg(8)->Arg(16)->Arg(32);
 

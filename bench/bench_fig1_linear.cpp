@@ -7,6 +7,7 @@
 // counter makes the O(n|E|) claim visible independently of wall time.
 #include <benchmark/benchmark.h>
 
+#include "bench_report.h"
 #include "hbct.h"
 
 namespace hbct {
@@ -37,7 +38,7 @@ void report(benchmark::State& state, const DetectResult& r,
             std::int64_t total_events) {
   state.counters["evals"] = static_cast<double>(r.stats.predicate_evals);
   state.counters["E"] = static_cast<double>(total_events);
-  state.SetLabel(r.algorithm + (r.holds() ? " -> true" : " -> false"));
+  state.SetLabel(r.algorithm + " -> " + benchio::verdict_word(r.verdict));
 }
 
 // ---- |E| sweep at n = 6 ------------------------------------------------------

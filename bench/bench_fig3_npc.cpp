@@ -33,7 +33,9 @@ void BM_eg_oi_unsat(benchmark::State& state) {
   DetectResult last;
   for (auto _ : state) last = detect_eg_dfs(r.computation, *r.predicate);
   state.counters["cut_steps"] = static_cast<double>(last.stats.cut_steps);
-  state.SetLabel(last.holds() ? "SAT (bug!)" : "UNSAT");
+  state.SetLabel(last.verdict == Verdict::kHolds   ? "SAT (bug!)"
+                 : last.verdict == Verdict::kFails ? "UNSAT"
+                                                   : "unknown");
 }
 BENCHMARK(BM_eg_oi_unsat)->DenseRange(4, 16, 2);
 
@@ -43,7 +45,9 @@ void BM_ag_oi_tautology(benchmark::State& state) {
   DetectResult last;
   for (auto _ : state) last = detect_ag_dfs(r.computation, *r.predicate);
   state.counters["cut_steps"] = static_cast<double>(last.stats.cut_steps);
-  state.SetLabel(last.holds() ? "tautology" : "refutable (bug!)");
+  state.SetLabel(last.verdict == Verdict::kHolds   ? "tautology"
+                 : last.verdict == Verdict::kFails ? "refutable (bug!)"
+                                                   : "unknown");
 }
 BENCHMARK(BM_ag_oi_tautology)->DenseRange(4, 16, 2);
 
@@ -56,7 +60,9 @@ void BM_eg_oi_random3sat(benchmark::State& state) {
   DetectResult last;
   for (auto _ : state) last = detect_eg_dfs(r.computation, *r.predicate);
   state.counters["cut_steps"] = static_cast<double>(last.stats.cut_steps);
-  state.SetLabel(last.holds() ? "SAT" : "UNSAT");
+  state.SetLabel(last.verdict == Verdict::kHolds   ? "SAT"
+                 : last.verdict == Verdict::kFails ? "UNSAT"
+                                                   : "unknown");
 }
 BENCHMARK(BM_eg_oi_random3sat)->DenseRange(4, 14, 2);
 

@@ -57,8 +57,9 @@ void BM_fig4_a3(benchmark::State& state) {
   DetectResult last;
   for (auto _ : state) last = detect_eu(c, *p, *q);
   state.counters["evals"] = static_cast<double>(last.stats.predicate_evals);
-  state.SetLabel(last.holds() ? "holds, I_q = " + last.witness_cut->to_string()
-                            : "fails");
+  state.SetLabel(last.verdict == Verdict::kHolds
+                     ? "holds, I_q = " + last.witness_cut->to_string()
+                     : to_string(last.verdict));
 }
 BENCHMARK(BM_fig4_a3);
 
@@ -88,7 +89,7 @@ void BM_a3_scaled(benchmark::State& state) {
   for (auto _ : state) last = detect_eu(c, *p, *q);
   state.counters["evals"] = static_cast<double>(last.stats.predicate_evals);
   state.counters["E"] = static_cast<double>(c.total_events());
-  state.SetLabel(last.holds() ? "holds" : "fails");
+  state.SetLabel(to_string(last.verdict));
 }
 BENCHMARK(BM_a3_scaled)->RangeMultiplier(4)->Range(8, 8192);
 
@@ -108,7 +109,7 @@ void BM_lattice_eu_scaled(benchmark::State& state) {
   DetectResult last;
   for (auto _ : state) last = chk.detect(Op::kEU, *p, q.get());
   state.counters["nodes"] = static_cast<double>(chk.lattice().size());
-  state.SetLabel(last.holds() ? "holds" : "fails");
+  state.SetLabel(to_string(last.verdict));
 }
 BENCHMARK(BM_lattice_eu_scaled)->RangeMultiplier(4)->Range(8, 512);
 

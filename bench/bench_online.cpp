@@ -61,9 +61,9 @@ void BM_offline_batch_equivalent(benchmark::State& state) {
   auto inv = make_disjunctive({var_cmp(0, "v0", Cmp::kLe, 8),
                                var_cmp(4, "v1", Cmp::kLe, 8)});
   for (auto _ : state) {
-    bool r = detect_ef_conjunctive(ref, *p1).holds();
-    r ^= detect_ef_conjunctive(ref, *p2).holds();
-    r ^= detect_ag_disjunctive(ref, *inv).holds();
+    bool r = detect_ef_conjunctive(ref, *p1).verdict == Verdict::kHolds;
+    r ^= detect_ef_conjunctive(ref, *p2).verdict == Verdict::kHolds;
+    r ^= detect_ag_disjunctive(ref, *inv).verdict == Verdict::kHolds;
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * ref.total_events());

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "detect/budget.h"
 #include "obs/json.h"
 #include "util/stats.h"
 
@@ -40,6 +41,13 @@ struct BenchRow {
   Summary ns;          // per-iteration wall time, nanoseconds
   std::string report;  // embedded hbct.report/1 document; empty = none
 };
+
+/// The verdict word of a row label: "true", "false" or "unknown".
+inline const char* verdict_word(Verdict v) {
+  return v == Verdict::kHolds   ? "true"
+         : v == Verdict::kFails ? "false"
+                                : "unknown";
+}
 
 /// Times fn() `iters` times (after one warmup call that also faults in lazy
 /// workload statics) and summarises per-iteration wall time in nanoseconds.

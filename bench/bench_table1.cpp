@@ -36,7 +36,7 @@ const Computation& workload() {
 void report(benchmark::State& state, const DetectResult& r) {
   state.counters["evals"] = static_cast<double>(r.stats.predicate_evals);
   state.counters["steps"] = static_cast<double>(r.stats.cut_steps);
-  state.SetLabel(r.algorithm + (r.holds() ? " -> true" : " -> false"));
+  state.SetLabel(r.algorithm + " -> " + benchio::verdict_word(r.verdict));
 }
 
 PredicatePtr conjunctive_pred() {
@@ -385,7 +385,7 @@ benchio::BenchRow timed_cell(const std::string& name, Op op,
   DetectResult last;
   row.ns = benchio::time_ns(
       iters, [&] { last = detect(c, op, p, nullptr, opt); });
-  row.label = last.algorithm + (last.holds() ? " -> true" : " -> false");
+  row.label = last.algorithm + " -> " + benchio::verdict_word(last.verdict);
   if (traced) {
     opt.trace = true;
     last = detect(c, op, p, nullptr, opt);
@@ -436,7 +436,7 @@ bool emit_table1_json(const std::string& path) {
     PredicatePtr q = big_until_q();
     DetectResult last;
     eu.ns = benchio::time_ns(kIters, [&] { last = detect_eu(big, *p, *q); });
-    eu.label = last.algorithm + (last.holds() ? " -> true" : " -> false");
+    eu.label = last.algorithm + " -> " + benchio::verdict_word(last.verdict);
     rows.push_back(std::move(eu));
     rows.push_back(timed_cell("n16.GW.EF_conjunctive", Op::kEF,
                               big_gw_pred(), big, kIters));
@@ -450,7 +450,7 @@ bool emit_table1_json(const std::string& path) {
                               PredicatePtr(var_cmp(0, "v0", Cmp::kGe, 3)));
     DetectResult last;
     eu.ns = benchio::time_ns(kIters, [&] { last = detect_eu(c, *p, *q); });
-    eu.label = last.algorithm + (last.holds() ? " -> true" : " -> false");
+    eu.label = last.algorithm + " -> " + benchio::verdict_word(last.verdict);
     rows.push_back(std::move(eu));
   }
   {
@@ -464,7 +464,7 @@ bool emit_table1_json(const std::string& path) {
     DetectResult last;
     au.ns = benchio::time_ns(
         kIters, [&] { last = detect_au_disjunctive(c, *p, *q); });
-    au.label = last.algorithm + (last.holds() ? " -> true" : " -> false");
+    au.label = last.algorithm + " -> " + benchio::verdict_word(last.verdict);
     rows.push_back(std::move(au));
   }
 

@@ -63,10 +63,8 @@ void run_query(const Computation& c, const std::string& text, bool audit,
   last = r.result;
   for (const RewriteStep& s : r.result.rewrites)
     std::printf("  rewrite %s\n", to_string(s).c_str());
-  const char* verdict = r.result.verdict == Verdict::kUnknown
-                            ? "UNKNOWN"
-                            : r.result.holds() ? "TRUE" : "FALSE";
-  std::printf("%s  [%s, %llu evals]\n", verdict, r.algorithm.c_str(),
+  std::printf("%s  [%s, %llu evals]\n", to_string(r.result.verdict),
+              r.algorithm.c_str(),
               static_cast<unsigned long long>(r.result.stats.predicate_evals));
   if (!r.result.plan.empty())
     std::printf("  plan: %s\n", r.result.plan.c_str());

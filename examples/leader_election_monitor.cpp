@@ -33,34 +33,33 @@ int main(int argc, char** argv) {
     agree.push_back(var_cmp(i, "leader", Cmp::kEq, n));
   DetectResult af = detect(c, Op::kAF, make_conjunctive(agree));
   std::printf("AF(all leader == %d): %s  [%s, %llu evals]\n", n,
-              af.holds() ? "holds" : "FAILS", af.algorithm.c_str(),
+              to_string(af.verdict), af.algorithm.c_str(),
               static_cast<unsigned long long>(af.stats.predicate_evals));
 
   // Sanity invariant: a process believes 0 (unknown) or n (the max uid).
-  bool invariant = true;
-  for (ProcId i = 0; i < n && invariant; ++i) {
+  Verdict invariant = Verdict::kHolds;
+  for (ProcId i = 0; i < n && invariant == Verdict::kHolds; ++i) {
     auto sane = make_or(PredicatePtr(var_cmp(i, "leader", Cmp::kEq, 0)),
                         PredicatePtr(var_cmp(i, "leader", Cmp::kEq, n)));
-    invariant = detect(c, Op::kAG, sane).holds();
+    invariant = detect(c, Op::kAG, sane).verdict;
   }
   std::printf("AG(leader in {0, %d}) on every process: %s\n", n,
-              invariant ? "holds" : "FAILS");
+              to_string(invariant));
 
   // Uniqueness: no cut has two self-declared leaders.
-  bool unique = true;
-  for (ProcId i = 0; i < n && unique; ++i)
-    for (ProcId j = i + 1; j < n && unique; ++j) {
+  Verdict unique = Verdict::kHolds;
+  for (ProcId i = 0; i < n && unique == Verdict::kHolds; ++i)
+    for (ProcId j = i + 1; j < n && unique == Verdict::kHolds; ++j) {
       auto two = make_conjunctive({var_cmp(i, "elected", Cmp::kEq, 1),
                                    var_cmp(j, "elected", Cmp::kEq, 1)});
-      unique = !detect(c, Op::kEF, two).holds();
+      unique = negate(detect(c, Op::kEF, two).verdict);
     }
-  std::printf("no two self-declared leaders ever: %s\n",
-              unique ? "holds" : "FAILS");
+  std::printf("no two self-declared leaders ever: %s\n", to_string(unique));
 
   // And via the query language, for the report:
   auto r = ctl::evaluate_query(
       c, strfmt("EF(elected@P%d == 1)", n - 1));
   std::printf("%s -> %s\n", strfmt("EF(elected@P%d == 1)", n - 1).c_str(),
-              r.ok && r.result.holds() ? "true" : "false");
+              r.ok ? to_string(r.result.verdict) : r.error.c_str());
   return 0;
 }

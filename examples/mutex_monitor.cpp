@@ -25,7 +25,7 @@ void check_safety(const Computation& c, const char* name) {
       auto overlap = make_conjunctive(
           {var_cmp(i, "cs", Cmp::kEq, 1), var_cmp(j, "cs", Cmp::kEq, 1)});
       DetectResult r = detect(c, Op::kEF, overlap);
-      if (r.holds()) {
+      if (r.verdict == Verdict::kHolds) {
         violated = true;
         std::printf("  VIOLATION: P%d and P%d can be in the critical section "
                     "together, e.g. at cut %s\n",
@@ -42,7 +42,7 @@ void check_safety(const Computation& c, const char* name) {
     auto q = strfmt("A[ try@P%d == 1 || cs@P%d == 0 U cs@P%d == 1 ]", i, i, i);
     auto r = ctl::evaluate_query(c, q);
     std::printf("  %-52s %s [%s]\n", q.c_str(),
-                r.ok && r.result.holds() ? "true " : "false",
+                r.ok ? to_string(r.result.verdict) : "error",
                 r.ok ? r.algorithm.c_str() : r.error.c_str());
   }
 }

@@ -46,9 +46,9 @@ int main() {
                                     var_cmp(2, "cnt", Cmp::kGe, 1)});
   DetectResult ef = detect(c, Op::kEF, everyone);
   std::printf("EF(%s): %s   [%s, %llu evals]\n", everyone->describe().c_str(),
-              ef.holds() ? "holds" : "fails", ef.algorithm.c_str(),
+              to_string(ef.verdict), ef.algorithm.c_str(),
               static_cast<unsigned long long>(ef.stats.predicate_evals));
-  if (ef.holds())
+  if (ef.verdict == Verdict::kHolds)
     std::printf("  least satisfying cut: %s\n",
                 ef.witness_cut->to_string().c_str());
 
@@ -59,8 +59,8 @@ int main() {
     for (ProcId j = 0; j < 3; ++j)
       if (i != j) bounds.push_back(channel_bound_le(i, j, 1));
   DetectResult ag = detect(c, Op::kAG, make_and(std::move(bounds)));
-  std::printf("AG(channel bounds): %s   [%s]\n",
-              ag.holds() ? "holds" : "fails", ag.algorithm.c_str());
+  std::printf("AG(channel bounds): %s   [%s]\n", to_string(ag.verdict),
+              ag.algorithm.c_str());
 
   // ---- 3. Textual CTL ----------------------------------------------------
   for (const char* q : {
@@ -74,7 +74,7 @@ int main() {
       std::printf("%-45s  error: %s\n", q, r.error.c_str());
       continue;
     }
-    std::printf("%-45s  %-5s  [%s]\n", q, r.result.holds() ? "true" : "false",
+    std::printf("%-45s  %-7s  [%s]\n", q, to_string(r.result.verdict),
                 r.algorithm.c_str());
   }
 

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   // The invariant itself, through the dispatcher (A2 on meet-irreducibles).
   DetectResult ag = detect(c, Op::kAG, at_most);
   std::printf("AG('%s'): %s via %s, %llu evaluations\n",
-              at_most->describe().c_str(), ag.holds() ? "holds" : "FAILS",
+              at_most->describe().c_str(), to_string(ag.verdict),
               ag.algorithm.c_str(),
               static_cast<unsigned long long>(ag.stats.predicate_evals));
   (void)full;

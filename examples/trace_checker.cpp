@@ -9,11 +9,18 @@
 //   'EF(cs@P0 == 1 && cs@P1 == 1)'
 //   'AG(produced@P0 - consumed@P1 <= 3)'
 //   'E[ x@P0 < 4 U channels_empty ]'
+//
+// Each query prints TRUE, FALSE, or UNKNOWN (<bound>) when a resource bound
+// (e.g. the state cap on an explicit lattice) stopped its detection. The
+// exit status summarizes every query, the most severe first: 2 if some
+// query does not parse or validate, else 1 if some query is FALSE, else 3
+// if some query is UNKNOWN, else 0.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string>
 
 #include "hbct.h"
 
@@ -50,8 +57,11 @@ int check(const Computation& c, const char* query) {
                 r.error.c_str());
     return 2;
   }
-  std::printf("%-50s  %-5s  [%s, %llu evals]\n", query,
-              r.result.holds() ? "TRUE" : "FALSE", r.algorithm.c_str(),
+  std::string verdict = r.result.verdict == Verdict::kHolds ? "TRUE" : "FALSE";
+  if (!r.result.definite())
+    verdict = std::string("UNKNOWN (") + to_string(r.result.bound) + ")";
+  std::printf("%-50s  %-5s  [%s, %llu evals]\n", query, verdict.c_str(),
+              r.algorithm.c_str(),
               static_cast<unsigned long long>(r.result.stats.predicate_evals));
   if (r.result.witness_cut)
     std::printf("  witness cut: %s\n",
@@ -64,7 +74,11 @@ int check(const Computation& c, const char* query) {
     if (show < r.result.witness_path.size()) std::printf(" ...");
     std::printf("\n");
   }
-  return r.result.holds() ? 0 : 1;
+  switch (r.result.verdict) {
+    case Verdict::kHolds: return 0;
+    case Verdict::kFails: return 1;
+    default: return 3;
+  }
 }
 
 }  // namespace
@@ -96,13 +110,16 @@ int main(int argc, char** argv) {
   }
 
   describe_computation(parsed.computation);
+  // Severity of each exit code from check(): 0 < 3 (UNKNOWN) < 1 < 2.
+  constexpr int kSeverity[] = {0, 2, 3, 1};
   int rc = 0;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--diagram") == 0) {
       std::printf("%s", render_diagram(parsed.computation).c_str());
       continue;
     }
-    rc = std::max(rc, check(parsed.computation, argv[i]));
+    const int code = check(parsed.computation, argv[i]);
+    if (kSeverity[code] > kSeverity[rc]) rc = code;
   }
   return rc;
 }

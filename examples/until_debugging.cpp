@@ -55,7 +55,7 @@ int main() {
 
   DetectResult a3 = detect_eu(c, *p, *q);
   std::printf("A3: E[p U q] %s  [%llu evals]  I_q = %s\n",
-              a3.holds() ? "holds" : "fails",
+              to_string(a3.verdict),
               static_cast<unsigned long long>(a3.stats.predicate_evals),
               a3.witness_cut->to_string().c_str());
   std::printf("  witness: ");
@@ -65,14 +65,14 @@ int main() {
   LatticeChecker chk(std::move(lat));
   DetectResult brute = chk.detect(Op::kEU, *p, q.get());
   std::printf("baseline: %s  [%llu lattice nodes, %llu evals]\n",
-              brute.holds() ? "holds" : "fails",
+              to_string(brute.verdict),
               static_cast<unsigned long long>(brute.stats.lattice_nodes),
               static_cast<unsigned long long>(brute.stats.predicate_evals));
 
   // The same query in textual form.
   auto r = ctl::evaluate_query(
       c, "E[ z@P2 < 6 && x@P0 < 4 U channels_empty && x@P0 > 1 ]");
-  std::printf("textual query -> %s via %s\n",
-              r.result.holds() ? "true" : "false", r.algorithm.c_str());
+  std::printf("textual query -> %s via %s\n", to_string(r.result.verdict),
+              r.algorithm.c_str());
   return 0;
 }

@@ -11,7 +11,7 @@ ProgramCheckResult check_program(
   ProgramCheckResult out;
   ParseResult parsed = parse_query(query);
   if (!parsed.ok) {
-    out.holds = false;
+    out.verdict = Verdict::kUnknown;
     out.error = parsed.error;
     return out;
   }
@@ -19,7 +19,7 @@ ProgramCheckResult check_program(
     Computation c = run(seed);
     EvalResult r = evaluate_query(c, parsed.query, opt);
     if (!r.ok) {
-      out.holds = false;
+      if (out.verdict != Verdict::kFails) out.verdict = Verdict::kUnknown;
       out.error = r.error;
       return out;
     }
@@ -29,8 +29,9 @@ ProgramCheckResult check_program(
       out.diagnostics = std::move(r.result.diagnostics);
     if (r.result.verdict == Verdict::kUnknown) {
       out.unknown_seeds.push_back(seed);
+      if (out.verdict == Verdict::kHolds) out.verdict = Verdict::kUnknown;
     } else if (r.result.verdict == Verdict::kFails) {
-      out.holds = false;
+      out.verdict = Verdict::kFails;
       out.failing_seeds.push_back(seed);
     }
   }

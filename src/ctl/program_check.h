@@ -3,9 +3,11 @@
 //
 // A program here is anything that produces computations from seeds (in
 // practice: a simulator workload under different schedules). check_program
-// evaluates one query over every produced computation and aggregates:
-// the program satisfies the query iff no run refutes it; refuting seeds are
-// reported so the failing schedule can be replayed and debugged.
+// evaluates one query over every produced computation and aggregates the
+// run verdicts by Kleene conjunction: the program fails the query if any
+// run refutes it, holds only if every run satisfies it, and is unknown
+// otherwise. Refuting seeds are reported so the failing schedule can be
+// replayed and debugged.
 #pragma once
 
 #include <cstdint>
@@ -20,17 +22,18 @@
 namespace hbct::ctl {
 
 struct ProgramCheckResult {
-  /// True when every run satisfied the query. A run whose detection was cut
-  /// short by the budget (kUnknown) does NOT refute the query, but is
-  /// reported in unknown_seeds so the caller can retry with a larger budget.
-  bool holds = true;
+  /// Kleene AND over the runs: kFails if any run refuted the query, else
+  /// kUnknown if any run's detection was cut short by the budget (listed in
+  /// unknown_seeds, so the caller can retry with a larger budget) or a
+  /// query error stopped the check, else kHolds.
+  Verdict verdict = Verdict::kHolds;
   /// Runs executed (== seeds.size() unless a query error aborted early).
   std::size_t runs = 0;
   /// Seeds whose computation refuted the query.
   std::vector<std::uint64_t> failing_seeds;
   /// Seeds whose detection exhausted its budget before reaching a verdict.
   std::vector<std::uint64_t> unknown_seeds;
-  /// Parse/validation error, if any (empty otherwise; holds is then false).
+  /// Parse/validation error, if any (empty otherwise).
   std::string error;
   /// Aggregated detection work across all runs.
   DetectStats stats;

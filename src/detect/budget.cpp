@@ -37,13 +37,6 @@ const char* to_string(BoundReason r) {
   return "?";
 }
 
-bool DetectResult::holds() const {
-  HBCT_ASSERT_MSG(verdict != Verdict::kUnknown,
-                  "DetectResult::holds() read on an indefinite verdict; "
-                  "check definite() or inspect verdict/bound instead");
-  return verdict == Verdict::kHolds;
-}
-
 DetectResult& mark_bounded(DetectResult& r, BoundReason why) {
   HBCT_DASSERT(why != BoundReason::kNone);
   r.verdict = Verdict::kUnknown;

@@ -70,9 +70,6 @@ struct DetectResult {
   std::vector<RewriteStep> rewrites;
 
   bool definite() const { return verdict != Verdict::kUnknown; }
-  /// Deprecated two-valued accessor; defined only for definite verdicts
-  /// (asserts on kUnknown). Prefer inspecting `verdict` directly.
-  bool holds() const;
 };
 
 /// Sets verdict = kUnknown with the given reason (must not be kNone).

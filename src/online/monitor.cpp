@@ -155,7 +155,6 @@ void OnlineMonitor::fire(WatchId id, Cut cut, const std::string& what,
   f.watch = id;
   f.verdict = verdict;
   f.bound = bound;
-  f.holds = verdict == Verdict::kHolds;
   f.cut = std::move(cut);
   f.at_event = events_seen();
   f.kind = kinds_[sz(id)];

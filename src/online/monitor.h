@@ -65,8 +65,6 @@ struct WatchFire {
   /// kUnknown: the evaluation was cut short and `bound` says why.
   Verdict verdict = Verdict::kHolds;
   BoundReason bound = BoundReason::kNone;
-  /// verdict == kHolds, kept for ergonomic positive-fire checks.
-  bool holds = true;
   /// The cut exhibiting the watched condition (satisfying cut, violating
   /// cut, I_q for until-watches, or for stable watches the greatest
   /// consistent cut under the frozen frontier). Always a consistent cut.

@@ -133,12 +133,6 @@ class Session {
     for (const Histogram* h : fi.class_latency)
       time_fires_ = time_fires_ || h != nullptr;
   }
-  /// Compatibility shim: combined-latency-only instrumentation.
-  void set_fire_histogram(Histogram* h) {
-    FireInstruments fi;
-    fi.latency = h;
-    set_fire_instruments(fi);
-  }
 
  private:
   bool fail(std::string msg);

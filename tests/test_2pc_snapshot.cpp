@@ -40,7 +40,7 @@ TEST_P(TwoPhaseCommit, AgreementAcrossParticipants) {
                                        var_cmp(i, "dtxn", Cmp::kEq, t),
                                        var_cmp(j, "outcome", Cmp::kEq, -1),
                                        var_cmp(j, "dtxn", Cmp::kEq, t)});
-        EXPECT_FALSE(detect(c, Op::kEF, split).holds())
+        EXPECT_EQ(detect(c, Op::kEF, split).verdict, Verdict::kFails)
             << "txn " << t << " split between P" << i << " and P" << j;
       }
   }
@@ -50,7 +50,8 @@ TEST_P(TwoPhaseCommit, AgreementAcrossParticipants) {
     done.push_back(var_cmp(i, "decided", Cmp::kEq, 1));
     done.push_back(var_cmp(i, "dtxn", Cmp::kEq, kTxns));
   }
-  EXPECT_TRUE(detect(c, Op::kAF, make_conjunctive(done)).holds());
+  EXPECT_EQ(detect(c, Op::kAF, make_conjunctive(done)).verdict,
+            Verdict::kHolds);
 }
 
 TEST_P(TwoPhaseCommit, ValidityHoldsWithoutTheBug) {
@@ -60,7 +61,7 @@ TEST_P(TwoPhaseCommit, ValidityHoldsWithoutTheBug) {
     auto bad = make_conjunctive({var_cmp(i, "vote", Cmp::kEq, 0),
                                  var_cmp(i, "outcome", Cmp::kEq, 1),
                                  var_cmp(i, "decided", Cmp::kEq, 1)});
-    EXPECT_FALSE(detect(c, Op::kEF, bad).holds()) << "P" << i;
+    EXPECT_EQ(detect(c, Op::kEF, bad).verdict, Verdict::kFails) << "P" << i;
   }
 }
 
@@ -74,7 +75,9 @@ TEST_P(TwoPhaseCommit, InjectedBugIsDetectedWhenTriggered) {
     auto bad = make_conjunctive({var_cmp(i, "vote", Cmp::kEq, 0),
                                  var_cmp(i, "outcome", Cmp::kEq, 1),
                                  var_cmp(i, "decided", Cmp::kEq, 1)});
-    violation |= detect(c, Op::kEF, bad).holds();
+    const DetectResult r = detect(c, Op::kEF, bad);
+    ASSERT_TRUE(r.definite()) << "P" << i;
+    violation |= r.verdict == Verdict::kHolds;
   }
   // Ground truth from the trace: was some commit issued while a
   // participant's current vote was no? Recompute from events.
@@ -203,7 +206,8 @@ TEST_P(Snapshot, RecordedCutIsConsistentInTheAppComputation) {
   std::vector<LocalPredicatePtr> all;
   for (ProcId i = 0; i < n; ++i)
     all.push_back(var_cmp(i, "snapped", Cmp::kEq, 1));
-  EXPECT_TRUE(detect(full, Op::kAF, make_conjunctive(all)).holds());
+  EXPECT_EQ(detect(full, Op::kAF, make_conjunctive(all)).verdict,
+            Verdict::kHolds);
 }
 
 TEST_P(Snapshot, SnapshotCutIsLeastAllSnappedCutOfAppComputation) {
@@ -218,7 +222,7 @@ TEST_P(Snapshot, SnapshotCutIsLeastAllSnappedCutOfAppComputation) {
   for (ProcId i = 0; i < n; ++i)
     all.push_back(var_cmp(i, "snapped", Cmp::kEq, 1));
   DetectResult r = detect(app, Op::kEF, make_conjunctive(all));
-  ASSERT_TRUE(r.holds());
+  ASSERT_EQ(r.verdict, Verdict::kHolds);
 
   // snapped first becomes true at the snapshot events, and the snapshot
   // cut is consistent (previous test), so it is exactly the least

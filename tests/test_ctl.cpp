@@ -206,7 +206,7 @@ TEST(CtlCompile, EvaluateMatchesBruteForce) {
     PredicatePtr q;
     if (parsed.query.q) q = ctl::compile_state(parsed.query.q).pred;
     auto slow = chk.detect(parsed.query.op, *p, q.get());
-    EXPECT_EQ(fast.result.holds(), slow.holds()) << text;
+    EXPECT_EQ(fast.result.verdict, slow.verdict) << text;
   }
 }
 
@@ -214,7 +214,7 @@ TEST(CtlCompile, BareStateEvaluatesAtInitialCut) {
   Computation c = vars_comp(9);
   auto r = ctl::evaluate_query(c, "v0@P0 >= 0 && channels_empty");
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_TRUE(r.result.holds());
+  EXPECT_EQ(r.result.verdict, Verdict::kHolds);
   EXPECT_EQ(r.algorithm, "state-eval(initial)");
 }
 
@@ -222,10 +222,10 @@ TEST(CtlCompile, PosAndTerminatedKeywords) {
   Computation c = vars_comp(10);
   auto r = ctl::evaluate_query(c, "AF(terminated)");
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_TRUE(r.result.holds());
+  EXPECT_EQ(r.result.verdict, Verdict::kHolds);
   auto r2 = ctl::evaluate_query(c, "EF(pos(0) >= 5)");
   ASSERT_TRUE(r2.ok) << r2.error;
-  EXPECT_TRUE(r2.result.holds());  // every process has 5 events
+  EXPECT_EQ(r2.result.verdict, Verdict::kHolds);  // every process has 5 events
 }
 
 }  // namespace

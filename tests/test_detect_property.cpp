@@ -91,8 +91,8 @@ TEST_P(DetectProperty, EfLinearMatchesBruteAndIsLeast) {
     ASSERT_NE(effective_classes(*p, c) & kClassLinear, 0u);
     DetectResult fast = detect_ef_linear(c, *p);
     DetectResult slow = chk.detect(Op::kEF, *p);
-    ASSERT_EQ(fast.holds(), slow.holds()) << p->describe();
-    if (fast.holds()) {
+    ASSERT_EQ(fast.verdict, slow.verdict) << p->describe();
+    if (fast.verdict == Verdict::kHolds) {
       const Cut& iq = *fast.witness_cut;
       EXPECT_TRUE(p->eval(c, iq));
       // Minimality: every satisfying lattice cut contains I_p.
@@ -119,8 +119,8 @@ TEST_P(DetectProperty, EfPostLinearMatchesBruteAndIsGreatest) {
     ASSERT_NE(effective_classes(*p, c) & kClassPostLinear, 0u);
     DetectResult fast = detect_ef_post_linear(c, *p);
     DetectResult slow = chk.detect(Op::kEF, *p);
-    ASSERT_EQ(fast.holds(), slow.holds()) << p->describe();
-    if (fast.holds()) {
+    ASSERT_EQ(fast.verdict, slow.verdict) << p->describe();
+    if (fast.verdict == Verdict::kHolds) {
       const Cut& gp = *fast.witness_cut;
       EXPECT_TRUE(p->eval(c, gp));
       const auto labels = chk.label(*p);
@@ -138,8 +138,8 @@ TEST_P(DetectProperty, EgA1MatchesBruteWithValidWitness) {
     PredicatePtr p = random_linear(rng, c.num_procs());
     DetectResult fast = detect_eg_linear(c, *p);
     DetectResult slow = chk.detect(Op::kEG, *p);
-    ASSERT_EQ(fast.holds(), slow.holds()) << p->describe();
-    if (fast.holds()) {
+    ASSERT_EQ(fast.verdict, slow.verdict) << p->describe();
+    if (fast.verdict == Verdict::kHolds) {
       // The witness is a full maximal cut sequence satisfying p throughout.
       const auto& path = fast.witness_path;
       ASSERT_FALSE(path.empty());
@@ -162,12 +162,12 @@ TEST_P(DetectProperty, A1ChoicePolicyIsIrrelevant) {
   LatticeChecker chk(c);
   for (int round = 0; round < 3; ++round) {
     PredicatePtr p = random_linear(rng, c.num_procs());
-    const bool expected = chk.detect(Op::kEG, *p).holds();
-    EXPECT_EQ(detect_eg_linear(c, *p).holds(), expected) << p->describe();
+    const Verdict expected = chk.detect(Op::kEG, *p).verdict;
+    EXPECT_EQ(detect_eg_linear(c, *p).verdict, expected) << p->describe();
     for (std::uint64_t cs = 1; cs <= 3; ++cs) {
       DetectResult r = detect_eg_linear_randomized(c, *p, cs);
-      EXPECT_EQ(r.holds(), expected) << p->describe() << " seed " << cs;
-      if (r.holds()) {
+      EXPECT_EQ(r.verdict, expected) << p->describe() << " seed " << cs;
+      if (r.verdict == Verdict::kHolds) {
         for (const Cut& g : r.witness_path) EXPECT_TRUE(p->eval(c, g));
       }
     }
@@ -182,8 +182,8 @@ TEST_P(DetectProperty, AgA2MatchesBruteWithViolatingWitness) {
     PredicatePtr p = random_linear(rng, c.num_procs());
     DetectResult fast = detect_ag_linear(c, *p);
     DetectResult slow = chk.detect(Op::kAG, *p);
-    ASSERT_EQ(fast.holds(), slow.holds()) << p->describe();
-    if (!fast.holds()) {
+    ASSERT_EQ(fast.verdict, slow.verdict) << p->describe();
+    if (fast.verdict == Verdict::kFails) {
       ASSERT_TRUE(fast.witness_cut.has_value());
       EXPECT_TRUE(c.is_consistent(*fast.witness_cut));
       EXPECT_FALSE(p->eval(c, *fast.witness_cut));
@@ -197,10 +197,10 @@ TEST_P(DetectProperty, EgAgPostLinearDuals) {
   LatticeChecker chk(c);
   for (int round = 0; round < 4; ++round) {
     PredicatePtr p = PredicatePtr(random_conjunctive(rng, c.num_procs()));
-    EXPECT_EQ(detect_eg_post_linear(c, *p).holds(),
-              chk.detect(Op::kEG, *p).holds());
-    EXPECT_EQ(detect_ag_post_linear(c, *p).holds(),
-              chk.detect(Op::kAG, *p).holds());
+    EXPECT_EQ(detect_eg_post_linear(c, *p).verdict,
+              chk.detect(Op::kEG, *p).verdict);
+    EXPECT_EQ(detect_ag_post_linear(c, *p).verdict,
+              chk.detect(Op::kAG, *p).verdict);
   }
 }
 
@@ -210,17 +210,17 @@ TEST_P(DetectProperty, ConjunctiveAllFourOperators) {
   LatticeChecker chk(c);
   for (int round = 0; round < 6; ++round) {
     auto p = random_conjunctive(rng, c.num_procs());
-    EXPECT_EQ(detect_ef_conjunctive(c, *p).holds(),
-              chk.detect(Op::kEF, *p).holds())
+    EXPECT_EQ(detect_ef_conjunctive(c, *p).verdict,
+              chk.detect(Op::kEF, *p).verdict)
         << p->describe();
-    EXPECT_EQ(detect_af_conjunctive(c, *p).holds(),
-              chk.detect(Op::kAF, *p).holds())
+    EXPECT_EQ(detect_af_conjunctive(c, *p).verdict,
+              chk.detect(Op::kAF, *p).verdict)
         << p->describe();
-    EXPECT_EQ(detect_eg_conjunctive(c, *p).holds(),
-              chk.detect(Op::kEG, *p).holds())
+    EXPECT_EQ(detect_eg_conjunctive(c, *p).verdict,
+              chk.detect(Op::kEG, *p).verdict)
         << p->describe();
-    EXPECT_EQ(detect_ag_conjunctive(c, *p).holds(),
-              chk.detect(Op::kAG, *p).holds())
+    EXPECT_EQ(detect_ag_conjunctive(c, *p).verdict,
+              chk.detect(Op::kAG, *p).verdict)
         << p->describe();
   }
 }
@@ -232,8 +232,10 @@ TEST_P(DetectProperty, ConjunctiveWeakEfAgreesWithChaseGarg) {
     auto p = random_conjunctive(rng, c.num_procs());
     DetectResult gw = detect_ef_conjunctive(c, *p);
     DetectResult cg = detect_ef_linear(c, *p);
-    ASSERT_EQ(gw.holds(), cg.holds());
-    if (gw.holds()) EXPECT_EQ(*gw.witness_cut, *cg.witness_cut);
+    ASSERT_TRUE(cg.definite());
+    ASSERT_EQ(gw.verdict, cg.verdict);
+    if (gw.verdict == Verdict::kHolds)
+      EXPECT_EQ(*gw.witness_cut, *cg.witness_cut);
   }
 }
 
@@ -243,17 +245,17 @@ TEST_P(DetectProperty, DisjunctiveAllFourOperators) {
   LatticeChecker chk(c);
   for (int round = 0; round < 6; ++round) {
     auto p = random_disjunctive(rng, c.num_procs());
-    EXPECT_EQ(detect_ef_disjunctive(c, *p).holds(),
-              chk.detect(Op::kEF, *p).holds())
+    EXPECT_EQ(detect_ef_disjunctive(c, *p).verdict,
+              chk.detect(Op::kEF, *p).verdict)
         << p->describe();
-    EXPECT_EQ(detect_af_disjunctive(c, *p).holds(),
-              chk.detect(Op::kAF, *p).holds())
+    EXPECT_EQ(detect_af_disjunctive(c, *p).verdict,
+              chk.detect(Op::kAF, *p).verdict)
         << p->describe();
-    EXPECT_EQ(detect_eg_disjunctive(c, *p).holds(),
-              chk.detect(Op::kEG, *p).holds())
+    EXPECT_EQ(detect_eg_disjunctive(c, *p).verdict,
+              chk.detect(Op::kEG, *p).verdict)
         << p->describe();
-    EXPECT_EQ(detect_ag_disjunctive(c, *p).holds(),
-              chk.detect(Op::kAG, *p).holds())
+    EXPECT_EQ(detect_ag_disjunctive(c, *p).verdict,
+              chk.detect(Op::kAG, *p).verdict)
         << p->describe();
   }
 }
@@ -267,9 +269,9 @@ TEST_P(DetectProperty, UntilA3MatchesBrute) {
     PredicatePtr q = random_linear(rng, c.num_procs());
     DetectResult fast = detect_eu(c, *p, *q);
     DetectResult slow = chk.detect(Op::kEU, *p, q.get());
-    ASSERT_EQ(fast.holds(), slow.holds())
+    ASSERT_EQ(fast.verdict, slow.verdict)
         << "p = " << p->describe() << "  q = " << q->describe();
-    if (fast.holds()) {
+    if (fast.verdict == Verdict::kHolds) {
       // Validate the witness prefix: consecutive covers, p before the end,
       // q at the end (which is I_q by Theorem 7).
       const auto& path = fast.witness_path;
@@ -294,7 +296,7 @@ TEST_P(DetectProperty, AuDisjunctiveMatchesBrute) {
     auto q = random_disjunctive(rng, c.num_procs());
     DetectResult fast = detect_au_disjunctive(c, *p, *q);
     DetectResult slow = chk.detect(Op::kAU, *p, q.get());
-    ASSERT_EQ(fast.holds(), slow.holds())
+    ASSERT_EQ(fast.verdict, slow.verdict)
         << "p = " << p->describe() << "  q = " << q->describe();
   }
 }
@@ -313,10 +315,10 @@ TEST_P(DetectProperty, DfsDetectorsMatchBruteOnArbitraryPredicates) {
                  cc.value_in(pr, 0, g) > k;
         },
         0, "arbitrary-probe");
-    EXPECT_EQ(detect_ef_dfs(c, *p).holds(), chk.detect(Op::kEF, *p).holds());
-    EXPECT_EQ(detect_af_dfs(c, *p).holds(), chk.detect(Op::kAF, *p).holds());
-    EXPECT_EQ(detect_eg_dfs(c, *p).holds(), chk.detect(Op::kEG, *p).holds());
-    EXPECT_EQ(detect_ag_dfs(c, *p).holds(), chk.detect(Op::kAG, *p).holds());
+    EXPECT_EQ(detect_ef_dfs(c, *p).verdict, chk.detect(Op::kEF, *p).verdict);
+    EXPECT_EQ(detect_af_dfs(c, *p).verdict, chk.detect(Op::kAF, *p).verdict);
+    EXPECT_EQ(detect_eg_dfs(c, *p).verdict, chk.detect(Op::kEG, *p).verdict);
+    EXPECT_EQ(detect_ag_dfs(c, *p).verdict, chk.detect(Op::kAG, *p).verdict);
   }
 }
 
@@ -327,10 +329,10 @@ TEST_P(DetectProperty, EuAuDfsMatchBrute) {
   for (int round = 0; round < 3; ++round) {
     PredicatePtr p = random_linear(rng, c.num_procs());
     PredicatePtr q = PredicatePtr(random_disjunctive(rng, c.num_procs()));
-    EXPECT_EQ(detect_eu_dfs(c, *p, *q).holds(),
-              chk.detect(Op::kEU, *p, q.get()).holds());
-    EXPECT_EQ(detect_au_dfs(c, p, q).holds(),
-              chk.detect(Op::kAU, *p, q.get()).holds());
+    EXPECT_EQ(detect_eu_dfs(c, *p, *q).verdict,
+              chk.detect(Op::kEU, *p, q.get()).verdict);
+    EXPECT_EQ(detect_au_dfs(c, p, q).verdict,
+              chk.detect(Op::kAU, *p, q.get()).verdict);
   }
 }
 
@@ -345,18 +347,18 @@ TEST_P(DetectProperty, DispatchAgreesWithBruteOnEverything) {
         random_linear(rng, c.num_procs()), make_terminated()};
     for (const auto& p : preds) {
       for (Op op : {Op::kEF, Op::kAF, Op::kEG, Op::kAG}) {
-        EXPECT_EQ(detect(c, op, p).holds(), chk.detect(op, *p).holds())
+        EXPECT_EQ(detect(c, op, p).verdict, chk.detect(op, *p).verdict)
             << to_string(op) << " " << p->describe();
       }
     }
     PredicatePtr up = PredicatePtr(random_conjunctive(rng, c.num_procs()));
     PredicatePtr uq = random_linear(rng, c.num_procs());
-    EXPECT_EQ(detect(c, Op::kEU, up, uq).holds(),
-              chk.detect(Op::kEU, *up, uq.get()).holds());
+    EXPECT_EQ(detect(c, Op::kEU, up, uq).verdict,
+              chk.detect(Op::kEU, *up, uq.get()).verdict);
     PredicatePtr ap = PredicatePtr(random_disjunctive(rng, c.num_procs()));
     PredicatePtr aq = PredicatePtr(random_disjunctive(rng, c.num_procs()));
-    EXPECT_EQ(detect(c, Op::kAU, ap, aq).holds(),
-              chk.detect(Op::kAU, *ap, aq.get()).holds());
+    EXPECT_EQ(detect(c, Op::kAU, ap, aq).verdict,
+              chk.detect(Op::kAU, *ap, aq.get()).verdict);
   }
 }
 
@@ -377,8 +379,8 @@ TEST_P(DetectShapes, DispatchMatchesBruteAcrossShapes) {
     PredicatePtr p = PredicatePtr(random_conjunctive(rng, procs));
     PredicatePtr d = PredicatePtr(random_disjunctive(rng, procs));
     for (Op op : {Op::kEF, Op::kAF, Op::kEG, Op::kAG}) {
-      EXPECT_EQ(detect(c, op, p).holds(), chk.detect(op, *p).holds());
-      EXPECT_EQ(detect(c, op, d).holds(), chk.detect(op, *d).holds());
+      EXPECT_EQ(detect(c, op, p).verdict, chk.detect(op, *p).verdict);
+      EXPECT_EQ(detect(c, op, d).verdict, chk.detect(op, *d).verdict);
     }
   }
 }

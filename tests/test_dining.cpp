@@ -53,7 +53,8 @@ TEST(Dining, UnorderedVariantCanDeadlockAndOrderedCannot) {
     Computation ordered = run_dining(seed, true);
     ordered.validate();
     EXPECT_FALSE(stuck(ordered)) << "seed " << seed;
-    EXPECT_TRUE(detect(ordered, Op::kAF, all_done_pred()).holds());
+    EXPECT_EQ(detect(ordered, Op::kAF, all_done_pred()).verdict,
+              Verdict::kHolds);
   }
   // Deterministic simulation: the unordered protocol is known to deadlock
   // on a majority of these seeds.
@@ -67,7 +68,7 @@ TEST(Dining, DeadlockIsDetectedAsConjunctivePredicate) {
     DetectResult ef = detect(c, Op::kEF, deadlock_pred());
     if (stuck(c)) {
       saw_deadlock = true;
-      EXPECT_TRUE(ef.holds()) << "seed " << seed;
+      EXPECT_EQ(ef.verdict, Verdict::kHolds) << "seed " << seed;
       // The deadlocked state persists to the final cut.
       EXPECT_TRUE(deadlock_pred()->eval(c, c.final_cut()));
       // And the witness is a real circular wait.
@@ -76,7 +77,7 @@ TEST(Dining, DeadlockIsDetectedAsConjunctivePredicate) {
       saw_completion = true;
       // A completing run may still pass near-deadlock cuts; only the
       // all-done property must definitely hold.
-      EXPECT_TRUE(detect(c, Op::kAF, all_done_pred()).holds())
+      EXPECT_EQ(detect(c, Op::kAF, all_done_pred()).verdict, Verdict::kHolds)
           << "seed " << seed;
     }
   }
@@ -114,7 +115,7 @@ TEST(Dining, ForksNeverDoubleBooked) {
       auto both = make_conjunctive(
           {var_cmp(i, "eating", Cmp::kEq, 1),
            var_cmp((i + 1) % kN, "eating", Cmp::kEq, 1)});
-      EXPECT_FALSE(detect(c, Op::kEF, PredicatePtr(both)).holds())
+      EXPECT_EQ(detect(c, Op::kEF, PredicatePtr(both)).verdict, Verdict::kFails)
           << "seed " << seed << " pair " << i;
     }
   }

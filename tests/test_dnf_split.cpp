@@ -49,17 +49,17 @@ TEST_P(DnfSplit, EfOverDnfMatchesBruteWithoutSearch) {
     PredicatePtr p = random_dnf(rng, 3, 2 + rng.next_below(2));
     if (!p->disjuncts().empty()) {
       DetectResult r = detect(c, Op::kEF, p);
-      EXPECT_EQ(r.holds(), chk.detect(Op::kEF, *p).holds()) << p->describe();
+      EXPECT_EQ(r.verdict, chk.detect(Op::kEF, *p).verdict) << p->describe();
       // Either the distributive split, or — when the DNF happens to hold
       // at the initial cut — the even cheaper observer-independent scan.
       EXPECT_TRUE(r.algorithm == "ef-or-split" ||
                   r.algorithm == "oi-single-observation")
           << r.algorithm;
-      if (r.holds()) EXPECT_TRUE(p->eval(c, *r.witness_cut));
+      if (r.verdict == Verdict::kHolds) EXPECT_TRUE(p->eval(c, *r.witness_cut));
     } else {
       // All terms merged into one disjunctive predicate (all locals):
       // handled by the disjunctive scan; still check the verdict.
-      EXPECT_EQ(detect(c, Op::kEF, p).holds(), chk.detect(Op::kEF, *p).holds());
+      EXPECT_EQ(detect(c, Op::kEF, p).verdict, chk.detect(Op::kEF, *p).verdict);
     }
   }
 }
@@ -86,8 +86,8 @@ TEST_P(DnfSplit, AgOverCnfMatchesBrute) {
     clauses.push_back(channel_bound_le(0, 1, 2));
     PredicatePtr p = make_and(std::move(clauses));
     DetectResult r = detect(c, Op::kAG, p);
-    EXPECT_EQ(r.holds(), chk.detect(Op::kAG, *p).holds()) << p->describe();
-    if (!r.holds()) {
+    EXPECT_EQ(r.verdict, chk.detect(Op::kAG, *p).verdict) << p->describe();
+    if (r.verdict == Verdict::kFails) {
       ASSERT_TRUE(r.witness_cut.has_value());
       EXPECT_FALSE(p->eval(c, *r.witness_cut));
     }
@@ -114,10 +114,10 @@ TEST_P(DnfSplit, EuOverDisjunctiveQMatchesBrute) {
                              PredicatePtr(make_conjunctive(std::move(term))));
     ASSERT_FALSE(q->disjuncts().empty());
     DetectResult r = detect(c, Op::kEU, PredicatePtr(p), q);
-    EXPECT_EQ(r.holds(), chk.detect(Op::kEU, *p, q.get()).holds())
+    EXPECT_EQ(r.verdict, chk.detect(Op::kEU, *p, q.get()).verdict)
         << q->describe();
     EXPECT_EQ(r.algorithm, "eu-or-split(A3)");
-    if (r.holds()) {
+    if (r.verdict == Verdict::kHolds) {
       EXPECT_TRUE(q->eval(c, *r.witness_cut));
       for (std::size_t i = 0; i + 1 < r.witness_path.size(); ++i)
         EXPECT_TRUE(p->eval(c, r.witness_path[i]));

@@ -37,13 +37,13 @@ TEST(EdgeCases, EmptyComputation) {
   auto t = make_true();
   auto f = make_false();
   for (Op op : {Op::kEF, Op::kAF, Op::kEG, Op::kAG}) {
-    EXPECT_TRUE(detect(c, op, t).holds()) << to_string(op);
-    EXPECT_FALSE(detect(c, op, f).holds()) << to_string(op);
+    EXPECT_EQ(detect(c, op, t).verdict, Verdict::kHolds) << to_string(op);
+    EXPECT_EQ(detect(c, op, f).verdict, Verdict::kFails) << to_string(op);
   }
   // EU/AU at the single state: verdict is q(∅).
-  EXPECT_TRUE(detect(c, Op::kEU, f, t).holds());
-  EXPECT_FALSE(detect(c, Op::kEU, t, f).holds());
-  EXPECT_TRUE(detect(c, Op::kAU, f, t).holds());
+  EXPECT_EQ(detect(c, Op::kEU, f, t).verdict, Verdict::kHolds);
+  EXPECT_EQ(detect(c, Op::kEU, t, f).verdict, Verdict::kFails);
+  EXPECT_EQ(detect(c, Op::kAU, f, t).verdict, Verdict::kHolds);
 }
 
 TEST(EdgeCases, SingleProcessIsATotalOrder) {
@@ -60,11 +60,14 @@ TEST(EdgeCases, SingleProcessIsATotalOrder) {
   // On a chain, EF == AF and EG == AG for every predicate.
   LatticeChecker chk(c);
   auto p = var_cmp(0, "x", Cmp::kEq, 3);
-  EXPECT_EQ(chk.detect(Op::kEF, *p).holds(), chk.detect(Op::kAF, *p).holds());
-  EXPECT_EQ(chk.detect(Op::kEG, *p).holds(), chk.detect(Op::kAG, *p).holds());
-  EXPECT_TRUE(detect(c, Op::kEF, p).holds());
-  EXPECT_TRUE(detect(c, Op::kAF, p).holds());
-  EXPECT_FALSE(detect(c, Op::kAG, p).holds());
+  const DetectResult ef = chk.detect(Op::kEF, *p);
+  const DetectResult eg = chk.detect(Op::kEG, *p);
+  ASSERT_TRUE(ef.definite() && eg.definite());
+  EXPECT_EQ(chk.detect(Op::kAF, *p).verdict, ef.verdict);
+  EXPECT_EQ(chk.detect(Op::kAG, *p).verdict, eg.verdict);
+  EXPECT_EQ(detect(c, Op::kEF, p).verdict, Verdict::kHolds);
+  EXPECT_EQ(detect(c, Op::kAF, p).verdict, Verdict::kHolds);
+  EXPECT_EQ(detect(c, Op::kAG, p).verdict, Verdict::kFails);
 }
 
 TEST(EdgeCases, ProcessWithZeroEvents) {
@@ -74,9 +77,9 @@ TEST(EdgeCases, ProcessWithZeroEvents) {
   Computation c = std::move(b).build();
   EXPECT_EQ(c.num_events(1), 0);
   auto p = make_conjunctive({progress_ge(1, 1)});
-  EXPECT_FALSE(detect(c, Op::kEF, p).holds());
+  EXPECT_EQ(detect(c, Op::kEF, p).verdict, Verdict::kFails);
   auto zero = make_conjunctive({pos_cmp(1, Cmp::kEq, 0)});
-  EXPECT_TRUE(detect(c, Op::kAG, PredicatePtr(zero)).holds());
+  EXPECT_EQ(detect(c, Op::kAG, PredicatePtr(zero)).verdict, Verdict::kHolds);
 }
 
 // ---- Dispatch identities ------------------------------------------------------
@@ -95,18 +98,20 @@ TEST_P(DispatchIdentity, UntilWithConstantsCollapses) {
   // E[true U p] == EF(p); A[true U p] == AF(p). `true` is conjunctive and
   // disjunctive, p is both too (as needed per rule), so the polynomial
   // algorithms handle both sides.
-  EXPECT_EQ(detect(c, Op::kEU, make_true(), p).holds(),
-            detect(c, Op::kEF, p).holds());
+  const DetectResult ef = detect(c, Op::kEF, p);
+  ASSERT_TRUE(ef.definite());
+  EXPECT_EQ(detect(c, Op::kEU, make_true(), p).verdict, ef.verdict);
   auto d = make_disjunctive({var_cmp(0, "v0", Cmp::kGe, 3),
                              var_cmp(2, "v1", Cmp::kLe, 2)});
-  EXPECT_EQ(detect(c, Op::kAU, make_true(), d).holds(),
-            detect(c, Op::kAF, d).holds());
+  const DetectResult af = detect(c, Op::kAF, d);
+  ASSERT_TRUE(af.definite());
+  EXPECT_EQ(detect(c, Op::kAU, make_true(), d).verdict, af.verdict);
   // E[p U false] and A[p U false] are false.
-  EXPECT_FALSE(detect(c, Op::kEU, p, make_false()).holds());
-  EXPECT_FALSE(detect(c, Op::kAU, d, make_false()).holds());
+  EXPECT_EQ(detect(c, Op::kEU, p, make_false()).verdict, Verdict::kFails);
+  EXPECT_EQ(detect(c, Op::kAU, d, make_false()).verdict, Verdict::kFails);
   // E[p U true] and A[p U true] are true (empty prefix).
-  EXPECT_TRUE(detect(c, Op::kEU, p, make_true()).holds());
-  EXPECT_TRUE(detect(c, Op::kAU, d, make_true()).holds());
+  EXPECT_EQ(detect(c, Op::kEU, p, make_true()).verdict, Verdict::kHolds);
+  EXPECT_EQ(detect(c, Op::kAU, d, make_true()).verdict, Verdict::kHolds);
 }
 
 TEST_P(DispatchIdentity, NegationDualities) {
@@ -120,8 +125,11 @@ TEST_P(DispatchIdentity, NegationDualities) {
   auto np = p->negate();  // conjunctive
   // AG(p) == !EF(!p), AF(p) == !EG(!p) — each side through its own
   // polynomial algorithm.
-  EXPECT_EQ(detect(c, Op::kAG, p).holds(), !detect(c, Op::kEF, np).holds());
-  EXPECT_EQ(detect(c, Op::kAF, p).holds(), !detect(c, Op::kEG, np).holds());
+  const DetectResult ef = detect(c, Op::kEF, np);
+  const DetectResult eg = detect(c, Op::kEG, np);
+  ASSERT_TRUE(ef.definite() && eg.definite());
+  EXPECT_EQ(detect(c, Op::kAG, p).verdict, negate(ef.verdict));
+  EXPECT_EQ(detect(c, Op::kAF, p).verdict, negate(eg.verdict));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DispatchIdentity,
@@ -158,7 +166,7 @@ TEST(Control, ScheduleKeepsThePredicateTrue) {
   auto schedule = control_schedule(c, *p);
   if (schedule.empty()) {
     // Not controllable on this trace; then EG must be false.
-    EXPECT_FALSE(detect(c, Op::kEG, p).holds());
+    EXPECT_EQ(detect(c, Op::kEG, p).verdict, Verdict::kFails);
     return;
   }
   Cut g = c.initial_cut();
@@ -208,15 +216,18 @@ TEST(Workloads, AllTracesRoundTrip) {
 
 TEST(EdgeCases, ChannelPredicateOnSilentChannel) {
   Computation c = generate_independent(3, 3);
-  EXPECT_TRUE(detect(c, Op::kAG, channel_empty(0, 1)).holds());
-  EXPECT_FALSE(detect(c, Op::kEF, channel_bound_ge(0, 1, 1)).holds());
+  EXPECT_EQ(detect(c, Op::kAG, channel_empty(0, 1)).verdict, Verdict::kHolds);
+  EXPECT_EQ(detect(c, Op::kEF, channel_bound_ge(0, 1, 1)).verdict,
+            Verdict::kFails);
 }
 
 TEST(EdgeCases, ImpossibleChannelBound) {
   Computation c = generate_independent(2, 2);
   // in_transit <= -1 is unsatisfiable.
-  EXPECT_FALSE(detect(c, Op::kEF, channel_bound_le(0, 1, -1)).holds());
-  EXPECT_TRUE(detect(c, Op::kAG, channel_bound_ge(0, 1, 0)).holds());
+  EXPECT_EQ(detect(c, Op::kEF, channel_bound_le(0, 1, -1)).verdict,
+            Verdict::kFails);
+  EXPECT_EQ(detect(c, Op::kAG, channel_bound_ge(0, 1, 0)).verdict,
+            Verdict::kHolds);
 }
 
 TEST(EdgeCases, QueryOnUnwrittenVariableUsesInitials) {
@@ -228,10 +239,10 @@ TEST(EdgeCases, QueryOnUnwrittenVariableUsesInitials) {
   Computation c = std::move(b).build();
   auto r = ctl::evaluate_query(c, "AG(x@P0 == 42)");
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_TRUE(r.result.holds());
+  EXPECT_EQ(r.result.verdict, Verdict::kHolds);
   auto r2 = ctl::evaluate_query(c, "AG(x@P1 == 0)");
   ASSERT_TRUE(r2.ok) << r2.error;
-  EXPECT_TRUE(r2.result.holds());
+  EXPECT_EQ(r2.result.verdict, Verdict::kHolds);
 }
 
 }  // namespace

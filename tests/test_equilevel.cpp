@@ -86,13 +86,14 @@ TEST_P(EquilevelProperty, MatchesBruteForceOnRandomLattices) {
       const DetectResult fast = detect(c, op, p);
       const DetectResult brute = chk.detect(op, *p);
       ASSERT_NE(fast.verdict, Verdict::kUnknown) << p->describe();
-      EXPECT_EQ(fast.holds(), brute.holds())
+      EXPECT_EQ(fast.verdict, brute.verdict)
           << to_string(op) << " " << p->describe();
       if (op == Op::kEF)
         EXPECT_TRUE(starts_with(fast.algorithm, "equilevel-scan"))
             << fast.algorithm;
       // An EF witness must be a consistent equilevel cut satisfying p.
-      if (op == Op::kEF && fast.holds() && fast.witness_cut) {
+      if (op == Op::kEF && fast.verdict == Verdict::kHolds &&
+          fast.witness_cut) {
         EXPECT_TRUE(is_equilevel_cut(*fast.witness_cut));
         EXPECT_TRUE(c.is_consistent(*fast.witness_cut));
         EXPECT_TRUE(p->eval(c, *fast.witness_cut));
@@ -121,10 +122,10 @@ TEST(Equilevel, TrivialFailShapesForMultiProc) {
   // always-true inner predicate.
   const Computation c = comp(3);
   const PredicatePtr p = make_equilevel(make_true());
-  EXPECT_FALSE(detect(c, Op::kAG, p).holds());
-  EXPECT_FALSE(detect(c, Op::kEG, p).holds());
+  EXPECT_EQ(detect(c, Op::kAG, p).verdict, Verdict::kFails);
+  EXPECT_EQ(detect(c, Op::kEG, p).verdict, Verdict::kFails);
   // EF of equilevel(true) always holds: the initial cut is on the chain.
-  EXPECT_TRUE(detect(c, Op::kEF, p).holds());
+  EXPECT_EQ(detect(c, Op::kEF, p).verdict, Verdict::kHolds);
 }
 
 TEST(Equilevel, AuditCatchesFalseEquilevelClaims) {

@@ -108,7 +108,7 @@ TEST(Fig4, SevenWitnessesTwoThroughIq) {
 TEST(Fig4, A3DetectsEuWithWitnessEndingAtIq) {
   Computation c = fig4_computation();
   DetectResult r = detect_eu(c, *fig4_p(), *fig4_q());
-  EXPECT_TRUE(r.holds());
+  EXPECT_EQ(r.verdict, Verdict::kHolds);
   ASSERT_TRUE(r.witness_cut.has_value());
   EXPECT_EQ(*r.witness_cut, Cut({1, 2, 1}));
   // Witness path checks out: p before, q at the end.
@@ -122,8 +122,8 @@ TEST(Fig4, BruteForceAgrees) {
   auto p = fig4_p();
   auto q = fig4_q();
   LatticeChecker chk(c);
-  EXPECT_TRUE(chk.detect(Op::kEU, *p, q.get()).holds());
-  EXPECT_EQ(detect_eu(c, *p, *q).holds(), true);
+  EXPECT_EQ(chk.detect(Op::kEU, *p, q.get()).verdict, Verdict::kHolds);
+  EXPECT_EQ(detect_eu(c, *p, *q).verdict, Verdict::kHolds);
 }
 
 TEST(Fig4, CtlTextualFormOfTheExample) {
@@ -131,7 +131,7 @@ TEST(Fig4, CtlTextualFormOfTheExample) {
   auto r = ctl::evaluate_query(
       c, "E[ z@P2 < 6 && x@P0 < 4 U channels_empty && x@P0 > 1 ]");
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_TRUE(r.result.holds());
+  EXPECT_EQ(r.result.verdict, Verdict::kHolds);
   EXPECT_EQ(r.result.algorithm, "A3-eu");
 }
 
@@ -150,7 +150,7 @@ TEST(Fig4, MutualExclusionStyleAuExample) {
   auto r = ctl::evaluate_query(
       c, "A[ try@P0 == 1 || critical@P0 == 0 U critical@P0 == 1 ]");
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_TRUE(r.result.holds());
+  EXPECT_EQ(r.result.verdict, Verdict::kHolds);
 }
 
 }  // namespace

@@ -90,10 +90,10 @@ TEST(QueryObjects, EvaluateParsedQueryDirectly) {
   ASSERT_TRUE(parsed.ok);
   auto r = ctl::evaluate_query(c, parsed.query);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_TRUE(r.result.holds());
+  EXPECT_EQ(r.result.verdict, Verdict::kHolds);
   // Same verdict as the text path.
-  EXPECT_EQ(r.result.holds(),
-            ctl::evaluate_query(c, "AG(v0@P0 >= 0)").result.holds());
+  EXPECT_EQ(ctl::evaluate_query(c, "AG(v0@P0 >= 0)").result.verdict,
+            Verdict::kHolds);
 }
 
 TEST(Builder, WriteBeforeEventDies) {
@@ -118,12 +118,12 @@ TEST(Dispatch, WitnessCutsPlumbThroughEveryRoute) {
   // EF conjunctive: least cut present on success.
   auto conj = make_conjunctive({var_cmp(0, "v0", Cmp::kGe, 0)});
   DetectResult ef = detect(c, Op::kEF, conj);
-  ASSERT_TRUE(ef.holds());
+  ASSERT_EQ(ef.verdict, Verdict::kHolds);
   EXPECT_TRUE(ef.witness_cut.has_value());
   // AG failure: violating cut present.
   auto never = make_conjunctive({var_cmp(0, "v0", Cmp::kGe, 100)});
   DetectResult ag = detect(c, Op::kAG, never);
-  ASSERT_FALSE(ag.holds());
+  ASSERT_EQ(ag.verdict, Verdict::kFails);
   ASSERT_TRUE(ag.witness_cut.has_value());
   EXPECT_FALSE(never->eval(c, *ag.witness_cut));
 }

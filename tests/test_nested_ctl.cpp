@@ -40,7 +40,10 @@ TEST(NestedCtl, BooleanOverTemporalAgreesWithSeparateQueries) {
   ASSERT_TRUE(a.ok && b.ok);
   auto both = ctl::evaluate_query(c, "EF(v0@P0 == 4) && AG(v1@P1 >= 0)");
   ASSERT_TRUE(both.ok) << both.error;
-  EXPECT_EQ(both.result.holds(), a.result.holds() && b.result.holds());
+  ASSERT_TRUE(a.result.definite() && b.result.definite());
+  EXPECT_EQ(both.result.verdict,
+            verdict_of(a.result.verdict == Verdict::kHolds &&
+                       b.result.verdict == Verdict::kHolds));
   EXPECT_EQ(both.algorithm, "lattice-nested-ctl");
 }
 
@@ -54,7 +57,8 @@ TEST(NestedCtl, SingleOperatorNestedPathMatchesFastPath) {
     auto nested = ctl::evaluate_query(
         c, std::string(base) + " && EF(true)");
     ASSERT_TRUE(fast.ok && nested.ok) << nested.error;
-    EXPECT_EQ(nested.result.holds(), fast.result.holds()) << "seed " << seed;
+    ASSERT_TRUE(fast.result.definite()) << "seed " << seed;
+    EXPECT_EQ(nested.result.verdict, fast.result.verdict) << "seed " << seed;
   }
 }
 
@@ -73,11 +77,11 @@ TEST(NestedCtl, ResettabilityPattern) {
   // reach it again.
   auto q = ctl::evaluate_query(c, "AG(EF(reset@P0 == 1))");
   ASSERT_TRUE(q.ok) << q.error;
-  EXPECT_FALSE(q.result.holds());
+  EXPECT_EQ(q.result.verdict, Verdict::kFails);
   // But EF(AG(reset == 0)) holds: run to the end where reset stays 0.
   auto q2 = ctl::evaluate_query(c, "EF(AG(reset@P0 == 0))");
   ASSERT_TRUE(q2.ok) << q2.error;
-  EXPECT_TRUE(q2.result.holds());
+  EXPECT_EQ(q2.result.verdict, Verdict::kHolds);
 }
 
 TEST(NestedCtl, UntilNestedInsideInvariant) {
@@ -90,14 +94,15 @@ TEST(NestedCtl, UntilNestedInsideInvariant) {
       "AG( E[ produced@P0 - consumed@P1 <= 2 U consumed@P1 == 4 ] "
       "|| consumed@P1 == 4 )");
   ASSERT_TRUE(q.ok) << q.error;
-  EXPECT_TRUE(q.result.holds());
+  EXPECT_EQ(q.result.verdict, Verdict::kHolds);
 }
 
 TEST(NestedCtl, DeepNestingEvaluates) {
   Computation c = comp(11);
   auto q = ctl::evaluate_query(c, "EF(AG(EF(v0@P0 >= 0)))");
   ASSERT_TRUE(q.ok) << q.error;
-  EXPECT_TRUE(q.result.holds());  // innermost is a tautology on values >= 0
+  // The innermost is a tautology on values >= 0.
+  EXPECT_EQ(q.result.verdict, Verdict::kHolds);
 }
 
 TEST(NestedCtl, ValidationStillAppliesInsideNesting) {
@@ -164,7 +169,8 @@ TEST(NestedCtl, NegationOfTemporal) {
   auto a = ctl::evaluate_query(c, "!EF(v0@P0 == 4)");
   auto b = ctl::evaluate_query(c, "EF(v0@P0 == 4)");
   ASSERT_TRUE(a.ok && b.ok) << a.error << b.error;
-  EXPECT_EQ(a.result.holds(), !b.result.holds());
+  ASSERT_TRUE(b.result.definite());
+  EXPECT_EQ(a.result.verdict, negate(b.result.verdict));
   EXPECT_EQ(a.algorithm, "lattice-nested-ctl");
 }
 

@@ -139,8 +139,9 @@ TEST_P(OnlineWatch, ConjunctivePossiblyMatchesOffline) {
     feed.run(ref);
 
     DetectResult offline = detect_ef_conjunctive(ref, *p);
-    ASSERT_EQ(feed.monitor.fired(w), offline.holds()) << p->describe();
-    if (offline.holds()) {
+    ASSERT_EQ(verdict_of(feed.monitor.fired(w)), offline.verdict)
+        << p->describe();
+    if (offline.verdict == Verdict::kHolds) {
       auto fires = feed.monitor.poll();
       ASSERT_EQ(fires.size(), 1u);
       // The online fire reports the same least satisfying cut.
@@ -173,12 +174,13 @@ TEST_P(OnlineWatch, DisjunctivePossiblyAndInvariant) {
     WatchId invariant = feed.monitor.watch_invariant(p);
     feed.run(ref);
 
-    EXPECT_EQ(feed.monitor.fired(possibly),
-              detect_ef_disjunctive(ref, *p).holds())
+    EXPECT_EQ(verdict_of(feed.monitor.fired(possibly)),
+              detect_ef_disjunctive(ref, *p).verdict)
         << p->describe();
     DetectResult ag = detect_ag_disjunctive(ref, *p);
-    EXPECT_EQ(feed.monitor.fired(invariant), !ag.holds()) << p->describe();
-    if (!ag.holds()) {
+    EXPECT_EQ(verdict_of(!feed.monitor.fired(invariant)), ag.verdict)
+        << p->describe();
+    if (ag.verdict == Verdict::kFails) {
       for (const auto& f : feed.monitor.poll())
         if (f.watch == invariant) {
           EXPECT_FALSE(p->eval(feed.monitor.computation(), f.cut));
@@ -232,8 +234,8 @@ TEST_P(OnlineWatch, ConjunctiveFiresAtEarliestPossiblePrefix) {
   feed.run(ref);
 
   DetectResult offline = detect_ef_conjunctive(ref, *p);
-  ASSERT_EQ(feed.monitor.fired(w), offline.holds());
-  if (!offline.holds()) return;
+  ASSERT_EQ(verdict_of(feed.monitor.fired(w)), offline.verdict);
+  if (offline.verdict == Verdict::kFails) return;
   auto fires = feed.monitor.poll();
   ASSERT_EQ(fires.size(), 1u);
 
@@ -275,12 +277,13 @@ TEST_P(OnlineWatch, UntilWatchMatchesOfflineA3) {
     auto iq = least_satisfying_cut(ref, *q, st);
     ASSERT_EQ(feed.monitor.fired(w), iq.has_value()) << q->describe();
     if (!iq) {
-      EXPECT_FALSE(offline.holds());
+      EXPECT_EQ(offline.verdict, Verdict::kFails);
       continue;
     }
     auto fires = feed.monitor.poll();
     ASSERT_EQ(fires.size(), 1u);
-    EXPECT_EQ(fires[0].holds, offline.holds())
+    ASSERT_TRUE(offline.definite());
+    EXPECT_EQ(fires[0].verdict, offline.verdict)
         << "p=" << p->describe() << " q=" << q->describe();
     EXPECT_EQ(fires[0].cut, *iq);
   }

@@ -24,7 +24,7 @@ namespace {
 
 bool same_fire(const WatchFire& a, const WatchFire& b) {
   return a.watch == b.watch && a.verdict == b.verdict && a.bound == b.bound &&
-         a.holds == b.holds && a.cut == b.cut && a.at_event == b.at_event &&
+         a.cut == b.cut && a.at_event == b.at_event &&
          a.description == b.description;
 }
 

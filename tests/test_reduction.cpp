@@ -119,8 +119,9 @@ TEST_P(NpcReduction, EgDetectionEquivalentToSat) {
     EXPECT_EQ(r.computation.num_procs(), m + 1);
     EXPECT_EQ(r.computation.total_events(), m + 2);
 
-    const bool eg = detect_eg_dfs(r.computation, *r.predicate).holds();
-    EXPECT_EQ(eg, dpll_solve(f).has_value()) << f.to_string();
+    EXPECT_EQ(detect_eg_dfs(r.computation, *r.predicate).verdict,
+              verdict_of(dpll_solve(f).has_value()))
+        << f.to_string();
   }
 }
 
@@ -132,8 +133,9 @@ TEST_P(NpcReduction, AgDetectionEquivalentToTautology) {
                         1 + static_cast<std::int32_t>(rng.next_below(2)), rng);
     Reduction r = reduce_tautology_to_ag(f);
     r.computation.validate();
-    const bool ag = detect_ag_dfs(r.computation, *r.predicate).holds();
-    EXPECT_EQ(ag, dnf_tautology(f)) << f.to_string();
+    EXPECT_EQ(detect_ag_dfs(r.computation, *r.predicate).verdict,
+              verdict_of(dnf_tautology(f)))
+        << f.to_string();
   }
 }
 
@@ -163,7 +165,7 @@ TEST(NpcReduction, UnsatExplodesSearchSpaceButStaysCorrect) {
   f.clauses = {{{{0, false}}}, {{{0, true}}}};
   Reduction r = reduce_sat_to_eg(f);
   DetectResult d = detect_eg_dfs(r.computation, *r.predicate);
-  EXPECT_FALSE(d.holds());
+  EXPECT_EQ(d.verdict, Verdict::kFails);
   EXPECT_GT(d.stats.cut_steps, 1u << 8);  // exponential region explored
 }
 

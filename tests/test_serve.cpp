@@ -152,7 +152,7 @@ TEST(ServeSession, StreamsEventsAndFiresWatches) {
   auto fires = s.poll();
   ASSERT_EQ(fires.size(), 1u);
   EXPECT_EQ(fires[0].watch, w);
-  EXPECT_TRUE(fires[0].holds);
+  EXPECT_EQ(fires[0].verdict, Verdict::kHolds);
   auto st = s.stats();
   EXPECT_EQ(st.records, 6);
   EXPECT_EQ(st.events, 2);
@@ -181,7 +181,7 @@ TEST(ServeSession, WatchQueryRoutesOptimizedQueriesToWatchKinds) {
   ASSERT_EQ(s.state(), SessionState::kFinished) << s.error();
   const auto fires = s.poll();
   ASSERT_EQ(fires.size(), 2u);
-  for (const auto& f : fires) EXPECT_TRUE(f.holds);
+  for (const auto& f : fires) EXPECT_EQ(f.verdict, Verdict::kHolds);
 }
 
 TEST(ServeSession, GcKeepsResidencyBounded) {

@@ -73,12 +73,13 @@ TEST_P(TokenMutex, SafetyHoldsWithoutInjection) {
   c.validate();
   for (ProcId i = 0; i < 4; ++i)
     for (ProcId j = i + 1; j < 4; ++j)
-      EXPECT_FALSE(detect(c, Op::kEF, cs_pair(i, j)).holds())
+      EXPECT_EQ(detect(c, Op::kEF, cs_pair(i, j)).verdict, Verdict::kFails)
           << i << "," << j;
   // Everyone eventually enters: cs@Pi == 1 is possible for each i.
   for (ProcId i = 0; i < 4; ++i)
-    EXPECT_TRUE(
-        detect(c, Op::kEF, PredicatePtr(var_cmp(i, "cs", Cmp::kEq, 1))).holds());
+    EXPECT_EQ(
+        detect(c, Op::kEF, PredicatePtr(var_cmp(i, "cs", Cmp::kEq, 1))).verdict,
+        Verdict::kHolds);
 }
 
 TEST_P(TokenMutex, InjectedViolationIsDetected) {
@@ -87,8 +88,11 @@ TEST_P(TokenMutex, InjectedViolationIsDetected) {
   c.validate();
   bool violated = false;
   for (ProcId i = 0; i < 4 && !violated; ++i)
-    for (ProcId j = i + 1; j < 4 && !violated; ++j)
-      violated = detect(c, Op::kEF, cs_pair(i, j)).holds();
+    for (ProcId j = i + 1; j < 4 && !violated; ++j) {
+      const DetectResult r = detect(c, Op::kEF, cs_pair(i, j));
+      ASSERT_TRUE(r.definite());
+      violated = r.verdict == Verdict::kHolds;
+    }
   EXPECT_TRUE(violated);
 }
 
@@ -106,12 +110,13 @@ TEST_P(RaMutex, SafetyAcrossSchedulers) {
     c.validate();
     for (ProcId i = 0; i < 3; ++i)
       for (ProcId j = i + 1; j < 3; ++j)
-        EXPECT_FALSE(detect(c, Op::kEF, cs_pair(i, j)).holds());
+        EXPECT_EQ(detect(c, Op::kEF, cs_pair(i, j)).verdict, Verdict::kFails);
     // Liveness in the recorded run: every process reached its CS.
     for (ProcId i = 0; i < 3; ++i)
-      EXPECT_TRUE(
+      EXPECT_EQ(
           detect(c, Op::kEF, PredicatePtr(var_cmp(i, "cs", Cmp::kEq, 1)))
-              .holds());
+              .verdict,
+          Verdict::kHolds);
   }
 }
 
@@ -126,7 +131,7 @@ TEST_P(RaMutex, TryUntilCriticalHoldsPerProcess) {
     PredicatePtr p = make_or(PredicatePtr(var_cmp(i, "try", Cmp::kEq, 1)),
                              PredicatePtr(var_cmp(i, "cs", Cmp::kEq, 0)));
     PredicatePtr q = var_cmp(i, "cs", Cmp::kEq, 1);
-    EXPECT_TRUE(detect(c, Op::kAU, p, q).holds());
+    EXPECT_EQ(detect(c, Op::kAU, p, q).verdict, Verdict::kHolds);
   }
 }
 
@@ -147,25 +152,26 @@ TEST_P(Election, ExactlyMaxUidWinsEverywhere) {
   std::vector<LocalPredicatePtr> agree;
   for (ProcId i = 0; i < n; ++i)
     agree.push_back(var_cmp(i, "leader", Cmp::kEq, n));
-  EXPECT_TRUE(detect(c, Op::kAF, make_conjunctive(agree)).holds());
+  EXPECT_EQ(detect(c, Op::kAF, make_conjunctive(agree)).verdict,
+            Verdict::kHolds);
 
   // AG: no process ever believes in a non-max, non-zero leader.
   for (ProcId i = 0; i < n; ++i) {
     PredicatePtr sane = make_or(PredicatePtr(var_cmp(i, "leader", Cmp::kEq, 0)),
                                 PredicatePtr(var_cmp(i, "leader", Cmp::kEq, n)));
-    EXPECT_TRUE(detect(c, Op::kAG, sane,
-                       nullptr, DispatchOptions{})
-                    .holds());
+    EXPECT_EQ(detect(c, Op::kAG, sane, nullptr, DispatchOptions{}).verdict,
+              Verdict::kHolds);
   }
 
   // Exactly one process sets elected.
   std::vector<LocalPredicatePtr> two;
   for (ProcId i = 0; i + 1 < n; ++i)
     two.push_back(var_cmp(i, "elected", Cmp::kEq, 1));
-  EXPECT_FALSE(detect(c, Op::kEF, make_conjunctive(two)).holds());
-  EXPECT_TRUE(detect(c, Op::kEF,
-                     PredicatePtr(var_cmp(n - 1, "elected", Cmp::kEq, 1)))
-                  .holds());
+  EXPECT_EQ(detect(c, Op::kEF, make_conjunctive(two)).verdict, Verdict::kFails);
+  EXPECT_EQ(detect(c, Op::kEF,
+                   PredicatePtr(var_cmp(n - 1, "elected", Cmp::kEq, 1)))
+                .verdict,
+            Verdict::kHolds);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Election,
@@ -183,17 +189,18 @@ TEST_P(ProdCons, WindowInvariantIsRegularAndHolds) {
   auto inv = diff_le({0, "produced"}, {1, "consumed"}, 3);
   EXPECT_EQ(inv->classes(c) & kClassRegular, kClassRegular);
   DetectResult r = detect(c, Op::kAG, inv);
-  EXPECT_TRUE(r.holds());
+  EXPECT_EQ(r.verdict, Verdict::kHolds);
   EXPECT_EQ(r.algorithm, "A2-ag-linear");
 
   // The tighter bound is violated somewhere (window actually fills).
   auto tight = diff_le({0, "produced"}, {1, "consumed"}, 0);
-  EXPECT_FALSE(detect(c, Op::kAG, tight).holds());
+  EXPECT_EQ(detect(c, Op::kAG, tight).verdict, Verdict::kFails);
 
   // All items eventually consumed in every observation.
-  EXPECT_TRUE(
+  EXPECT_EQ(
       detect(c, Op::kAF, PredicatePtr(var_cmp(1, "consumed", Cmp::kEq, 8)))
-          .holds());
+          .verdict,
+      Verdict::kHolds);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProdCons,
@@ -211,16 +218,17 @@ TEST_P(Barrier, PhaseSkewBounded) {
   for (ProcId i = 1; i < n; ++i)
     for (ProcId j = 1; j < n; ++j) {
       if (i == j) continue;
-      EXPECT_TRUE(detect(c, Op::kAG,
-                         diff_le({i, "phase"}, {j, "phase"}, 1))
-                      .holds())
+      EXPECT_EQ(detect(c, Op::kAG, diff_le({i, "phase"}, {j, "phase"}, 1))
+                    .verdict,
+                Verdict::kHolds)
           << i << "," << j;
     }
   // Everyone finishes all phases on every path.
   std::vector<LocalPredicatePtr> done;
   for (ProcId i = 1; i < n; ++i)
     done.push_back(var_cmp(i, "phase", Cmp::kEq, phases));
-  EXPECT_TRUE(detect(c, Op::kAF, make_conjunctive(done)).holds());
+  EXPECT_EQ(detect(c, Op::kAF, make_conjunctive(done)).verdict,
+            Verdict::kHolds);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Barrier,
@@ -234,7 +242,7 @@ TEST(Sim, TokenRingWorkCountsAccumulate) {
   PredicatePtr done = make_disjunctive({var_cmp(0, "done", Cmp::kEq, 1),
                                         var_cmp(1, "done", Cmp::kEq, 1),
                                         var_cmp(2, "done", Cmp::kEq, 1)});
-  EXPECT_TRUE(detect(c, Op::kAF, done).holds());
+  EXPECT_EQ(detect(c, Op::kAF, done).verdict, Verdict::kHolds);
 }
 
 TEST(Sim, MaxActionsCapStopsRunaway) {

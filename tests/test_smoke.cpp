@@ -14,12 +14,12 @@ TEST(Smoke, TokenMutexViolationDetected) {
   auto both_in_cs =
       make_and(PredicatePtr(var_cmp(0, "cs", Cmp::kEq, 1)),
                PredicatePtr(var_cmp(2, "cs", Cmp::kEq, 1)));
-  EXPECT_FALSE(detect(cg, Op::kEF, both_in_cs).holds());
+  EXPECT_EQ(detect(cg, Op::kEF, both_in_cs).verdict, Verdict::kFails);
 
   sim::Simulator bad = sim::make_token_mutex(3, 2, /*inject_violation=*/true);
   Computation cb = std::move(bad).run({});
   cb.validate();
-  EXPECT_TRUE(detect(cb, Op::kEF, both_in_cs).holds());
+  EXPECT_EQ(detect(cb, Op::kEF, both_in_cs).verdict, Verdict::kHolds);
 }
 
 TEST(Smoke, CtlQueryRoundTrip) {
@@ -29,11 +29,11 @@ TEST(Smoke, CtlQueryRoundTrip) {
 
   auto r = ctl::evaluate_query(c, "AG(produced@P0 - consumed@P1 <= 2)");
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_TRUE(r.result.holds()) << r.result.algorithm;
+  EXPECT_EQ(r.result.verdict, Verdict::kHolds) << r.result.algorithm;
 
   auto r2 = ctl::evaluate_query(c, "EF(consumed@P1 >= 5)");
   ASSERT_TRUE(r2.ok) << r2.error;
-  EXPECT_TRUE(r2.result.holds());
+  EXPECT_EQ(r2.result.verdict, Verdict::kHolds);
 }
 
 TEST(Smoke, BruteForceAgreesOnSmallRandom) {
@@ -50,7 +50,7 @@ TEST(Smoke, BruteForceAgreesOnSmallRandom) {
   for (Op op : {Op::kEF, Op::kAF, Op::kEG, Op::kAG}) {
     DetectResult fast = detect(c, op, p);
     DetectResult slow = chk.detect(op, *p);
-    EXPECT_EQ(fast.holds(), slow.holds())
+    EXPECT_EQ(fast.verdict, slow.verdict)
         << to_string(op) << " via " << fast.algorithm;
   }
 }

@@ -40,7 +40,7 @@ TEST_P(StableProperty, AllFourOperatorsMatchBrute) {
     EXPECT_TRUE(brute_check_classes(chk, *p).stable);
     for (Op op : {Op::kEF, Op::kAF, Op::kEG, Op::kAG}) {
       DetectResult fast = detect_stable(c, *p, op);
-      EXPECT_EQ(fast.holds(), chk.detect(op, *p).holds())
+      EXPECT_EQ(fast.verdict, chk.detect(op, *p).verdict)
           << to_string(op) << " k=" << k;
       EXPECT_LE(fast.stats.predicate_evals, 1u);  // truly trivial
     }
@@ -50,10 +50,10 @@ TEST_P(StableProperty, AllFourOperatorsMatchBrute) {
 TEST_P(StableProperty, TerminatedViaDispatch) {
   Computation c = comp(GetParam() + 30);
   auto t = make_terminated();
-  EXPECT_TRUE(detect(c, Op::kEF, t).holds());
-  EXPECT_TRUE(detect(c, Op::kAF, t).holds());
-  EXPECT_FALSE(detect(c, Op::kEG, t).holds());
-  EXPECT_FALSE(detect(c, Op::kAG, t).holds());
+  EXPECT_EQ(detect(c, Op::kEF, t).verdict, Verdict::kHolds);
+  EXPECT_EQ(detect(c, Op::kAF, t).verdict, Verdict::kHolds);
+  EXPECT_EQ(detect(c, Op::kEG, t).verdict, Verdict::kFails);
+  EXPECT_EQ(detect(c, Op::kAG, t).verdict, Verdict::kFails);
   EXPECT_EQ(detect(c, Op::kEF, t).algorithm, "stable-final");
 }
 
@@ -76,9 +76,10 @@ TEST_P(OiProperty, SingleObservationDecidesEfAndAf) {
                            rng.next_in(0, 5)));
     auto p = make_disjunctive(std::move(ls));
     DetectResult fast = detect_ef_observer_independent(c, *p);
-    EXPECT_EQ(fast.holds(), chk.detect(Op::kEF, *p).holds()) << p->describe();
-    EXPECT_EQ(fast.holds(), chk.detect(Op::kAF, *p).holds()) << p->describe();
-    if (fast.holds()) EXPECT_TRUE(p->eval(c, *fast.witness_cut));
+    EXPECT_EQ(fast.verdict, chk.detect(Op::kEF, *p).verdict) << p->describe();
+    EXPECT_EQ(fast.verdict, chk.detect(Op::kAF, *p).verdict) << p->describe();
+    if (fast.verdict == Verdict::kHolds)
+      EXPECT_TRUE(p->eval(c, *fast.witness_cut));
   }
 }
 
@@ -126,7 +127,7 @@ TEST(SearchDetectors, WitnessPathsAreValid) {
       [](const Computation&, const Cut& g) { return g.total() >= 6; }, 0,
       "probe");
   DetectResult r = detect_ef_dfs(c, *p);
-  ASSERT_TRUE(r.holds());
+  ASSERT_EQ(r.verdict, Verdict::kHolds);
   ASSERT_FALSE(r.witness_path.empty());
   EXPECT_EQ(r.witness_path.front(), c.initial_cut());
   EXPECT_TRUE(p->eval(c, r.witness_path.back()));

@@ -53,7 +53,7 @@ TEST_P(Stress, AllOperatorsOnLargerComputations) {
       for (Op op : {Op::kEF, Op::kAF, Op::kEG, Op::kAG}) {
         DetectResult fast = detect(c, op, p);
         DetectResult slow = chk.detect(op, *p);
-        ASSERT_EQ(fast.holds(), slow.holds())
+        ASSERT_EQ(fast.verdict, slow.verdict)
             << to_string(op) << " via " << fast.algorithm << " on "
             << p->describe();
       }
@@ -62,13 +62,13 @@ TEST_P(Stress, AllOperatorsOnLargerComputations) {
     auto up = make_conjunctive({rand_local(), rand_local()});
     PredicatePtr uq = make_and(PredicatePtr(make_conjunctive({rand_local()})),
                                all_channels_empty());
-    ASSERT_EQ(detect(c, Op::kEU, up, uq).holds(),
-              chk.detect(Op::kEU, *up, uq.get()).holds());
+    ASSERT_EQ(detect(c, Op::kEU, up, uq).verdict,
+              chk.detect(Op::kEU, *up, uq.get()).verdict);
 
     auto ap = make_disjunctive({rand_local(), rand_local()});
     auto aq = make_disjunctive({rand_local(), rand_local()});
-    ASSERT_EQ(detect(c, Op::kAU, ap, aq).holds(),
-              chk.detect(Op::kAU, *ap, aq.get()).holds());
+    ASSERT_EQ(detect(c, Op::kAU, ap, aq).verdict,
+              chk.detect(Op::kAU, *ap, aq.get()).verdict);
   }
 }
 
@@ -91,7 +91,7 @@ TEST_P(Stress, ChannelHeavyComputations) {
       for (std::int32_t k : {0, 1, 2}) {
         for (auto p : {channel_bound_le(i, j, k), channel_bound_ge(i, j, k)}) {
           for (Op op : {Op::kEF, Op::kEG, Op::kAG}) {
-            ASSERT_EQ(detect(c, op, p).holds(), chk.detect(op, *p).holds())
+            ASSERT_EQ(detect(c, op, p).verdict, chk.detect(op, *p).verdict)
                 << to_string(op) << " " << p->describe();
           }
         }
@@ -99,7 +99,7 @@ TEST_P(Stress, ChannelHeavyComputations) {
     }
   PredicatePtr empty = all_channels_empty();
   for (Op op : {Op::kEF, Op::kEG, Op::kAG})
-    ASSERT_EQ(detect(c, op, empty).holds(), chk.detect(op, *empty).holds());
+    ASSERT_EQ(detect(c, op, empty).verdict, chk.detect(op, *empty).verdict);
 }
 
 TEST_P(Stress, ManyProcessesFewEvents) {
@@ -120,9 +120,9 @@ TEST_P(Stress, ManyProcessesFewEvents) {
   auto conj = make_conjunctive(ls);
   auto disj = make_disjunctive(std::move(ls));
   for (Op op : {Op::kEF, Op::kAF, Op::kEG, Op::kAG}) {
-    ASSERT_EQ(detect(c, op, conj).holds(), chk.detect(op, *conj).holds())
+    ASSERT_EQ(detect(c, op, conj).verdict, chk.detect(op, *conj).verdict)
         << to_string(op);
-    ASSERT_EQ(detect(c, op, disj).holds(), chk.detect(op, *disj).holds())
+    ASSERT_EQ(detect(c, op, disj).verdict, chk.detect(op, *disj).verdict)
         << to_string(op);
   }
 }

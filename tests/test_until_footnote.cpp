@@ -65,9 +65,9 @@ TEST_P(UntilFootnote, NonLinearQWithLeastCut) {
 
     DetectResult fast = detect_eu_at(c, *p, *iq);
     DetectResult slow = chk.detect(Op::kEU, *p, q.get());
-    EXPECT_EQ(fast.holds(), slow.holds())
+    EXPECT_EQ(fast.verdict, slow.verdict)
         << "k=" << k << " t=" << t << " p=" << p->describe();
-    if (fast.holds()) {
+    if (fast.verdict == Verdict::kHolds) {
       EXPECT_EQ(*fast.witness_cut, *iq);
       EXPECT_TRUE(q->eval(c, fast.witness_path.back()));
       for (std::size_t i = 0; i + 1 < fast.witness_path.size(); ++i)
@@ -89,11 +89,12 @@ TEST_P(UntilFootnote, AgreesWithLinearPathWhenQIsLinear) {
                              var_cmp(2, "v1", Cmp::kGe, 1)});
   auto iq = brute_least_cut(chk, *q);
   DetectResult via_oracle = detect_eu(c, *p, *q);
+  ASSERT_TRUE(via_oracle.definite());
   if (iq) {
     DetectResult via_cut = detect_eu_at(c, *p, *iq);
-    EXPECT_EQ(via_cut.holds(), via_oracle.holds());
+    EXPECT_EQ(via_cut.verdict, via_oracle.verdict);
   } else {
-    EXPECT_FALSE(via_oracle.holds());
+    EXPECT_EQ(via_oracle.verdict, Verdict::kFails);
   }
 }
 

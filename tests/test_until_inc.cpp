@@ -203,7 +203,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UntilIncDifferential,
 struct OnlineFire {
   WatchId watch;
   Verdict verdict;
-  bool holds;
   Cut cut;
   std::string description;
 };
@@ -223,7 +222,7 @@ std::vector<OnlineFire> stream_until(const Computation& ref,
   std::vector<OnlineFire> fires;
   const auto drain = [&] {
     for (WatchFire& f : m.poll())
-      fires.push_back({f.watch, f.verdict, f.holds, f.cut, f.description});
+      fires.push_back({f.watch, f.verdict, f.cut, f.description});
   };
   std::int64_t step = 0;
   std::int64_t reclaimed = 0;
@@ -244,7 +243,6 @@ void expect_same_online(const std::vector<OnlineFire>& a,
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].watch, b[i].watch) << where;
     EXPECT_EQ(a[i].verdict, b[i].verdict) << where;
-    EXPECT_EQ(a[i].holds, b[i].holds) << where;
     EXPECT_EQ(a[i].cut, b[i].cut) << where;
     EXPECT_EQ(a[i].description, b[i].description) << where;
   }
@@ -265,7 +263,6 @@ TEST_P(UntilIncOnline, StreamedVerdictsMatchBatchMode) {
   for (const OnlineFire& f : fires) {
     const DetectResult at = detect_eu_at_reference(ref, *inst.p, f.cut);
     EXPECT_EQ(f.verdict, at.verdict);
-    EXPECT_EQ(f.holds, at.verdict == Verdict::kHolds);
   }
   // Cross-check against the offline detector on the full computation. An
   // until watch whose q-walk exhausts without ever finding I_q closes
@@ -275,12 +272,12 @@ TEST_P(UntilIncOnline, StreamedVerdictsMatchBatchMode) {
   const DetectResult off = detect_eu(ref, *inst.p, *inst.q);
   if (off.verdict == Verdict::kHolds) {
     ASSERT_EQ(fires.size(), 1u) << "I_q exists: the watch must fire";
-    EXPECT_TRUE(fires[0].holds);
+    EXPECT_EQ(fires[0].verdict, Verdict::kHolds);
     ASSERT_TRUE(off.witness_cut.has_value());
     EXPECT_EQ(fires[0].cut, *off.witness_cut);
   } else if (!fires.empty()) {
     ASSERT_EQ(fires.size(), 1u);
-    EXPECT_FALSE(fires[0].holds);
+    EXPECT_EQ(fires[0].verdict, Verdict::kFails);
     EXPECT_EQ(off.verdict, Verdict::kFails);
   } else {
     EXPECT_EQ(off.verdict, Verdict::kFails) << "silent close requires no I_q";
@@ -324,7 +321,6 @@ TEST_P(UntilIncOnline, SuspensionResumeUnderRoundBudgets) {
     if (f.verdict == Verdict::kUnknown) continue;
     ASSERT_EQ(free_run.size(), 1u) << where;
     EXPECT_EQ(f.verdict, free_run[0].verdict) << where;
-    EXPECT_EQ(f.holds, free_run[0].holds) << where;
     EXPECT_EQ(f.cut, free_run[0].cut) << where;
     EXPECT_EQ(f.description, free_run[0].description) << where;
     EXPECT_EQ(f.verdict,
