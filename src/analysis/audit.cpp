@@ -31,6 +31,9 @@ namespace {
 
 using SatVec = std::vector<char>;
 
+/// Cap on the quadratic pair loops (meet/join closure, oracle checks).
+constexpr std::size_t kMaxPairChecks = std::size_t{1} << 16;
+
 void add_violation(std::vector<AuditViolation>& out, AuditCheck check,
                    std::string message, std::vector<Cut> cuts) {
   out.push_back({check, std::move(message), std::move(cuts)});
@@ -39,14 +42,13 @@ void add_violation(std::vector<AuditViolation>& out, AuditCheck check,
 // ---- Exact mode: checks over the explicit lattice ---------------------------
 
 /// Meet (join) of two satisfying cuts must satisfy the predicate. One
-/// counterexample is enough; the pair loop is capped by max_pair_checks.
+/// counterexample is enough; the pair loop is capped by kMaxPairChecks.
 void check_semilattice(const Lattice& lat, const SatVec& sat, bool join,
-                       const AuditOptions& opt,
                        std::vector<AuditViolation>& out) {
   std::vector<NodeId> hits;
   for (NodeId v = 0; v < lat.size(); ++v)
     if (sat[v]) hits.push_back(v);
-  std::size_t budget = opt.max_pair_checks;
+  std::size_t budget = kMaxPairChecks;
   for (std::size_t a = 0; a < hits.size(); ++a) {
     for (std::size_t b = a + 1; b < hits.size(); ++b) {
       if (budget-- == 0) return;
@@ -246,13 +248,12 @@ void check_equilevel_class(const Lattice& lat, const SatVec& sat,
 /// forbidden(): for a false cut g and i = forbidden(g), no satisfying cut
 /// above g may keep coordinate i (dually below for forbidden_down).
 void check_oracle(const Lattice& lat, const Predicate& p, const SatVec& sat,
-                  bool down, const AuditOptions& opt,
-                  std::vector<AuditViolation>& out) {
+                  bool down, std::vector<AuditViolation>& out) {
   const Computation& c = lat.computation();
   std::vector<NodeId> hits;
   for (NodeId v = 0; v < lat.size(); ++v)
     if (sat[v]) hits.push_back(v);
-  std::size_t budget = opt.max_pair_checks;
+  std::size_t budget = kMaxPairChecks;
   for (NodeId v = 0; v < lat.size(); ++v) {
     if (sat[v]) continue;
     const Cut& g = lat.cut(v);
@@ -288,15 +289,14 @@ void check_oracle(const Lattice& lat, const Predicate& p, const SatVec& sat,
 /// Dispatches the class-definition checks for every claimed bit; returns
 /// the bits that were actually exercised.
 ClassSet run_class_checks(const Lattice& lat, const SatVec& sat, ClassSet cls,
-                          const AuditOptions& opt,
                           std::vector<AuditViolation>& out) {
   ClassSet checked = 0;
   if (cls & kClassLinear) {
-    check_semilattice(lat, sat, /*join=*/false, opt, out);
+    check_semilattice(lat, sat, /*join=*/false, out);
     checked |= kClassLinear;
   }
   if (cls & kClassPostLinear) {
-    check_semilattice(lat, sat, /*join=*/true, opt, out);
+    check_semilattice(lat, sat, /*join=*/true, out);
     checked |= kClassPostLinear;
   }
   if ((cls & kClassRegular) && (checked & kClassLinear) &&
@@ -337,12 +337,12 @@ void exact_audit(const Lattice& lat, const PredicatePtr& p, ClassSet cls,
     sat[v] = p->eval(c, lat.cut(v)) ? 1 : 0;
   r.cuts_examined += lat.size();
 
-  r.checked |= run_class_checks(lat, sat, cls, opt, r.violations);
+  r.checked |= run_class_checks(lat, sat, cls, r.violations);
 
   if (p->has_forbidden() && (cls & kClassLinear))
-    check_oracle(lat, *p, sat, /*down=*/false, opt, r.violations);
+    check_oracle(lat, *p, sat, /*down=*/false, r.violations);
   if (p->has_forbidden_down() && (cls & kClassPostLinear))
-    check_oracle(lat, *p, sat, /*down=*/true, opt, r.violations);
+    check_oracle(lat, *p, sat, /*down=*/true, r.violations);
 
   if (!opt.check_negation) return;
   const PredicatePtr n = p->negate();
@@ -361,7 +361,7 @@ void exact_audit(const Lattice& lat, const PredicatePtr& p, ClassSet cls,
   // The negation may under-claim (a generic Not claims nothing), but any
   // class it does claim must hold for the complement set.
   std::vector<AuditViolation> nviol;
-  run_class_checks(lat, nsat, close_classes(n->classes(c)), opt, nviol);
+  run_class_checks(lat, nsat, close_classes(n->classes(c)), nviol);
   for (AuditViolation& v : nviol) {
     v.message = strfmt("negate() claims a class it lacks (%s): %s",
                        to_string(v.check), v.message.c_str());
@@ -449,7 +449,7 @@ void sampled_audit(const Computation& c, const PredicatePtr& p, ClassSet cls,
   }
 
   auto pair_scan = [&](bool join, AuditCheck which) {
-    std::size_t budget = std::min(opt.max_pair_checks,
+    std::size_t budget = std::min(kMaxPairChecks,
                                   sat_pool.size() * sat_pool.size());
     for (std::size_t a = 0; a < sat_pool.size(); ++a) {
       for (std::size_t b = a + 1; b < sat_pool.size(); ++b) {
@@ -482,7 +482,7 @@ void sampled_audit(const Computation& c, const PredicatePtr& p, ClassSet cls,
     r.checked |= kClassRegular;
 
   auto oracle_scan = [&](bool down, AuditCheck which) {
-    std::size_t budget = opt.max_pair_checks;
+    std::size_t budget = kMaxPairChecks;
     for (const Cut& g : unsat_pool) {
       const ProcId i = down ? p->forbidden_down(c, g) : p->forbidden(c, g);
       if (i < 0 || i >= c.num_procs()) {

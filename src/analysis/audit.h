@@ -40,8 +40,6 @@ struct AuditOptions {
   /// Number of random observations walked in sampled mode.
   std::size_t samples = 64;
   std::uint64_t seed = 2002;
-  /// Cap on the quadratic pair loops (meet/join closure, oracle checks).
-  std::size_t max_pair_checks = std::size_t{1} << 16;
   /// Also verify negate(): semantic complement plus the classes the
   /// negation claims for itself.
   bool check_negation = true;

@@ -1,5 +1,7 @@
 #include "detect/conjunctive_gw.h"
 
+#include <algorithm>
+
 #include "obs/trace.h"
 #include "util/assert.h"
 
@@ -9,6 +11,106 @@ namespace {
 std::size_t sz(std::int32_t v) { return static_cast<std::size_t>(v); }
 }  // namespace
 
+void WeakConjunctiveSearch::bind(const Computation& c,
+                                 const ConjunctivePredicate& p,
+                                 bool streaming) {
+  c_ = &c;
+  streaming_ = streaming;
+  const std::size_t n = sz(c.num_procs());
+  locals_.resize(n);
+  for (ProcId i = 0; i < c.num_procs(); ++i) locals_[sz(i)] = p.local_for(i);
+  cand_ = Cut(std::vector<EventIndex>(n, -1));
+  scan_ = Cut(n);
+  repairing_ = -1;
+}
+
+SearchStatus WeakConjunctiveSearch::scan(ProcId i, EventIndex limit,
+                                         DetectStats& st, BudgetTracker& t) {
+  EventIndex& pos = scan_[sz(i)];
+  if (pos > limit) return SearchStatus::kExhausted;
+  std::optional<LocalEval> ev;
+  if (locals_[sz(i)] != nullptr) ev.emplace(*c_, *locals_[sz(i)]);
+  for (; pos <= limit; ++pos) {
+    if (!t.ok()) return SearchStatus::kTripped;
+    ++st.predicate_evals;
+    if (ev && !(*ev)(pos)) continue;
+    cand_[sz(i)] = pos++;
+    if (repairing_ == i) {
+      ++st.cut_steps;
+      repairing_ = -1;
+    }
+    return SearchStatus::kFound;
+  }
+  return SearchStatus::kExhausted;
+}
+
+SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
+                                               DetectStats& st,
+                                               BudgetTracker& t) {
+  const Computation& c = *c_;
+  const std::int32_t n = c.num_procs();
+  for (;;) {
+    bool exhausted = false;
+    for (ProcId i = 0; i < n; ++i) {
+      if (cand_[sz(i)] >= 0) continue;
+      const SearchStatus s = scan(i, limits[sz(i)], st, t);
+      if (s == SearchStatus::kTripped) return s;
+      if (s == SearchStatus::kExhausted) {
+        if (!streaming_) return s;
+        exhausted = true;
+      }
+    }
+    if (exhausted) return SearchStatus::kExhausted;
+
+    // All candidates set: if the candidate event on process i has seen more
+    // events of process j than cand[j], j's candidate must move to the next
+    // true position at or after that clock entry. Each repair strictly
+    // advances one scan position, so the search takes at most |E| repairs.
+    ProcId repaired = -1;
+    for (ProcId i = 0; i < n && repaired < 0; ++i) {
+      if (cand_[sz(i)] == 0) continue;
+      const VClockView vc = c.vclock(i, cand_[sz(i)]);
+      for (ProcId j = 0; j < n; ++j) {
+        if (j == i || vc[sz(j)] <= cand_[sz(j)]) continue;
+        scan_[sz(j)] = vc[sz(j)];
+        cand_[sz(j)] = -1;
+        repaired = j;
+        break;
+      }
+    }
+    if (repaired < 0) return SearchStatus::kFound;
+    if (streaming_) {
+      ++st.cut_steps;
+    } else {
+      repairing_ = repaired;
+    }
+  }
+}
+
+EventIndex WeakConjunctiveSearch::scan_floor(ProcId i,
+                                             EventIndex floor) const {
+  const EventIndex need =
+      cand_[sz(i)] >= 0 ? cand_[sz(i)] : scan_[sz(i)];
+  return std::min(floor, need);
+}
+
+std::size_t WeakConjunctiveSearch::state_bytes() const {
+  return locals_.capacity() * sizeof(const LocalPredicate*) +
+         (cand_.size() + scan_.size()) * sizeof(EventIndex);
+}
+
+std::vector<Cut> linearization_path(const Computation& c, const Cut& k) {
+  std::vector<Cut> path;
+  Cut g = c.initial_cut();
+  path.push_back(g);
+  for (const EventId& e : c.linearization()) {
+    if (e.index > k[sz(e.proc)]) continue;
+    ++g[sz(e.proc)];
+    path.push_back(g);
+  }
+  return path;
+}
+
 DetectResult detect_ef_conjunctive(const Computation& c,
                                    const ConjunctivePredicate& p,
                                    const Budget& budget) {
@@ -16,61 +118,17 @@ DetectResult detect_ef_conjunctive(const Computation& c,
   r.algorithm = "gw-weak-conjunctive";
   ScopedSpan span(budget.trace, "ef.gw-weak");
   BudgetTracker t(budget, r.stats);
-  const std::int32_t n = c.num_procs();
   if (!t.ok()) return mark_bounded(r, t);
-
-  // Per-process conjunct evaluators, resolved once (LocalEval binds the
-  // variable timeline so the scans below skip the name lookup per call).
-  // A process without a conjunct is vacuously true everywhere.
-  std::vector<std::optional<LocalEval>> evals(sz(n));
-  for (ProcId i = 0; i < n; ++i)
-    if (const LocalPredicate* local = p.local_for(i))
-      evals[sz(i)].emplace(c, *local);
-
-  // first_true[i](x) = least position >= x where conjunct i holds, or -1.
-  // -2 reports a tripped budget mid-scan.
-  auto first_true = [&](ProcId i, EventIndex from) -> EventIndex {
-    for (EventIndex pos = from; pos <= c.num_events(i); ++pos) {
-      if (!t.ok()) return -2;
-      ++r.stats.predicate_evals;
-      if (!evals[sz(i)] || (*evals[sz(i)])(pos)) return pos;
-    }
-    return -1;
-  };
-
-  Cut cand(sz(n));
-  for (ProcId i = 0; i < n; ++i) {
-    const EventIndex pos = first_true(i, 0);
-    if (pos == -2) return mark_bounded(r, t);
-    if (pos < 0) return r;  // conjunct i never holds
-    cand[sz(i)] = pos;
+  WeakConjunctiveSearch search;
+  search.bind(c, p, /*streaming=*/false);
+  switch (search.advance_to(c.final_cut(), r.stats, t)) {
+    case SearchStatus::kTripped: return mark_bounded(r, t);
+    case SearchStatus::kExhausted: return r;  // some conjunct never holds
+    case SearchStatus::kFound: break;
   }
-
-  // Repair consistency: if the candidate event on process i has seen more
-  // events of process j than cand[j], process j's candidate must advance to
-  // the next true position at or after that clock entry. Each repair strictly
-  // advances one position, so the loop takes at most |E| repairs.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (ProcId i = 0; i < n && !changed; ++i) {
-      if (cand[sz(i)] == 0) continue;
-      const VClockView vc = c.vclock(i, cand[sz(i)]);
-      for (ProcId j = 0; j < n; ++j) {
-        if (j == i || vc[sz(j)] <= cand[sz(j)]) continue;
-        const EventIndex pos = first_true(j, vc[sz(j)]);
-        if (pos == -2) return mark_bounded(r, t);
-        if (pos < 0) return r;  // no consistent position remains for j
-        ++r.stats.cut_steps;
-        cand[sz(j)] = pos;
-        changed = true;
-        break;
-      }
-    }
-  }
-  HBCT_DASSERT(c.is_consistent(cand));
+  HBCT_DASSERT(c.is_consistent(search.cut()));
   r.verdict = Verdict::kHolds;
-  r.witness_cut = std::move(cand);
+  r.witness_cut = search.cut();
   return r;
 }
 
@@ -79,18 +137,17 @@ namespace {
 /// Shared scan: finds a violating (process, position) or reports all-true.
 /// Every local evaluation is counted in st. Returns nullopt with the
 /// tracker tripped when the budget ran out mid-scan (callers must check
-/// before treating nullopt as "all positions true"). When `k` is non-null
-/// the scan is restricted to positions 0..k[i] — the prefix sublattice.
+/// before treating nullopt as "all positions true"). The scan is restricted
+/// to positions 0..k[i] — the prefix sublattice below k.
 std::optional<std::pair<ProcId, EventIndex>> find_false_position(
-    const Computation& c, const ConjunctivePredicate& p, const Cut* k,
+    const Computation& c, const ConjunctivePredicate& p, const Cut& k,
     DetectStats& st, BudgetTracker& t) {
   for (const auto& local : p.locals()) {
     const ProcId i = local->proc();
     HBCT_ASSERT_MSG(i < c.num_procs(),
                     "conjunct references a process outside the computation");
     const LocalEval le(c, *local);
-    const EventIndex last = k != nullptr ? (*k)[sz(i)] : c.num_events(i);
-    for (EventIndex pos = 0; pos <= last; ++pos) {
+    for (EventIndex pos = 0; pos <= k[sz(i)]; ++pos) {
       if (!t.ok()) return std::nullopt;
       ++st.predicate_evals;
       if (!le(pos)) return std::make_pair(i, pos);
@@ -104,22 +161,7 @@ std::optional<std::pair<ProcId, EventIndex>> find_false_position(
 DetectResult detect_eg_conjunctive(const Computation& c,
                                    const ConjunctivePredicate& p,
                                    const Budget& budget) {
-  DetectResult r;
-  r.algorithm = "eg-conjunctive-scan";
-  ScopedSpan span(budget.trace, "eg.conjunctive-scan");
-  BudgetTracker t(budget, r.stats);
-  if (!t.ok()) return mark_bounded(r, t);
-  if (find_false_position(c, p, nullptr, r.stats, t)) return r;
-  if (t.exceeded()) return mark_bounded(r, t);
-  r.verdict = Verdict::kHolds;
-  // Any maximal cut sequence is a witness; use the canonical linearization.
-  Cut g = c.initial_cut();
-  r.witness_path.push_back(g);
-  for (const EventId& e : c.linearization()) {
-    ++g[sz(e.proc)];
-    r.witness_path.push_back(g);
-  }
-  return r;
+  return detect_eg_conjunctive_within(c, p, c.final_cut(), budget);
 }
 
 DetectResult detect_eg_conjunctive_within(const Computation& c,
@@ -135,16 +177,11 @@ DetectResult detect_eg_conjunctive_within(const Computation& c,
   ScopedSpan span(budget.trace, "eg.conjunctive-scan");
   BudgetTracker t(budget, r.stats);
   if (!t.ok()) return mark_bounded(r, t);
-  if (find_false_position(c, p, &k, r.stats, t)) return r;
+  if (find_false_position(c, p, k, r.stats, t)) return r;
   if (t.exceeded()) return mark_bounded(r, t);
   r.verdict = Verdict::kHolds;
-  Cut g = c.initial_cut();
-  r.witness_path.push_back(g);
-  for (const EventId& e : c.linearization()) {
-    if (e.index > k[sz(e.proc)]) continue;
-    ++g[sz(e.proc)];
-    r.witness_path.push_back(g);
-  }
+  // Any maximal cut sequence is a witness; use the canonical linearization.
+  r.witness_path = linearization_path(c, k);
   return r;
 }
 
@@ -156,7 +193,7 @@ DetectResult detect_ag_conjunctive(const Computation& c,
   ScopedSpan span(budget.trace, "ag.conjunctive-scan");
   BudgetTracker t(budget, r.stats);
   if (!t.ok()) return mark_bounded(r, t);
-  if (auto bad = find_false_position(c, p, nullptr, r.stats, t)) {
+  if (auto bad = find_false_position(c, p, c.final_cut(), r.stats, t)) {
     // A consistent cut exhibiting the violation: the least cut placing the
     // process at the bad position (J(e) for pos >= 1, initial cut else).
     auto [i, pos] = *bad;

@@ -72,6 +72,15 @@ struct DetectResult {
   bool definite() const { return verdict != Verdict::kUnknown; }
 };
 
+/// Progress report of a resumable search (WeakConjunctiveSearch,
+/// DisjunctiveScan): each call advances it to per-process position limits.
+enum class SearchStatus : std::uint8_t {
+  kFound,      // the answer lies at or below the limits
+  kExhausted,  // nothing at or below the limits: impossible when the limits
+               // are the final cut, otherwise it needs more events
+  kTripped,    // the budget ran out mid-scan; the next call resumes there
+};
+
 /// Sets verdict = kUnknown with the given reason (must not be kNone).
 DetectResult& mark_bounded(DetectResult& r, BoundReason why);
 DetectResult& mark_bounded(DetectResult& r, const BudgetTracker& t);

@@ -10,6 +10,52 @@
 
 namespace hbct {
 
+void DisjunctiveScan::bind(const Computation& c,
+                           const DisjunctivePredicate& p) {
+  c_ = &c;
+  locals_.clear();
+  for (const auto& local : p.locals())
+    if (local->proc() < c.num_procs()) locals_.push_back(local.get());
+  scan_.assign(locals_.size(), 0);
+  found_ = 0;
+}
+
+SearchStatus DisjunctiveScan::advance_to(const Cut& limits, DetectStats& st,
+                                         BudgetTracker& t) {
+  for (std::size_t l = 0; l < locals_.size(); ++l) {
+    const EventIndex limit =
+        limits[static_cast<std::size_t>(locals_[l]->proc())];
+    if (scan_[l] > limit) continue;
+    const LocalEval ev(*c_, *locals_[l]);
+    for (EventIndex& pos = scan_[l]; pos <= limit; ++pos) {
+      if (!t.ok()) return SearchStatus::kTripped;
+      ++st.predicate_evals;
+      if (ev(pos)) {
+        found_ = l;
+        return SearchStatus::kFound;
+      }
+    }
+  }
+  return SearchStatus::kExhausted;
+}
+
+Cut DisjunctiveScan::witness() const {
+  const ProcId i = locals_[found_]->proc();
+  const EventIndex pos = scan_[found_];
+  return pos == 0 ? c_->initial_cut() : c_->join_irreducible_of(i, pos);
+}
+
+EventIndex DisjunctiveScan::scan_floor(ProcId i, EventIndex floor) const {
+  for (std::size_t l = 0; l < locals_.size(); ++l)
+    if (locals_[l]->proc() == i) return std::min(floor, scan_[l]);
+  return floor;
+}
+
+std::size_t DisjunctiveScan::state_bytes() const {
+  return locals_.capacity() * sizeof(const LocalPredicate*) +
+         scan_.capacity() * sizeof(EventIndex);
+}
+
 DetectResult detect_ef_disjunctive(const Computation& c,
                                    const DisjunctivePredicate& p,
                                    const Budget& budget) {
@@ -18,21 +64,15 @@ DetectResult detect_ef_disjunctive(const Computation& c,
   ScopedSpan span(budget.trace, "ef.disjunctive-scan");
   BudgetTracker t(budget, r.stats);
   if (!t.ok()) return mark_bounded(r, t);
-  for (const auto& local : p.locals()) {
-    const ProcId i = local->proc();
-    if (i >= c.num_procs()) continue;
-    const LocalEval le(c, *local);
-    for (EventIndex pos = 0; pos <= c.num_events(i); ++pos) {
-      if (!t.ok()) return mark_bounded(r, t);
-      ++r.stats.predicate_evals;
-      if (le(pos)) {
-        r.verdict = Verdict::kHolds;
-        r.witness_cut =
-            pos == 0 ? c.initial_cut() : c.join_irreducible_of(i, pos);
-        return r;
-      }
-    }
+  DisjunctiveScan scan;
+  scan.bind(c, p);
+  switch (scan.advance_to(c.final_cut(), r.stats, t)) {
+    case SearchStatus::kTripped: return mark_bounded(r, t);
+    case SearchStatus::kExhausted: return r;
+    case SearchStatus::kFound: break;
   }
+  r.verdict = Verdict::kHolds;
+  r.witness_cut = scan.witness();
   return r;
 }
 

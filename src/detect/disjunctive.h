@@ -1,7 +1,10 @@
 // Detection of disjunctive predicates.
 //
 //  EF — position scan: some disjunct holds at some local position (every
-//       local position occurs in a consistent cut).
+//       local position occurs in a consistent cut). The scan is the
+//       resumable DisjunctiveScan below: detect_ef_disjunctive runs it once
+//       to the final cut, and the online monitor's disjunctive watches run
+//       the same machine to the frozen limits as events arrive.
 //  AF — disjunctive predicates are observer-independent, so AF ⟺ EF.
 //  EG — interval-chain search: a maximal cut sequence on which "some
 //       disjunct always holds" exists iff there is a chain of true-intervals
@@ -18,6 +21,34 @@
 #include "predicate/disjunctive.h"
 
 namespace hbct {
+
+/// The first-true scan behind EF(p) for disjunctive p, as a resumable state
+/// machine: disjuncts in process order, each scanned up to its process's
+/// limit, stopping at the first true local state. Disjuncts on processes
+/// outside the computation are ignored. Lifetimes and growth as for
+/// WeakConjunctiveSearch.
+class DisjunctiveScan {
+ public:
+  void bind(const Computation& c, const DisjunctivePredicate& p);
+
+  /// As WeakConjunctiveSearch::advance_to.
+  SearchStatus advance_to(const Cut& limits, DetectStats& st,
+                          BudgetTracker& t);
+
+  /// After kFound: the least cut containing the true local state, J(e) (the
+  /// initial cut for position 0).
+  Cut witness() const;
+
+  /// As WeakConjunctiveSearch::scan_floor / state_bytes.
+  EventIndex scan_floor(ProcId i, EventIndex floor) const;
+  std::size_t state_bytes() const;
+
+ private:
+  const Computation* c_ = nullptr;
+  std::vector<const LocalPredicate*> locals_;  // sorted by process
+  std::vector<EventIndex> scan_;               // per disjunct
+  std::size_t found_ = 0;                      // the true disjunct
+};
 
 /// EF(p) for disjunctive p. witness_cut = least cut J(e) making a disjunct
 /// true (or the initial cut).

@@ -251,7 +251,7 @@ bool preflight(const Computation& c, Op op, const PredicatePtr& p,
   bool ok = true;
   for (const PredicatePtr& pred : {p, q}) {
     if (!pred) continue;
-    const AuditResult audit = audit_predicate(pred, c, opt.audit_options);
+    const AuditResult audit = audit_predicate(pred, c);
     if (audit.ok()) continue;
     ok = false;
     for (Diagnostic& d : audit_diagnostics(audit)) {

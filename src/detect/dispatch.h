@@ -74,8 +74,6 @@ struct DispatchOptions {
   /// capture-only site (no clock reads, no allocation). Overrides any
   /// caller-set Budget::trace.
   bool trace = false;
-  /// Budgets for AuditMode::kFull (lattice cap, sample count, seed).
-  AuditOptions audit_options;
   /// Query-level rewrite optimization (ctl::evaluate_query only); see
   /// OptimizeMode. Appended last so aggregate initializers of the earlier
   /// fields keep compiling.

@@ -1,8 +1,8 @@
 #include "detect/until_inc.h"
 
 #include <algorithm>
-#include <optional>
 
+#include "detect/conjunctive_gw.h"
 #include "detect/first_match.h"
 #include "obs/trace.h"
 #include "predicate/local.h"
@@ -13,25 +13,6 @@ namespace hbct {
 namespace {
 
 std::size_t sz(std::int32_t v) { return static_cast<std::size_t>(v); }
-
-/// Position evaluator for one conjunct: the specialized LocalEval fast
-/// path while the timeline is fully resident, the function path once GC
-/// has trimmed it (value_timeline views require trimmed == 0; value_at
-/// handles the storage offset). Identical booleans either way.
-class PosEval {
- public:
-  PosEval(const Computation& c, const LocalPredicate& p) : c_(&c), p_(&p) {
-    if (c.trimmed(p.proc()) == 0) fast_.emplace(c, p);
-  }
-  bool operator()(EventIndex pos) const {
-    return fast_.has_value() ? (*fast_)(pos) : p_->eval_local(*c_, pos);
-  }
-
- private:
-  const Computation* c_;
-  const LocalPredicate* p_;
-  std::optional<LocalEval> fast_;
-};
 
 }  // namespace
 
@@ -63,7 +44,7 @@ void EgPrefixState::advance_to(const Cut& limits, DetectStats& st,
     if (first_false_[l] >= 0) continue;  // decided: never read again
     const EventIndex limit = limits[sz(procs_[l])];
     if (scanned_[l] > limit) continue;
-    const PosEval ev(*c_, *pred_->locals()[l]);
+    const LocalEval ev(*c_, *pred_->locals()[l]);
     for (EventIndex pos = scanned_[l]; pos <= limit; ++pos) {
       if (t != nullptr && !t->ok()) return;  // suspended; resumes here
       ++st.predicate_evals;
@@ -97,7 +78,7 @@ EgPrefixState::Sim EgPrefixState::sim_scan(std::size_t l, EventIndex last,
   if (scanned_[l] > last) return Sim::kAllTrue;
   // Lazy extension over the unscanned tail — the reference loop verbatim,
   // additionally recording what it learns into the table.
-  const PosEval ev(*c_, *pred_->locals()[l]);
+  const LocalEval ev(*c_, *pred_->locals()[l]);
   for (EventIndex pos = scanned_[l]; pos <= last; ++pos) {
     if (!t.ok()) return Sim::kTripped;
     ++st.predicate_evals;
@@ -114,7 +95,6 @@ EgPrefixState::Sim EgPrefixState::sim_scan(std::size_t l, EventIndex last,
 
 DetectResult EgPrefixState::eg_within(const Cut& k, const Budget& budget,
                                       bool want_path) {
-  const Computation& c = *c_;
   DetectResult r;
   r.algorithm = "eg-conjunctive-scan";
   ScopedSpan span(budget.trace, "eg.conjunctive-scan");
@@ -130,15 +110,7 @@ DetectResult EgPrefixState::eg_within(const Cut& k, const Budget& budget,
   }
   if (t.exceeded()) return mark_bounded(r, t);
   r.verdict = Verdict::kHolds;
-  if (want_path) {
-    Cut g = c.initial_cut();
-    r.witness_path.push_back(g);
-    for (const EventId& e : c.linearization()) {
-      if (e.index > k[sz(e.proc)]) continue;
-      ++g[sz(e.proc)];
-      r.witness_path.push_back(g);
-    }
-  }
+  if (want_path) r.witness_path = linearization_path(*c_, k);
   return r;
 }
 
@@ -197,7 +169,7 @@ EventIndex EgPrefixState::scan_floor(ProcId i, EventIndex fallback) const {
 }
 
 std::size_t EgPrefixState::state_bytes() const {
-  return sizeof(*this) + procs_.capacity() * sizeof(ProcId) +
+  return procs_.capacity() * sizeof(ProcId) +
          (first_false_.capacity() + scanned_.capacity()) * sizeof(EventIndex);
 }
 

@@ -89,8 +89,8 @@ class EgPrefixState {
   /// still-needed prefix.
   EventIndex scan_floor(ProcId i, EventIndex fallback) const;
 
-  /// Approximate heap footprint of the table, for the serve layer's
-  /// watch-state sizing gauge.
+  /// Approximate heap footprint of the table, for the watch-state sizing
+  /// gauge.
   std::size_t state_bytes() const;
 
  private:

@@ -16,6 +16,9 @@ namespace hbct {
 
 namespace {
 
+/// Dump horizon: records older than this are dropped from snapshots.
+constexpr std::uint64_t kWindowNs = 30ull * 1'000'000'000ull;
+
 static_assert(std::is_trivially_copyable_v<FlightRecorder::Record>,
               "Record is memcpy'd through the slot's atomic words");
 
@@ -261,7 +264,7 @@ FlightRecorder::Stats FlightRecorder::stats() const {
 std::vector<FlightRecorder::Record> FlightRecorder::snapshot() const {
   const std::uint64_t now = now_ns();
   const std::uint64_t horizon =
-      now > cfg_.window_ns ? now - cfg_.window_ns : 0;
+      now > kWindowNs ? now - kWindowNs : 0;
   std::vector<Record> out;
   for (const Shard& sh : shards_) {
     for (std::size_t i = 0; i <= mask_; ++i) {

@@ -82,8 +82,6 @@ class FlightRecorder {
     /// Slots per shard, rounded up to a power of two. 4096 slots x 16
     /// shards x 64 bytes = 4 MiB resident, ~65k records retained.
     std::size_t ring_capacity = 4096;
-    /// Dump horizon: records older than this are dropped from snapshots.
-    std::uint64_t window_ns = 30ull * 1'000'000'000ull;
     /// Floor between two automatic anomaly dumps (0 = dump on every
     /// anomaly). Protects against dump storms when a whole fleet of
     /// sessions trips at once — rendering a multi-MB dump per anomaly on
@@ -152,7 +150,7 @@ class FlightRecorder {
                         std::int64_t a1 = 0, Tracer* capture = nullptr);
 
   // ---- Snapshot / dump (rare; locks only the name table) ------------------
-  /// All valid records within the window, oldest first.
+  /// All valid records within the last 30 s, oldest first.
   std::vector<Record> snapshot() const;
   /// Chrome trace_event JSON of the current window. When `trigger_ticket`
   /// matches a record's ticket, that record is marked with a "trigger": 1

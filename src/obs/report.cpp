@@ -58,7 +58,7 @@ void write_spans(JsonWriter& w, const Tracer& t) {
 
 }  // namespace
 
-std::string report_json(const DetectResult& r, const ReportOptions& opt) {
+std::string report_json(const DetectResult& r) {
   JsonWriter w;
   w.begin_object();
   w.kv("schema", kReportSchema);
@@ -105,19 +105,13 @@ std::string report_json(const DetectResult& r, const ReportOptions& opt) {
   }
   w.end_array();
 
-  const MetricsRegistry* reg = opt.registry;
-  if (reg == nullptr && r.trace != nullptr) reg = &r.trace->metrics();
-  if (opt.include_metrics && reg != nullptr) {
+  if (r.trace != nullptr) {
     w.key("metrics");
-    write_metrics(w, reg->snapshot());
-  } else {
-    w.key("metrics").raw("null");
-  }
-
-  if (opt.include_spans && r.trace != nullptr) {
+    write_metrics(w, r.trace->metrics().snapshot());
     w.key("spans");
     write_spans(w, *r.trace);
   } else {
+    w.key("metrics").raw("null");
     w.key("spans").raw("null");
   }
 

@@ -25,7 +25,7 @@
 //                       "open","args":{..}}, ... ] | null
 //   }
 // metrics/spans are null unless the detection ran with tracing enabled
-// (DispatchOptions::trace) or a report registry is passed explicitly.
+// (DispatchOptions::trace).
 #pragma once
 
 #include <string>
@@ -34,23 +34,9 @@
 
 namespace hbct {
 
-class MetricsRegistry;
-
 inline constexpr const char* kReportSchema = "hbct.report/1";
 
-struct ReportOptions {
-  /// Include the span array (requires r.trace; large traces make large
-  /// documents — the Chrome export is the tool-friendly view of the same
-  /// data).
-  bool include_spans = true;
-  /// Include the metrics snapshot of r.trace's registry (or of `registry`
-  /// below when given).
-  bool include_metrics = true;
-  /// Overrides the metrics source; nullptr = use r.trace's registry.
-  const MetricsRegistry* registry = nullptr;
-};
-
 /// Serializes one detection into the hbct.report/1 JSON document.
-std::string report_json(const DetectResult& r, const ReportOptions& opt = {});
+std::string report_json(const DetectResult& r);
 
 }  // namespace hbct

@@ -1,5 +1,7 @@
 #include "online/monitor.h"
 
+#include <algorithm>
+
 #include "obs/flight.h"
 #include "obs/trace.h"
 #include "util/assert.h"
@@ -26,18 +28,18 @@ OnlineMonitor::OnlineMonitor(std::int32_t num_procs) : app_(num_procs) {}
 
 void OnlineMonitor::internal(ProcId i) {
   app_.internal(i);
-  on_event(i);
+  on_event();
 }
 
 MsgId OnlineMonitor::send(ProcId from, ProcId to) {
   const MsgId m = app_.send(from, to);
-  on_event(from);
+  on_event();
   return m;
 }
 
 void OnlineMonitor::receive(ProcId to, MsgId m) {
   app_.receive(to, m);
-  on_event(to);
+  on_event();
 }
 
 void OnlineMonitor::write(ProcId i, std::string_view name,
@@ -56,21 +58,21 @@ AppendError OnlineMonitor::try_set_initial(ProcId i, VarId v,
 AppendError OnlineMonitor::try_internal(ProcId i) {
   if (finished_) return AppendError::kFinished;
   const AppendError e = app_.try_internal(i);
-  if (e == AppendError::kNone) on_event(i);
+  if (e == AppendError::kNone) on_event();
   return e;
 }
 
 AppendError OnlineMonitor::try_send(ProcId from, ProcId to, MsgId* out) {
   if (finished_) return AppendError::kFinished;
   const AppendError e = app_.try_send(from, to, out);
-  if (e == AppendError::kNone) on_event(from);
+  if (e == AppendError::kNone) on_event();
   return e;
 }
 
 AppendError OnlineMonitor::try_receive(ProcId to, MsgId m) {
   if (finished_) return AppendError::kFinished;
   const AppendError e = app_.try_receive(to, m);
-  if (e == AppendError::kNone) on_event(to);
+  if (e == AppendError::kNone) on_event();
   return e;
 }
 
@@ -85,39 +87,24 @@ void OnlineMonitor::finish() {
   static const std::uint16_t kFinish =
       FlightRecorder::intern("monitor.finish", "events", "watches");
   FlightScope flight(FlightRecorder::global(), kFinish, budget_.trace);
-  flight.args(events_seen(),
-              static_cast<std::int64_t>(conj_.size() + disj_.size() +
-                                        stable_.size() + until_.size()));
-  BudgetTracker t(budget_, work_);
-  round_ = &t;
-  for (auto& w : conj_) step_conj(w);
-  for (auto& w : disj_) step_disj(w);
-  for (auto& w : stable_) step_stable(w);
-  for (auto& w : until_) step_until(w);
-  round_ = nullptr;
-  if (t.exceeded()) {
+  flight.args(events_seen(), static_cast<std::int64_t>(watches_.size()));
+  const BoundReason tripped = run_round(nullptr);
+  for (Watch& w : watches_) {
     // The final round ran out of budget: watches still undecided can no
     // longer be resumed (no further events arrive), so they report kUnknown
     // rather than staying silent as if the condition never occurred.
-    const auto give_up = [&](WatchId id, auto& w, const char* kind) {
-      if (w.done) return;
-      w.done = true;
-      fire(id, app_.current_cut(),
-           std::string("undecided (budget): ") + kind, Verdict::kUnknown,
-           t.reason());
-    };
-    for (auto& w : conj_) give_up(w.id, w, "conjunctive watch");
-    for (auto& w : disj_) give_up(w.id, w, "disjunctive watch");
-    for (auto& w : stable_) give_up(w.id, w, "stable watch");
-    for (auto& w : until_) give_up(w.id, w, "until watch");
+    if (tripped != BoundReason::kNone && !w.done) {
+      const WatchKind label =
+          w.kind == WatchKind::kInvariant ? WatchKind::kConjunctive : w.kind;
+      fire(w.id, app_.current_cut(),
+           std::string("undecided (budget): ") + to_string(label) + " watch",
+           Verdict::kUnknown, tripped);
+    }
+    // Fire-once hardening: nothing can legally change after the final
+    // round, so every watch is closed out — a stray late feed can never
+    // resume one into a second (possibly contradictory) verdict.
+    w.done = true;
   }
-  // Fire-once hardening: nothing can legally change after the final round,
-  // so every watch is closed out — a stray late feed can never resume one
-  // into a second (possibly contradictory) verdict.
-  for (auto& w : conj_) w.done = true;
-  for (auto& w : disj_) w.done = true;
-  for (auto& w : stable_) w.done = true;
-  for (auto& w : until_) w.done = true;
 }
 
 EventIndex OnlineMonitor::frozen_limit(ProcId i) const {
@@ -128,19 +115,28 @@ EventIndex OnlineMonitor::frozen_limit(ProcId i) const {
   return n > 0 ? n - 1 : 0;
 }
 
-void OnlineMonitor::on_event(ProcId) {
-  // Each event's evaluation round gets a fresh work allowance; the tracker
-  // bases itself on the cumulative counters, so only this round's work is
-  // charged. A tripped round suspends the remaining steps; every watch's
-  // incremental state resumes on the next event.
+void OnlineMonitor::on_event() {
   ScopedSpan span(budget_.trace, "monitor.round");
+  run_round(nullptr);
+}
+
+BoundReason OnlineMonitor::run_round(Watch* only) {
+  // Each round gets a fresh work allowance; the tracker bases itself on the
+  // cumulative counters, so only this round's work is charged. A tripped
+  // round suspends the remaining steps; every watch's incremental state
+  // resumes on the next event.
   BudgetTracker t(budget_, work_);
   round_ = &t;
-  for (auto& w : conj_) step_conj(w);
-  for (auto& w : disj_) step_disj(w);
-  for (auto& w : stable_) step_stable(w);
-  for (auto& w : until_) step_until(w);
+  const std::int32_t n = app_.computation().num_procs();
+  if (limits_.size() != sz(n)) limits_ = Cut(sz(n));
+  for (ProcId i = 0; i < n; ++i) limits_[sz(i)] = frozen_limit(i);
+  if (only != nullptr) {
+    step(*only);
+  } else {
+    for (Watch& w : watches_) step(w);
+  }
   round_ = nullptr;
+  return t.reason();
 }
 
 void OnlineMonitor::fire(WatchId id, Cut cut, const std::string& what,
@@ -167,199 +163,119 @@ void OnlineMonitor::fire(WatchId id, Cut cut, const std::string& what,
                                    static_cast<std::int64_t>(verdict));
 }
 
-WatchId OnlineMonitor::watch_possibly(ConjunctivePredicatePtr p) {
-  HBCT_ASSERT(p);
-  HBCT_ASSERT_MSG(app_.computation().trimmed_events() == 0,
+WatchId OnlineMonitor::add_watch(Watch w) {
+  HBCT_ASSERT_MSG(w.kind == WatchKind::kStable ||
+                      app_.computation().trimmed_events() == 0,
                   "scanning watches must be registered before prefix GC");
-  const std::int32_t n = app_.computation().num_procs();
-  for (const auto& l : p->locals())
-    HBCT_ASSERT_MSG(l->proc() < n, "conjunct references an unknown process");
-  ConjWatch w;
+  const auto rank = [](WatchKind k) {
+    return k == WatchKind::kInvariant ? 0 : static_cast<int>(k);
+  };
+  const auto at = std::upper_bound(
+      watches_.begin(), watches_.end(), rank(w.kind),
+      [&](int r, const Watch& x) { return r < rank(x.kind); });
   w.id = next_id_++;
   fired_.push_back(false);
-  kinds_.push_back(WatchKind::kConjunctive);
+  kinds_.push_back(w.kind);
+  // The searches bind the computation (a stable member) and the predicates
+  // (on the heap), so their bindings survive moves of the watch vector.
+  Watch& added = *watches_.insert(at, std::move(w));
+  run_round(&added);
+  return added.id;
+}
+
+WatchId OnlineMonitor::watch_possibly(ConjunctivePredicatePtr p) {
+  HBCT_ASSERT(p);
+  for (const auto& l : p->locals())
+    HBCT_ASSERT_MSG(l->proc() < app_.computation().num_procs(),
+                    "conjunct references an unknown process");
+  Watch w;
+  w.kind = WatchKind::kConjunctive;
+  w.gw.bind(app_.computation(), *p, /*streaming=*/true);
   w.pred = std::move(p);
-  w.violation_of_invariant = false;
-  w.cand.assign(sz(n), -1);
-  w.scan.assign(sz(n), 0);
-  conj_.push_back(std::move(w));
-  BudgetTracker t(budget_, work_);
-  round_ = &t;
-  step_conj(conj_.back());
-  round_ = nullptr;
-  return conj_.back().id;
+  return add_watch(std::move(w));
 }
 
 WatchId OnlineMonitor::watch_invariant(DisjunctivePredicatePtr p) {
   HBCT_ASSERT(p);
-  HBCT_ASSERT_MSG(app_.computation().trimmed_events() == 0,
-                  "scanning watches must be registered before prefix GC");
-  auto notp = as_conjunctive(p->negate());
+  ConjunctivePredicatePtr notp = as_conjunctive(p->negate());
   HBCT_ASSERT(notp);
-  const std::int32_t n = app_.computation().num_procs();
-  ConjWatch w;
-  w.id = next_id_++;
-  fired_.push_back(false);
-  kinds_.push_back(WatchKind::kInvariant);
-  w.pred = notp;
-  w.violation_of_invariant = true;
-  w.cand.assign(sz(n), -1);
-  w.scan.assign(sz(n), 0);
-  conj_.push_back(std::move(w));
-  BudgetTracker t(budget_, work_);
-  round_ = &t;
-  step_conj(conj_.back());
-  round_ = nullptr;
-  return conj_.back().id;
+  Watch w;
+  w.kind = WatchKind::kInvariant;
+  w.gw.bind(app_.computation(), *notp, /*streaming=*/true);
+  w.pred = std::move(notp);
+  return add_watch(std::move(w));
 }
 
 WatchId OnlineMonitor::watch_possibly(DisjunctivePredicatePtr p) {
   HBCT_ASSERT(p);
-  HBCT_ASSERT_MSG(app_.computation().trimmed_events() == 0,
-                  "scanning watches must be registered before prefix GC");
-  const std::int32_t n = app_.computation().num_procs();
-  DisjWatch w;
-  w.id = next_id_++;
-  fired_.push_back(false);
-  kinds_.push_back(WatchKind::kDisjunctive);
+  Watch w;
+  w.kind = WatchKind::kDisjunctive;
+  w.disj.bind(app_.computation(), *p);
   w.pred = std::move(p);
-  w.scan.assign(sz(n), 0);
-  disj_.push_back(std::move(w));
-  BudgetTracker t(budget_, work_);
-  round_ = &t;
-  step_disj(disj_.back());
-  round_ = nullptr;
-  return disj_.back().id;
+  return add_watch(std::move(w));
 }
 
 WatchId OnlineMonitor::watch_until(ConjunctivePredicatePtr p,
                                    PredicatePtr q) {
   HBCT_ASSERT(p);
   HBCT_ASSERT(q);
-  HBCT_ASSERT_MSG(app_.computation().trimmed_events() == 0,
-                  "scanning watches must be registered before prefix GC");
-  UntilWatch w;
-  w.id = next_id_++;
-  fired_.push_back(false);
-  kinds_.push_back(WatchKind::kUntil);
-  w.p = std::move(p);
-  w.q = std::move(q);
+  Watch w;
+  w.kind = WatchKind::kUntil;
   w.cand = app_.computation().initial_cut();
-  // The computation is a stable member and the predicate lives on the
-  // heap, so the binding survives moves of the watch vector.
-  w.eg.bind(app_.computation(), *w.p, /*instrumented=*/true);
-  until_.push_back(std::move(w));
-  BudgetTracker t(budget_, work_);
-  round_ = &t;
-  step_until(until_.back());
-  round_ = nullptr;
-  return until_.back().id;
+  w.eg.bind(app_.computation(), *p, /*instrumented=*/true);
+  w.pred = std::move(p);
+  w.q = std::move(q);
+  return add_watch(std::move(w));
 }
 
 WatchId OnlineMonitor::watch_stable(PredicatePtr p) {
   HBCT_ASSERT(p);
-  StableWatch w;
-  w.id = next_id_++;
-  fired_.push_back(false);
-  kinds_.push_back(WatchKind::kStable);
+  Watch w;
+  w.kind = WatchKind::kStable;
   w.pred = std::move(p);
-  stable_.push_back(std::move(w));
-  BudgetTracker t(budget_, work_);
-  round_ = &t;
-  step_stable(stable_.back());
-  round_ = nullptr;
-  return stable_.back().id;
+  return add_watch(std::move(w));
 }
 
-void OnlineMonitor::step_conj(ConjWatch& w) {
+void OnlineMonitor::step(Watch& w) {
   if (w.done) return;
+  switch (w.kind) {
+    case WatchKind::kConjunctive:
+    case WatchKind::kInvariant: return step_conj(w);
+    case WatchKind::kDisjunctive: return step_disj(w);
+    case WatchKind::kStable: return step_stable(w);
+    case WatchKind::kUntil: return step_until(w);
+  }
+}
+
+void OnlineMonitor::step_conj(Watch& w) {
   ScopedSpan span(budget_.trace, "monitor.watch.conj");
   span.arg("watch", w.id);
-  const Computation& c = app_.computation();
-  const std::int32_t n = c.num_procs();
-
-  // Advance any unset candidate through the newly frozen positions. The
-  // scan position persists, so a budget-suspended advance resumes exactly
-  // where it stopped.
-  auto advance = [&](ProcId i) {
-    auto& pos = w.scan[sz(i)];
-    while (w.cand[sz(i)] < 0 && pos <= frozen_limit(i)) {
-      if (!round_ok()) return false;
-      ++work_.predicate_evals;
-      if (w.pred->eval_local(c, i, pos)) w.cand[sz(i)] = pos;
-      ++pos;
-    }
-    return w.cand[sz(i)] >= 0;
-  };
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Advance every process even once one is known to be stuck: a position
-    // where the local predicate is false can never become a candidate, so
-    // pre-scanning the other timelines is free — and min_watch_frontier
-    // pins at `scan`, so a timeline left at 0 would hold the whole prefix
-    // resident until this watch fires.
-    bool stuck = false;
-    for (ProcId i = 0; i < n; ++i)
-      if (!advance(i)) stuck = true;  // more events (or budget) needed on i
-    if (stuck) return;
-    // All candidates set: repair pairwise consistency (GW weak).
-    for (ProcId i = 0; i < n && !changed; ++i) {
-      if (w.cand[sz(i)] == 0) continue;
-      const VClockView vc = c.vclock(i, w.cand[sz(i)]);
-      for (ProcId j = 0; j < n; ++j) {
-        if (j == i || vc[sz(j)] <= w.cand[sz(j)]) continue;
-        // The candidate of j must move to a true position at or after the
-        // clock demand; restart its scan there.
-        ++work_.cut_steps;
-        w.scan[sz(j)] = std::max(w.scan[sz(j)], vc[sz(j)]);
-        w.cand[sz(j)] = -1;
-        changed = true;
-        break;
-      }
-    }
-  }
-
-  Cut cut(sz(n));
-  for (ProcId i = 0; i < n; ++i) cut[sz(i)] = w.cand[sz(i)];
-  HBCT_DASSERT(c.is_consistent(cut));
+  if (w.gw.advance_to(limits_, work_, *round_) != SearchStatus::kFound)
+    return;
+  HBCT_DASSERT(computation().is_consistent(w.gw.cut()));
   w.done = true;
-  fire(w.id, std::move(cut),
-       w.violation_of_invariant
-           ? "invariant violated: " + w.pred->describe()
-           : "possibly: " + w.pred->describe());
+  fire(w.id, w.gw.cut(),
+       (w.kind == WatchKind::kInvariant ? "invariant violated: "
+                                        : "possibly: ") +
+           w.pred->describe());
 }
 
-void OnlineMonitor::step_disj(DisjWatch& w) {
-  if (w.done) return;
+void OnlineMonitor::step_disj(Watch& w) {
   ScopedSpan span(budget_.trace, "monitor.watch.disj");
   span.arg("watch", w.id);
-  const Computation& c = app_.computation();
-  for (ProcId i = 0; i < c.num_procs(); ++i) {
-    auto& pos = w.scan[sz(i)];
-    for (; pos <= frozen_limit(i); ++pos) {
-      if (!round_ok()) return;  // resume at `pos` next round
-      ++work_.predicate_evals;
-      if (!w.pred->eval_local(c, i, pos)) continue;
-      w.done = true;
-      Cut cut = pos == 0 ? c.initial_cut() : c.join_irreducible_of(i, pos);
-      fire(w.id, std::move(cut), "possibly: " + w.pred->describe());
-      return;
-    }
-  }
+  if (w.disj.advance_to(limits_, work_, *round_) != SearchStatus::kFound)
+    return;
+  w.done = true;
+  fire(w.id, w.disj.witness(), "possibly: " + w.pred->describe());
 }
 
-void OnlineMonitor::step_stable(StableWatch& w) {
-  if (w.done) return;
+void OnlineMonitor::step_stable(Watch& w) {
   ScopedSpan span(budget_.trace, "monitor.watch.stable");
   span.arg("watch", w.id);
   if (!round_ok()) return;  // re-evaluated from scratch next round
   const Computation& c = app_.computation();
   // Evaluate on the frozen frontier; stability makes any hit permanent.
-  Cut frontier(static_cast<std::size_t>(c.num_procs()));
-  for (ProcId i = 0; i < c.num_procs(); ++i)
-    frontier[sz(i)] = frozen_limit(i);
+  Cut frontier = limits_;
   ++work_.predicate_evals;
   if (!w.pred->eval(c, frontier)) return;
   // The frozen frontier is inconsistent when a frozen receive's send is
@@ -378,10 +294,7 @@ void OnlineMonitor::step_stable(StableWatch& w) {
   fire(w.id, std::move(frontier), "stable: " + w.pred->describe());
 }
 
-void OnlineMonitor::step_until(UntilWatch& w) {
-  if (w.done) return;
-  ScopedSpan span(budget_.trace, "monitor.watch.until");
-  span.arg("watch", w.id);
+void OnlineMonitor::step_until(Watch& w) {
   const Computation& c = app_.computation();
 
   // Push the EG(p) table over the newly frozen prefix before resuming the
@@ -394,23 +307,15 @@ void OnlineMonitor::step_until(UntilWatch& w) {
   // false position is known), so the amortized feed cost is O(1) per event
   // per watch. Per-round hot path: no span (a span per event per watch
   // dominates the feed when tracing is on — the work is visible as
-  // until_inc_evals) and a reused limits buffer instead of a fresh Cut
-  // allocation.
-  if (w.limits.size() != sz(c.num_procs())) w.limits = Cut(sz(c.num_procs()));
-  for (ProcId i = 0; i < c.num_procs(); ++i)
-    w.limits[sz(i)] = frozen_limit(i);
-  w.eg.advance_to(w.limits, work_, round_);
+  // until_inc_evals).
+  w.eg.advance_to(limits_, work_, round_);
 
   // Resume the Chase–Garg walk toward I_q over the frozen prefix. The walk
   // is monotone, so work already done never repeats; a forbidden process
   // exhausted (in frozen positions) — or a tripped round budget — suspends
   // the watch until more events arrive or finish() is called.
-  auto all_frozen = [&](const Cut& g) {
-    for (ProcId i = 0; i < c.num_procs(); ++i)
-      if (g[sz(i)] > frozen_limit(i)) return false;
-    return true;
-  };
-  if (!all_frozen(w.cand)) return;  // a join pulled in a thawing tail: wait
+  // A join that pulled in a thawing tail waits for it to freeze.
+  if (!w.cand.subset_of(limits_)) return;
   for (;;) {
     if (!round_ok()) return;  // suspended; w.cand records the progress
     ++work_.predicate_evals;
@@ -418,10 +323,10 @@ void OnlineMonitor::step_until(UntilWatch& w) {
     // The very first evaluation handles q(∅) (fires with the empty prefix).
     const ProcId i = w.q->forbidden(c, w.cand);
     HBCT_DASSERT(i >= 0 && i < c.num_procs());
-    if (w.cand[sz(i)] >= frozen_limit(i)) return;  // suspended
+    if (w.cand[sz(i)] >= limits_[sz(i)]) return;  // suspended
     ++work_.cut_steps;
     Cut next = Cut::join(w.cand, c.join_irreducible_of(i, w.cand[sz(i)] + 1));
-    if (!all_frozen(next)) {
+    if (!next.subset_of(limits_)) {
       // The causal past of the next event reaches into a mutable tail;
       // record progress and wait for the tail to freeze.
       w.cand = std::move(next);
@@ -447,7 +352,7 @@ void OnlineMonitor::step_until(UntilWatch& w) {
                       ? "until holds: E["
                       : r.verdict == Verdict::kFails ? "until refuted: E["
                                                      : "until undecided: E[") +
-      w.p->describe() + " U " + w.q->describe() + "]";
+      w.pred->describe() + " U " + w.q->describe() + "]";
   fire(w.id, w.cand, what, r.verdict, r.bound);
 }
 
@@ -464,11 +369,8 @@ std::vector<Diagnostic> OnlineMonitor::audit_watches(
       out.push_back(std::move(d));
     }
   };
-  for (const ConjWatch& w : conj_) audit_one(w.id, w.pred);
-  for (const DisjWatch& w : disj_) audit_one(w.id, w.pred);
-  for (const StableWatch& w : stable_) audit_one(w.id, w.pred);
-  for (const UntilWatch& w : until_) {
-    audit_one(w.id, w.p);
+  for (const Watch& w : watches_) {
+    audit_one(w.id, w.pred);
     audit_one(w.id, w.q);
   }
   return out;
@@ -479,30 +381,27 @@ Cut OnlineMonitor::min_watch_frontier() const {
   const std::int32_t n = c.num_procs();
   Cut f(sz(n));
   for (ProcId i = 0; i < n; ++i) f[sz(i)] = frozen_limit(i);
-  auto pin = [&](ProcId i, EventIndex pos) {
-    if (pos < f[sz(i)]) f[sz(i)] = pos;
-  };
-  for (const ConjWatch& w : conj_)
-    if (!w.done)
-      for (ProcId i = 0; i < n; ++i)
-        // A set candidate stays referenced (the GW repair reads its clock
-        // and it becomes the fired cut); an unset one resumes at `scan`.
-        pin(i, w.cand[sz(i)] >= 0 ? w.cand[sz(i)] : w.scan[sz(i)]);
-  for (const DisjWatch& w : disj_)
-    if (!w.done)
-      for (ProcId i = 0; i < n; ++i) pin(i, w.scan[sz(i)]);
-  for (const UntilWatch& w : until_) {
+  for (const Watch& w : watches_) {
     if (w.done) continue;
-    // Pin only what the evaluator may still read on each process: the
-    // q-walk's candidate position (eval/forbidden read there;
-    // join_irreducible_of reads cand+1, which is above the pin) and the EG
-    // table's scan resume point. Positions below both are never touched
-    // again — already-scanned prefix outcomes live in the table as stored
-    // indices, and a decided conjunct is pure arithmetic at decision time.
-    // DESIGN.md §18 spells out the case analysis; tests/test_until_inc.cpp
-    // pins it differentially.
-    for (ProcId i = 0; i < n; ++i)
-      pin(i, w.eg.scan_floor(i, /*fallback=*/w.cand[sz(i)]));
+    for (ProcId i = 0; i < n; ++i) {
+      EventIndex& fi = f[sz(i)];
+      switch (w.kind) {
+        case WatchKind::kConjunctive:
+        case WatchKind::kInvariant: fi = w.gw.scan_floor(i, fi); break;
+        case WatchKind::kDisjunctive: fi = w.disj.scan_floor(i, fi); break;
+        case WatchKind::kStable: break;
+        case WatchKind::kUntil:
+          // The q-walk reads its candidate position (eval/forbidden read
+          // there; join_irreducible_of reads cand+1, which is above the
+          // pin), the EG table its scan resume point. Already-scanned
+          // prefix outcomes live in the table as stored indices, and a
+          // decided conjunct is pure arithmetic at decision time.
+          // DESIGN.md §18 spells out the case analysis;
+          // tests/test_until_inc.cpp pins it differentially.
+          fi = w.eg.scan_floor(i, std::min(fi, w.cand[sz(i)]));
+          break;
+      }
+    }
   }
   // Stable watches evaluate on the frontier only: no pin. Never retreat
   // below a previous collection.
@@ -546,19 +445,10 @@ std::int64_t OnlineMonitor::collect_prefix() {
 }
 
 std::size_t OnlineMonitor::watch_state_bytes() const {
-  const auto vec_bytes = [](const std::vector<EventIndex>& v) {
-    return v.capacity() * sizeof(EventIndex);
-  };
-  const auto cut_bytes = [](const Cut& g) {
-    return g.size() * sizeof(EventIndex);
-  };
   std::size_t total = 0;
-  for (const ConjWatch& w : conj_)
-    total += sizeof(w) + vec_bytes(w.cand) + vec_bytes(w.scan);
-  for (const DisjWatch& w : disj_) total += sizeof(w) + vec_bytes(w.scan);
-  total += stable_.size() * sizeof(StableWatch);
-  for (const UntilWatch& w : until_)
-    total += sizeof(w) + cut_bytes(w.cand) + w.eg.state_bytes();
+  for (const Watch& w : watches_)
+    total += sizeof(w) + w.gw.state_bytes() + w.disj.state_bytes() +
+             w.cand.size() * sizeof(EventIndex) + w.eg.state_bytes();
   return total;
 }
 

@@ -15,6 +15,13 @@
 //    and, on a hit, confirmed at the greatest consistent cut beneath it;
 //    once true they stay true, so the first hit decides EF (= AF).
 //
+// The first three run the offline detectors' own searches, resumed each
+// round to the frozen limits: WeakConjunctiveSearch (detect/conjunctive_gw.h)
+// and DisjunctiveScan (detect/disjunctive.h), so a fired cut is the one
+// detect_ef_conjunctive / detect_ef_disjunctive returns on the frozen
+// prefix. Every watch kind goes through one registration path and one step
+// loop; its search state also gives its GC pin and its state size.
+//
 // All verdicts are *prefix-stable*: once fired they remain correct for
 // every extension of the computation.
 //
@@ -33,6 +40,8 @@
 
 #include "analysis/audit.h"
 #include "detect/budget.h"
+#include "detect/conjunctive_gw.h"
+#include "detect/disjunctive.h"
 #include "detect/until_inc.h"
 #include "online/appender.h"
 #include "predicate/conjunctive.h"
@@ -149,11 +158,12 @@ class OnlineMonitor {
 
   /// Per-process minimum position any live watch may still need to read.
   /// Starts at the frozen limits and is pulled down by every undecided
-  /// watch: a conjunctive watch needs its candidate/scan positions, a
-  /// disjunctive watch its scan positions, and an until watch its q-walk
-  /// candidate and EG-table scan floors (the decision replays off the
-  /// table, so the already-scanned prefix is never re-read; DESIGN.md §18).
-  /// Monotone nondecreasing over the session's lifetime.
+  /// watch's scan_floor(): a conjunctive or invariant watch needs its
+  /// candidate/scan positions, a disjunctive watch the scan positions of
+  /// its disjuncts, and an until watch its q-walk candidate and EG-table
+  /// scan floors (the decision replays off the table, so the
+  /// already-scanned prefix is never re-read; DESIGN.md §18). Monotone
+  /// nondecreasing over the session's lifetime.
   Cut min_watch_frontier() const;
 
   /// Reclaims the computation prefix below the min-watch frontier (lowered
@@ -189,35 +199,22 @@ class OnlineMonitor {
   std::int64_t events_seen() const { return computation().total_events(); }
 
  private:
-  struct ConjWatch {
-    WatchId id;
-    ConjunctivePredicatePtr pred;
-    bool violation_of_invariant;  // reporting flavor
+  /// One registered watch. Its kind selects the live state: the
+  /// Garg–Waldecker search (conjunctive, invariant), the first-true scan
+  /// (disjunctive), or the q-walk candidate and EG(p) table (until).
+  /// Stable watches keep none: they re-evaluate the frozen frontier.
+  struct Watch {
+    WatchId id = -1;
+    WatchKind kind = WatchKind::kConjunctive;
     bool done = false;
-    /// Candidate position per process; -1 = no true position found yet.
-    std::vector<EventIndex> cand;
-    /// Next position to test per process.
-    std::vector<EventIndex> scan;
-  };
-  struct DisjWatch {
-    WatchId id;
-    DisjunctivePredicatePtr pred;
-    bool done = false;
-    std::vector<EventIndex> scan;  // next untested position per process
-  };
-  struct StableWatch {
-    WatchId id;
+    /// The predicate the watch evaluates: p, ¬p for an invariant (the
+    /// search looks for violations), p of E[p U q].
     PredicatePtr pred;
-    bool done = false;
-  };
-  struct UntilWatch {
-    WatchId id;
-    ConjunctivePredicatePtr p;
-    PredicatePtr q;
-    bool done = false;
-    Cut cand;    // Chase-Garg frontier toward I_q
-    Cut limits;  // reused frozen-limits buffer (feed path, no realloc)
-    /// EG(p) decision table: advanced at feed time, and the Theorem-7
+    PredicatePtr q;            // until
+    WeakConjunctiveSearch gw;  // conjunctive, invariant
+    DisjunctiveScan disj;      // disjunctive
+    Cut cand;                  // until: Chase–Garg frontier toward I_q
+    /// until: EG(p) decision table, advanced at feed time; the Theorem-7
     /// decision replays off it, so the fire costs O(frontier) new work
     /// instead of a prefix sweep.
     EgPrefixState eg;
@@ -231,23 +228,28 @@ class OnlineMonitor {
   /// it reads is resident.
   void roll_back_to_consistent(Cut& b) const;
 
-  void on_event(ProcId i);
-  void step_conj(ConjWatch& w);
-  void step_disj(DisjWatch& w);
-  void step_stable(StableWatch& w);
-  void step_until(UntilWatch& w);
+  /// Registers `w` (id assigned here) and steps it once.
+  WatchId add_watch(Watch w);
+  void on_event();
+  /// One evaluation round under a fresh budget allowance: steps `only`, or
+  /// every watch in step order. Returns the bound that tripped, if any.
+  BoundReason run_round(Watch* only);
+  void step(Watch& w);
+  void step_conj(Watch& w);
+  void step_disj(Watch& w);
+  void step_stable(Watch& w);
+  void step_until(Watch& w);
   void fire(WatchId id, Cut cut, const std::string& what,
             Verdict verdict = Verdict::kHolds,
             BoundReason bound = BoundReason::kNone);
-  /// Budget checkpoint for the current evaluation round (always true when
-  /// no round tracker is active, i.e. during unbudgeted use).
-  bool round_ok() { return round_ == nullptr || round_->ok(); }
+  /// Budget checkpoint for the current evaluation round.
+  bool round_ok() { return round_->ok(); }
 
   OnlineAppender app_;
-  std::vector<ConjWatch> conj_;
-  std::vector<DisjWatch> disj_;
-  std::vector<StableWatch> stable_;
-  std::vector<UntilWatch> until_;
+  /// Step order: conjunctive and invariant, then disjunctive, stable,
+  /// until; registration order within a kind. Fire order within a round and
+  /// which watches a tripped budget suspends both follow it.
+  std::vector<Watch> watches_;
   std::vector<WatchFire> pending_;
   std::vector<bool> fired_;
   std::vector<WatchKind> kinds_;  // indexed by WatchId
@@ -256,7 +258,9 @@ class OnlineMonitor {
   Budget budget_;
   /// Cumulative watch-evaluation work; each round's tracker is based here.
   DetectStats work_;
+  /// The current round's tracker and frozen limits.
   BudgetTracker* round_ = nullptr;
+  Cut limits_;
 };
 
 }  // namespace hbct

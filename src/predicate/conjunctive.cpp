@@ -98,12 +98,6 @@ const LocalPredicate* ConjunctivePredicate::local_for(ProcId i) const {
   return s < 0 ? nullptr : locals_[static_cast<std::size_t>(s)].get();
 }
 
-bool ConjunctivePredicate::eval_local(const Computation& c, ProcId i,
-                                      EventIndex pos) const {
-  const LocalPredicate* l = local_for(i);
-  return l == nullptr || l->eval_local(c, pos);
-}
-
 bool ConjunctivePredicate::eval(const Computation& c, const Cut& g) const {
   for (const auto& l : locals_)
     if (!l->eval(c, g)) return false;

@@ -25,9 +25,6 @@ class ConjunctivePredicate final : public Predicate {
   /// The conjunct owned by process i, or nullptr (vacuously true there).
   const LocalPredicate* local_for(ProcId i) const;
 
-  /// Local truth on process i at position pos (true when i has no conjunct).
-  bool eval_local(const Computation& c, ProcId i, EventIndex pos) const;
-
   bool eval(const Computation& c, const Cut& g) const override;
   ClassSet classes(const Computation&) const override {
     return close_classes(kClassConjunctive);

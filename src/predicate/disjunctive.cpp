@@ -1,6 +1,5 @@
 #include "predicate/disjunctive.h"
 
-#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -75,30 +74,12 @@ DisjunctivePredicate::DisjunctivePredicate(
     std::vector<LocalPredicatePtr> locals) {
   HBCT_ASSERT(!locals.empty());
   std::map<ProcId, std::vector<LocalPredicatePtr>> by_proc;
-  ProcId max_proc = 0;
   for (auto& l : locals) {
     HBCT_ASSERT(l);
-    max_proc = std::max(max_proc, l->proc());
     by_proc[l->proc()].push_back(std::move(l));
   }
-  slot_.assign(static_cast<std::size_t>(max_proc) + 1, -1);
-  for (auto& [proc, parts] : by_proc) {
-    slot_[static_cast<std::size_t>(proc)] =
-        static_cast<std::int32_t>(locals_.size());
+  for (auto& [proc, parts] : by_proc)
     locals_.push_back(or_locals(proc, std::move(parts)));
-  }
-}
-
-const LocalPredicate* DisjunctivePredicate::local_for(ProcId i) const {
-  if (i < 0 || static_cast<std::size_t>(i) >= slot_.size()) return nullptr;
-  const std::int32_t s = slot_[static_cast<std::size_t>(i)];
-  return s < 0 ? nullptr : locals_[static_cast<std::size_t>(s)].get();
-}
-
-bool DisjunctivePredicate::eval_local(const Computation& c, ProcId i,
-                                      EventIndex pos) const {
-  const LocalPredicate* l = local_for(i);
-  return l != nullptr && l->eval_local(c, pos);
 }
 
 bool DisjunctivePredicate::eval(const Computation& c, const Cut& g) const {

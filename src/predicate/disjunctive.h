@@ -21,12 +21,6 @@ class DisjunctivePredicate final : public Predicate {
   /// Canonicalized disjuncts, at most one per process, sorted by process.
   const std::vector<LocalPredicatePtr>& locals() const { return locals_; }
 
-  /// The disjunct owned by process i, or nullptr (vacuously false there).
-  const LocalPredicate* local_for(ProcId i) const;
-
-  /// Local truth on process i at position pos (false when i has no disjunct).
-  bool eval_local(const Computation& c, ProcId i, EventIndex pos) const;
-
   bool eval(const Computation& c, const Cut& g) const override;
   ClassSet classes(const Computation&) const override {
     return close_classes(kClassDisjunctive);
@@ -41,7 +35,6 @@ class DisjunctivePredicate final : public Predicate {
 
  private:
   std::vector<LocalPredicatePtr> locals_;
-  std::vector<std::int32_t> slot_;
 };
 
 using DisjunctivePredicatePtr = std::shared_ptr<const DisjunctivePredicate>;

@@ -21,8 +21,7 @@ std::int32_t default_shards() {
 StreamingService::StreamingService(ServiceOptions opt)
     : opt_(opt),
       pool_(opt.pool != nullptr ? opt.pool : &ThreadPool::shared()),
-      shards_(static_cast<std::size_t>(
-          opt.num_shards > 0 ? opt.num_shards : default_shards())) {
+      shards_(static_cast<std::size_t>(default_shards())) {
   MetricsRegistry& reg =
       opt.metrics != nullptr ? *opt.metrics : MetricsRegistry::global();
   records_ = &reg.counter("serve.records");
@@ -42,7 +41,6 @@ StreamingService::StreamingService(ServiceOptions opt)
   until_dec_ = &reg.counter("serve.until.dec_evals");
   ingest_ns_ = &reg.histogram("serve.ingest.ns");
   fire_ns_ = &reg.histogram("serve.fire_latency.ns");
-  reg_ = &reg;
   fire_inst_.latency = fire_ns_;
   fire_inst_.raw_sample = opt_.fire_sample;
   for (std::size_t k = 0; k < Session::kNumWatchKinds; ++k) {
@@ -78,13 +76,6 @@ SessionId StreamingService::open(
   const SessionId sid = next_id_.fetch_add(1, std::memory_order_relaxed);
   auto entry = std::make_shared<Entry>(sid, cfg);
   entry->session.set_fire_instruments(fire_inst_);
-  if (opt_.per_session_metrics) {
-    const std::string s = std::to_string(sid);
-    entry->s_records = &reg_->counter(labeled("serve.records", "session", s));
-    entry->s_fires = &reg_->counter(labeled("serve.fires", "session", s));
-    entry->s_resident =
-        &reg_->gauge(labeled("serve.resident_events", "session", s));
-  }
   if (setup) setup(entry->session.monitor());
   Shard& sh = shard_of(sid);
   {
@@ -147,11 +138,6 @@ void StreamingService::absorb(Entry& e, const SessionStats& before,
       static_cast<std::uint64_t>(after.until_inc_evals - before.until_inc_evals));
   until_dec_->add(
       static_cast<std::uint64_t>(after.until_dec_evals - before.until_dec_evals));
-  if (e.s_records != nullptr) {
-    e.s_records->add(static_cast<std::uint64_t>(after.records - before.records));
-    e.s_fires->add(static_cast<std::uint64_t>(after.fires - before.fires));
-    e.s_resident->set(after.resident_events);
-  }
 }
 
 void StreamingService::pump(const std::shared_ptr<Entry>& e) {
@@ -229,7 +215,6 @@ bool StreamingService::close(SessionId sid) {
     e->gauged_resident = 0;
     watch_state_->add(-e->gauged_watch_bytes);
     e->gauged_watch_bytes = 0;
-    if (e->s_resident != nullptr) e->s_resident->set(0);
   }
   closed_->add(1);
   open_sessions_->add(-1);

@@ -37,8 +37,6 @@ namespace hbct {
 namespace serve {
 
 struct ServiceOptions {
-  /// Shards spreading the session-table mutexes; <= 0 picks a default.
-  std::int32_t num_shards = 0;
   /// Pool running ingest work; nullptr uses ThreadPool::shared().
   ThreadPool* pool = nullptr;
   /// Registry taking the serve.* metrics; nullptr = the global one.
@@ -48,12 +46,6 @@ struct ServiceOptions {
   /// sessions and called on pump threads — must be thread-safe. Benches
   /// use it for true percentiles; leave null in production.
   std::function<void(WatchKind, std::uint64_t)> fire_sample;
-  /// Also register per-session labeled series (serve.records{session="N"},
-  /// serve.fires{session="N"}, serve.resident_events{session="N"}). Off by
-  /// default: label cardinality grows with every session ever opened, which
-  /// is fine for a debugging run and wrong for a long-lived deployment. The
-  /// per-watch-class series are bounded and therefore always on.
-  bool per_session_metrics = false;
 };
 
 class StreamingService {
@@ -99,10 +91,6 @@ class StreamingService {
     bool scheduled = false;          // a pump task is queued or running
     std::int64_t gauged_resident = 0;  // last value folded into the gauge
     std::int64_t gauged_watch_bytes = 0;  // ditto, serve.watch_state.bytes
-    // Per-session labeled series; null unless per_session_metrics.
-    Counter* s_records = nullptr;
-    Counter* s_fires = nullptr;
-    Gauge* s_resident = nullptr;
 
     Entry(SessionId id, const SessionConfig& cfg) : session(id, cfg) {}
   };
@@ -143,7 +131,6 @@ class StreamingService {
   /// serve.fire_latency.ns{class=...}), indexed by WatchKind. Bounded
   /// cardinality, always registered.
   Session::FireInstruments fire_inst_;
-  MetricsRegistry* reg_;
 };
 
 }  // namespace serve

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <utility>
 
+#include "ctl/compile.h"
 #include "obs/flight.h"
 #include "predicate/conjunctive.h"
 #include "predicate/disjunctive.h"
@@ -20,12 +21,29 @@ const char* to_string(SessionState s) {
   return "?";
 }
 
+namespace {
+
+/// Registers every variable the formula names, so validation accepts a
+/// variable the stream declares only later (kVar records follow open()).
+void register_vars(OnlineMonitor& mon, const ctl::NodePtr& node) {
+  if (!node) return;
+  for (const ctl::Sum* side : {&node->atom.lhs, &node->atom.rhs})
+    for (const auto& [coef, t] : side->terms)
+      if (t.kind == ctl::Term::Kind::kVar) mon.var(t.var);
+  for (const ctl::NodePtr& ch : node->children) register_vars(mon, ch);
+}
+
+}  // namespace
+
 Session::Session(SessionId id, const SessionConfig& cfg)
     : id_(id), cfg_(cfg), mon_(cfg.num_procs) {
   mon_.set_budget(cfg_.budget);
 }
 
 WatchId Session::watch_query(const ctl::Query& query, OptimizeMode mode) {
+  register_vars(mon_, query.root ? query.root : query.p);
+  if (!query.root) register_vars(mon_, query.q);
+  if (!ctl::validate_query(mon_.computation(), query).empty()) return -1;
   ctl::Query q = query;
   PredicatePtr p;
   PredicatePtr qpred;

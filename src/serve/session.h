@@ -83,8 +83,10 @@ class Session {
   /// as-written form is kept (costable-collapse is vacuous on the empty
   /// registration-time computation and says nothing about future events).
   /// kAnalyzeOnly warms the cache but registers the query as written;
-  /// kOff skips analysis entirely. Returns -1 when the query does not fit
-  /// a streaming watch class.
+  /// kOff skips analysis entirely. Every variable the query names is
+  /// registered with the monitor first (the stream's kVar records arrive
+  /// later). Returns -1 when the query references a process outside the
+  /// session or does not fit a streaming watch class.
   WatchId watch_query(const ctl::Query& q,
                       OptimizeMode mode = OptimizeMode::kApply);
 

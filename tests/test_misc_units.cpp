@@ -84,6 +84,27 @@ TEST(Stats, EveryAlgorithmCountsWork) {
   EXPECT_GT(detect_eu(c, *conj, *q).stats.predicate_evals, 0u);
 }
 
+TEST(Stats, GwSearchStopsAtTheFirstConjunctThatNeverHolds) {
+  // x = pos on every process. P0's conjunct first holds at position 2
+  // (3 evaluations), P1's never holds (all 5 positions), and the search
+  // ends there: P2 is never evaluated and no repair is charged.
+  ComputationBuilder b(3);
+  const VarId x = b.var("x");
+  for (EventIndex pos = 1; pos <= 4; ++pos)
+    for (ProcId i = 0; i < 3; ++i) {
+      b.internal(i);
+      b.write(i, x, pos);
+    }
+  const Computation c = std::move(b).build();
+  auto conj = make_conjunctive({var_cmp(0, "x", Cmp::kGe, 2),
+                                var_cmp(1, "x", Cmp::kGe, 99),
+                                var_cmp(2, "x", Cmp::kGe, 0)});
+  const DetectResult r = detect_ef_conjunctive(c, *conj);
+  EXPECT_EQ(r.verdict, Verdict::kFails);
+  EXPECT_EQ(r.stats.predicate_evals, 8u);
+  EXPECT_EQ(r.stats.cut_steps, 0u);
+}
+
 TEST(QueryObjects, EvaluateParsedQueryDirectly) {
   Computation c = comp(7);
   auto parsed = ctl::parse_query("AG(v0@P0 >= 0)");

@@ -267,6 +267,39 @@ TEST(PrefixGc, BuildAfterCollectionKeepsTheTrim) {
   EXPECT_EQ(c.vclock(0, 2)[0], 2);
 }
 
+TEST(PrefixGc, LocalEvalMatchesEvalLocalOnTrimmedTimelines) {
+  // LocalEval's timeline fast path indexes absolute positions; on a
+  // collected process it must take the function path and still agree with
+  // eval_local at every resident position.
+  GenOptions gen;
+  gen.num_procs = 3;
+  gen.events_per_proc = 12;
+  gen.seed = 5;
+  const Computation ref = generate_random(gen);
+  OnlineMonitor m(ref.num_procs());
+  replay_initial(ref, m);
+  m.watch_stable(make_false());  // pins nothing
+  replay_events(ref, ref.linearization(), m, [](EventId) {});
+  ASSERT_GT(m.collect_prefix(), 0);
+  const Computation& c = m.computation();
+  std::vector<LocalPredicatePtr> locals;
+  for (ProcId i = 0; i < c.num_procs(); ++i) {
+    ASSERT_GT(c.trimmed(i), 0);
+    for (int op = 0; op < 6; ++op) {
+      locals.push_back(var_cmp(i, "v0", static_cast<Cmp>(op), 4));
+      locals.push_back(var_cmp(i, "v1", static_cast<Cmp>(op), 5));
+      locals.push_back(pos_cmp(i, static_cast<Cmp>(op), 6));
+    }
+  }
+  for (const LocalPredicatePtr& l : locals) {
+    const LocalEval ev(c, *l);
+    for (EventIndex pos = c.trimmed(l->proc()); pos <= c.num_events(l->proc());
+         ++pos)
+      EXPECT_EQ(ev(pos), l->eval_local(c, pos))
+          << l->describe() << " at " << pos;
+  }
+}
+
 // ---- Typed append errors -------------------------------------------------------
 
 TEST(AppendErrors, EveryMalformedAppendIsTypedAndHarmless) {

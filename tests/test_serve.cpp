@@ -184,6 +184,32 @@ TEST(ServeSession, WatchQueryRoutesOptimizedQueriesToWatchKinds) {
   for (const auto& f : fires) EXPECT_EQ(f.verdict, Verdict::kHolds);
 }
 
+TEST(ServeSession, WatchQueryRegistersVariablesAndRejectsUnknownProcesses) {
+  SessionConfig cfg;
+  cfg.num_procs = 4;
+  Session s(1, cfg);
+  auto parse = [](const char* text) {
+    auto r = ctl::parse_query(text);
+    EXPECT_TRUE(r.ok) << text << ": " << r.error;
+    return r.query;
+  };
+  // No variable is registered yet: the stream declares x only later.
+  const WatchId ef = s.watch_query(parse("EF(x@P3 == 1)"));
+  ASSERT_EQ(ef, 0);
+  EXPECT_EQ(s.watch_query(parse("EF(x@P9 == 1 && y@P0 == 1)")), -1);
+  EXPECT_EQ(s.watch_query(parse("EF(pos(9) >= 1 || pos(0) >= 1)")), -1);
+
+  Record ev = internal_rec(3);
+  ev.writes.push_back({0, 1});
+  s.ingest(enc({procs_rec(4), var_rec("x"), ev, internal_rec(3), end_rec()}));
+  ASSERT_EQ(s.state(), SessionState::kFinished) << s.error();
+  const auto fires = s.poll();
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_EQ(fires[0].watch, ef);
+  EXPECT_EQ(fires[0].verdict, Verdict::kHolds);
+  EXPECT_EQ(fires[0].cut, Cut({0, 0, 0, 1}));
+}
+
 TEST(ServeSession, GcKeepsResidencyBounded) {
   Session s(1, two_proc_cfg(/*gc_interval=*/32));
   std::string head = enc({procs_rec(2)});
