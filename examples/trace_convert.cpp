@@ -6,8 +6,9 @@
 // hbct-btrace v1, HBCTMTR1); the output format defaults to the extension
 // (.trace / .btrace / .mtrace) and can be forced with --to. Converting a
 // large text or btrace corpus to mtrace once makes every later load
-// zero-copy (see "Loading huge traces" in README.md).
-#include <cstring>
+// zero-copy (see "Loading huge traces" in README.md). Text and btrace
+// input may come from a pipe (/dev/stdin); mtrace input is mapped, so it
+// must be a file.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -52,13 +53,14 @@ int main(int argc, char** argv) {
     std::cerr << "trace_convert: cannot open " << in_path << "\n";
     return 1;
   }
-  char magic[8] = {0};
-  in.read(magic, 8);
-  in.clear();
-  in.seekg(0);
+  // Sniff the format from the first bytes, then parse those bytes and the
+  // rest of the stream: a pipe (/dev/stdin) cannot seek back.
+  std::string head(8, '\0');
+  in.read(head.data(), 8);
+  head.resize(static_cast<std::size_t>(in.gcount()));
 
   hbct::Computation c;
-  if (std::memcmp(magic, hbct::kMtraceMagic.data(), 8) == 0) {
+  if (head == hbct::kMtraceMagic) {
     in.close();
     auto r = hbct::load_mtrace(in_path);
     if (!r.ok) {
@@ -67,15 +69,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     c = std::move(r.computation);
-  } else if (std::memcmp(magic, "hbct-btr", 8) == 0) {
-    auto r = hbct::read_trace_binary(in);
-    if (!r.ok) {
-      std::cerr << "trace_convert: " << r.error << "\n";
-      return 1;
-    }
-    c = std::move(r.computation);
   } else {
-    auto r = hbct::read_trace(in);
+    std::ostringstream buf;
+    buf << head << in.rdbuf();
+    auto r = head == "hbct-btr" ? hbct::trace_from_binary_string(buf.str())
+                                : hbct::trace_from_string(buf.str());
     if (!r.ok) {
       std::cerr << "trace_convert: " << r.error << "\n";
       return 1;

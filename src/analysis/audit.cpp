@@ -393,7 +393,7 @@ void sampled_audit(const Computation& c, const PredicatePtr& p, ClassSet cls,
 
   std::size_t sat_seen = 0, unsat_seen = 0;
   for (std::size_t w = 0; w < opt.samples; ++w) {
-    Cut g = c.initial_cut();
+    Cut g = c.trim_cut();
     bool hit = false, was_true = false;
     Cut last_true;
     for (;;) {

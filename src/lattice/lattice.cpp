@@ -17,7 +17,7 @@ std::optional<Lattice> Lattice::try_build(const Computation& c,
   std::vector<std::pair<NodeId, NodeId>> edges;
   std::deque<NodeId> queue;
 
-  const Cut init = c.initial_cut();
+  const Cut init = c.trim_cut();
   lat.index_ = CutIndex(c);
   lat.cuts_.push_back(init);
   lat.index_.try_emplace(init, 0);

@@ -27,7 +27,8 @@ constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
 
 class Lattice {
  public:
-  /// Enumerates all consistent cuts by BFS from the initial cut. Aborts via
+  /// Enumerates the consistent cuts at or above the lowest resident cut
+  /// (Computation::trim_cut: the initial cut unless prefix GC ran). Aborts via
   /// assertion if the lattice exceeds `max_nodes` — use try_build when the
   /// size is not known to be safe.
   static Lattice build(const Computation& c, std::size_t max_nodes = 1u << 22);

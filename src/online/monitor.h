@@ -151,7 +151,9 @@ class OnlineMonitor {
   /// structure, stability, and (load-bearing for streaming A3) the linear
   /// class and forbidden() oracle of until-watch q operands. Returns E1xx
   /// findings with messages prefixed by the watch id; empty means every
-  /// claim held on the observed prefix. Read-only; safe between events.
+  /// claim held on the observed prefix. After collect_prefix() only the
+  /// resident cuts, from the trim cut up, are audited. Read-only; safe
+  /// between events.
   std::vector<Diagnostic> audit_watches(const AuditOptions& opt = {}) const;
 
   // ---- Prefix garbage collection ------------------------------------------

@@ -191,6 +191,14 @@ class Computation {
   // ---- Cut geometry --------------------------------------------------------
 
   Cut initial_cut() const { return Cut(static_cast<std::size_t>(num_procs())); }
+  /// The lowest resident cut, trimmed(i) per process: the initial cut
+  /// unless prefix GC reclaimed a prefix.
+  Cut trim_cut() const {
+    Cut g = initial_cut();
+    for (ProcId i = 0; i < num_procs(); ++i)
+      g[static_cast<std::size_t>(i)] = trimmed(i);
+    return g;
+  }
   Cut final_cut() const;
 
   /// Downward-closure (consistency) test, O(n^2).

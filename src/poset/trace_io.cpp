@@ -1,11 +1,11 @@
 #include "poset/trace_io.h"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <unordered_map>
 
-#include "online/appender.h"
+#include "poset/wire_apply.h"
 #include "util/assert.h"
 #include "util/string_util.h"
 
@@ -13,13 +13,123 @@ namespace hbct {
 
 namespace {
 
-void write_event_tail(std::ostream& os, const Computation& c,
-                      const EventView& ev) {
-  if (!ev.label.empty()) os << " label=" << ev.label;
-  for (std::size_t k = 0; k < ev.num_writes(); ++k) {
-    const Assignment a = ev.write_at(k);
-    os << " " << c.var_name(a.var) << "=" << a.value;
+using Kind = wire::Record::Kind;
+
+// Labels and names may hold any byte; the bytes the text grammar reserves
+// (token separators, '#' for comments, '=' in annotations, the escape '%')
+// are written as %XX and decoded on read. A variable named "label" escapes
+// its first byte, so its writes do not read back as labels.
+constexpr std::string_view kReserved = " \t\n\r\v\f#=%";
+
+/// `os << Escaped{s}` writes s with its reserved bytes as %XX.
+struct Escaped {
+  std::string_view s;
+  bool is_name = false;
+};
+Escaped name(std::string_view s) { return {s, true}; }
+
+std::ostream& operator<<(std::ostream& os, Escaped e) {
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  if (e.is_name && e.s == "label") return os << "%6Cabel";
+  for (const char ch : e.s) {
+    if (kReserved.find(ch) == std::string_view::npos)
+      os.put(ch);
+    else
+      os << '%' << kHex[(ch >> 4) & 15] << kHex[ch & 15];
   }
+  return os;
+}
+
+/// Decodes %XX escapes; false on a '%' not followed by two hex digits.
+bool unescape(std::string_view tok, std::string* out) {
+  out->clear();
+  for (std::size_t k = 0; k < tok.size(); ++k) {
+    auto byte = static_cast<unsigned char>(tok[k]);
+    if (byte == '%') {
+      const char* hex = tok.data() + k + 1;
+      if (tok.size() - k < 3 ||
+          std::from_chars(hex, hex + 2, byte, 16).ptr != hex + 2)
+        return false;
+      k += 2;
+    }
+    out->push_back(static_cast<char>(byte));
+  }
+  return true;
+}
+
+/// The one walk both writers share: kProcs, a kVar per variable, a kInit
+/// per non-zero initial value, an event record per event in linearization
+/// order, kEnd. Records carry the computation's own VarIds and MsgIds.
+template <class Emit>
+void for_each_record(const Computation& c, Emit&& emit) {
+  wire::Record r;
+  r.kind = Kind::kProcs;
+  r.nprocs = c.num_procs();
+  emit(r);
+  r.kind = Kind::kVar;
+  for (VarId v = 0; v < c.num_vars(); ++v) {
+    r.name = c.var_name(v);
+    emit(r);
+  }
+  r.kind = Kind::kInit;
+  for (ProcId i = 0; i < c.num_procs(); ++i)
+    for (VarId v = 0; v < c.num_vars(); ++v) {
+      r.value = c.value_at(i, v, 0);
+      if (r.value == 0) continue;
+      r.proc = i;
+      r.var = static_cast<std::uint32_t>(v);
+      emit(r);
+    }
+  for (const EventId& eid : c.linearization()) {
+    const EventView ev = c.event_view(eid);
+    r.kind = ev.kind == EventKind::kSend      ? Kind::kSend
+             : ev.kind == EventKind::kReceive ? Kind::kRecv
+                                              : Kind::kInternal;
+    r.peer = ev.peer;
+    r.proc = eid.proc;
+    r.msg = static_cast<std::uint64_t>(ev.msg);
+    r.label = ev.label;
+    r.writes.clear();
+    for (std::size_t k = 0; k < ev.num_writes(); ++k) {
+      const Assignment a = ev.write_at(k);
+      r.writes.push_back(
+          wire::WireWrite{static_cast<std::uint32_t>(a.var), a.value});
+    }
+    emit(r);
+  }
+  r.kind = Kind::kEnd;
+  emit(r);
+}
+
+/// One record as one line of the text grammar (trace_io.h).
+void write_line(std::ostream& os, const Computation& c, const wire::Record& r) {
+  switch (r.kind) {
+    case Kind::kProcs:
+      os << "procs " << r.nprocs << "\n";
+      return;
+    case Kind::kVar:
+      os << "var " << name(r.name) << "\n";
+      return;
+    case Kind::kInit:
+      os << "init " << r.proc << " " << name(c.var_name(r.var)) << " "
+         << r.value << "\n";
+      return;
+    case Kind::kInternal:
+      os << "ev " << r.proc << " internal";
+      break;
+    case Kind::kSend:
+      os << "ev " << r.proc << " send " << r.peer << " " << r.msg;
+      break;
+    case Kind::kRecv:
+      os << "ev " << r.proc << " recv " << r.msg;
+      break;
+    case Kind::kEnd:
+      os << "end\n";
+      return;
+  }
+  if (!r.label.empty()) os << " label=" << Escaped{r.label};
+  for (const wire::WireWrite& w : r.writes)
+    os << " " << name(c.var_name(w.var)) << "=" << w.value;
   os << "\n";
 }
 
@@ -27,30 +137,7 @@ void write_event_tail(std::ostream& os, const Computation& c,
 
 void write_trace(std::ostream& os, const Computation& c) {
   os << "hbct-trace v1\n";
-  os << "procs " << c.num_procs() << "\n";
-  for (VarId v = 0; v < c.num_vars(); ++v) os << "var " << c.var_name(v) << "\n";
-  for (ProcId i = 0; i < c.num_procs(); ++i)
-    for (VarId v = 0; v < c.num_vars(); ++v) {
-      const std::int64_t init = c.value_at(i, v, 0);
-      if (init != 0) os << "init " << i << " " << c.var_name(v) << " " << init << "\n";
-    }
-  for (const EventId& eid : c.linearization()) {
-    const EventView ev = c.event_view(eid);
-    os << "ev " << eid.proc << " ";
-    switch (ev.kind) {
-      case EventKind::kInternal:
-        os << "internal";
-        break;
-      case EventKind::kSend:
-        os << "send " << ev.peer << " " << ev.msg;
-        break;
-      case EventKind::kReceive:
-        os << "recv " << ev.msg;
-        break;
-    }
-    write_event_tail(os, c, ev);
-  }
-  os << "end\n";
+  for_each_record(c, [&](const wire::Record& r) { write_line(os, c, r); });
 }
 
 std::string trace_to_string(const Computation& c) {
@@ -59,51 +146,14 @@ std::string trace_to_string(const Computation& c) {
   return os.str();
 }
 
-namespace {
-
-struct Parser {
-  std::istream& is;
-  int lineno = 0;
-  std::string err;
-
-  bool fail(const std::string& msg) {
-    if (err.empty()) err = strfmt("line %d: %s", lineno, msg.c_str());
-    return false;
-  }
-};
-
-// Parses trailing "label=..." / "name=value" tokens onto the last event.
-bool parse_annotations(Parser& p, OnlineAppender& b, ProcId proc,
-                       const std::vector<std::string>& toks, std::size_t first) {
-  for (std::size_t t = first; t < toks.size(); ++t) {
-    const std::string& tok = toks[t];
-    auto eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0)
-      return p.fail("expected key=value annotation, got '" + tok + "'");
-    std::string key = tok.substr(0, eq);
-    std::string val = tok.substr(eq + 1);
-    if (key == "label") {
-      b.label(proc, val);
-    } else {
-      long long value = 0;
-      if (!parse_int(val, value))
-        return p.fail("bad integer in assignment '" + tok + "'");
-      b.write(proc, key, value);
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 TraceParseResult read_trace(std::istream& is) {
   TraceParseResult out;
-  Parser p{is, 0, {}};
+  int lineno = 0;
   std::string line;
-
-  auto next_tokens = [&](std::vector<std::string>& toks) -> bool {
-    while (std::getline(p.is, line)) {
-      ++p.lineno;
+  std::vector<std::string> toks;
+  const auto next_tokens = [&]() -> bool {
+    while (std::getline(is, line)) {
+      ++lineno;
       std::string_view body = trim(line);
       auto hash = body.find('#');
       if (hash != std::string_view::npos) body = trim(body.substr(0, hash));
@@ -115,106 +165,114 @@ TraceParseResult read_trace(std::istream& is) {
     }
     return false;
   };
+  const auto fail = [&](const std::string& msg) {
+    out.error = strfmt("line %d: %s", lineno, msg.c_str());
+    return std::move(out);
+  };
 
-  std::vector<std::string> toks;
-  if (!next_tokens(toks) || toks.size() != 2 || toks[0] != "hbct-trace" ||
+  if (!next_tokens() || toks.size() != 2 || toks[0] != "hbct-trace" ||
       toks[1] != "v1") {
     out.error = "missing 'hbct-trace v1' header";
     return out;
   }
-  if (!next_tokens(toks) || toks.size() != 2 || toks[0] != "procs") {
-    out.error = strfmt("line %d: expected 'procs <n>'", p.lineno);
-    return out;
-  }
+  if (!next_tokens() || toks.size() != 2 || toks[0] != "procs")
+    return fail("expected 'procs <n>'");
   long long n = 0;
-  if (!parse_int(toks[1], n) || n <= 0 || n > 1 << 20) {
-    out.error = strfmt("line %d: bad process count", p.lineno);
-    return out;
-  }
+  if (!parse_int(toks[1], n) || n <= 0 || n > 1 << 20)
+    return fail("bad process count");
 
   OnlineAppender b(static_cast<std::int32_t>(n));
-  // A rejected append becomes the parse error of the current line.
-  const auto applied = [&p](AppendError e) {
-    return e == AppendError::kNone || p.fail(to_string(e));
+  wire::Applier app;
+  // The text names variables; a name no earlier line registered becomes a
+  // kVar record where it first appears. Each kVar this reader applies is a
+  // new name, so a name's wire index is its VarId.
+  const auto var_index = [&](const std::string& name) {
+    if (const auto v = b.computation().var_id(name))
+      return static_cast<std::uint32_t>(*v);
+    wire::Record vr;
+    vr.kind = Kind::kVar;
+    vr.name = name;
+    app.apply(b, vr, [] {});
+    return static_cast<std::uint32_t>(b.computation().num_vars() - 1);
   };
-  std::unordered_map<long long, MsgId> msg_map;  // file msg id -> appended
-  bool saw_end = false;
 
-  while (next_tokens(toks)) {
+  wire::Record r;
+  std::string name;
+  while (next_tokens()) {
     const std::string& kw = toks[0];
     if (kw == "end") {
-      saw_end = true;
-      break;
+      out.computation = std::move(b).build();
+      out.ok = true;
+      return out;
     }
     if (kw == "var") {
-      if (toks.size() != 2) { p.fail("expected 'var <name>'"); break; }
-      b.var(toks[1]);
+      if (toks.size() != 2 || !unescape(toks[1], &name))
+        return fail("expected 'var <name>'");
+      var_index(name);
       continue;
     }
+    r.writes.clear();
+    r.label.clear();
     if (kw == "init") {
       long long proc = 0, value = 0;
       if (toks.size() != 4 || !parse_int(toks[1], proc) ||
-          !parse_int(toks[3], value) || proc < 0 || proc >= n) {
-        p.fail("expected 'init <proc> <var> <value>'");
-        break;
-      }
-      if (!applied(b.try_set_initial(static_cast<ProcId>(proc),
-                                     b.var(toks[2]), value)))
-        break;
-      continue;
-    }
-    if (kw == "ev") {
-      long long proc = 0;
-      if (toks.size() < 3 || !parse_int(toks[1], proc) || proc < 0 || proc >= n) {
-        p.fail("expected 'ev <proc> <kind> ...'");
-        break;
-      }
-      const ProcId pi = static_cast<ProcId>(proc);
+          !parse_int(toks[3], value) || proc < 0 || proc >= n ||
+          !unescape(toks[2], &name))
+        return fail("expected 'init <proc> <var> <value>'");
+      r.kind = Kind::kInit;
+      r.proc = static_cast<ProcId>(proc);
+      r.var = var_index(name);
+      r.value = value;
+    } else if (kw == "ev") {
+      long long proc = 0, to = 0, mid = 0;
+      if (toks.size() < 3 || !parse_int(toks[1], proc) || proc < 0 || proc >= n)
+        return fail("expected 'ev <proc> <kind> ...'");
+      r.proc = static_cast<ProcId>(proc);
       const std::string& kind = toks[2];
       std::size_t first_ann = 3;
       if (kind == "internal") {
-        b.internal(pi);
+        r.kind = Kind::kInternal;
       } else if (kind == "send") {
-        long long to = 0, mid = 0;
         if (toks.size() < 5 || !parse_int(toks[3], to) ||
-            !parse_int(toks[4], mid) || to < 0 || to >= n || to == proc) {
-          p.fail("expected 'ev <proc> send <to> <msg-id>'");
-          break;
-        }
-        if (msg_map.count(mid)) { p.fail("duplicate msg id"); break; }
-        msg_map[mid] = b.send(pi, static_cast<ProcId>(to));
+            !parse_int(toks[4], mid) || to < 0 || to >= n)
+          return fail("expected 'ev <proc> send <to> <msg-id>'");
+        r.kind = Kind::kSend;
+        r.peer = static_cast<ProcId>(to);
+        r.msg = static_cast<std::uint64_t>(mid);
         first_ann = 5;
       } else if (kind == "recv") {
-        long long mid = 0;
-        if (toks.size() < 4 || !parse_int(toks[3], mid)) {
-          p.fail("expected 'ev <proc> recv <msg-id>'");
-          break;
-        }
-        auto it = msg_map.find(mid);
-        if (it == msg_map.end()) { p.fail("recv before matching send"); break; }
-        if (!applied(b.try_receive(pi, it->second))) break;
+        if (toks.size() < 4 || !parse_int(toks[3], mid))
+          return fail("expected 'ev <proc> recv <msg-id>'");
+        r.kind = Kind::kRecv;
+        r.msg = static_cast<std::uint64_t>(mid);
         first_ann = 4;
       } else {
-        p.fail("unknown event kind '" + kind + "'");
-        break;
+        return fail("unknown event kind '" + kind + "'");
       }
-      if (!parse_annotations(p, b, pi, toks, first_ann)) break;
-      continue;
+      // Trailing "label=<text>" / "<name>=<value>" annotations.
+      for (std::size_t t = first_ann; t < toks.size(); ++t) {
+        const std::string_view tok = toks[t];
+        const auto eq = tok.find('=');
+        if (eq == std::string_view::npos || eq == 0)
+          return fail("expected key=value annotation, got '" + toks[t] + "'");
+        const std::string_view key = tok.substr(0, eq);
+        const bool is_label = key == "label";
+        long long value = 0;
+        if (!is_label && !parse_int(tok.substr(eq + 1), value))
+          return fail("bad integer in assignment '" + toks[t] + "'");
+        if (!unescape(is_label ? tok.substr(eq + 1) : key, &name))
+          return fail("bad escape in '" + toks[t] + "'");
+        if (is_label)
+          r.label = name;
+        else
+          r.writes.push_back(wire::WireWrite{var_index(name), value});
+      }
+    } else {
+      return fail("unknown record '" + kw + "'");
     }
-    p.fail("unknown record '" + kw + "'");
-    break;
+    if (!app.apply(b, r, [] {})) return fail(app.error());
   }
-
-  if (!p.err.empty()) {
-    out.error = p.err;
-    return out;
-  }
-  if (!saw_end) {
-    out.error = "missing 'end' record";
-    return out;
-  }
-  out.computation = std::move(b).build();
-  out.ok = true;
+  out.error = "missing 'end' record";
   return out;
 }
 
@@ -451,59 +509,9 @@ void write_trace_binary(std::ostream& os, const Computation& c) {
 
 std::string trace_to_binary_string(const Computation& c) {
   std::string out(wire::kBinaryMagic);
-  const auto emit = [&out](const wire::Record& r) {
+  for_each_record(c, [&out](const wire::Record& r) {
     wire::encode_record(out, r);
-  };
-  wire::Record r;
-  r.kind = wire::Record::Kind::kProcs;
-  r.nprocs = c.num_procs();
-  emit(r);
-  for (VarId v = 0; v < c.num_vars(); ++v) {
-    wire::Record vr;
-    vr.kind = wire::Record::Kind::kVar;
-    vr.name = c.var_name(v);
-    emit(vr);
-  }
-  for (ProcId i = 0; i < c.num_procs(); ++i)
-    for (VarId v = 0; v < c.num_vars(); ++v) {
-      const std::int64_t init = c.value_at(i, v, 0);
-      if (init == 0) continue;
-      wire::Record ir;
-      ir.kind = wire::Record::Kind::kInit;
-      ir.proc = i;
-      ir.var = static_cast<std::uint32_t>(v);
-      ir.value = init;
-      emit(ir);
-    }
-  for (const EventId& eid : c.linearization()) {
-    const EventView ev = c.event_view(eid);
-    wire::Record er;
-    switch (ev.kind) {
-      case EventKind::kInternal:
-        er.kind = wire::Record::Kind::kInternal;
-        break;
-      case EventKind::kSend:
-        er.kind = wire::Record::Kind::kSend;
-        er.peer = ev.peer;
-        er.msg = static_cast<std::uint64_t>(ev.msg);
-        break;
-      case EventKind::kReceive:
-        er.kind = wire::Record::Kind::kRecv;
-        er.msg = static_cast<std::uint64_t>(ev.msg);
-        break;
-    }
-    er.proc = eid.proc;
-    er.label = ev.label;
-    for (std::size_t k = 0; k < ev.num_writes(); ++k) {
-      const Assignment a = ev.write_at(k);
-      er.writes.push_back(
-          wire::WireWrite{static_cast<std::uint32_t>(a.var), a.value});
-    }
-    emit(er);
-  }
-  r = wire::Record{};
-  r.kind = wire::Record::Kind::kEnd;
-  emit(r);
+  });
   return out;
 }
 
@@ -517,110 +525,36 @@ TraceParseResult trace_from_binary_string(std::string_view bytes) {
   dec.feed(bytes.substr(wire::kBinaryMagic.size()));
 
   int recno = 0;
-  auto fail = [&](const std::string& msg) {
+  const auto fail = [&](const std::string& msg) {
     out.error = strfmt("record %d: %s", recno, msg.c_str());
+    return std::move(out);
   };
 
   wire::Record r;
-  switch (dec.next(&r)) {
-    case wire::Decoder::Status::kRecord:
-      break;
-    case wire::Decoder::Status::kNeedMore:
-      fail("missing 'procs' record");
-      return out;
-    case wire::Decoder::Status::kError:
-      fail(dec.error());
-      return out;
-  }
-  if (r.kind != wire::Record::Kind::kProcs) {
-    fail("first record must be 'procs'");
-    return out;
-  }
-  if (r.nprocs <= 0 || r.nprocs > 1 << 20) {
-    fail("bad process count");
-    return out;
-  }
-  const std::int32_t n = r.nprocs;
+  const wire::Decoder::Status first = dec.next(&r);
+  if (first == wire::Decoder::Status::kError) return fail(dec.error());
+  if (first == wire::Decoder::Status::kNeedMore)
+    return fail("missing 'procs' record");
+  if (r.kind != Kind::kProcs) return fail("first record must be 'procs'");
+  if (r.nprocs <= 0 || r.nprocs > 1 << 20) return fail("bad process count");
 
-  OnlineAppender b(n);
-  std::vector<VarId> vars;  // registration index -> appended VarId
-  std::unordered_map<std::uint64_t, MsgId> msg_map;  // wire id -> appended
-  bool saw_end = false;
-  // A rejected append becomes the parse error of the current record.
-  const auto applied = [&](AppendError e) {
-    if (e == AppendError::kNone) return true;
-    fail(to_string(e));
-    return false;
-  };
-
-  const auto apply_tail = [&](const wire::Record& er, ProcId pi) -> bool {
-    for (const wire::WireWrite& w : er.writes) {
-      if (w.var >= vars.size()) {
-        fail("write references unknown variable");
-        return false;
-      }
-      b.write(pi, vars[w.var], w.value);
-    }
-    if (!er.label.empty()) b.label(pi, er.label);
-    return true;
-  };
-
-  while (!saw_end) {
+  OnlineAppender b(r.nprocs);
+  wire::Applier app;
+  for (;;) {
     ++recno;
     const wire::Decoder::Status st = dec.next(&r);
-    if (st == wire::Decoder::Status::kError) {
-      fail(dec.error());
-      return out;
-    }
-    if (st == wire::Decoder::Status::kNeedMore) {
-      fail(dec.buffered() == 0 ? "missing 'end' record" : "truncated record");
-      return out;
-    }
-    switch (r.kind) {
-      case wire::Record::Kind::kProcs:
-        fail("duplicate 'procs' record");
-        return out;
-      case wire::Record::Kind::kVar:
-        vars.push_back(b.var(r.name));
-        break;
-      case wire::Record::Kind::kInit:
-        if (r.var >= vars.size()) { fail("unknown variable"); return out; }
-        if (!applied(b.try_set_initial(r.proc, vars[r.var], r.value)))
-          return out;
-        break;
-      case wire::Record::Kind::kInternal:
-        if (!applied(b.try_internal(r.proc)) || !apply_tail(r, r.proc))
-          return out;
-        break;
-      case wire::Record::Kind::kSend: {
-        if (msg_map.count(r.msg)) { fail("duplicate msg id"); return out; }
-        MsgId m = kNoMsg;
-        if (!applied(b.try_send(r.proc, r.peer, &m))) return out;
-        msg_map[r.msg] = m;
-        if (!apply_tail(r, r.proc)) return out;
-        break;
-      }
-      case wire::Record::Kind::kRecv: {
-        auto it = msg_map.find(r.msg);
-        if (it == msg_map.end()) {
-          fail("recv before matching send");
-          return out;
-        }
-        if (!applied(b.try_receive(r.proc, it->second)) ||
-            !apply_tail(r, r.proc))
-          return out;
-        break;
-      }
-      case wire::Record::Kind::kEnd:
-        saw_end = true;
-        break;
-    }
+    if (st == wire::Decoder::Status::kError) return fail(dec.error());
+    if (st == wire::Decoder::Status::kNeedMore)
+      return fail(dec.buffered() == 0 ? "missing 'end' record"
+                                      : "truncated record");
+    if (r.kind == Kind::kEnd) break;
+    if (r.kind == Kind::kProcs) return fail("duplicate 'procs' record");
+    if (!app.apply(b, r, [] {})) return fail(app.error());
   }
   if (dec.buffered() != 0 ||
       dec.next(&r) != wire::Decoder::Status::kNeedMore) {
     ++recno;
-    fail("bytes after 'end' record");
-    return out;
+    return fail("bytes after 'end' record");
   }
   out.computation = std::move(b).build();
   out.ok = true;

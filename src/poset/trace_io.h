@@ -13,12 +13,20 @@
 //   ev <proc> recv <msg-id> [label=...] [writes...]
 //   end
 //
-// A compact binary form ("hbct-btrace v1") carries the same information:
-// the magic line followed by length-prefixed records with varint-encoded
-// payloads (grammar below, namespace wire). Both forms round-trip through
-// each other. The record codec doubles as the serve layer's wire format —
-// a session stream is the same records without the magic or the kProcs /
-// kEnd framing requirements of a trace file.
+// A name first seen in an init or a write is registered there. Labels and
+// names spell the bytes the grammar reserves (whitespace, '#', '=', the
+// escape '%') as %XX.
+//
+// A compact binary form ("hbct-btrace v1") carries the same records: the
+// magic line followed by length-prefixed records with varint-encoded
+// payloads (grammar below, namespace wire). Both writers emit the records
+// of one walk of the computation. The record codec doubles as the serve
+// layer's wire format — a session stream is the same records without the
+// magic or the kProcs / kEnd framing requirements of a trace file. Both
+// readers apply records through the session's wire::Applier
+// (poset/wire_apply.h): a fault reads the same on every path after the
+// position prefix ("line N: " / "record N: "), and a message id may be
+// reused once its message is delivered.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +63,8 @@ void write_trace_binary(std::ostream& os, const Computation& c);
 std::string trace_to_binary_string(const Computation& c);
 
 /// Parses a binary trace. Never throws; any malformed input — truncated
-/// length prefix, oversized varint, out-of-range field, duplicate message
-/// id, recv before send — is reported in `error`.
+/// length prefix, oversized varint, out-of-range field, duplicate in-flight
+/// message id, recv before send — is reported in `error`.
 TraceParseResult read_trace_binary(std::istream& is);
 TraceParseResult trace_from_binary_string(std::string_view bytes);
 

@@ -52,7 +52,7 @@ ProcId Predicate::forbidden_down(const Computation&, const Cut&) const {
 
 ClassSet effective_classes(const Predicate& p, const Computation& c) {
   ClassSet s = p.classes(c);
-  if (p.eval(c, c.initial_cut())) s |= kClassObserverIndependent;
+  if (p.eval(c, c.trim_cut())) s |= kClassObserverIndependent;
   return close_classes(s);
 }
 

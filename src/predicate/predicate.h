@@ -127,7 +127,8 @@ class Predicate : public std::enable_shared_from_this<Predicate> {
 };
 
 /// classes(c) refined with the "holds initially ⇒ observer-independent"
-/// rule (costs one eval of the initial cut).
+/// rule (costs one eval of the initial cut; after prefix GC, of the trim
+/// cut, where every observation of the resident cuts starts).
 ClassSet effective_classes(const Predicate& p, const Computation& c);
 
 // ---- Trivial predicates ----------------------------------------------------

@@ -123,22 +123,6 @@ bool Session::apply(const wire::Record& r) {
   if (state_ == SessionState::kFinished)
     return fail("record after end of stream");
 
-  const auto feed = [&](AppendError e, const char* what) {
-    if (e == AppendError::kNone) return true;
-    return fail(std::string(what) + ": " + to_string(e));
-  };
-  // Writes trail their event record; labels never affect verdicts and are
-  // dropped on ingestion.
-  const auto tail = [&](const wire::Record& rec) {
-    for (const auto& w : rec.writes) {
-      if (w.var >= vars_.size()) return fail("write to unregistered variable");
-      if (!feed(mon_.try_write(rec.proc, vars_[w.var], w.value), "write"))
-        return false;
-    }
-    return true;
-  };
-
-  const std::size_t fired_before = fires_.size();
   std::chrono::steady_clock::time_point t0;
   if (time_fires_) t0 = std::chrono::steady_clock::now();
 
@@ -147,71 +131,46 @@ bool Session::apply(const wire::Record& r) {
       if (r.nprocs != cfg_.num_procs)
         return fail("stream declares a different process count");
       break;
-    case Kind::kVar:
-      vars_.push_back(mon_.var(r.name));
-      break;
-    case Kind::kInit:
-      if (r.var >= vars_.size()) return fail("init of unregistered variable");
-      if (!feed(mon_.try_set_initial(r.proc, vars_[r.var], r.value), "init"))
-        return false;
-      break;
-    case Kind::kInternal:
-      if (!feed(mon_.try_internal(r.proc), "internal")) return false;
-      after_event();
-      if (!tail(r)) return false;
-      break;
-    case Kind::kSend: {
-      if (msgs_.count(r.msg) != 0) return fail("duplicate in-flight msg id");
-      MsgId m = kNoMsg;
-      if (!feed(mon_.try_send(r.proc, r.peer, &m), "send")) return false;
-      msgs_.emplace(r.msg, m);
-      after_event();
-      if (!tail(r)) return false;
-      break;
-    }
-    case Kind::kRecv: {
-      auto it = msgs_.find(r.msg);
-      if (it == msgs_.end()) return fail("recv of unsent or delivered msg id");
-      if (!feed(mon_.try_receive(r.proc, it->second), "recv")) return false;
-      msgs_.erase(it);
-      after_event();
-      if (!tail(r)) return false;
-      break;
-    }
     case Kind::kEnd:
       finish();
+      break;
+    default:
+      // The GC cadence counts an event before its writes apply.
+      if (!app_.apply(mon_, r, [this] { after_event(); }))
+        return fail(app_.error());
       break;
   }
 
   ++stats_.records;
-  auto fired = mon_.poll();
-  if (!fired.empty()) {
-    stats_.fires += static_cast<std::int64_t>(fired.size());
-    fires_.insert(fires_.end(), std::make_move_iterator(fired.begin()),
-                  std::make_move_iterator(fired.end()));
-    if (fires_.size() > fired_before) {
-      // Fire latency: time from the record's arrival to the fire becoming
-      // observable. Recorded once in the combined histogram and once per
-      // firing class (the same apply produced them all).
-      std::uint64_t ns = 0;
-      if (time_fires_) {
-        const auto dt = std::chrono::steady_clock::now() - t0;
-        ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
-        if (inst_.latency != nullptr) inst_.latency->record(ns);
-      }
-      for (std::size_t i = fired_before; i < fires_.size(); ++i) {
-        const std::size_t k = static_cast<std::size_t>(fires_[i].kind);
-        if (k >= kNumWatchKinds) continue;
-        if (inst_.class_fires[k] != nullptr) inst_.class_fires[k]->add(1);
-        if (time_fires_ && inst_.class_latency[k] != nullptr)
-          inst_.class_latency[k]->record(ns);
-        if (time_fires_ && inst_.raw_sample)
-          inst_.raw_sample(fires_[i].kind, ns);
-      }
-    }
-  }
+  take_fires(time_fires_ ? &t0 : nullptr);
   return true;
+}
+
+void Session::take_fires(const std::chrono::steady_clock::time_point* t0) {
+  auto fired = mon_.poll();
+  if (fired.empty()) return;
+  stats_.fires += static_cast<std::int64_t>(fired.size());
+  // Fire latency: time from the record's arrival (t0) to the fire becoming
+  // observable, recorded once in the combined histogram and once per fire
+  // in its class. Registration-time fires (poll(), no t0) have no latency
+  // sample but still count toward their class.
+  std::uint64_t ns = 0;
+  if (t0 != nullptr) {
+    const auto dt = std::chrono::steady_clock::now() - *t0;
+    ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
+    if (inst_.latency != nullptr) inst_.latency->record(ns);
+  }
+  for (const WatchFire& f : fired) {
+    const std::size_t k = static_cast<std::size_t>(f.kind);
+    if (k >= kNumWatchKinds) continue;
+    if (inst_.class_fires[k] != nullptr) inst_.class_fires[k]->add(1);
+    if (t0 == nullptr) continue;
+    if (inst_.class_latency[k] != nullptr) inst_.class_latency[k]->record(ns);
+    if (inst_.raw_sample) inst_.raw_sample(f.kind, ns);
+  }
+  fires_.insert(fires_.end(), std::make_move_iterator(fired.begin()),
+                std::make_move_iterator(fired.end()));
 }
 
 std::size_t Session::ingest(std::string_view bytes) {
@@ -242,19 +201,7 @@ void Session::finish() {
 }
 
 std::vector<WatchFire> Session::poll() {
-  auto fired = mon_.poll();
-  if (!fired.empty()) {
-    stats_.fires += static_cast<std::int64_t>(fired.size());
-    // Registration-time fires (no triggering record, hence no latency
-    // sample) still count toward their class.
-    for (const WatchFire& f : fired) {
-      const std::size_t k = static_cast<std::size_t>(f.kind);
-      if (k < kNumWatchKinds && inst_.class_fires[k] != nullptr)
-        inst_.class_fires[k]->add(1);
-    }
-    fires_.insert(fires_.end(), std::make_move_iterator(fired.begin()),
-                  std::make_move_iterator(fired.end()));
-  }
+  take_fires(nullptr);
   std::vector<WatchFire> out;
   out.swap(fires_);
   return out;

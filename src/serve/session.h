@@ -12,18 +12,18 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/optimize.h"
 #include "detect/budget.h"
 #include "obs/metrics.h"
 #include "online/monitor.h"
-#include "poset/trace_io.h"
+#include "poset/wire_apply.h"
 
 namespace hbct {
 namespace serve {
@@ -139,6 +139,9 @@ class Session {
  private:
   bool fail(std::string msg);
   void after_event();
+  /// Moves the monitor's new fires into fires_, recording their counters
+  /// and, given the record's arrival time t0, their latency.
+  void take_fires(const std::chrono::steady_clock::time_point* t0);
 
   SessionId id_;
   SessionConfig cfg_;
@@ -146,11 +149,9 @@ class Session {
   wire::Decoder dec_;
   SessionState state_ = SessionState::kOpen;
   std::string error_;
-  std::vector<VarId> vars_;  // wire registration index -> monitor VarId
-  /// In-flight wire msg ids only: delivered entries are erased, so the map
-  /// is O(open channels). A reused id after delivery reads as a fresh
-  /// message; ids must be unique among in-flight messages.
-  std::unordered_map<std::uint64_t, MsgId> msgs_;
+  /// Variable and in-flight msg id tables, shared with the trace readers.
+  /// Event labels are dropped: the monitor takes none.
+  wire::Applier app_;
   std::vector<WatchFire> fires_;
   SessionStats stats_;
   std::int64_t since_gc_ = 0;

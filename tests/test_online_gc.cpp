@@ -300,6 +300,37 @@ TEST(PrefixGc, LocalEvalMatchesEvalLocalOnTrimmedTimelines) {
   }
 }
 
+TEST(PrefixGc, AuditWatchesAuditsTheResidentCutsAfterACollection) {
+  // After a collection the cuts below the trim are gone: the audit's exact
+  // lattice and its sampled walks start at the trim cut, and a false class
+  // claim is still caught there.
+  OnlineMonitor m(2);
+  m.var("x");
+  m.watch_possibly(make_conjunctive(
+      {var_cmp(0, "x", Cmp::kGe, 1000), var_cmp(1, "x", Cmp::kGe, 1000)}));
+  for (int round = 0; round < 20; ++round) {
+    const MsgId a = m.send(0, 1);
+    m.write(0, "x", round);
+    m.receive(1, a);
+  }
+  ASSERT_GT(m.collect_prefix(), 0);
+  AuditOptions sampled;
+  sampled.max_lattice = 1;
+  for (const AuditOptions& opt : {AuditOptions{}, sampled})
+    EXPECT_TRUE(m.audit_watches(opt).empty());
+
+  // Stability claimed for a predicate that flips on every event.
+  m.watch_stable(make_asserted(
+      [](const Computation&, const Cut& g) { return g.total() % 2 == 1; },
+      kClassStable, "odd"));
+  for (const AuditOptions& opt : {AuditOptions{}, sampled}) {
+    const std::vector<Diagnostic> ds = m.audit_watches(opt);
+    ASSERT_FALSE(ds.empty());
+    EXPECT_EQ(ds[0].code, DiagCode::kClassAuditFailed);
+    EXPECT_NE(ds[0].message.find("odd"), std::string::npos) << ds[0].message;
+  }
+}
+
 // ---- Typed append errors -------------------------------------------------------
 
 TEST(AppendErrors, EveryMalformedAppendIsTypedAndHarmless) {

@@ -3,6 +3,7 @@
 
 #include <sstream>
 
+#include "online/appender.h"
 #include "poset/generate.h"
 #include "poset/trace_io.h"
 
@@ -74,6 +75,53 @@ TEST(TraceIo, CommentsAndBlankLinesIgnored) {
   auto r = trace_from_string(text);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.computation.total_events(), 1);
+}
+
+TEST(TraceIo, ReservedBytesInLabelsAndNamesRoundTrip) {
+  // Labels and variable names may hold the bytes the grammar reserves
+  // (token separators, '#', '=', the escape '%'); the writer escapes them,
+  // so no label splits into stray tokens and no write is lost to a comment.
+  OnlineAppender b(2);
+  const VarId yz = b.var("y=z");
+  const VarId lbl = b.var("label");
+  const VarId odd = b.var("50% #1\t");
+  b.internal(0);
+  b.label(0, "a b");
+  b.write(0, yz, 3);
+  const MsgId m = b.send(0, 1);
+  b.label(0, "p#q");
+  b.write(0, yz, 4);
+  b.write(0, lbl, 5);
+  b.receive(1, m);
+  b.label(1, "x=y %41\nz");
+  b.write(1, odd, 6);
+  const Computation c = std::move(b).build();
+
+  const std::string text = trace_to_string(c);
+  const TraceParseResult r = trace_from_string(text);
+  ASSERT_TRUE(r.ok) << r.error << "\n" << text;
+  const Computation& d = r.computation;
+  ASSERT_EQ(d.num_vars(), 3);
+  EXPECT_EQ(d.var_name(0), "y=z");
+  EXPECT_EQ(d.var_name(1), "label");
+  EXPECT_EQ(d.var_name(2), "50% #1\t");
+  EXPECT_EQ(d.event_view(0, 1).label, "a b");
+  EXPECT_EQ(d.event_view(0, 2).label, "p#q");
+  EXPECT_EQ(d.event_view(1, 1).label, "x=y %41\nz");
+  EXPECT_EQ(d.value_at(0, 0, 1), 3);
+  EXPECT_EQ(d.value_at(0, 0, 2), 4);
+  EXPECT_EQ(d.value_at(0, 1, 2), 5);
+  EXPECT_EQ(d.value_at(1, 2, 1), 6);
+  EXPECT_EQ(trace_to_string(d), text);
+  // Through the binary form and back, byte for byte.
+  const TraceParseResult rb = trace_from_binary_string(trace_to_binary_string(c));
+  ASSERT_TRUE(rb.ok) << rb.error;
+  EXPECT_EQ(trace_to_string(rb.computation), text);
+  // A malformed escape is a parse error, not a silent rewrite.
+  const TraceParseResult bad =
+      trace_from_string("hbct-trace v1\nprocs 1\nev 0 internal label=a%2\nend\n");
+  EXPECT_FALSE(bad.ok);
+  EXPECT_NE(bad.error.find("escape"), std::string::npos) << bad.error;
 }
 
 struct BadTraceCase {
