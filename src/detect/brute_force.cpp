@@ -13,8 +13,11 @@ LatticeChecker::LatticeChecker(Lattice lattice) : lat_(std::move(lattice)) {}
 std::vector<char> LatticeChecker::label(const Predicate& p,
                                         DetectStats* st) const {
   std::vector<char> out(lat_.size());
-  for (NodeId v = 0; v < lat_.size(); ++v)
-    out[v] = p.eval(lat_.computation(), lat_.cut(v)) ? 1 : 0;
+  Cut g;  // one scratch cut for the whole sweep
+  for (NodeId v = 0; v < lat_.size(); ++v) {
+    lat_.cut(v, &g);
+    out[v] = p.eval(lat_.computation(), g) ? 1 : 0;
+  }
   if (st) st->predicate_evals += lat_.size();
   return out;
 }

@@ -81,48 +81,60 @@ namespace {
 /// path if found. All four bounds (state cap, work budget, deadline,
 /// cancellation) abort through the tracker: a nullopt return with
 /// t.exceeded() means the search is inconclusive, not exhausted.
+///
+/// The visited set is a CutTable of packed cuts; a frame is a table id plus
+/// its parent's id, so paths are rebuilt by unpacking keys. goal and expand
+/// see one scratch cut, moved to each successor in place.
 std::optional<std::vector<Cut>> dfs_cuts(
     const Computation& c, BudgetTracker& t, DetectStats& st,
     const std::function<bool(const Cut&)>& expand,
     const std::function<bool(const Cut&)>& goal) {
-  CutSet visited(c);
-  // Stack holds (cut, parent index into `order`) to rebuild paths.
-  struct Frame {
-    Cut cut;
-    std::ptrdiff_t parent;
-  };
-  std::vector<Frame> order;
-  std::vector<std::ptrdiff_t> stack;
+  CutTable visited(c);
+  const CutPacker& packer = visited.packer();
+  const std::size_t w = packer.words();
+  std::vector<std::ptrdiff_t> parent;  // parent[id]: id it was reached from
+  std::vector<std::uint32_t> stack;
 
   if (!t.ok()) return std::nullopt;
-  const Cut init = c.initial_cut();
-  if (goal(init)) return std::vector<Cut>{init};
+  Cut g = c.initial_cut();
+  if (goal(g)) return std::vector<Cut>{g};
   if (t.exceeded()) return std::nullopt;
-  if (!expand(init)) return std::nullopt;
+  if (!expand(g)) return std::nullopt;
   if (t.exceeded()) return std::nullopt;
-  visited.insert(init);
-  order.push_back(Frame{init, -1});
+  std::vector<std::uint64_t> key(w), next(w);
+  packer.pack(g, key.data());
+  visited.insert(key.data());
+  parent.push_back(-1);
   stack.push_back(0);
 
   while (!stack.empty()) {
-    const std::ptrdiff_t at = stack.back();
+    const std::uint32_t at = stack.back();
     stack.pop_back();
-    const Cut g = order[static_cast<std::size_t>(at)].cut;
-    for (ProcId i : c.enabled_procs(g)) {
-      Cut h = c.advance(g, i);
+    // Copy: the key array reallocates as successors are inserted.
+    std::copy_n(visited.key(at), w, key.begin());
+    packer.unpack(key.data(), &g);
+    for (ProcId i = 0; i < c.num_procs(); ++i) {
+      if (!packer.enabled(key.data(), i)) continue;
+      std::copy(key.begin(), key.end(), next.begin());
+      packer.step(next.data(), i);
       ++st.cut_steps;
       if (!t.ok()) return std::nullopt;
-      if (visited.contains(h)) continue;
-      if (goal(h)) {
-        std::vector<Cut> path{std::move(h)};
+      if (visited.contains(next.data())) continue;
+      const auto gi = static_cast<std::size_t>(i);
+      ++g[gi];  // g is now the successor
+      if (goal(g)) {
+        std::vector<Cut> path{g};
         for (std::ptrdiff_t a = at; a >= 0;
-             a = order[static_cast<std::size_t>(a)].parent)
-          path.push_back(order[static_cast<std::size_t>(a)].cut);
+             a = parent[static_cast<std::size_t>(a)])
+          path.push_back(
+              packer.unpack(visited.key(static_cast<std::uint32_t>(a))));
         std::reverse(path.begin(), path.end());
         return path;
       }
       if (t.exceeded()) return std::nullopt;
-      if (!expand(h)) {
+      const bool grow = expand(g);
+      --g[gi];
+      if (!grow) {
         if (t.exceeded()) return std::nullopt;
         continue;
       }
@@ -130,9 +142,9 @@ std::optional<std::vector<Cut>> dfs_cuts(
         t.trip(BoundReason::kStateCap);
         return std::nullopt;
       }
-      visited.insert(h);
-      order.push_back(Frame{std::move(h), at});
-      stack.push_back(static_cast<std::ptrdiff_t>(order.size()) - 1);
+      const std::uint32_t id = visited.insert(next.data()).first;
+      parent.push_back(at);
+      stack.push_back(id);
     }
   }
   return std::nullopt;

@@ -1,7 +1,7 @@
 #include "lattice/lattice.h"
 
 #include <algorithm>
-#include <deque>
+#include <numeric>
 
 #include "util/assert.h"
 
@@ -9,70 +9,49 @@ namespace hbct {
 
 std::optional<Lattice> Lattice::try_build(const Computation& c,
                                           std::size_t max_nodes) {
-  Lattice lat;
-  lat.comp_ = &c;
+  Lattice lat(c);
+  CutTable& table = lat.table_;
+  const CutPacker& packer = table.packer();
+  const std::size_t w = packer.words();
 
-  // BFS over cuts; edges are discovered as (node, advanced node) pairs and
-  // converted to CSR afterwards.
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  std::deque<NodeId> queue;
-
-  const Cut init = c.trim_cut();
-  lat.index_ = CutIndex(c);
-  lat.cuts_.push_back(init);
-  lat.index_.try_emplace(init, 0);
+  // BFS over packed cuts. The table hands out ids in discovery order, so it
+  // is the queue as well: node v is expanded when the scan reaches id v,
+  // and its successors land contiguously in the successor CSR. Every edge
+  // adds one event, so BFS from the bottom reaches the cuts rank by rank
+  // and the id order is already topological.
+  std::vector<std::uint64_t> g(w), h(w);
+  packer.pack(c.trim_cut(), g.data());
+  table.insert(g.data());
   lat.bottom_ = 0;
-  queue.push_back(0);
-
-  std::vector<ProcId> enabled;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    const Cut g = lat.cuts_[v];  // copy: cuts_ reallocates during the loop
-    c.enabled_procs(g, &enabled);
-    for (ProcId i : enabled) {
-      Cut h = c.advance(g, i);
-      const auto [id, inserted] =
-          lat.index_.try_emplace(h, static_cast<NodeId>(lat.cuts_.size()));
-      if (inserted) {
-        if (lat.cuts_.size() >= max_nodes) return std::nullopt;
-        lat.cuts_.push_back(std::move(h));
-        queue.push_back(id);
-      }
-      edges.emplace_back(v, id);
+  lat.succ_off_.push_back(0);
+  for (NodeId v = 0; v < table.size(); ++v) {
+    // Copy: the key array reallocates as successors are inserted.
+    std::copy_n(table.key(v), w, g.begin());
+    for (ProcId i = 0; i < c.num_procs(); ++i) {
+      if (!packer.enabled(g.data(), i)) continue;
+      std::copy(g.begin(), g.end(), h.begin());
+      packer.step(h.data(), i);
+      const auto [id, inserted] = table.insert(h.data());
+      if (inserted && table.size() > max_nodes) return std::nullopt;
+      lat.succ_flat_.push_back(id);
     }
+    lat.succ_off_.push_back(static_cast<std::uint32_t>(lat.succ_flat_.size()));
   }
-  lat.num_edges_ = edges.size();
 
-  const std::size_t n = lat.cuts_.size();
-  // CSR for successors.
-  lat.succ_off_.assign(n + 1, 0);
+  // Predecessor CSR: scanning the sources in id order lists each node's
+  // predecessors in ascending id order.
+  const std::size_t n = table.size();
   lat.pred_off_.assign(n + 1, 0);
-  for (const auto& [u, v] : edges) {
-    ++lat.succ_off_[u + 1];
-    ++lat.pred_off_[v + 1];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    lat.succ_off_[i + 1] += lat.succ_off_[i];
-    lat.pred_off_[i + 1] += lat.pred_off_[i];
-  }
-  lat.succ_flat_.resize(edges.size());
-  lat.pred_flat_.resize(edges.size());
-  std::vector<std::uint32_t> sfill(lat.succ_off_.begin(), lat.succ_off_.end() - 1);
-  std::vector<std::uint32_t> pfill(lat.pred_off_.begin(), lat.pred_off_.end() - 1);
-  for (const auto& [u, v] : edges) {
-    lat.succ_flat_[sfill[u]++] = v;
-    lat.pred_flat_[pfill[v]++] = u;
-  }
+  for (NodeId s : lat.succ_flat_) ++lat.pred_off_[s + 1];
+  for (std::size_t i = 0; i < n; ++i) lat.pred_off_[i + 1] += lat.pred_off_[i];
+  lat.pred_flat_.resize(lat.succ_flat_.size());
+  std::vector<std::uint32_t> fill(lat.pred_off_.begin(),
+                                  lat.pred_off_.end() - 1);
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId s : lat.successors(u)) lat.pred_flat_[fill[s]++] = u;
 
-  // Topological order: sort by cut cardinality (rank function of the
-  // graded lattice).
   lat.topo_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) lat.topo_[i] = static_cast<NodeId>(i);
-  std::stable_sort(lat.topo_.begin(), lat.topo_.end(),
-                   [&](NodeId a, NodeId b) {
-                     return lat.cuts_[a].total() < lat.cuts_[b].total();
-                   });
+  std::iota(lat.topo_.begin(), lat.topo_.end(), NodeId{0});
 
   const NodeId topnode = lat.node_of(c.final_cut());
   HBCT_ASSERT_MSG(topnode != kNoNode, "final cut must be reachable");
@@ -88,13 +67,15 @@ Lattice Lattice::build(const Computation& c, std::size_t max_nodes) {
 
 NodeId Lattice::node_of(const Cut& g) const {
   // Out-of-range counters could alias a valid key under the packed
-  // encoding; such cuts are never in the index anyway.
-  if (g.size() != static_cast<std::size_t>(comp_->num_procs())) return kNoNode;
-  for (ProcId i = 0; i < comp_->num_procs(); ++i) {
+  // encoding; such cuts are never in the table anyway.
+  const Computation& c = computation();
+  if (g.size() != static_cast<std::size_t>(c.num_procs())) return kNoNode;
+  for (ProcId i = 0; i < c.num_procs(); ++i) {
     const std::int32_t gi = g[static_cast<std::size_t>(i)];
-    if (gi < 0 || gi > comp_->num_events(i)) return kNoNode;
+    if (gi < 0 || gi > c.num_events(i)) return kNoNode;
   }
-  return index_.find_or(g, kNoNode);
+  static_assert(CutTable::kAbsent == kNoNode);
+  return table_.find(g);
 }
 
 std::span<const NodeId> Lattice::successors(NodeId v) const {
@@ -106,13 +87,13 @@ std::span<const NodeId> Lattice::predecessors(NodeId v) const {
 }
 
 NodeId Lattice::meet(NodeId a, NodeId b) const {
-  const NodeId m = node_of(Cut::meet(cuts_[a], cuts_[b]));
+  const NodeId m = node_of(Cut::meet(cut(a), cut(b)));
   HBCT_ASSERT_MSG(m != kNoNode, "meet of consistent cuts must be consistent");
   return m;
 }
 
 NodeId Lattice::join(NodeId a, NodeId b) const {
-  const NodeId j = node_of(Cut::join(cuts_[a], cuts_[b]));
+  const NodeId j = node_of(Cut::join(cut(a), cut(b)));
   HBCT_ASSERT_MSG(j != kNoNode, "join of consistent cuts must be consistent");
   return j;
 }

@@ -38,12 +38,20 @@ class Lattice {
   static std::optional<Lattice> try_build(const Computation& c,
                                           std::size_t max_nodes);
 
-  std::size_t size() const { return cuts_.size(); }
-  std::size_t num_edges() const { return num_edges_; }
+  std::size_t size() const { return table_.size(); }
+  std::size_t num_edges() const { return succ_flat_.size(); }
 
-  const Computation& computation() const { return *comp_; }
+  const Computation& computation() const {
+    return table_.packer().computation();
+  }
 
-  const Cut& cut(NodeId v) const { return cuts_[v]; }
+  /// The cut of node v, unpacked from its stored key.
+  Cut cut(NodeId v) const { return table_.packer().unpack(table_.key(v)); }
+  /// Scratch form for sweeps: unpacks into `*out` without allocating once
+  /// it has the right size.
+  void cut(NodeId v, Cut* out) const {
+    table_.packer().unpack(table_.key(v), out);
+  }
   /// Node id of a cut; kNoNode when the cut is not consistent.
   NodeId node_of(const Cut& g) const;
 
@@ -53,8 +61,9 @@ class Lattice {
   std::span<const NodeId> successors(NodeId v) const;
   std::span<const NodeId> predecessors(NodeId v) const;
 
-  /// Node ids sorted by cut cardinality (a topological order of the Hasse
-  /// DAG; rank r holds all cuts with r events).
+  /// Node ids in ascending cut cardinality (a topological order of the
+  /// Hasse DAG; rank r holds all cuts with r events). BFS from the bottom
+  /// discovers the cuts rank by rank, so this is the id order itself.
   const std::vector<NodeId>& topo_order() const { return topo_; }
 
   /// Lattice meet/join by componentwise min/max plus lookup.
@@ -62,16 +71,16 @@ class Lattice {
   NodeId join(NodeId a, NodeId b) const;
 
  private:
-  const Computation* comp_ = nullptr;
-  std::vector<Cut> cuts_;
-  /// Cut -> node id, packed-uint64-keyed when the cut fits in 64 bits.
-  CutIndex index_;
+  explicit Lattice(const Computation& c) : table_(c) {}
+
+  /// Node v's packed cut is table_.key(v): ids are the table's insertion
+  /// (BFS discovery) order.
+  CutTable table_;
   // CSR adjacency for successors and predecessors.
   std::vector<NodeId> succ_flat_, pred_flat_;
   std::vector<std::uint32_t> succ_off_, pred_off_;
   std::vector<NodeId> topo_;
   NodeId bottom_ = kNoNode, top_ = kNoNode;
-  std::size_t num_edges_ = 0;
 };
 
 }  // namespace hbct

@@ -23,6 +23,7 @@ const char* to_string(AppendError e) {
     case AppendError::kInitialAfterEvent: return "initial values must precede the first event";
     case AppendError::kNoEventToWrite: return "no event to annotate";
     case AppendError::kFinished: return "stream already finished";
+    case AppendError::kEmptyVarName: return "empty variable name";
   }
   return "?";
 }
@@ -40,8 +41,19 @@ OnlineAppender::OnlineAppender(std::int32_t num_procs) {
 }
 
 VarId OnlineAppender::var(std::string_view name) {
-  auto it = c_.var_ids_.find(std::string(name));
-  if (it != c_.var_ids_.end()) return it->second;
+  VarId id = 0;
+  const AppendError e = try_var(name, &id);
+  HBCT_ASSERT_MSG(e == AppendError::kNone, to_string(e));
+  return id;
+}
+
+AppendError OnlineAppender::try_var(std::string_view name, VarId* out) {
+  if (name.empty()) return AppendError::kEmptyVarName;
+  auto it = c_.var_ids_.find(name);
+  if (it != c_.var_ids_.end()) {
+    *out = it->second;
+    return AppendError::kNone;
+  }
   const VarId id = static_cast<VarId>(c_.var_names_.size());
   c_.var_names_.emplace_back(name);
   c_.var_ids_.emplace(std::string(name), id);
@@ -52,7 +64,8 @@ VarId OnlineAppender::var(std::string_view name) {
     // discarded prefix was all-zero for a just-registered variable anyway).
     c_.values_[sz(i)].emplace_back(c_.procs_[sz(i)].size() + 1, 0);
   }
-  return id;
+  *out = id;
+  return AppendError::kNone;
 }
 
 AppendError OnlineAppender::try_set_initial(ProcId i, VarId v,

@@ -50,6 +50,7 @@ enum class AppendError : std::uint8_t {
   kInitialAfterEvent,   // set_initial() after the first event
   kNoEventToWrite,      // write() on a process that has no events yet
   kFinished,            // feed after finish() (monitor / serve layer)
+  kEmptyVarName,        // var(""): the text form cannot name the variable
 };
 
 const char* to_string(AppendError e);
@@ -59,7 +60,8 @@ class OnlineAppender {
   explicit OnlineAppender(std::int32_t num_procs);
 
   /// Registers a variable (any time; a mid-run registration backfills an
-  /// all-zero history).
+  /// all-zero history). A registered name returns its existing id. The
+  /// name must be non-empty.
   VarId var(std::string_view name);
 
   /// Initial values may only be set before the first event.
@@ -81,6 +83,7 @@ class OnlineAppender {
   // asserts on is returned as an AppendError and leaves the computation
   // untouched. `out` (when non-null) receives the result on success.
 
+  AppendError try_var(std::string_view name, VarId* out);
   AppendError try_set_initial(ProcId i, VarId v, std::int64_t value);
   AppendError try_internal(ProcId i, EventId* out = nullptr);
   AppendError try_send(ProcId from, ProcId to, MsgId* out = nullptr);

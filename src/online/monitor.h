@@ -106,6 +106,9 @@ class OnlineMonitor {
   // ---- Guarded feed (serve layer / untrusted streams) ---------------------
   // AppendError instead of asserting; kFinished after finish(). A rejected
   // feed leaves the computation and every watch untouched.
+  AppendError try_var(std::string_view name, VarId* out) {
+    return finished_ ? AppendError::kFinished : app_.try_var(name, out);
+  }
   AppendError try_set_initial(ProcId i, VarId v, std::int64_t value);
   AppendError try_internal(ProcId i);
   AppendError try_send(ProcId from, ProcId to, MsgId* out = nullptr);

@@ -58,7 +58,7 @@ bool Computation::concurrent(EventId e, EventId f) const {
 }
 
 std::optional<VarId> Computation::var_id(std::string_view name) const {
-  auto it = var_ids_.find(std::string(name));
+  auto it = var_ids_.find(name);
   if (it == var_ids_.end()) return std::nullopt;
   return it->second;
 }

@@ -22,10 +22,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "poset/arena.h"
@@ -207,6 +209,38 @@ class Computation {
   /// True when the next event of process i can be appended to G keeping it
   /// consistent (its whole causal past is inside G). O(n).
   bool enabled(const Cut& g, ProcId i) const;
+  /// The one dependency event (i, idx) can have that its predecessor on i
+  /// lacks: for a receive, {sender, vc(e)[sender]} (the events of the sender
+  /// it has seen); {-1, 0} for a send or internal event. A consistent cut
+  /// holding (i, idx - 1) admits (i, idx) iff it holds that many events of
+  /// the sender (CutPacker::enabled). O(1), and inline because the
+  /// exhaustive walks call it once per successor probe.
+  std::pair<ProcId, EventIndex> receive_dependency(ProcId i,
+                                                   EventIndex idx) const {
+    HBCT_DASSERT(idx >= trimmed(i) + 1 && idx <= num_events(i));
+    const auto si = static_cast<std::size_t>(i);
+    const auto n = procs_.size();
+    ProcId sender = -1;
+    const std::int32_t* row = nullptr;  // vclock(i, idx), read in place
+    if (arena_) {
+      const auto k = static_cast<std::size_t>(idx - 1);
+      const PackedEvent& e = arena_->events[si][k];
+      if (e.kind == static_cast<std::uint8_t>(EventKind::kReceive)) {
+        sender = e.peer;
+        row = arena_->vclocks[si] + k * n;
+      }
+    } else {
+      const auto k = static_cast<std::size_t>(idx - 1 - trimmed(i));
+      const Event& e = procs_[si][k];
+      if (e.kind == EventKind::kReceive) {
+        sender = e.peer;
+        row = vclocks_[si].data() +
+              static_cast<std::size_t>(idx - vclock_base(i)) * n;
+      }
+    }
+    if (sender < 0) return {-1, 0};
+    return {sender, row[static_cast<std::size_t>(sender)]};
+  }
   /// True when the last included event of process i is maximal in G, i.e.
   /// removing it keeps G consistent. O(n).
   bool removable(const Cut& g, ProcId i) const;
@@ -335,8 +369,16 @@ class Computation {
   mutable RvClockCache rvcache_;
   std::vector<EventId> linearization_;
 
+  /// Transparent hashing lets var_id(string_view) look names up without
+  /// building a std::string per call (predicate terms do it per eval).
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
   std::vector<std::string> var_names_;
-  std::unordered_map<std::string, VarId> var_ids_;
+  std::unordered_map<std::string, VarId, NameHash, std::equal_to<>> var_ids_;
   /// values_[i][v][pos] = value of var v on proc i after pos events.
   std::vector<std::vector<std::vector<std::int64_t>>> values_;
   /// initial_[i][v]

@@ -47,13 +47,4 @@ std::string Cut::to_string() const {
   return os.str();
 }
 
-std::size_t CutHash::operator()(const Cut& c) const noexcept {
-  std::size_t h = 1469598103934665603ull;
-  for (auto v : c.raw()) {
-    h ^= static_cast<std::size_t>(static_cast<std::uint32_t>(v));
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace hbct

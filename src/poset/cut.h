@@ -47,9 +47,4 @@ class Cut {
   std::vector<std::int32_t> c_;
 };
 
-/// FNV-1a over the cut vector; for unordered containers keyed by cuts.
-struct CutHash {
-  std::size_t operator()(const Cut& c) const noexcept;
-};
-
 }  // namespace hbct

@@ -31,9 +31,12 @@ class Applier {
   bool apply(Sink& sink, const Record& r, OnEvent&& on_event) {
     using Kind = Record::Kind;
     switch (r.kind) {
-      case Kind::kVar:
-        vars_.push_back(sink.var(r.name));
+      case Kind::kVar: {
+        VarId v = 0;
+        if (!applied("var", sink.try_var(r.name, &v))) return false;
+        vars_.push_back(v);
         return true;
+      }
       case Kind::kInit:
         if (r.var >= vars_.size()) return fail("init of unregistered variable");
         return applied("init",

@@ -1,7 +1,6 @@
 #include "slice/slicer.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "detect/ef_linear.h"
 #include "poset/cut_packer.h"
@@ -66,22 +65,18 @@ std::optional<std::vector<Cut>> Slice::enumerate_satisfying(
   // BFS: every satisfying cut H ⊋ G is reachable from G by joining with a
   // slice element J_p(e) for some event e ∈ H \ G (the join stays within H
   // and strictly grows), so the closure from I_p covers the sub-lattice.
-  CutSet seen(*comp_);
-  std::deque<Cut> queue;
+  // The table of packed cuts is the queue: ids are discovery order.
+  CutTable seen(*comp_);
+  const CutPacker& packer = seen.packer();
   seen.insert(*least_);
-  queue.push_back(*least_);
-  out.push_back(*least_);
-  while (!queue.empty()) {
-    Cut g = std::move(queue.front());
-    queue.pop_front();
+  Cut g, h;
+  for (std::uint32_t at = 0; at < seen.size(); ++at) {
+    packer.unpack(seen.key(at), &g);
+    out.push_back(g);
     for (const Cut& e : elems) {
       if (e.subset_of(g)) continue;
-      Cut h = Cut::join(g, e);
-      if (seen.contains(h)) continue;
-      if (seen.size() >= cap) return std::nullopt;
-      seen.insert(h);
-      out.push_back(h);
-      queue.push_back(std::move(h));
+      h = Cut::join(g, e);
+      if (seen.insert(h).second && seen.size() > cap) return std::nullopt;
     }
   }
   std::sort(out.begin(), out.end(), [](const Cut& a, const Cut& b) {

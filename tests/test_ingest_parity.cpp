@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "online/appender.h"
 #include "poset/trace_io.h"
 #include "serve/session.h"
 
@@ -81,7 +82,8 @@ std::string encode(const std::vector<Record>& rs) {
 }
 
 /// The stream as a text trace, or nullopt where the text grammar cannot say
-/// it: text names variables, so it cannot reference an unregistered index.
+/// it: text names variables, so it can neither reference an unregistered
+/// index nor spell an empty name.
 std::optional<std::string> render_text(const std::vector<Record>& rs) {
   std::ostringstream os;
   os << "hbct-trace v1\n";
@@ -92,6 +94,7 @@ std::optional<std::string> render_text(const std::vector<Record>& rs) {
         os << "procs " << r.nprocs << "\n";
         continue;
       case Kind::kVar:
+        if (r.name.empty()) return std::nullopt;
         names.push_back(r.name);
         os << "var " << r.name << "\n";
         continue;
@@ -204,9 +207,45 @@ TEST(IngestParity, ReadersAndSessionAgreeOnEveryStream) {
       {"recv_on_wrong_process",
        {procs(3), send(0, 1, 3), recv(2, 3), end()},
        "recv: message delivered to wrong process"},
+      {"empty_variable_name",
+       {procs(2), var(""), internal(0, {{0, 5}}), end()},
+       "var: empty variable name"},
   };
 
   for (const Row& row : rows) check_row(row);
+}
+
+TEST(IngestParity, EmptyVariableNameIsRejectedOnEveryPath) {
+  // An empty name once passed btrace and the serve wire and then wrote text
+  // (`var ` and ` =5`) that read_trace rejects. Every path now refuses it.
+  const std::vector<Record> rs = {procs(2), var(""), internal(0, {{0, 5}}),
+                                  end()};
+  const TraceParseResult bin =
+      trace_from_binary_string(std::string(wire::kBinaryMagic) + encode(rs));
+  ASSERT_FALSE(bin.ok);
+  EXPECT_EQ(bin.error, "record 1: var: empty variable name");
+
+  serve::SessionConfig cfg;
+  cfg.num_procs = 2;
+  serve::Session session(1, cfg);
+  session.ingest(encode(rs));
+  EXPECT_EQ(session.state(), serve::SessionState::kFailed);
+  EXPECT_EQ(session.error(), "var: empty variable name");
+
+  // Text has no spelling for an empty name: the line that text would need
+  // is a grammar error.
+  const TraceParseResult txt = trace_from_string(
+      "hbct-trace v1\nprocs 2\nvar \nev 0 internal =5\nend\n");
+  ASSERT_FALSE(txt.ok);
+  EXPECT_EQ(txt.error, "line 3: expected 'var <name>'");
+
+  // The appender's own registration refuses it too.
+  OnlineAppender app(2);
+  VarId v = -1;
+  EXPECT_EQ(app.try_var("", &v), AppendError::kEmptyVarName);
+  EXPECT_EQ(app.computation().num_vars(), 0);
+  EXPECT_EQ(app.try_var("x", &v), AppendError::kNone);
+  EXPECT_EQ(v, 0);
 }
 
 }  // namespace

@@ -4,13 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <set>
 
+#include "detect/stable_oi.h"
 #include "lattice/irreducible.h"
 #include "lattice/lattice.h"
 #include "lattice/path_count.h"
 #include "poset/builder.h"
+#include "poset/cut_packer.h"
 #include "poset/generate.h"
+#include "poset/replay.h"
+#include "predicate/predicate.h"
 #include "util/rng.h"
 
 namespace hbct {
@@ -94,6 +100,194 @@ TEST(Lattice, NodeOfRejectsInconsistentCut) {
   Lattice lat = Lattice::build(c);
   EXPECT_EQ(lat.node_of(Cut({0, 1})), kNoNode);
   EXPECT_NE(lat.node_of(Cut({1, 1})), kNoNode);
+}
+
+// ---- Independent enumeration oracle ------------------------------------
+// The lattice walk steps packed keys with an O(1) enabled check; the oracle
+// below shares none of it. It scans the product box
+// prod_i [trimmed(i), N_i] and keeps what Computation::is_consistent accepts,
+// and counts Hasse edges with the O(n) Computation::enabled. The scan fixes
+// processes one at a time and skips a partial assignment as soon as two
+// fixed processes already contradict each other's clocks (no completion of
+// it can be consistent), so a wide but thin box stays cheap.
+
+void box_scan(const Computation& c, Cut& g, ProcId i,
+              std::set<std::vector<std::int32_t>>& out) {
+  if (i == c.num_procs()) {
+    if (c.is_consistent(g)) out.insert(g.raw());
+    return;
+  }
+  const auto si = static_cast<std::size_t>(i);
+  for (g[si] = c.trimmed(i); g[si] <= c.num_events(i); ++g[si]) {
+    bool ok = true;
+    for (ProcId j = 0; j < i && ok; ++j) {
+      const auto sj = static_cast<std::size_t>(j);
+      if (g[si] > 0 && c.vclock(i, g[si])[sj] > g[sj]) ok = false;
+      if (g[sj] > 0 && c.vclock(j, g[sj])[si] > g[si]) ok = false;
+    }
+    if (ok) box_scan(c, g, i + 1, out);
+  }
+}
+
+std::set<std::vector<std::int32_t>> box_consistent_cuts(const Computation& c) {
+  std::set<std::vector<std::int32_t>> out;
+  Cut g = c.trim_cut();
+  box_scan(c, g, 0, out);
+  return out;
+}
+
+void expect_lattice_matches_oracle(const Computation& c) {
+  const Lattice lat = Lattice::build(c);
+  const auto oracle = box_consistent_cuts(c);
+  std::set<std::vector<std::int32_t>> nodes;
+  for (NodeId v = 0; v < lat.size(); ++v) nodes.insert(lat.cut(v).raw());
+  EXPECT_EQ(nodes.size(), lat.size()) << "a cut was stored twice";
+  EXPECT_EQ(nodes, oracle);
+
+  std::size_t edges = 0;
+  for (const auto& raw : oracle)
+    for (ProcId i = 0; i < c.num_procs(); ++i)
+      edges += c.enabled(Cut(raw), i) ? 1 : 0;
+  EXPECT_EQ(lat.num_edges(), edges);
+
+  const auto& topo = lat.topo_order();
+  ASSERT_EQ(topo.size(), lat.size());
+  EXPECT_EQ(std::set<NodeId>(topo.begin(), topo.end()).size(), lat.size());
+  for (std::size_t k = 1; k < topo.size(); ++k)
+    EXPECT_LE(lat.cut(topo[k - 1]).total(), lat.cut(topo[k]).total());
+  EXPECT_EQ(lat.cut(lat.bottom()), c.trim_cut());
+  EXPECT_EQ(lat.cut(lat.top()), c.final_cut());
+}
+
+/// A DFS witness path starts at the initial cut, adds exactly one event per
+/// step through consistent cuts, and ends on a cut `goal` accepts.
+void expect_witness_path(const Computation& c, const std::vector<Cut>& path,
+                         const std::function<bool(const Cut&)>& goal) {
+  ASSERT_FALSE(path.empty());
+  EXPECT_EQ(path.front(), c.initial_cut());
+  for (std::size_t k = 0; k < path.size(); ++k) {
+    EXPECT_TRUE(c.is_consistent(path[k])) << path[k].to_string();
+    if (k == 0) continue;
+    EXPECT_TRUE(path[k - 1].subset_of(path[k]));
+    EXPECT_EQ(path[k].total(), path[k - 1].total() + 1);
+  }
+  EXPECT_TRUE(goal(path.back())) << path.back().to_string();
+}
+
+/// ef-dfs toward a deep cut and eg-dfs through a region that excludes part
+/// of the lattice both return paths the checker above accepts.
+void expect_dfs_witnesses(const Computation& c) {
+  const std::int64_t deep = (c.total_events() * 3) / 4;
+  const auto reach = [deep](const Cut& g) { return g.total() >= deep; };
+  auto p = make_asserted(
+      [reach](const Computation&, const Cut& g) { return reach(g); }, 0,
+      "total>=3/4");
+  const DetectResult ef = detect_ef_dfs(c, *p);
+  ASSERT_EQ(ef.verdict, Verdict::kHolds);
+  expect_witness_path(c, ef.witness_path, reach);
+
+  // EG through cuts that never run process 0 more than two events ahead of
+  // the last process; when a path stays inside, its witness must too.
+  const auto last = static_cast<std::size_t>(c.num_procs() - 1);
+  const auto inside = [last](const Cut& g) { return g[0] <= g[last] + 2; };
+  auto q = make_asserted(
+      [inside](const Computation&, const Cut& g) { return inside(g); }, 0,
+      "p0<=last+2");
+  const DetectResult eg = detect_eg_dfs(c, *q);
+  if (eg.verdict != Verdict::kHolds) return;
+  const Cut final = c.final_cut();
+  expect_witness_path(c, eg.witness_path,
+                      [&](const Cut& g) { return g == final; });
+  for (const Cut& g : eg.witness_path) EXPECT_TRUE(inside(g));
+}
+
+TEST(LatticeOracle, RandomComputationsMatchTheProductBox) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    GenOptions opt;
+    opt.num_procs = 2 + static_cast<std::int32_t>(seed % 3);
+    opt.events_per_proc = 3 + static_cast<std::int32_t>(seed % 3);
+    opt.seed = seed;
+    const Computation c = generate_random(opt);
+    expect_lattice_matches_oracle(c);
+    expect_dfs_witnesses(c);
+  }
+}
+
+TEST(LatticeOracle, PrefixCollectedComputation) {
+  // The lattice of a trimmed computation starts at the trim cut; the box
+  // starts there too.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    GenOptions opt;
+    opt.num_procs = 3;
+    opt.events_per_proc = 6;
+    opt.seed = seed + 40;
+    const Computation ref = generate_random(opt);
+    // Keep from the cut of the first third of the linearization.
+    const auto& lin = ref.linearization();
+    Cut keep = ref.initial_cut();
+    for (std::size_t k = 0; k < lin.size() / 3; ++k)
+      ++keep[static_cast<std::size_t>(lin[k].proc)];
+    OnlineAppender app(ref.num_procs());
+    replay_initial(ref, app);
+    replay_events(ref, lin, app, [](EventId) {});
+    ASSERT_GT(app.collect_prefix(keep), 0);
+    const Computation c = std::move(app).build();
+    ASSERT_EQ(c.trim_cut(), keep);
+    expect_lattice_matches_oracle(c);
+  }
+}
+
+TEST(LatticeOracle, KeysWiderThanOneWord) {
+  // A 20-process token chain: each process receives the token, runs six
+  // internal events and passes it on; process 0 also receives it back.
+  // Counters up to 9 take four bits each, 80 bits in all, yet the lattice
+  // is a short chain widened only by process 19's three idle events.
+  constexpr ProcId kProcs = 20;
+  ComputationBuilder b(kProcs);
+  MsgId token = kNoMsg;
+  for (ProcId i = 0; i < kProcs; ++i) {
+    if (i > 0) b.receive(i, token);
+    for (int k = 0; k < 6; ++k) b.internal(i);
+    if (i == kProcs - 1)
+      for (int k = 0; k < 3; ++k) b.internal(i);
+    token = b.send(i, (i + 1) % kProcs);
+  }
+  b.receive(0, token);
+  const Computation c = std::move(b).build();
+  ASSERT_GT(CutPacker(c).words(), 1u);
+  expect_lattice_matches_oracle(c);
+  expect_dfs_witnesses(c);
+}
+
+TEST(LatticeOracle, EventlessProcess) {
+  // Process 1 has no events: its field has zero width in the packed key.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    GenOptions opt;
+    opt.num_procs = 3;
+    opt.events_per_proc = 4;
+    opt.seed = seed + 80;
+    const Computation ref = generate_random(opt);
+    // Replay ref's processes 0, 1, 2 as 0, 2, 3 of a four-process run.
+    ComputationBuilder b(4);
+    const auto to = [](ProcId i) { return i == 0 ? 0 : i + 1; };
+    std::map<MsgId, MsgId> sent;  // ref's message id -> b's
+    for (const EventId& e : ref.linearization()) {
+      const EventView ev = ref.event_view(e);
+      if (ev.kind == EventKind::kSend)
+        sent[ev.msg] = b.send(to(e.proc), to(ev.peer));
+      else if (ev.kind == EventKind::kReceive)
+        b.receive(to(e.proc), sent.at(ev.msg));
+      else
+        b.internal(to(e.proc));
+    }
+    const Computation c = std::move(b).build();
+    ASSERT_EQ(c.num_events(1), 0);
+    expect_lattice_matches_oracle(c);
+    expect_dfs_witnesses(c);
+  }
 }
 
 // ---- Irreducibles: the heart of Algorithm A2 -------------------------------

@@ -181,7 +181,6 @@ TEST(Cut, LatticeOperations) {
   EXPECT_FALSE(a.subset_of(b));
   EXPECT_EQ(a.total(), 3);
   EXPECT_EQ(a.to_string(), "<2,0,1>");
-  EXPECT_NE(CutHash{}(a), CutHash{}(b));  // overwhelmingly likely
 }
 
 TEST(Generate, RandomComputationIsValidAndDeterministic) {
