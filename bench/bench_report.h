@@ -4,8 +4,9 @@
 // artifacts come from a second, self-timed pass after RunSpecifiedBenchmarks
 // so the document layout is ours (schema hbct.bench/1) and rows can embed
 // full hbct.report/1 run reports. Timing is steady_clock around whole
-// detections — coarser than benchmark's stabilized loops, but plenty for
-// the percentile summaries the artifacts carry.
+// detections (batches of them for sub-microsecond cells, rows interleaved;
+// see time_ns_interleaved) — coarser than benchmark's stabilized loops, but plenty
+// for the percentile summaries the artifacts carry.
 //
 // Schema (kBenchSchema = "hbct.bench/1"):
 //   { "schema": "hbct.bench/1",
@@ -19,6 +20,7 @@
 //               ... ] }
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -64,6 +66,71 @@ inline Summary time_ns(int iters, const std::function<void()>& fn) {
             .count()));
   }
   return Summary::of(std::move(samples));
+}
+
+/// Times every fn in `fns`, each run sized from its warm-up: the fastest
+/// of three warm-up calls sets how many calls one sample times, so a sample
+/// spans at least kSampleNs (a sub-microsecond cell is timed in batches and
+/// each sample is the batch time divided by the batch), and how many
+/// samples the row takes: enough for about kRowNs of timed work, at least
+/// kMinSamples and at most kMaxSamples. The samples are taken in kRounds
+/// rounds that visit every fn in turn, so drift and contention on a shared
+/// machine spread over all rows instead of landing on the one being timed.
+/// Summary::count is the number of samples.
+inline std::vector<Summary> time_ns_interleaved(
+    const std::vector<std::function<void()>>& fns) {
+  constexpr double kSampleNs = 10'000;
+  constexpr double kRowNs = 50e6;
+  constexpr std::size_t kMinSamples = 200;
+  constexpr std::size_t kMaxSamples = 2000;
+  constexpr std::size_t kRounds = 20;
+  using Clock = std::chrono::steady_clock;
+  const auto elapsed_ns = [](Clock::time_point t0) {
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             t0)
+            .count());
+  };
+  struct Plan {
+    std::size_t batch = 1;
+    std::size_t per_round = 1;
+    std::vector<double> samples;
+  };
+  std::vector<Plan> plans(fns.size());
+  for (std::size_t r = 0; r < fns.size(); ++r) {
+    double warm = 0;
+    for (int k = 0; k < 3; ++k) {
+      const auto t0 = Clock::now();
+      fns[r]();
+      const double ns = elapsed_ns(t0);
+      warm = k == 0 ? ns : std::min(warm, ns);
+    }
+    warm = std::max(warm, 1.0);
+    Plan& plan = plans[r];
+    plan.batch =
+        warm < kSampleNs ? static_cast<std::size_t>(kSampleNs / warm) + 1 : 1;
+    const std::size_t count = std::clamp<std::size_t>(
+        static_cast<std::size_t>(kRowNs /
+                                 (warm * static_cast<double>(plan.batch))),
+        kMinSamples, kMaxSamples);
+    plan.per_round = (count + kRounds - 1) / kRounds;
+    plan.samples.reserve(plan.per_round * kRounds);
+  }
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (std::size_t r = 0; r < fns.size(); ++r) {
+      Plan& plan = plans[r];
+      for (std::size_t i = 0; i < plan.per_round; ++i) {
+        const auto t0 = Clock::now();
+        for (std::size_t k = 0; k < plan.batch; ++k) fns[r]();
+        plan.samples.push_back(elapsed_ns(t0) /
+                               static_cast<double>(plan.batch));
+      }
+    }
+  }
+  std::vector<Summary> out;
+  out.reserve(plans.size());
+  for (Plan& plan : plans) out.push_back(Summary::of(std::move(plan.samples)));
+  return out;
 }
 
 inline void write_summary(JsonWriter& w, const Summary& s) {

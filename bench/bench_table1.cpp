@@ -11,6 +11,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "bench_report.h"
 #include "hbct.h"
@@ -373,31 +376,28 @@ BENCHMARK(BM_trace_on);
 // ---- BENCH_table1.json ---------------------------------------------------------
 //
 // A compact self-timed pass over the polynomial rows plus the until
-// operators; the EF-of-conjunctive row re-runs traced and embeds its full
-// hbct.report/1 document so the artifact carries one complete span tree.
+// operators. Every row is sized from its warm-up and the rows are timed
+// interleaved (benchio::time_ns_interleaved), so drift and contention on a
+// shared machine land on all of them alike. The EF-of-conjunctive row
+// re-runs traced and embeds its full hbct.report/1 document so the artifact
+// carries one complete span tree.
 
-benchio::BenchRow timed_cell(const std::string& name, Op op,
-                             const PredicatePtr& p, const Computation& c,
-                             int iters, bool traced = false) {
-  benchio::BenchRow row;
-  row.name = name;
-  DispatchOptions opt;
-  DetectResult last;
-  row.ns = benchio::time_ns(
-      iters, [&] { last = detect(c, op, p, nullptr, opt); });
-  row.label = last.algorithm + " -> " + benchio::verdict_word(last.verdict);
-  if (traced) {
-    opt.trace = true;
-    last = detect(c, op, p, nullptr, opt);
-    row.report = report_json(last);
-  }
-  return row;
+struct TimedCell {
+  std::string name;
+  /// One timed call; the result of the last one labels the row.
+  std::function<DetectResult()> run;
+  /// A fixed label instead of "algorithm -> verdict".
+  std::string label = {};
+};
+
+TimedCell detect_cell(const std::string& name, Op op, PredicatePtr p,
+                      const Computation& c) {
+  return {name, [op, p, &c] { return detect(c, op, p); }};
 }
 
 bool emit_table1_json(const std::string& path) {
-  constexpr int kIters = 20;
   const Computation& c = workload();
-  std::vector<benchio::BenchRow> rows;
+  std::vector<TimedCell> cells;
   struct RowSpec {
     const char* row;
     PredicatePtr (*make)();
@@ -412,79 +412,80 @@ bool emit_table1_json(const std::string& path) {
              {"AG", Op::kAG}};
   for (const RowSpec& spec : specs)
     for (const auto& o : ops)
-      rows.push_back(timed_cell(std::string(spec.row) + "." + o.name, o.op,
-                                spec.make(), c, kIters,
-                                /*traced=*/spec.make == conjunctive_pred &&
-                                    o.op == Op::kEF));
+      cells.push_back(detect_cell(std::string(spec.row) + "." + o.name, o.op,
+                                  spec.make(), c));
   for (const auto& o : ops)
-    rows.push_back(timed_cell(std::string("linear.") + o.name, o.op,
-                              linear_pred_for(o.op),
-                              o.op == Op::kAF ? small_workload() : c, kIters));
+    cells.push_back(detect_cell(std::string("linear.") + o.name, o.op,
+                                linear_pred_for(o.op),
+                                o.op == Op::kAF ? small_workload() : c));
 
   // The n = 16 acceptance cells: A1/A2 walks, the A3 frontier sweep, and
   // the Garg-Waldecker conjunctive scan on the wide workload. These are the
   // rows tools/bench_diff.py and the EXPERIMENTS.md A/B track.
-  {
-    const Computation& big = big_workload();
-    rows.push_back(timed_cell("n16.A1.EG_linear", Op::kEG, big_linear_pred(),
-                              big, kIters));
-    rows.push_back(timed_cell("n16.A2.AG_linear", Op::kAG, big_linear_pred(),
-                              big, kIters));
-    benchio::BenchRow eu;
-    eu.name = "n16.A3.EU";
-    auto p = as_conjunctive(big_true_conjunctive());
-    PredicatePtr q = big_until_q();
-    DetectResult last;
-    eu.ns = benchio::time_ns(kIters, [&] { last = detect_eu(big, *p, *q); });
-    eu.label = last.algorithm + " -> " + benchio::verdict_word(last.verdict);
-    rows.push_back(std::move(eu));
-    rows.push_back(timed_cell("n16.GW.EF_conjunctive", Op::kEF,
-                              big_gw_pred(), big, kIters));
-  }
+  const Computation& big = big_workload();
+  cells.push_back(
+      detect_cell("n16.A1.EG_linear", Op::kEG, big_linear_pred(), big));
+  cells.push_back(
+      detect_cell("n16.A2.AG_linear", Op::kAG, big_linear_pred(), big));
+  cells.push_back({"n16.A3.EU", [&big, p = as_conjunctive(big_true_conjunctive()),
+                                 q = big_until_q()] {
+                     return detect_eu(big, *p, *q);
+                   }});
+  cells.push_back(
+      detect_cell("n16.GW.EF_conjunctive", Op::kEF, big_gw_pred(), big));
 
+  cells.push_back(
+      {"until.EU",
+       [&c, p = as_conjunctive(conjunctive_pred()),
+        q = make_and(all_channels_empty(),
+                     PredicatePtr(var_cmp(0, "v0", Cmp::kGe, 3)))] {
+         return detect_eu(c, *p, *q);
+       }});
   {
-    benchio::BenchRow eu;
-    eu.name = "until.EU";
-    auto p = as_conjunctive(conjunctive_pred());
-    PredicatePtr q = make_and(all_channels_empty(),
-                              PredicatePtr(var_cmp(0, "v0", Cmp::kGe, 3)));
-    DetectResult last;
-    eu.ns = benchio::time_ns(kIters, [&] { last = detect_eu(c, *p, *q); });
-    eu.label = last.algorithm + " -> " + benchio::verdict_word(last.verdict);
-    rows.push_back(std::move(eu));
-  }
-  {
-    benchio::BenchRow au;
-    au.name = "until.AU";
-    auto p = as_disjunctive(disjunctive_pred());
     std::vector<LocalPredicatePtr> qs;
     for (ProcId i = 0; i < kProcs; ++i)
       qs.push_back(var_cmp(i, "v1", Cmp::kGe, 2));
-    auto q = make_disjunctive(std::move(qs));
-    DetectResult last;
-    au.ns = benchio::time_ns(
-        kIters, [&] { last = detect_au_disjunctive(c, *p, *q); });
-    au.label = last.algorithm + " -> " + benchio::verdict_word(last.verdict);
-    rows.push_back(std::move(au));
+    cells.push_back({"until.AU",
+                     [&c, p = as_disjunctive(disjunctive_pred()),
+                      q = make_disjunctive(std::move(qs))] {
+                       return detect_au_disjunctive(c, *p, *q);
+                     }});
   }
 
   // The disabled-tracer A/B on the artifact too, so EXPERIMENTS.md numbers
   // can be regenerated from the JSON alone.
   for (const bool traced : {false, true}) {
-    benchio::BenchRow row;
-    row.name = traced ? "overhead.trace_on" : "overhead.trace_off";
-    DispatchOptions opt;
-    opt.trace = traced;
-    PredicatePtr p = conjunctive_pred();
-    DetectResult last;
-    row.ns = benchio::time_ns(kIters, [&] {
-      for (Op op : {Op::kEF, Op::kAF, Op::kEG, Op::kAG})
-        last = detect(c, op, p, nullptr, opt);
-    });
-    row.label = "EF+AF+EG+AG of conjunctive";
-    rows.push_back(std::move(row));
+    cells.push_back({traced ? "overhead.trace_on" : "overhead.trace_off",
+                     [&c, traced, p = conjunctive_pred()] {
+                       DispatchOptions opt;
+                       opt.trace = traced;
+                       DetectResult last;
+                       for (Op op : {Op::kEF, Op::kAF, Op::kEG, Op::kAG})
+                         last = detect(c, op, p, nullptr, opt);
+                       return last;
+                     },
+                     "EF+AF+EG+AG of conjunctive"});
   }
 
+  std::vector<DetectResult> last(cells.size());
+  std::vector<std::function<void()>> fns;
+  for (std::size_t k = 0; k < cells.size(); ++k)
+    fns.push_back([&, k] { last[k] = cells[k].run(); });
+  const std::vector<Summary> ns = benchio::time_ns_interleaved(fns);
+  std::vector<benchio::BenchRow> rows(cells.size());
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    rows[k].name = cells[k].name;
+    rows[k].ns = ns[k];
+    rows[k].label = !cells[k].label.empty()
+                        ? cells[k].label
+                        : last[k].algorithm + " -> " +
+                              benchio::verdict_word(last[k].verdict);
+  }
+  // rows.front() is conjunctive.EF.
+  DispatchOptions traced;
+  traced.trace = true;
+  rows.front().report =
+      report_json(detect(c, Op::kEF, conjunctive_pred(), nullptr, traced));
   return benchio::write_bench_json(path, "table1", rows);
 }
 

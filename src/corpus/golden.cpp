@@ -48,9 +48,19 @@ bool witness_certifies(const Computation& c, const BatteryCell& cell,
     return c.is_consistent(*r.witness_cut) && !p.eval(c, *r.witness_cut);
   }
   if (r.verdict == Verdict::kHolds && cell.op == Op::kEG) {
-    // A path of satisfying cuts when reported.
-    for (const Cut& g : r.witness_path)
+    // When reported: a maximal cut sequence of satisfying cuts, from the
+    // initial cut to the final cut, adding exactly one event per step.
+    const std::vector<Cut>& path = r.witness_path;
+    if (path.empty()) return true;
+    if (path.front() != c.initial_cut() || path.back() != c.final_cut())
+      return false;
+    for (std::size_t k = 0; k < path.size(); ++k) {
+      const Cut& g = path[k];
       if (!c.is_consistent(g) || !p.eval(c, g)) return false;
+      if (k > 0 && !(path[k - 1].subset_of(g) &&
+                     g.total() == path[k - 1].total() + 1))
+        return false;
+    }
     return true;
   }
   return true;

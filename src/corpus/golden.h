@@ -33,8 +33,9 @@ struct CellOutcome {
 };
 
 /// Re-derives whether the result's witness actually certifies the verdict
-/// on `c` (consistency plus predicate agreement; vacuously true for
-/// verdict/op combinations that carry no witness).
+/// on `c` (consistency plus predicate agreement, and for an EG path a
+/// maximal cut sequence from the initial to the final cut; vacuously true
+/// for verdict/op combinations that carry no witness).
 bool witness_certifies(const Computation& c, const BatteryCell& cell,
                        const DetectResult& r);
 

@@ -73,7 +73,8 @@ struct DetectResult {
 };
 
 /// Progress report of a resumable search (WeakConjunctiveSearch,
-/// DisjunctiveScan): each call advances it to per-process position limits.
+/// DisjunctiveScan, ChaseGargSearch): each call advances it to per-process
+/// position limits.
 enum class SearchStatus : std::uint8_t {
   kFound,      // the answer lies at or below the limits
   kExhausted,  // nothing at or below the limits: impossible when the limits

@@ -8,11 +8,67 @@
 // satisfying set of a linear predicate is meet-closed, the walk terminates at
 // the *least* satisfying cut I_p, or proves none exists. O(n|E|) cut work
 // plus one predicate evaluation per advancement.
+//
+// The upward walk is the resumable ChaseGargSearch below, the third machine
+// beside WeakConjunctiveSearch and DisjunctiveScan. least_satisfying_cut
+// runs it once to the final cut; through it so do EF(linear), A3's I_q,
+// AG(disjunctive) and the slicer's J_p(e). The online until watch runs the
+// same machine to the frozen limits as events arrive. The downward dual
+// (greatest_satisfying_cut) stays a plain loop.
 #pragma once
 
 #include "detect/detector.h"
 
 namespace hbct {
+
+/// The Chase–Garg walk toward the least satisfying cut of a linear q, as a
+/// resumable state machine. Its state is the walk's cut plus the forbidden
+/// process that suspended it: a resumed call evaluates nothing until that
+/// process has a new event below the limits, or until a join that reached
+/// past the limits lies below them. q is evaluated through a CountingEval
+/// cursor bound inside each advance_to call that evaluates, so growth and
+/// prefix GC between calls never leave it stale. Not thread-safe; the
+/// computation and predicate must outlive the search. The computation may
+/// grow between calls (and be prefix-collected below scan_floor()), but not
+/// during one.
+class ChaseGargSearch {
+ public:
+  /// Starts the walk at `start` (a consistent cut; nullptr = the initial
+  /// cut). Pass J(e) to compute the slice element J_p(e).
+  void bind(const Computation& c, const Predicate& q,
+            const Cut* start = nullptr);
+
+  /// Resumes the walk with positions up to limits[i] (inclusive) available
+  /// on each process. kFound: cut() is the least cut above the start that
+  /// satisfies q. kExhausted: the forbidden process has no event left below
+  /// its limit, or the last join reached past the limits; at the final cut
+  /// this means no satisfying cut exists. Every evaluation and cut step
+  /// (summed component deltas) is charged to `st` and gated on `t`; a
+  /// tripped tracker suspends the walk where it stopped.
+  SearchStatus advance_to(const Cut& limits, DetectStats& st,
+                          BudgetTracker& t);
+
+  /// The walk's cut; the least satisfying cut after kFound.
+  const Cut& cut() const { return cut_; }
+
+  /// The least of `floor` and the position of process i the walk reads
+  /// next: its cut (q and forbidden() read there; the next join reads the
+  /// clock of the event above it).
+  EventIndex scan_floor(ProcId i, EventIndex floor) const;
+
+  /// Approximate heap footprint, for the watch-state sizing gauge.
+  std::size_t state_bytes() const;
+
+  /// True when the last bound cursor was incremental (for span tagging).
+  bool incremental() const { return incremental_; }
+
+ private:
+  const Computation* c_ = nullptr;
+  const Predicate* q_ = nullptr;
+  Cut cut_;
+  ProcId forbidden_ = -1;  // q is false at cut_ and this process must move
+  bool incremental_ = false;
+};
 
 /// Least consistent cut satisfying linear p, or nullopt. `start` (default:
 /// the initial cut) restricts the search to cuts above `start`; pass J(e)

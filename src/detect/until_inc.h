@@ -36,7 +36,7 @@
 // >= scanned[l], and a conjunct whose first false position is known is
 // never read again (the decision consumes the stored index, not the
 // timeline). This is what lets OnlineMonitor::min_watch_frontier pin an
-// undecided until watch at min(cand[i], scan floor) instead of 0 — see
+// undecided until watch at min(q-walk cut, scan floor) instead of 0 — see
 // scan_floor() and DESIGN.md §18 for the soundness argument.
 #pragma once
 

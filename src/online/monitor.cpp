@@ -221,7 +221,7 @@ WatchId OnlineMonitor::watch_until(ConjunctivePredicatePtr p,
   HBCT_ASSERT(q);
   Watch w;
   w.kind = WatchKind::kUntil;
-  w.cand = app_.computation().initial_cut();
+  w.cg.bind(app_.computation(), *q);
   w.eg.bind(app_.computation(), *p, /*instrumented=*/true);
   w.pred = std::move(p);
   w.q = std::move(q);
@@ -295,8 +295,6 @@ void OnlineMonitor::step_stable(Watch& w) {
 }
 
 void OnlineMonitor::step_until(Watch& w) {
-  const Computation& c = app_.computation();
-
   // Push the EG(p) table over the newly frozen prefix before resuming the
   // q-walk, so the eventual Theorem-7 decision is table arithmetic plus at
   // most a tiny lazy extension instead of a full prefix sweep at fire time.
@@ -312,28 +310,12 @@ void OnlineMonitor::step_until(Watch& w) {
 
   // Resume the Chase–Garg walk toward I_q over the frozen prefix. The walk
   // is monotone, so work already done never repeats; a forbidden process
-  // exhausted (in frozen positions) — or a tripped round budget — suspends
-  // the watch until more events arrive or finish() is called.
-  // A join that pulled in a thawing tail waits for it to freeze.
-  if (!w.cand.subset_of(limits_)) return;
-  for (;;) {
-    if (!round_ok()) return;  // suspended; w.cand records the progress
-    ++work_.predicate_evals;
-    if (w.q->eval(c, w.cand)) break;
-    // The very first evaluation handles q(∅) (fires with the empty prefix).
-    const ProcId i = w.q->forbidden(c, w.cand);
-    HBCT_DASSERT(i >= 0 && i < c.num_procs());
-    if (w.cand[sz(i)] >= limits_[sz(i)]) return;  // suspended
-    ++work_.cut_steps;
-    Cut next = Cut::join(w.cand, c.join_irreducible_of(i, w.cand[sz(i)] + 1));
-    if (!next.subset_of(limits_)) {
-      // The causal past of the next event reaches into a mutable tail;
-      // record progress and wait for the tail to freeze.
-      w.cand = std::move(next);
-      return;
-    }
-    w.cand = std::move(next);
-  }
+  // exhausted in frozen positions, a join that pulled in a thawing tail, or
+  // a tripped round budget suspends the watch until more events arrive or
+  // finish() is called. The very first evaluation handles q(∅) (fires with
+  // the empty prefix).
+  if (w.cg.advance_to(limits_, work_, *round_) != SearchStatus::kFound)
+    return;
 
   // I_q is inside the frozen prefix; Theorem 7 decides the verdict from
   // the events below it — stable under all extensions. The decision gets
@@ -344,7 +326,7 @@ void OnlineMonitor::step_until(Watch& w) {
   // stats to detect_eu_at; the witness path is skipped because prefix GC
   // may have trimmed the linearization it would be rebuilt from, and
   // WatchFire carries no path.
-  DetectResult r = w.eg.decide_at(w.cand, budget_, /*want_path=*/false);
+  DetectResult r = w.eg.decide_at(w.cg.cut(), budget_, /*want_path=*/false);
   work_ += r.stats;
   w.done = true;
   const std::string what =
@@ -353,7 +335,7 @@ void OnlineMonitor::step_until(Watch& w) {
                       : r.verdict == Verdict::kFails ? "until refuted: E["
                                                      : "until undecided: E[") +
       w.pred->describe() + " U " + w.q->describe() + "]";
-  fire(w.id, w.cand, what, r.verdict, r.bound);
+  fire(w.id, w.cg.cut(), what, r.verdict, r.bound);
 }
 
 std::vector<Diagnostic> OnlineMonitor::audit_watches(
@@ -391,14 +373,13 @@ Cut OnlineMonitor::min_watch_frontier() const {
         case WatchKind::kDisjunctive: fi = w.disj.scan_floor(i, fi); break;
         case WatchKind::kStable: break;
         case WatchKind::kUntil:
-          // The q-walk reads its candidate position (eval/forbidden read
-          // there; join_irreducible_of reads cand+1, which is above the
-          // pin), the EG table its scan resume point. Already-scanned
-          // prefix outcomes live in the table as stored indices, and a
-          // decided conjunct is pure arithmetic at decision time.
-          // DESIGN.md §18 spells out the case analysis;
+          // The q-walk reads from its cut up (q and forbidden() there, the
+          // next join the clock above it), the EG table from its scan
+          // resume point. Already-scanned prefix outcomes live in the table
+          // as stored indices, and a decided conjunct is pure arithmetic at
+          // decision time. DESIGN.md §18 spells out the case analysis;
           // tests/test_until_inc.cpp pins it differentially.
-          fi = w.eg.scan_floor(i, std::min(fi, w.cand[sz(i)]));
+          fi = w.eg.scan_floor(i, w.cg.scan_floor(i, fi));
           break;
       }
     }
@@ -448,7 +429,7 @@ std::size_t OnlineMonitor::watch_state_bytes() const {
   std::size_t total = 0;
   for (const Watch& w : watches_)
     total += sizeof(w) + w.gw.state_bytes() + w.disj.state_bytes() +
-             w.cand.size() * sizeof(EventIndex) + w.eg.state_bytes();
+             w.cg.state_bytes() + w.eg.state_bytes();
   return total;
 }
 

@@ -15,12 +15,14 @@
 //    and, on a hit, confirmed at the greatest consistent cut beneath it;
 //    once true they stay true, so the first hit decides EF (= AF).
 //
-// The first three run the offline detectors' own searches, resumed each
-// round to the frozen limits: WeakConjunctiveSearch (detect/conjunctive_gw.h)
-// and DisjunctiveScan (detect/disjunctive.h), so a fired cut is the one
-// detect_ef_conjunctive / detect_ef_disjunctive returns on the frozen
-// prefix. Every watch kind goes through one registration path and one step
-// loop; its search state also gives its GC pin and its state size.
+// The first three and the until watch run the offline detectors' own
+// searches, resumed each round to the frozen limits: WeakConjunctiveSearch
+// (detect/conjunctive_gw.h), DisjunctiveScan (detect/disjunctive.h) and
+// ChaseGargSearch (detect/ef_linear.h), so a fired cut is the one
+// detect_ef_conjunctive / detect_ef_disjunctive / least_satisfying_cut
+// returns on the frozen prefix. Every watch kind goes through one
+// registration path and one step loop; its search state also gives its GC
+// pin and its state size.
 //
 // All verdicts are *prefix-stable*: once fired they remain correct for
 // every extension of the computation.
@@ -42,6 +44,7 @@
 #include "detect/budget.h"
 #include "detect/conjunctive_gw.h"
 #include "detect/disjunctive.h"
+#include "detect/ef_linear.h"
 #include "detect/until_inc.h"
 #include "online/appender.h"
 #include "predicate/conjunctive.h"
@@ -142,7 +145,7 @@ class OnlineMonitor {
   WatchId watch_stable(PredicatePtr p);
 
   /// E[p U q], p conjunctive, q linear: streaming A3. The Chase–Garg walk
-  /// toward I_q resumes as events arrive; once I_q lies inside the observed
+  /// toward I_q (ChaseGargSearch) resumes as events arrive; once I_q lies inside the observed
   /// prefix the verdict is decided (Theorem 7 depends only on events below
   /// I_q) and the watch fires with holds = true or false. Prefix-stable
   /// both ways.
@@ -165,10 +168,10 @@ class OnlineMonitor {
   /// Starts at the frozen limits and is pulled down by every undecided
   /// watch's scan_floor(): a conjunctive or invariant watch needs its
   /// candidate/scan positions, a disjunctive watch the scan positions of
-  /// its disjuncts, and an until watch its q-walk candidate and EG-table
-  /// scan floors (the decision replays off the table, so the
-  /// already-scanned prefix is never re-read; DESIGN.md §18). Monotone
-  /// nondecreasing over the session's lifetime.
+  /// its disjuncts, and an until watch the scan floors of its Chase–Garg
+  /// walk (the walk's cut) and of its EG table (the decision replays off
+  /// the table, so the already-scanned prefix is never re-read; DESIGN.md
+  /// §18). Monotone nondecreasing over the session's lifetime.
   Cut min_watch_frontier() const;
 
   /// Reclaims the computation prefix below the min-watch frontier (lowered
@@ -206,8 +209,9 @@ class OnlineMonitor {
  private:
   /// One registered watch. Its kind selects the live state: the
   /// Garg–Waldecker search (conjunctive, invariant), the first-true scan
-  /// (disjunctive), or the q-walk candidate and EG(p) table (until).
-  /// Stable watches keep none: they re-evaluate the frozen frontier.
+  /// (disjunctive), or the Chase–Garg walk toward I_q and the EG(p) table
+  /// (until). Each is the offline detector's own resumable machine. Stable
+  /// watches keep none: they re-evaluate the frozen frontier.
   struct Watch {
     WatchId id = -1;
     WatchKind kind = WatchKind::kConjunctive;
@@ -218,7 +222,7 @@ class OnlineMonitor {
     PredicatePtr q;            // until
     WeakConjunctiveSearch gw;  // conjunctive, invariant
     DisjunctiveScan disj;      // disjunctive
-    Cut cand;                  // until: Chase–Garg frontier toward I_q
+    ChaseGargSearch cg;        // until: the walk toward I_q
     /// until: EG(p) decision table, advanced at feed time; the Theorem-7
     /// decision replays off it, so the fire costs O(frontier) new work
     /// instead of a prefix sweep.

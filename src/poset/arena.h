@@ -98,22 +98,26 @@ class EventView {
 /// Non-owning {pointer, size} over one variable's precomputed timeline
 /// (timeline[pos] = value after pos events; see value_timeline). Replaces
 /// the old const vector& return so view-mode computations can hand out
-/// arena rows directly.
+/// arena rows directly. Indices are absolute positions: after prefix GC the
+/// view starts at the process's trim offset `base`, and data()/size() cover
+/// the resident entries only.
 class TimelineView {
  public:
   TimelineView() = default;
-  TimelineView(const std::int64_t* p, std::size_t n) : p_(p), n_(n) {}
+  TimelineView(const std::int64_t* p, std::size_t n, std::size_t base = 0)
+      : p_(p), n_(n), base_(base) {}
 
   std::size_t size() const { return n_; }
   std::int64_t operator[](std::size_t pos) const {
-    HBCT_DASSERT(pos < n_);
-    return p_[pos];
+    HBCT_DASSERT(pos >= base_ && pos - base_ < n_);
+    return p_[pos - base_];
   }
   const std::int64_t* data() const { return p_; }
 
  private:
   const std::int64_t* p_ = nullptr;
   std::size_t n_ = 0;
+  std::size_t base_ = 0;
 };
 
 /// Immutable pointer table over an mtrace section layout. Built once by the

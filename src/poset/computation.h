@@ -123,21 +123,22 @@ class Computation {
   /// (pos = 0 gives the initial value).
   std::int64_t value_at(ProcId i, VarId v, EventIndex pos) const;
 
-  /// The full precomputed timeline of variable v on process i:
-  /// timeline[pos] = value after pos events. Lets hot loops hoist the
+  /// The precomputed timeline of variable v on process i:
+  /// timeline[pos] = value after pos events, for every resident position
+  /// (trimmed(i) <= pos <= num_events(i)). Lets hot loops hoist the
   /// per-call bounds checks and indirections out of their inner loop.
-  /// Positions are absolute, so this view is only available while no prefix
-  /// has been reclaimed (trimmed storage starts at offset trimmed(i)).
-  /// The view is invalidated by OnlineAppender growth, exactly as the
-  /// underlying storage is.
+  /// Positions are absolute on both sides of a prefix GC: the view carries
+  /// the trim offset. The view is invalidated by OnlineAppender growth and
+  /// by collect_prefix, exactly as the underlying storage is, so bind it
+  /// for one pass and re-fetch it afterwards.
   TimelineView value_timeline(ProcId i, VarId v) const {
     if (arena_)
       return TimelineView(arena_timeline(i, v),
                           static_cast<std::size_t>(num_events(i)) + 1);
-    HBCT_DASSERT(trimmed(i) == 0);
     const auto& tl =
         values_[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)];
-    return TimelineView(tl.data(), tl.size());
+    return TimelineView(tl.data(), tl.size(),
+                        static_cast<std::size_t>(trimmed(i)));
   }
 
   /// Convenience: value of variable v on process i in global state G.

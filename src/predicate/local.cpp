@@ -119,10 +119,9 @@ LocalEval::LocalEval(const Computation& c, const LocalPredicate& p)
     case LocalSpec::Kind::kVarCmp: {
       // An unregistered variable keeps the function path, which reports the
       // error on first evaluation exactly as the un-specialized predicate
-      // would (never earlier). So does a prefix-collected process: timeline
-      // views index absolute positions, value_at handles the trim offset.
+      // would (never earlier).
       const auto v = c.var_id(s.var);
-      if (!v.has_value() || c.trimmed(p.proc()) > 0) break;
+      if (!v.has_value()) break;
       timeline_ = c.value_timeline(p.proc(), *v);
       kind_ = s.kind;
       op_ = s.op;

@@ -85,12 +85,12 @@ class LocalPredicate final : public Predicate {
 using LocalPredicatePtr = std::shared_ptr<const LocalPredicate>;
 
 /// Resolved per-(computation, local) evaluator for the walk inner loops:
-/// kVarCmp binds the variable timeline once, kPosCmp/kConst skip the
-/// computation entirely, kOpaque falls back to the std::function — as does
-/// kVarCmp on a process whose prefix GC has trimmed. The computation and
-/// the predicate must outlive the evaluator, and the computation must not
-/// be grown or collected while it is in use — online appends can
-/// reallocate the bound timeline.
+/// kVarCmp binds the variable timeline once (absolute positions, so a
+/// prefix-collected process reads its resident entries directly),
+/// kPosCmp/kConst skip the computation entirely, and kOpaque falls back to
+/// the std::function. The computation and the predicate must outlive the
+/// evaluator, and the computation must not be grown or collected while it
+/// is in use — online appends can reallocate the bound timeline.
 class LocalEval {
  public:
   LocalEval(const Computation& c, const LocalPredicate& p);

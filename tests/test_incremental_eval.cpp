@@ -21,7 +21,9 @@
 #include "detect/eg_linear.h"
 #include "detect/stable_oi.h"
 #include "detect/until.h"
+#include "online/monitor.h"
 #include "poset/generate.h"
+#include "poset/replay.h"
 #include "predicate/channel.h"
 #include "predicate/conjunctive.h"
 #include "predicate/disjunctive.h"
@@ -371,6 +373,90 @@ TEST(IncrementalEval, EgConjunctiveWithinMatchesPrefix) {
     const DetectResult slow = detect_eg_conjunctive(c.prefix(k), *p);
     expect_same_result(fast, slow, "eg-within");
   }
+}
+
+/// After prefix GC the timelines start at each process's trim offset: a
+/// cursor bound at any resident consistent cut, or stepped there from the
+/// trim cut, must still agree with a scratch eval().
+TEST(IncrementalEval, CursorMatchesScratchOnPrefixCollectedComputation) {
+  std::uint64_t checked = 0;  // cursor/scratch comparisons on trimmed runs
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (std::size_t kind = 0; kind < kNumWorkloads; ++kind) {
+      const Computation ref = workload_comp(kind, seed);
+      OnlineMonitor m(ref.num_procs());
+      replay_initial(ref, m);
+      m.watch_stable(make_false());  // pins nothing
+      // Collect halfway through the stream, so the rest stays resident.
+      std::int64_t seen = 0;
+      std::int64_t reclaimed = 0;
+      replay_events(ref, ref.linearization(), m, [&](EventId) {
+        if (++seen == ref.total_events() / 2) reclaimed = m.collect_prefix();
+      });
+      if (reclaimed == 0) continue;
+      const Computation& c = m.computation();
+      const std::size_t n = sz(c.num_procs());
+      Rng rng(seed * 1000 + kind);
+      const std::vector<PredicatePtr> preds = predicate_battery(c, rng);
+      const std::string where =
+          "seed=" + std::to_string(seed) + " kind=" + std::to_string(kind);
+
+      // Every resident consistent cut, each with freshly bound cursors.
+      std::uint64_t cuts = 1;
+      for (ProcId i = 0; i < c.num_procs(); ++i)
+        cuts *= static_cast<std::uint64_t>(c.num_events(i) - c.trimmed(i) + 1);
+      if (cuts <= 20000) {
+        Cut g = c.trim_cut();
+        for (bool more = true; more;) {
+          if (c.is_consistent(g))
+            for (const PredicatePtr& p : preds) {
+              ASSERT_EQ(p->make_cursor(c, g)->value(), p->eval(c, g))
+                  << where << " pred " << p->describe() << " at "
+                  << g.to_string();
+              ++checked;
+            }
+          more = false;
+          for (std::size_t j = 0; j < n && !more; ++j) {
+            if (g[j] < c.num_events(static_cast<ProcId>(j))) {
+              ++g[j];
+              more = true;
+            } else {
+              g[j] = c.trimmed(static_cast<ProcId>(j));
+            }
+          }
+        }
+      }
+
+      // A walk from the trim cut, never retreating below it.
+      Cut g = c.trim_cut();
+      std::vector<EvalCursorPtr> cursors;
+      for (const PredicatePtr& p : preds) cursors.push_back(p->make_cursor(c, g));
+      std::vector<ProcId> procs;
+      for (int step = 0; step < 120; ++step) {
+        std::size_t j = n;
+        if (rng.next_below(3) != 0) {
+          c.enabled_procs(g, &procs);
+          if (procs.empty()) continue;
+          j = sz(procs[rng.next_below(procs.size())]);
+          const EventIndex old = g[j]++;
+          for (auto& cur : cursors) cur->on_update(static_cast<ProcId>(j), old);
+        } else {
+          c.frontier_procs(g, &procs);
+          std::erase_if(procs,
+                        [&](ProcId i) { return g[sz(i)] <= c.trimmed(i); });
+          if (procs.empty()) continue;
+          j = sz(procs[rng.next_below(procs.size())]);
+          const EventIndex old = g[j]--;
+          for (auto& cur : cursors) cur->on_update(static_cast<ProcId>(j), old);
+        }
+        ASSERT_TRUE(c.is_consistent(g)) << where;
+        for (std::size_t k = 0; k < preds.size(); ++k)
+          ASSERT_EQ(cursors[k]->value(), preds[k]->eval(c, g))
+              << where << " pred " << preds[k]->describe() << " at "
+              << g.to_string();
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u) << "no workload was prefix-collected";
 }
 
 /// S1: the fused single-pass VClock comparison keeps the exact trichotomy —

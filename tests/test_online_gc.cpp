@@ -69,13 +69,18 @@ void register_watches(OnlineMonitor& m, std::uint64_t seed, WatchMix mix) {
       },
       "progress"));
   if (mix == WatchMix::kWithUntil) {
-    m.watch_until(
-        make_conjunctive({var_cmp(static_cast<ProcId>(rng.next_below(3)), "v0",
-                                  Cmp::kLe, rng.next_in(4, 9))}),
-        make_and(PredicatePtr(progress_ge(static_cast<ProcId>(rng.next_below(3)),
-                                          static_cast<EventIndex>(
-                                              rng.next_in(1, 6)))),
-                 all_channels_empty()));
+    // q conjoins a variable comparison, so the q-walk's cursor reads a
+    // timeline, on a trimmed process once the prefix is collected.
+    const auto p = make_conjunctive(
+        {var_cmp(static_cast<ProcId>(rng.next_below(3)), "v0", Cmp::kLe,
+                 rng.next_in(4, 9))});
+    const auto progress =
+        progress_ge(static_cast<ProcId>(rng.next_below(3)),
+                    static_cast<EventIndex>(rng.next_in(1, 6)));
+    const auto var = var_cmp(static_cast<ProcId>(rng.next_below(3)), "v1",
+                             Cmp::kLe, rng.next_in(2, 8));
+    m.watch_until(p, make_and({PredicatePtr(progress), all_channels_empty(),
+                               PredicatePtr(var)}));
   }
 }
 
@@ -269,8 +274,8 @@ TEST(PrefixGc, BuildAfterCollectionKeepsTheTrim) {
 
 TEST(PrefixGc, LocalEvalMatchesEvalLocalOnTrimmedTimelines) {
   // LocalEval's timeline fast path indexes absolute positions; on a
-  // collected process it must take the function path and still agree with
-  // eval_local at every resident position.
+  // collected process the timeline view carries the trim offset, and the
+  // evaluator must agree with eval_local at every resident position.
   GenOptions gen;
   gen.num_procs = 3;
   gen.events_per_proc = 12;

@@ -68,7 +68,9 @@ void expect_same_result(const DetectResult& a, const DetectResult& b,
 
 /// A seed-derived EU instance on the generated computation: p a 1–2
 /// conjunct comparison, q a linear progress/channel predicate that holds
-/// mid-computation for some seeds and never for others.
+/// mid-computation for some seeds and never for others. Some q also
+/// conjoin a variable comparison, so the q-walk's cursor reads a timeline
+/// (on a trimmed process once prefix GC has run).
 struct EuInstance {
   ConjunctivePredicatePtr p;
   PredicatePtr q;
@@ -90,6 +92,11 @@ EuInstance make_instance(std::uint64_t seed) {
       progress_ge(static_cast<ProcId>(rng.next_below(3)),
                   static_cast<EventIndex>(rng.next_in(1, 7))));
   if (rng.next_below(3) == 0) q = make_and(q, all_channels_empty());
+  if (rng.next_below(3) == 0) {
+    const auto proc = static_cast<ProcId>(rng.next_below(3));
+    q = make_and(q, PredicatePtr(var_cmp(proc, "v1", Cmp::kLe,
+                                         rng.next_in(2, 6))));
+  }
   inst.q = std::move(q);
   return inst;
 }
