@@ -243,20 +243,11 @@ bool emit_ingest_json(const char* path) {
     std::filesystem::remove(f.mtrace_path, ec);
   }
 
-  JsonWriter w;
-  w.begin_object();
-  w.kv("schema", benchio::kBenchSchema);
-  w.kv("bench", "ingest");
-  w.key("rows").begin_array();
+  std::vector<benchio::BenchRow> out;
+  out.reserve(rows.size());
   for (const IngestRow& r : rows) {
+    JsonWriter w;
     w.begin_object();
-    w.kv("name", r.base.name);
-    w.kv("label", r.base.label);
-    w.kv("iters", static_cast<std::uint64_t>(r.base.ns.count));
-    w.key("ns");
-    benchio::write_summary(w, r.base.ns);
-    w.key("report").raw("null");
-    w.key("ingest").begin_object();
     w.kv("format", r.format);
     w.kv("events", r.events);
     w.kv("input_bytes", r.input_bytes);
@@ -267,27 +258,11 @@ bool emit_ingest_json(const char* path) {
              : 0.0);
     w.kv("speedup_vs_text", r.speedup_vs_text);
     w.end_object();
-    w.end_object();
+    benchio::BenchRow b = r.base;
+    b.ext.emplace_back("ingest", w.take());
+    out.push_back(std::move(b));
   }
-  w.end_array();
-  w.end_object();
-
-  const std::string doc = w.take();
-  std::string err;
-  if (!json_validate(doc, &err)) {
-    std::fprintf(stderr, "bench json invalid: %s\n", err.c_str());
-    return false;
-  }
-  std::FILE* out = std::fopen(path, "wb");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return false;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), out);
-  std::fputc('\n', out);
-  std::fclose(out);
-  std::fprintf(stderr, "wrote %s (%zu rows)\n", path, rows.size());
-  return gate_ok;
+  return benchio::write_bench_json(path, "ingest", out) && gate_ok;
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 // Google Benchmark owns the human-readable console table; the BENCH_*.json
 // artifacts come from a second, self-timed pass after RunSpecifiedBenchmarks
 // so the document layout is ours (schema hbct.bench/1) and rows can embed
-// full hbct.report/1 run reports. Timing is steady_clock around whole
-// detections (batches of them for sub-microsecond cells, rows interleaved;
-// see time_ns_interleaved) — coarser than benchmark's stabilized loops, but plenty
-// for the percentile summaries the artifacts carry.
+// full hbct.report/1 run reports (bench_paper has no Google Benchmark pass:
+// it writes the document only, one timed run per row). Timing is
+// steady_clock around whole detections (batches of them for sub-microsecond
+// cells, rows interleaved; see time_ns_interleaved) — coarser than
+// benchmark's stabilized loops, but plenty for the percentile summaries the
+// artifacts carry.
 //
 // Schema (kBenchSchema = "hbct.bench/1"):
 //   { "schema": "hbct.bench/1",
@@ -16,7 +18,8 @@
 //                 "iters": n,
 //                 "ns": { "min","max","mean","median","stddev",
 //                         "p50","p90","p99" },          // per-iteration ns
-//                 "report": {hbct.report/1} | null },   // embedded verbatim
+//                 "report": {hbct.report/1} | null,     // embedded verbatim
+//                 <extension key>: <JSON value>, ... },  // BenchRow::ext
 //               ... ] }
 #pragma once
 
@@ -26,6 +29,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "detect/budget.h"
@@ -42,6 +46,9 @@ struct BenchRow {
   std::string label;
   Summary ns;          // per-iteration wall time, nanoseconds
   std::string report;  // embedded hbct.report/1 document; empty = none
+  // Per-bench row extensions, written after "report" in order: key and a
+  // rendered JSON value (bench_paper's "counts", "facts" and "sweep").
+  std::vector<std::pair<std::string, std::string>> ext;
 };
 
 /// The verdict word of a row label: "true", "false" or "unknown".
@@ -167,6 +174,7 @@ inline std::string bench_json(const std::string& bench,
     } else {
       w.raw(r.report);
     }
+    for (const auto& [key, json] : r.ext) w.key(key).raw(json);
     w.end_object();
   }
   w.end_array();

@@ -5,7 +5,7 @@
 // dispatched algorithm and its cost on a common workload. Polynomial cells
 // run on a 6-process, 1200-event random computation; the provably hard
 // cells (EG/AG of observer-independent, arbitrary predicates) run on small
-// hardness gadgets, and their exponential growth is bench_fig3_npc's job.
+// hardness gadgets, and their exponential growth is bench_paper's fig3 rows.
 //
 // Counters: evals = predicate evaluations, steps = cut advancements.
 #include <benchmark/benchmark.h>

@@ -449,20 +449,11 @@ bool emit_watch_json(const char* path) {
     rows.push_back(std::move(b));
   }
 
-  JsonWriter w;
-  w.begin_object();
-  w.kv("schema", benchio::kBenchSchema);
-  w.kv("bench", "watch");
-  w.key("rows").begin_array();
+  std::vector<benchio::BenchRow> out;
+  out.reserve(rows.size());
   for (const WatchRow& r : rows) {
+    JsonWriter w;
     w.begin_object();
-    w.kv("name", r.base.name);
-    w.kv("label", r.base.label);
-    w.kv("iters", static_cast<std::uint64_t>(r.base.ns.count));
-    w.key("ns");
-    benchio::write_summary(w, r.base.ns);
-    w.key("report").raw("null");
-    w.key("watch").begin_object();
     w.kv("class", r.plan.cls);
     w.kv("sessions", static_cast<std::uint64_t>(r.plan.sessions));
     w.kv("watches", static_cast<std::int64_t>(r.outcome.watches));
@@ -482,27 +473,11 @@ bool emit_watch_json(const char* path) {
     w.kv("met_p99", r.fire_p99_ns <= kP99TargetNs);
     w.kv("recorder", r.plan.recorder);
     w.end_object();
-    w.end_object();
+    benchio::BenchRow b = r.base;
+    b.ext.emplace_back("watch", w.take());
+    out.push_back(std::move(b));
   }
-  w.end_array();
-  w.end_object();
-
-  const std::string doc = w.take();
-  std::string err;
-  if (!json_validate(doc, &err)) {
-    std::fprintf(stderr, "bench json invalid: %s\n", err.c_str());
-    return false;
-  }
-  std::FILE* f = std::fopen(path, "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return false;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s (%zu rows)\n", path, rows.size());
-  return true;
+  return benchio::write_bench_json(path, "watch", out);
 }
 
 }  // namespace

@@ -213,7 +213,7 @@ PredicatePtr random_cnf(Rng& rng, std::int32_t procs) {
   return make_and(std::move(cs));
 }
 
-TEST(ParallelBudget, PreCancelledTokenAbortsBeforeAnyEvaluation) {
+TEST(SplitRouteBudget, PreCancelledTokenAbortsBeforeAnyEvaluation) {
   // A token cancelled before the detection starts must surface at the very
   // first checkpoint: kUnknown/kCancelled with zero predicate evaluations.
   Computation c = random_comp(5);
@@ -229,7 +229,7 @@ TEST(ParallelBudget, PreCancelledTokenAbortsBeforeAnyEvaluation) {
   EXPECT_EQ(r.stats.predicate_evals, 0u);
 }
 
-TEST(ParallelBudget, PastDeadlineAbortsAtFirstCheckpoint) {
+TEST(SplitRouteBudget, PastDeadlineAbortsAtFirstCheckpoint) {
   // The deadline clock is probed on the first checkpoint regardless of the
   // probe stride, so an already-expired deadline can never produce a
   // definite verdict.

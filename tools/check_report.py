@@ -2,11 +2,15 @@
 """Schema checker for the observability artifacts.
 
     $ python3 tools/check_report.py report.json trace.json BENCH_table1.json
+    $ python3 tools/check_report.py --reference BENCH_paper.json new.json
 
 Auto-detects each file's kind and validates it:
 
   hbct.report/1   run report (src/obs/report.h)
-  hbct.bench/1    bench artifact (bench/bench_report.h)
+  hbct.bench/1    bench artifact (bench/bench_report.h); a "paper" bench
+                  (bench/bench_paper.cpp) is also checked against the
+                  paper's bounds and, with --reference, count for count
+                  against a committed document
   Chrome trace    trace_event JSON (Tracer::chrome_trace_json and
                   FlightRecorder::dump_chrome)
   exposition      Prometheus text scrape (obs/expose.h render_prometheus)
@@ -16,6 +20,7 @@ the artifacts produced by example_traced_detection and the bench binaries.
 Stdlib only — mirrors, not replaces, the stricter in-process json_validate.
 """
 import json
+import math
 import sys
 
 VERDICTS = {"holds", "fails", "unknown"}
@@ -192,7 +197,233 @@ def check_ingest(path, name, s):
         fail(path, f"row {name!r} zero-copy load slower than the text parse")
 
 
-def check_bench(path, doc, require_met=frozenset()):
+PAPER_COUNTS = {"predicate_evals", "cut_steps", "lattice_nodes", "events",
+                "procs"}
+
+# The paper's bounds on one call's work W = predicate_evals + cut_steps,
+# keyed by the algorithm name a row's label starts with:
+#
+#     W <= c * n * |E| + k        for |E| >= n >= 2
+#
+# with (c, k) taken from each algorithm's proof, as follows.
+WORK_BOUNDS = {
+    # A1 (Fig. 1): each step of the walk removes one event, so the path has
+    # at most |E| steps; a step probes at most n predecessors at one retreat
+    # (cut step) and one evaluation each, and the final cut costs one
+    # evaluation: W <= 2n|E| + 1. Theorem 2's random choice probes every
+    # predecessor, which the same count covers.
+    "A1-eg-linear": (2, 1),
+    "A1-eg-linear (randomized choice)": (2, 1),
+    # Chase-Garg: every evaluation but the last is followed by adding at
+    # least one event, so evals <= |E| + 1 and cut steps <= |E|:
+    # W <= 2|E| + 1 <= 2n|E| + 1.
+    "chase-garg-ef": (2, 1),
+    # A3 (Fig. 5): one evaluation of q at the initial cut, Chase-Garg for
+    # I_q (W <= 2|E| + 1), then at most n branches, each one retreat and a
+    # scan of at most N_i + 1 positions per conjunct of p (one conjunct per
+    # process in every row): W <= 2|E| + 2 + n(|E| + n + 1), which is at
+    # most 4n|E| + 2 once |E| >= n >= 2.
+    "A3-eu": (4, 2),
+    # The AU identity (Section 7): EG(!q) scans at most |E| + n positions
+    # and E[!q U (!p & !q)] is one A3 call: W <= |E| + n + 4n|E| + 2, at
+    # most 5n|E| + 2.
+    "au-disjunctive = !(eg(!q) | eu(!q, !p & !q))": (5, 2),
+}
+
+
+def row_algorithm(row):
+    return row["label"].rsplit(" -> ", 1)[0]
+
+
+def row_verdict(row):
+    parts = row["label"].rsplit(" -> ", 1)
+    return parts[1] if len(parts) == 2 else None
+
+
+def loglog_slope(xs, ys):
+    """util/stats.cpp's least-squares slope of log y over log x, skipping
+    points with a non-positive coordinate."""
+    pts = [(math.log(x), math.log(y)) for x, y in zip(xs, ys)
+           if x > 0 and y > 0]
+    m = len(pts)
+    sx = sum(p[0] for p in pts)
+    sy = sum(p[1] for p in pts)
+    sxx = sum(p[0] * p[0] for p in pts)
+    sxy = sum(p[0] * p[1] for p in pts)
+    return (m * sxy - sx * sy) / (m * sxx - sx * sx)
+
+
+def close(a, b):
+    # Slopes are written with 6 significant digits.
+    return abs(a - b) <= 1e-5 * max(1.0, abs(b))
+
+
+def check_paper_row(path, row):
+    name = row["name"]
+    counts = row.get("counts")
+    if not isinstance(counts, dict) or counts.keys() != PAPER_COUNTS:
+        fail(path, f"row {name!r} counts keys "
+                   f"{sorted(counts) if isinstance(counts, dict) else counts}"
+                   f" != {sorted(PAPER_COUNTS)}")
+    for k, v in counts.items():
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            fail(path, f"row {name!r} counts.{k} is not a count: {v!r}")
+    if counts["events"] <= 0 or counts["procs"] <= 0:
+        fail(path, f"row {name!r} has no events or processes")
+
+
+def check_paper_sweeps(path, rows):
+    """Every row of a sweep names the same x and slope, and the slope is the
+    log-log slope of predicate_evals + cut_steps over the rows' x."""
+    sweeps = {}
+    for row in rows:
+        if "sweep" in row:
+            sweeps.setdefault(row["sweep"]["name"], []).append(row)
+    for sname, members in sweeps.items():
+        first = members[0]["sweep"]
+        if first["x"] not in ("events", "procs"):
+            fail(path, f"sweep {sname!r} has unknown x {first['x']!r}")
+        for row in members:
+            if row["sweep"] != first:
+                fail(path, f"sweep {sname!r}: row {row['name']!r} disagrees "
+                           f"on x or slope")
+        if len(members) < 2:
+            fail(path, f"sweep {sname!r} has fewer than 2 points")
+        xs = [r["counts"][first["x"]] for r in members]
+        ys = [r["counts"]["predicate_evals"] + r["counts"]["cut_steps"]
+              for r in members]
+        slope = loglog_slope(xs, ys)
+        if not close(first["loglog_slope"], slope):
+            fail(path, f"sweep {sname!r} slope {first['loglog_slope']} != "
+                       f"{slope:.6g} recomputed from its counts")
+
+
+def check_paper_bounds(path, rows):
+    """The paper's claims as assertions on the counts. A failure here is a
+    finding about the code, not a reason to change the sweep."""
+    by_name = {r["name"]: r for r in rows}
+    for row in rows:
+        name, c = row["name"], row["counts"]
+        n, e = c["procs"], c["events"]
+        work = c["predicate_evals"] + c["cut_steps"]
+        algo = row_algorithm(row)
+        if algo in WORK_BOUNDS:
+            cn, k = WORK_BOUNDS[algo]
+            if not e >= n >= 2:
+                fail(path, f"row {name!r}: the {algo} bound needs "
+                           f"|E| >= n >= 2 (|E|={e}, n={n})")
+            if work > cn * n * e + k:
+                fail(path, f"row {name!r}: {algo} work {work} exceeds "
+                           f"{cn}*n*|E| + {k} = {cn * n * e + k}")
+        # A2 evaluates the final cut and one cut per meet-irreducible.
+        if algo == "A2-ag-linear" and c["predicate_evals"] > e + 1:
+            fail(path, f"row {name!r}: A2 evaluated {c['predicate_evals']} "
+                       f"cuts, more than |E| + 1 = {e + 1}")
+        # Independent processes of k events each: (k + 1)^n cuts.
+        if ".independent." in name:
+            per, rem = divmod(e, n)
+            if rem or c["lattice_nodes"] != (per + 1) ** n:
+                fail(path, f"row {name!r}: {c['lattice_nodes']} cuts, "
+                           f"expected (k+1)^n with |E|={e}, n={n}")
+        # A chain is a total order: |E| + 1 cuts.
+        if ".chain." in name and c["lattice_nodes"] != e + 1:
+            fail(path, f"row {name!r}: {c['lattice_nodes']} cuts on a chain "
+                       f"of {e} events, expected {e + 1}")
+        facts = row.get("facts", {})
+        # Birkhoff: exactly one meet-irreducible per event (|M(L)| = |E|),
+        # and every cut is the meet of those above it (Corollary 4).
+        if "meet_irreducibles" in facts and facts["meet_irreducibles"] != e:
+            fail(path, f"row {name!r}: |M(L)| = {facts['meet_irreducibles']}"
+                       f" != |E| = {e}")
+        if facts.get("mismatches", 0) != 0:
+            fail(path, f"row {name!r}: {facts['mismatches']} cuts differ "
+                       f"from their Birkhoff reconstruction")
+        # Fig. 3: EG on the SAT gadget answers satisfiability.
+        if "dpll_sat" in facts and \
+                row_verdict(row) != ("true" if facts["dpll_sat"] else "false"):
+            fail(path, f"row {name!r}: verdict {row_verdict(row)!r} "
+                       f"disagrees with DPLL (sat={facts['dpll_sat']})")
+    # Fig. 4: the 13-cut lattice, 7 witness prefixes, 2 of them through I_q.
+    fig4 = by_name.get("fig4.exact")
+    if fig4 is None:
+        fail(path, "no fig4.exact row")
+    facts = fig4.get("facts", {})
+    got = (fig4["counts"]["lattice_nodes"], facts.get("witnesses"),
+           facts.get("witnesses_via_iq"))
+    if got != (13, 7, 2):
+        fail(path, f"fig4.exact: (cuts, witnesses, via I_q) = {got}, "
+                   f"the paper says (13, 7, 2)")
+    # Fig. 3: UNSAT inputs force EG over the whole hypercube, so its cut
+    # steps at least double from m to m + 2; tautologies hold under AG.
+    unsat = sorted((int(r["name"].rsplit("=", 1)[1]), r) for r in rows
+                   if r["name"].startswith("fig3.eg_oi_unsat.m="))
+    if len(unsat) < 2:
+        fail(path, "fewer than 2 fig3.eg_oi_unsat rows")
+    for (m0, r0), (m1, r1) in zip(unsat, unsat[1:]):
+        if row_verdict(r0) != "false":
+            fail(path, f"row {r0['name']!r}: UNSAT gadget verdict "
+                       f"{row_verdict(r0)!r}")
+        if m1 != m0 + 2 or \
+                r1["counts"]["cut_steps"] < 2 * r0["counts"]["cut_steps"]:
+            fail(path, f"rows {r0['name']!r} -> {r1['name']!r}: cut steps "
+                       f"{r0['counts']['cut_steps']} -> "
+                       f"{r1['counts']['cut_steps']} do not double")
+    for r in rows:
+        if r["name"].startswith("fig3.ag_oi_tautology.") and \
+                row_verdict(r) != "true":
+            fail(path, f"row {r['name']!r}: tautology gadget verdict "
+                       f"{row_verdict(r)!r}")
+
+
+def compare_paper(path, rows, ref_path):
+    """Counts, facts, labels and sweeps must equal the reference document's
+    row for row: the counts are deterministic for the bench's seeds."""
+    with open(ref_path, encoding="utf-8") as f:
+        ref = json.load(f)
+    if ref.get("bench") != "paper":
+        fail(ref_path, "reference is not a paper bench document")
+    want = {r["name"]: r for r in ref["rows"]}
+    have = {r["name"]: r for r in rows}
+    diffs = [f"row {n!r} missing" for n in want if n not in have]
+    diffs += [f"row {n!r} not in the reference" for n in have
+              if n not in want]
+    for name, row in have.items():
+        old = want.get(name)
+        if old is None:
+            continue
+        for k in sorted(PAPER_COUNTS):
+            if row["counts"][k] != old["counts"][k]:
+                diffs.append(f"row {name!r} {k}: {old['counts'][k]} -> "
+                             f"{row['counts'][k]}")
+        if row.get("facts") != old.get("facts"):
+            diffs.append(f"row {name!r} facts: {old.get('facts')} -> "
+                         f"{row.get('facts')}")
+        if row["label"] != old["label"]:
+            diffs.append(f"row {name!r} label: {old['label']!r} -> "
+                         f"{row['label']!r}")
+        s, t = row.get("sweep"), old.get("sweep")
+        if (s is None) != (t is None) or (s is not None and (
+                s["name"] != t["name"] or s["x"] != t["x"] or
+                not close(s["loglog_slope"], t["loglog_slope"]))):
+            diffs.append(f"row {name!r} sweep: {t} -> {s}")
+    if diffs:
+        fail(path, f"{len(diffs)} difference(s) from {ref_path}:\n  " +
+             "\n  ".join(diffs))
+
+
+def check_paper(path, rows, reference=None):
+    names = [r["name"] for r in rows]
+    if len(set(names)) != len(names):
+        fail(path, "duplicate row names")
+    for row in rows:
+        check_paper_row(path, row)
+    check_paper_sweeps(path, rows)
+    check_paper_bounds(path, rows)
+    if reference is not None:
+        compare_paper(path, rows, reference)
+
+
+def check_bench(path, doc, require_met=frozenset(), reference=None):
     if not isinstance(doc.get("rows"), list) or not doc["rows"]:
         fail(path, "no rows")
     for row in doc["rows"]:
@@ -214,6 +445,10 @@ def check_bench(path, doc, require_met=frozenset()):
             check_watch(path, row["name"], row["watch"], require_met)
         if "ingest" in row:
             check_ingest(path, row["name"], row["ingest"])
+    if doc.get("bench") == "paper":
+        check_paper(path, doc["rows"], reference)
+        if reference is not None:
+            return f"paper bench ({len(doc['rows'])} rows, counts match)"
     return f"bench ({len(doc['rows'])} rows)"
 
 
@@ -334,7 +569,7 @@ def check_exposition(path, text):
     return f"exposition ({len(families)} families, {nsamples} samples)"
 
 
-def check_file(path, require_met=frozenset()):
+def check_file(path, require_met=frozenset(), reference=None):
     with open(path, encoding="utf-8") as f:
         text = f.read()
     try:
@@ -348,7 +583,7 @@ def check_file(path, require_met=frozenset()):
     if schema == "hbct.report/1":
         return check_report(path, doc)
     if schema == "hbct.bench/1":
-        return check_bench(path, doc, require_met)
+        return check_bench(path, doc, require_met, reference)
     if isinstance(doc, dict) and "traceEvents" in doc:
         return check_chrome(path, doc)
     fail(path, "unrecognized document (no known schema marker)")
@@ -357,12 +592,19 @@ def check_file(path, require_met=frozenset()):
 def main(argv):
     # --require-met-p99 CLASS (repeatable): fail any bench_watch row of that
     # class whose p99 missed the latency objective.
+    # --reference FILE: compare a paper bench document's counts with FILE.
     require_met = set()
+    reference = None
     paths = []
     args = argv[1:]
     while args:
         a = args.pop(0)
-        if a == "--require-met-p99":
+        if a == "--reference":
+            if not args:
+                print("--reference needs a file", file=sys.stderr)
+                return 64
+            reference = args.pop(0)
+        elif a == "--require-met-p99":
             if not args:
                 print("--require-met-p99 needs a watch class",
                       file=sys.stderr)
@@ -379,7 +621,8 @@ def main(argv):
         print(__doc__.strip(), file=sys.stderr)
         return 64
     for path in paths:
-        print(f"{path}: ok ({check_file(path, frozenset(require_met))})")
+        result = check_file(path, frozenset(require_met), reference)
+        print(f"{path}: ok ({result})")
     return 0
 
 
