@@ -359,14 +359,20 @@ std::vector<Diagnostic> OnlineMonitor::audit_watches(
 }
 
 Cut OnlineMonitor::min_watch_frontier() const {
+  return watch_frontier(nullptr);
+}
+
+Cut OnlineMonitor::watch_frontier(std::vector<const Watch*>* by) const {
   const Computation& c = app_.computation();
   const std::int32_t n = c.num_procs();
   Cut f(sz(n));
   for (ProcId i = 0; i < n; ++i) f[sz(i)] = frozen_limit(i);
+  if (by != nullptr) by->assign(sz(n), nullptr);
   for (const Watch& w : watches_) {
     if (w.done) continue;
     for (ProcId i = 0; i < n; ++i) {
       EventIndex& fi = f[sz(i)];
+      const EventIndex before = fi;
       switch (w.kind) {
         case WatchKind::kConjunctive:
         case WatchKind::kInvariant: fi = w.gw.scan_floor(i, fi); break;
@@ -382,6 +388,7 @@ Cut OnlineMonitor::min_watch_frontier() const {
           fi = w.eg.scan_floor(i, w.cg.scan_floor(i, fi));
           break;
       }
+      if (by != nullptr && fi < before) (*by)[sz(i)] = &w;
     }
   }
   // Stable watches evaluate on the frontier only: no pin. Never retreat
@@ -389,6 +396,19 @@ Cut OnlineMonitor::min_watch_frontier() const {
   for (ProcId i = 0; i < n; ++i)
     if (f[sz(i)] < app_.trimmed(i)) f[sz(i)] = app_.trimmed(i);
   return f;
+}
+
+std::vector<OnlineMonitor::GcPin> OnlineMonitor::gc_pins() const {
+  std::vector<const Watch*> by;
+  const Cut f = watch_frontier(&by);
+  std::vector<GcPin> pins;
+  for (ProcId i = 0; i < app_.computation().num_procs(); ++i) {
+    const Watch* w = by[sz(i)];
+    const std::int64_t held = frozen_limit(i) - f[sz(i)];
+    if (w == nullptr || held <= 0) continue;
+    pins.push_back(GcPin{i, w->id, w->kind, held});
+  }
+  return pins;
 }
 
 void OnlineMonitor::roll_back_to_consistent(Cut& b) const {

@@ -174,6 +174,22 @@ class OnlineMonitor {
   /// §18). Monotone nondecreasing over the session's lifetime.
   Cut min_watch_frontier() const;
 
+  /// A process held below its frozen limit by one watch's GC pin.
+  struct GcPin {
+    ProcId proc = -1;
+    /// The watch whose scan_floor sets min_watch_frontier()[proc] (the first
+    /// in step order on a tie) and its class.
+    WatchId watch = -1;
+    WatchKind kind = WatchKind::kConjunctive;
+    /// Resident events of `proc` the pin keeps from collection: those
+    /// between the pinned position and the frozen limit.
+    std::int64_t held_events = 0;
+  };
+  /// One entry per process a live watch holds below its frozen limit, in
+  /// process order; empty when nothing pins. Explains min_watch_frontier();
+  /// the consistent-cut rollback of collect_prefix() is not attributed.
+  std::vector<GcPin> gc_pins() const;
+
   /// Reclaims the computation prefix below the min-watch frontier (lowered
   /// to the greatest consistent cut under it). Verdicts, fire order and
   /// witness cuts are unaffected — the collected prefix is exactly the part
@@ -236,6 +252,9 @@ class OnlineMonitor {
   /// consistent, so the rollback never drops below it and every clock row
   /// it reads is resident.
   void roll_back_to_consistent(Cut& b) const;
+  /// min_watch_frontier(); when `by` is given, also the watch that set each
+  /// process's entry (nullptr where the frozen limit stands).
+  Cut watch_frontier(std::vector<const Watch*>* by) const;
 
   /// Registers `w` (id assigned here) and steps it once.
   WatchId add_watch(Watch w);

@@ -211,6 +211,9 @@ std::int64_t Session::collect() {
   const std::int64_t reclaimed = mon_.collect_prefix();
   ++stats_.gc_rounds;
   stats_.reclaimed_events += reclaimed;
+  stats_.top_pin = {};
+  for (const OnlineMonitor::GcPin& p : mon_.gc_pins())
+    if (p.held_events > stats_.top_pin.held_events) stats_.top_pin = p;
   return reclaimed;
 }
 

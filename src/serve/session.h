@@ -61,6 +61,9 @@ struct SessionStats {
   /// advances and decision-time lazy extensions (cumulative).
   std::int64_t until_inc_evals = 0;
   std::int64_t until_dec_evals = 0;
+  /// The GC pin that held the most resident events at the last collection
+  /// (OnlineMonitor::gc_pins); watch -1 when no watch held any.
+  OnlineMonitor::GcPin top_pin;
   SessionState state = SessionState::kOpen;
 };
 

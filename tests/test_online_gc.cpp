@@ -231,6 +231,31 @@ TEST(PrefixGc, UndecidedUntilWatchPinsThePrefix) {
   EXPECT_EQ(m.resident_events(), 20);
 }
 
+// ---- GC-pin attribution -------------------------------------------------------
+
+TEST(GcPins, StalledUntilWatchIsReportedAsThePin) {
+  OnlineMonitor m(2);
+  m.var("x");
+  m.watch_stable(make_stable(
+      [](const Computation&, const Cut& g) { return g.total() >= 1000; },
+      "progress"));
+  // q is not reached: the q-walk advances its forbidden process P1 to the
+  // frozen limit but leaves P0 at 0, holding back all of P0's frozen events.
+  const WatchId u =
+      m.watch_until(make_conjunctive({var_cmp(0, "x", Cmp::kLe, 100)}),
+                    PredicatePtr(progress_ge(1, 50)));
+  for (int i = 0; i < 20; ++i) m.internal(0);
+  for (int i = 0; i < 3; ++i) m.internal(1);
+  const std::vector<OnlineMonitor::GcPin> pins = m.gc_pins();
+  ASSERT_EQ(pins.size(), 1u);
+  EXPECT_EQ(pins[0].proc, 0);
+  EXPECT_EQ(pins[0].watch, u);
+  EXPECT_EQ(pins[0].kind, WatchKind::kUntil);
+  EXPECT_EQ(pins[0].held_events, 19);  // frozen limit 19, pinned at 0
+  m.finish();
+  EXPECT_TRUE(m.gc_pins().empty());
+}
+
 TEST(PrefixGc, FrontierIsMonotoneNondecreasing) {
   GenOptions opt;
   opt.num_procs = 3;

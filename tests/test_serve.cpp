@@ -228,6 +228,23 @@ TEST(ServeSession, GcKeepsResidencyBounded) {
   EXPECT_LT(max_resident, 128);
 }
 
+TEST(ServeSession, StatsCarryTheTopGcPin) {
+  Session s(1, two_proc_cfg(/*gc_interval=*/16));
+  s.monitor().var("x");
+  const WatchId u = s.monitor().watch_until(
+      make_conjunctive({var_cmp(0, "x", Cmp::kLe, 100)}),
+      PredicatePtr(progress_ge(1, 1000)));
+  s.ingest(enc({procs_rec(2)}));
+  for (int k = 0; k < 62; ++k) s.ingest(enc({internal_rec(0)}));
+  s.ingest(enc({internal_rec(1), internal_rec(1)}));
+  const auto st = s.stats();
+  ASSERT_EQ(st.gc_rounds, 4);
+  EXPECT_EQ(st.top_pin.watch, u);
+  EXPECT_EQ(st.top_pin.kind, WatchKind::kUntil);
+  EXPECT_EQ(st.top_pin.proc, 0);
+  EXPECT_EQ(st.top_pin.held_events, 61);
+}
+
 TEST(ServeSession, MalformedStreamFailsWithTypedErrorNotCrash) {
   struct Case {
     std::vector<Record> records;
