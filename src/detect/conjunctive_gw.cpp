@@ -16,87 +16,159 @@ void WeakConjunctiveSearch::bind(const Computation& c,
                                  bool streaming) {
   c_ = &c;
   streaming_ = streaming;
-  const std::size_t n = sz(c.num_procs());
-  locals_.resize(n);
-  for (ProcId i = 0; i < c.num_procs(); ++i) locals_[sz(i)] = p.local_for(i);
-  cand_ = Cut(std::vector<EventIndex>(n, -1));
-  scan_ = Cut(n);
+  tracks_.clear();
+  slot_.assign(sz(c.num_procs()), -1);
+  for (ProcId i = 0; i < c.num_procs(); ++i) {
+    const LocalPredicate* local = p.local_for(i);
+    if (streaming && local == nullptr) continue;
+    slot_[sz(i)] = static_cast<std::int32_t>(tracks_.size());
+    Track& k = tracks_.emplace_back();
+    k.proc = i;
+    k.local = local;
+  }
+  cut_ = Cut(sz(c.num_procs()));
   repairing_ = -1;
 }
 
-SearchStatus WeakConjunctiveSearch::scan(ProcId i, EventIndex limit,
+SearchStatus WeakConjunctiveSearch::scan(Track& k, EventIndex limit,
                                          DetectStats& st, BudgetTracker& t) {
-  EventIndex& pos = scan_[sz(i)];
-  if (pos > limit) return SearchStatus::kExhausted;
-  std::optional<LocalEval> ev;
-  if (locals_[sz(i)] != nullptr) ev.emplace(*c_, *locals_[sz(i)]);
-  for (; pos <= limit; ++pos) {
-    if (!t.ok()) return SearchStatus::kTripped;
-    ++st.predicate_evals;
-    if (ev && !(*ev)(pos)) continue;
-    cand_[sz(i)] = pos++;
-    if (repairing_ == i) {
-      ++st.cut_steps;
-      repairing_ = -1;
+  if (k.scan <= limit) {
+    const std::size_t n = sz(c_->num_procs());
+    std::optional<LocalEval> ev;
+    if (k.local != nullptr) ev.emplace(*c_, *k.local);
+    for (EventIndex& pos = k.scan; pos <= limit; ++pos) {
+      // Another candidate's row requires this process to have reached one
+      // of its sends (the latest of its events another process has seen),
+      // so a repair pops whole send-to-send segments: only the first true
+      // position after each send can become the candidate.
+      if (!k.empty() && !k.after_send) {
+        if (c_->event_view(k.proc, pos).kind != EventKind::kSend) continue;
+        k.after_send = true;
+      }
+      if (!t.ok()) return SearchStatus::kTripped;
+      ++st.predicate_evals;
+      if (ev && !(*ev)(pos)) continue;
+      k.pos.push_back(pos);
+      k.after_send = false;
+      if (pos == 0) {
+        k.rows.resize(k.rows.size() + n, 0);
+      } else {
+        const VClockView vc = c_->vclock(k.proc, pos);
+        k.rows.insert(k.rows.end(), vc.data(), vc.data() + n);
+      }
+      if (repairing_ == k.proc) {
+        ++st.cut_steps;
+        repairing_ = -1;
+      }
+      if (!streaming_) {
+        ++pos;
+        break;
+      }
     }
-    return SearchStatus::kFound;
   }
-  return SearchStatus::kExhausted;
+  return k.empty() ? SearchStatus::kExhausted : SearchStatus::kFound;
+}
+
+void WeakConjunctiveSearch::pop_below(Track& k, EventIndex need) {
+  HBCT_DASSERT(need <= c_->trimmed(k.proc) ||
+               c_->event_view(k.proc, need).kind == EventKind::kSend);
+  while (!k.empty() && k.pos[k.head] < need) ++k.head;
+  if (k.empty()) {
+    k.pos.clear();
+    k.rows.clear();
+    k.head = 0;
+  } else if (k.head * 2 > k.pos.size()) {
+    const auto n = static_cast<std::ptrdiff_t>(c_->num_procs());
+    const auto h = static_cast<std::ptrdiff_t>(k.head);
+    k.pos.erase(k.pos.begin(), k.pos.begin() + h);
+    k.rows.erase(k.rows.begin(), k.rows.begin() + h * n);
+    k.head = 0;
+  }
+  k.scan = std::max(k.scan, need);
+}
+
+const std::int32_t* WeakConjunctiveSearch::front_row(const Track& k) const {
+  return k.rows.data() + k.head * sz(c_->num_procs());
 }
 
 SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
                                                DetectStats& st,
                                                BudgetTracker& t) {
-  const Computation& c = *c_;
-  const std::int32_t n = c.num_procs();
   for (;;) {
     bool exhausted = false;
-    for (ProcId i = 0; i < n; ++i) {
-      if (cand_[sz(i)] >= 0) continue;
-      const SearchStatus s = scan(i, limits[sz(i)], st, t);
+    for (Track& k : tracks_) {
+      if (!streaming_ && !k.empty()) continue;
+      const SearchStatus s = scan(k, limits[sz(k.proc)], st, t);
       if (s == SearchStatus::kTripped) return s;
       if (s == SearchStatus::kExhausted) {
         if (!streaming_) return s;
         exhausted = true;
       }
     }
-    if (exhausted) return SearchStatus::kExhausted;
+    if (exhausted) {
+      // An exhausted process takes its candidate at or above its scan
+      // position, so that candidate's row dominates the clock of its last
+      // scanned position: queued positions below it are ruled out already.
+      // Popping them keeps each queue to what a candidate can still use.
+      for (const Track& j : tracks_) {
+        if (!j.empty() || j.scan < 2) continue;
+        const VClockView vc = c_->vclock(j.proc, j.scan - 1);
+        for (Track& k : tracks_)
+          if (&k != &j && !k.empty() && vc[sz(k.proc)] > k.pos[k.head])
+            pop_below(k, vc[sz(k.proc)]);
+      }
+      return SearchStatus::kExhausted;
+    }
 
     // All candidates set: if the candidate event on process i has seen more
-    // events of process j than cand[j], j's candidate must move to the next
-    // true position at or after that clock entry. Each repair strictly
-    // advances one scan position, so the search takes at most |E| repairs.
-    ProcId repaired = -1;
-    for (ProcId i = 0; i < n && repaired < 0; ++i) {
-      if (cand_[sz(i)] == 0) continue;
-      const VClockView vc = c.vclock(i, cand_[sz(i)]);
-      for (ProcId j = 0; j < n; ++j) {
-        if (j == i || vc[sz(j)] <= cand_[sz(j)]) continue;
-        scan_[sz(j)] = vc[sz(j)];
-        cand_[sz(j)] = -1;
-        repaired = j;
+    // events of process j than cand[j], every queued position of j below
+    // that clock entry is ruled out. Each repair strictly advances one
+    // candidate, so the search takes at most |E| repairs.
+    Track* repaired = nullptr;
+    for (const Track& i : tracks_) {
+      const std::int32_t* row = front_row(i);
+      for (Track& j : tracks_) {
+        if (&j == &i || row[sz(j.proc)] <= j.pos[j.head]) continue;
+        pop_below(j, row[sz(j.proc)]);
+        repaired = &j;
         break;
       }
+      if (repaired != nullptr) break;
     }
-    if (repaired < 0) return SearchStatus::kFound;
+    if (repaired == nullptr) break;
     if (streaming_) {
       ++st.cut_steps;
     } else {
-      repairing_ = repaired;
+      repairing_ = repaired->proc;
     }
   }
+  // A candidate's own row entry is its position, and the rows are pairwise
+  // consistent at the fixpoint, so the join keeps every candidate.
+  cut_ = Cut(cut_.size());
+  for (const Track& k : tracks_) {
+    const std::int32_t* row = front_row(k);
+    for (std::size_t j = 0; j < cut_.size(); ++j)
+      cut_[j] = std::max(cut_[j], row[j]);
+  }
+  return SearchStatus::kFound;
 }
 
 EventIndex WeakConjunctiveSearch::scan_floor(ProcId i,
                                              EventIndex floor) const {
-  const EventIndex need =
-      cand_[sz(i)] >= 0 ? cand_[sz(i)] : scan_[sz(i)];
-  return std::min(floor, need);
+  const std::int32_t s = slot_[sz(i)];
+  if (s < 0) return floor;
+  return std::min(floor,
+                  std::max<EventIndex>(tracks_[sz(s)].scan - 1, 0));
 }
 
 std::size_t WeakConjunctiveSearch::state_bytes() const {
-  return locals_.capacity() * sizeof(const LocalPredicate*) +
-         (cand_.size() + scan_.size()) * sizeof(EventIndex);
+  std::size_t bytes = tracks_.capacity() * sizeof(Track) +
+                      slot_.capacity() * sizeof(std::int32_t) +
+                      cut_.size() * sizeof(EventIndex);
+  for (const Track& k : tracks_)
+    bytes += k.pos.capacity() * sizeof(EventIndex) +
+             k.rows.capacity() * sizeof(std::int32_t);
+  return bytes;
 }
 
 std::vector<Cut> linearization_path(const Computation& c, const Cut& k) {

@@ -27,18 +27,24 @@
 namespace hbct {
 
 /// Garg–Waldecker weak-conjunctive candidate search as a resumable state
-/// machine: per process a candidate position (-1: unset) and the next
-/// position to scan. A found cut is the least satisfying cut below the
-/// limits, so it never changes when they grow. Not thread-safe; the
+/// machine. For each process it tracks, it keeps the next position to scan
+/// and a queue of the true positions scanned and not yet ruled out, each
+/// with a copy of its clock row: the GW checker's queue, which holds the
+/// first true position after each send. The queue's front is the process's
+/// candidate, and a repair pops the entries below the position another
+/// candidate's row requires. A found cut is the least satisfying cut below
+/// the limits, so it never changes when they grow. Not thread-safe; the
 /// computation and predicate must outlive the search. The computation may
 /// grow between calls (and be prefix-collected below scan_floor()), but
 /// not during one.
 class WeakConjunctiveSearch {
  public:
-  /// `streaming` selects the online watch conventions. An exhausted
-  /// process then leaves the search waiting for events while the other
-  /// processes keep scanning (so their GC pins advance), and a repair is
-  /// charged one cut step when made. Offline, the search ends at the first
+  /// `streaming` selects the online watch conventions. The search then
+  /// tracks only the processes with a conjunct and scans each of them to
+  /// its limit; an exhausted process leaves the search waiting for events,
+  /// and a repair is charged one cut step when made. Offline, every process
+  /// is tracked (a process without a conjunct is vacuously true), a scan
+  /// stops at the first true position, the search ends at the first
   /// exhausted process, and a repair is charged only once it finds a new
   /// candidate.
   void bind(const Computation& c, const ConjunctivePredicate& p,
@@ -50,27 +56,51 @@ class WeakConjunctiveSearch {
   SearchStatus advance_to(const Cut& limits, DetectStats& st,
                           BudgetTracker& t);
 
-  /// The candidate cut; the least satisfying cut after kFound.
-  const Cut& cut() const { return cand_; }
+  /// After kFound: the least satisfying cut, the join of the candidates'
+  /// clock rows (an untracked process at the latest of its events some
+  /// candidate has seen).
+  const Cut& cut() const { return cut_; }
 
-  /// The least of `floor` and the least position of process i the search
-  /// may still read: its candidate when set (the repair reads its clock),
-  /// else its scan position.
+  /// The least of `floor` and the last position the search has scanned on
+  /// process i (the next scan reads the event after it; an exhausted
+  /// process's clock there bounds the others' queues). The repairs read
+  /// only queued rows and an untracked process is never read, so once the
+  /// scans have caught up with the limits the search pins nothing below
+  /// them.
   EventIndex scan_floor(ProcId i, EventIndex floor) const;
 
   /// Approximate heap footprint, for the watch-state sizing gauge.
   std::size_t state_bytes() const;
 
  private:
-  /// Scans process i up to `limit`; kFound sets its candidate.
-  SearchStatus scan(ProcId i, EventIndex limit, DetectStats& st,
+  /// One tracked process. `pos` holds its queued true positions, ascending,
+  /// and `rows` their clock rows (num_procs entries each; zeros for
+  /// position 0); entries before `head` are popped.
+  struct Track {
+    ProcId proc = -1;
+    const LocalPredicate* local = nullptr;  // nullptr: vacuously true
+    EventIndex scan = 0;                    // next position to scan
+    std::vector<EventIndex> pos;
+    std::vector<std::int32_t> rows;
+    std::size_t head = 0;
+    bool after_send = false;  // a send follows the last queued position
+    bool empty() const { return head == pos.size(); }
+  };
+
+  /// Scans `k` up to `limit`, queueing its true positions (offline: only
+  /// the first). kTripped, else kFound iff its queue is non-empty.
+  SearchStatus scan(Track& k, EventIndex limit, DetectStats& st,
                     BudgetTracker& t);
+  /// Drops the queued positions of `k` below `need`; later scans start at
+  /// `need` at the earliest.
+  void pop_below(Track& k, EventIndex need);
+  const std::int32_t* front_row(const Track& k) const;
 
   const Computation* c_ = nullptr;
   bool streaming_ = false;
-  std::vector<const LocalPredicate*> locals_;  // nullptr: vacuously true
-  Cut cand_;
-  Cut scan_;
+  std::vector<Track> tracks_;
+  std::vector<std::int32_t> slot_;  // per process: its track, or -1
+  Cut cut_;
   ProcId repairing_ = -1;  // offline: the repair charged when it succeeds
 };
 

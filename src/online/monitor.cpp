@@ -252,7 +252,6 @@ void OnlineMonitor::step_conj(Watch& w) {
   span.arg("watch", w.id);
   if (w.gw.advance_to(limits_, work_, *round_) != SearchStatus::kFound)
     return;
-  HBCT_DASSERT(computation().is_consistent(w.gw.cut()));
   w.done = true;
   fire(w.id, w.gw.cut(),
        (w.kind == WatchKind::kInvariant ? "invariant violated: "

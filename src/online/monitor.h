@@ -166,8 +166,9 @@ class OnlineMonitor {
 
   /// Per-process minimum position any live watch may still need to read.
   /// Starts at the frozen limits and is pulled down by every undecided
-  /// watch's scan_floor(): a conjunctive or invariant watch needs its
-  /// candidate/scan positions, a disjunctive watch the scan positions of
+  /// watch's scan_floor(): a conjunctive or invariant watch keeps its
+  /// candidates' clock rows in its own queues and pins only a scan that a
+  /// tripped budget left behind, a disjunctive watch the scan positions of
   /// its disjuncts, and an until watch the scan floors of its Chase–Garg
   /// walk (the walk's cut) and of its EG table (the decision replays off
   /// the table, so the already-scanned prefix is never re-read; DESIGN.md

@@ -1,7 +1,9 @@
 // Long-running streaming stress: pushes >= 1M events through the
 // StreamingService across concurrent sessions with prefix GC on, and checks
 // that resident memory stays bounded by the open frontier — not by stream
-// length — while every session still reaches its correct verdict.
+// length — while every session still reaches its correct verdict. Each
+// session runs a stable watch that fires and a conjunctive watch that
+// never decides.
 //
 // Always compiled (so it cannot rot), registered with ctest only under
 // -DHBCT_STRESS_TESTS=ON (label: streaming-stress). Runs standalone:
@@ -13,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "predicate/conjunctive.h"
+#include "predicate/local.h"
 #include "predicate/predicate.h"
 #include "serve/service.h"
 
@@ -57,6 +61,10 @@ int main(int argc, char** argv) {
       m.watch_stable(make_stable(
           [](const Computation&, const Cut& g) { return g.total() >= 1000; },
           "progress"));
+      // Never fires (rounds only grows): the residency bound must hold with
+      // an undecided Garg–Waldecker search running too, including on P1,
+      // which has no conjunct.
+      m.watch_possibly(make_conjunctive({var_cmp(0, "rounds", Cmp::kLt, 0)}));
     }));
   }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "detect/conjunctive_gw.h"
 #include "online/monitor.h"
 #include "poset/generate.h"
 #include "poset/replay.h"
@@ -217,6 +218,106 @@ TEST(PrefixGc, NeverTrueConjWatchDoesNotPinAnyTimeline) {
   EXPECT_LT(max_resident, 64);
 }
 
+TEST(PrefixGc, UndecidedConjunctiveWatchesKeepResidencyBounded) {
+  // Eight processes pass messages around a ring and write x in 0..9, so
+  // neither the conjunctive watch (P0, P1) nor the invariant (its negation
+  // ranges over P2, P3) ever decides. The searches track only their conjunct
+  // processes and keep their own rows, so no process stays pinned: in
+  // particular none of the four processes without a conjunct.
+  constexpr ProcId kProcs = 8;
+  constexpr std::int64_t kInterval = 64;
+  OnlineMonitor m(kProcs);
+  m.var("x");
+  m.watch_possibly(make_conjunctive(
+      {var_cmp(0, "x", Cmp::kGe, 10), var_cmp(1, "x", Cmp::kGe, 10)}));
+  m.watch_invariant(make_disjunctive(
+      {var_cmp(2, "x", Cmp::kLt, 10), var_cmp(3, "x", Cmp::kLt, 10)}));
+  std::int64_t max_resident = 0;
+  const auto after_event = [&] {
+    if (m.events_seen() % kInterval == 0) m.collect_prefix();
+    max_resident = std::max(max_resident, m.resident_events());
+  };
+  for (int round = 0; round < 250; ++round)
+    for (ProcId i = 0; i < kProcs; ++i) {
+      m.internal(i);
+      m.write(i, "x", (round + i) % 10);
+      after_event();
+      const MsgId msg = m.send(i, (i + 1) % kProcs);
+      after_event();
+      m.receive((i + 1) % kProcs, msg);
+      after_event();
+    }
+  EXPECT_EQ(m.events_seen(), 6000);
+  EXPECT_TRUE(m.poll().empty());
+  EXPECT_LT(max_resident, 4 * kInterval);
+  m.finish();
+  EXPECT_TRUE(m.poll().empty());
+}
+
+TEST(PrefixGc, WaitingCandidateKeepsResidencyBoundedAndFiresTheLeastCut) {
+  // P1's conjunct holds only at position 2, early; P0's only late. P1's
+  // candidate waits for hundreds of rounds while P1, P2 and P3 keep talking,
+  // so every process hears of P1's later events. The search keeps the
+  // candidate's clock row in its queue and pins nothing, so the prefix,
+  // the candidate's event included, is collected while it waits; the fire
+  // is still the offline least satisfying cut.
+  OnlineAppender app(4);
+  app.var("x");
+  app.var("y");
+  const MsgId a = app.send(0, 1);
+  const MsgId b = app.send(2, 1);
+  app.receive(1, a);
+  app.receive(1, b);
+  app.write(1, "y", 1);
+  app.internal(1);
+  app.write(1, "y", 0);
+  for (int r = 0; r < 400; ++r) {
+    const MsgId to2 = app.send(1, 2);
+    const MsgId to3 = app.send(1, 3);
+    app.receive(2, to2);
+    app.receive(3, to3);
+    const MsgId c = app.send(2, 3);
+    app.receive(3, c);
+    const MsgId d = app.send(3, 1);
+    app.receive(1, d);
+    app.internal(0);
+    if (r == 350) app.write(0, "x", 1);
+    if (r == 351) app.write(0, "x", 0);
+    const MsgId e = app.send(0, 3);
+    app.receive(3, e);
+  }
+  const Computation ref = std::move(app).build();
+  const auto p = make_conjunctive(
+      {var_cmp(0, "x", Cmp::kEq, 1), var_cmp(1, "y", Cmp::kEq, 1)});
+  const DetectResult offline = detect_ef_conjunctive(ref, *p);
+  ASSERT_EQ(offline.verdict, Verdict::kHolds);
+  ASSERT_EQ(offline.witness_cut, Cut({702, 2, 1, 0}));
+
+  constexpr std::int64_t kInterval = 64;
+  OnlineMonitor m(ref.num_procs());
+  replay_initial(ref, m);
+  const WatchId w = m.watch_possibly(p);
+  std::int64_t max_resident = 0;
+  EventIndex trimmed_at_fire = 0;  // P1's collected prefix when it fired
+  std::vector<WatchFire> fires;
+  replay_events(ref, ref.linearization(), m, [&](EventId) {
+    if (m.events_seen() % kInterval == 0) m.collect_prefix();
+    max_resident = std::max(max_resident, m.resident_events());
+    for (WatchFire& f : m.poll()) {
+      trimmed_at_fire = m.computation().trimmed(1);
+      fires.push_back(std::move(f));
+    }
+  });
+  m.finish();
+  EXPECT_TRUE(m.poll().empty());
+  EXPECT_LT(max_resident, 4 * kInterval);
+  EXPECT_GT(trimmed_at_fire, 2);
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_EQ(fires[0].watch, w);
+  EXPECT_EQ(fires[0].verdict, Verdict::kHolds);
+  EXPECT_EQ(fires[0].cut, offline.witness_cut);
+}
+
 TEST(PrefixGc, UndecidedUntilWatchPinsThePrefix) {
   OnlineMonitor m(2);
   m.var("x");
@@ -254,6 +355,25 @@ TEST(GcPins, StalledUntilWatchIsReportedAsThePin) {
   EXPECT_EQ(pins[0].held_events, 19);  // frozen limit 19, pinned at 0
   m.finish();
   EXPECT_TRUE(m.gc_pins().empty());
+}
+
+TEST(GcPins, StalledConjunctiveAndInvariantWatchesPinNothing) {
+  // Neither watch can decide: no conjunct of the conjunctive watch (P0, P1)
+  // nor of the invariant's negation (P2, P3) ever holds. The searches keep
+  // what they still need themselves, so neither holds back any process.
+  OnlineMonitor m(4);
+  m.var("x");
+  m.watch_possibly(make_conjunctive(
+      {var_cmp(0, "x", Cmp::kLt, 0), var_cmp(1, "x", Cmp::kLt, 0)}));
+  m.watch_invariant(make_disjunctive(
+      {var_cmp(2, "x", Cmp::kGe, 0), var_cmp(3, "x", Cmp::kGe, 0)}));
+  for (int r = 0; r < 50; ++r)
+    for (ProcId i = 0; i < 4; ++i) m.internal(i);
+  for (const OnlineMonitor::GcPin& p : m.gc_pins())
+    ADD_FAILURE() << "P" << p.proc << " pinned by watch " << p.watch << " ("
+                  << to_string(p.kind) << "), holding " << p.held_events
+                  << " events";
+  EXPECT_EQ(m.collect_prefix(), 4 * 49);
 }
 
 TEST(PrefixGc, FrontierIsMonotoneNondecreasing) {
