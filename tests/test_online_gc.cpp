@@ -318,6 +318,65 @@ TEST(PrefixGc, WaitingCandidateKeepsResidencyBoundedAndFiresTheLeastCut) {
   EXPECT_EQ(fires[0].cut, offline.witness_cut);
 }
 
+TEST(PrefixGc, ConjunctiveQueuesStayBoundedWhileAConjunctStarves) {
+  // P1's conjunct holds at every position and P0's never does, so P1's
+  // candidates queue up while the watch waits. Two rules keep the queue to
+  // what a candidate can still use: (a) only the first true position after
+  // each send is queued (P1 never sends here), and (b) P0's scanned clock
+  // pops the P1 positions it has seen (P1 sends to P0 every round).
+  for (const bool p1_sends : {false, true}) {
+    OnlineMonitor m(2);
+    m.var("x");
+    m.var("y");
+    m.watch_possibly(make_conjunctive(
+        {var_cmp(0, "x", Cmp::kEq, 1), var_cmp(1, "y", Cmp::kEq, 0)}));
+    std::size_t bytes_early = 0;
+    for (int round = 0; round < 4000; ++round) {
+      m.internal(0);
+      m.internal(1);
+      if (p1_sends) m.receive(0, m.send(1, 0));
+      if (round % 64 == 63) m.collect_prefix();
+      if (round == 100) bytes_early = m.watch_state_bytes();
+    }
+    EXPECT_TRUE(m.poll().empty());
+    EXPECT_LE(m.watch_state_bytes(), bytes_early + 256)
+        << (p1_sends ? "P1 sends to P0" : "P1 never sends");
+    EXPECT_LT(m.resident_events(), 4 * 64);
+  }
+}
+
+TEST(PrefixGc, ScanLeftBehindByATrippedBudgetStaysResident) {
+  // One evaluation per round: the first watch takes it until it fires at
+  // position 99, so the second one's scan stays at 0 meanwhile and then
+  // catches up one position per event. Its pin must hold the positions it
+  // has yet to read; the GC-on fires match the GC-off ones.
+  OnlineMonitor on(2);
+  OnlineMonitor off(2);
+  for (OnlineMonitor* m : {&on, &off}) {
+    Budget b;
+    b.max_work = 0;  // a round trips once it has spent more than this
+    m->set_budget(b);
+    m->var("x");
+    m->watch_possibly(make_conjunctive({var_cmp(0, "x", Cmp::kEq, 99)}));
+    m->watch_possibly(make_conjunctive({var_cmp(0, "x", Cmp::kEq, 7)}));
+  }
+  std::vector<WatchFire> fires;
+  for (int r = 1; r <= 300; ++r) {
+    for (OnlineMonitor* m : {&on, &off}) {
+      m->internal(0);
+      m->write(0, "x", r);
+    }
+    if (r % 8 == 0) on.collect_prefix();
+    std::vector<WatchFire> got = on.poll();
+    expect_same_fires(got, off.poll(), "mid-stream");
+    for (WatchFire& f : got) fires.push_back(std::move(f));
+  }
+  ASSERT_EQ(fires.size(), 2u);
+  EXPECT_EQ(fires[0].cut, Cut({99, 0}));
+  EXPECT_EQ(fires[1].cut, Cut({7, 0}));
+  EXPECT_GT(on.computation().trimmed(0), 7);
+}
+
 TEST(PrefixGc, UndecidedUntilWatchPinsThePrefix) {
   OnlineMonitor m(2);
   m.var("x");
