@@ -17,11 +17,9 @@ void WeakConjunctiveSearch::bind(const Computation& c,
   c_ = &c;
   streaming_ = streaming;
   tracks_.clear();
-  slot_.assign(sz(c.num_procs()), -1);
   for (ProcId i = 0; i < c.num_procs(); ++i) {
     const LocalPredicate* local = p.local_for(i);
     if (streaming && local == nullptr) continue;
-    slot_[sz(i)] = static_cast<std::int32_t>(tracks_.size());
     Track& k = tracks_.emplace_back();
     k.proc = i;
     k.local = local;
@@ -48,12 +46,12 @@ SearchStatus WeakConjunctiveSearch::scan(Track& k, EventIndex limit,
       if (!t.ok()) return SearchStatus::kTripped;
       ++st.predicate_evals;
       if (ev && !(*ev)(pos)) continue;
-      k.pos.push_back(pos);
       k.after_send = false;
       if (pos == 0) {
         k.rows.resize(k.rows.size() + n, 0);
       } else {
         const VClockView vc = c_->vclock(k.proc, pos);
+        HBCT_DASSERT(vc[sz(k.proc)] == pos);
         k.rows.insert(k.rows.end(), vc.data(), vc.data() + n);
       }
       if (repairing_ == k.proc) {
@@ -72,23 +70,16 @@ SearchStatus WeakConjunctiveSearch::scan(Track& k, EventIndex limit,
 void WeakConjunctiveSearch::pop_below(Track& k, EventIndex need) {
   HBCT_DASSERT(need <= c_->trimmed(k.proc) ||
                c_->event_view(k.proc, need).kind == EventKind::kSend);
-  while (!k.empty() && k.pos[k.head] < need) ++k.head;
+  while (!k.empty() && k.candidate() < need) k.head += sz(c_->num_procs());
   if (k.empty()) {
-    k.pos.clear();
     k.rows.clear();
     k.head = 0;
-  } else if (k.head * 2 > k.pos.size()) {
-    const auto n = static_cast<std::ptrdiff_t>(c_->num_procs());
-    const auto h = static_cast<std::ptrdiff_t>(k.head);
-    k.pos.erase(k.pos.begin(), k.pos.begin() + h);
-    k.rows.erase(k.rows.begin(), k.rows.begin() + h * n);
+  } else if (k.head * 2 > k.rows.size()) {
+    k.rows.erase(k.rows.begin(),
+                 k.rows.begin() + static_cast<std::ptrdiff_t>(k.head));
     k.head = 0;
   }
   k.scan = std::max(k.scan, need);
-}
-
-const std::int32_t* WeakConjunctiveSearch::front_row(const Track& k) const {
-  return k.rows.data() + k.head * sz(c_->num_procs());
 }
 
 SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
@@ -114,7 +105,7 @@ SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
         if (!j.empty() || j.scan < 2) continue;
         const VClockView vc = c_->vclock(j.proc, j.scan - 1);
         for (Track& k : tracks_)
-          if (&k != &j && !k.empty() && vc[sz(k.proc)] > k.pos[k.head])
+          if (&k != &j && !k.empty() && vc[sz(k.proc)] > k.candidate())
             pop_below(k, vc[sz(k.proc)]);
       }
       return SearchStatus::kExhausted;
@@ -126,9 +117,9 @@ SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
     // candidate, so the search takes at most |E| repairs.
     Track* repaired = nullptr;
     for (const Track& i : tracks_) {
-      const std::int32_t* row = front_row(i);
+      const std::int32_t* row = i.front();
       for (Track& j : tracks_) {
-        if (&j == &i || row[sz(j.proc)] <= j.pos[j.head]) continue;
+        if (&j == &i || row[sz(j.proc)] <= j.candidate()) continue;
         pop_below(j, row[sz(j.proc)]);
         repaired = &j;
         break;
@@ -146,7 +137,7 @@ SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
   // consistent at the fixpoint, so the join keeps every candidate.
   cut_ = Cut(cut_.size());
   for (const Track& k : tracks_) {
-    const std::int32_t* row = front_row(k);
+    const std::int32_t* row = k.front();
     for (std::size_t j = 0; j < cut_.size(); ++j)
       cut_[j] = std::max(cut_[j], row[j]);
   }
@@ -155,19 +146,17 @@ SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
 
 EventIndex WeakConjunctiveSearch::scan_floor(ProcId i,
                                              EventIndex floor) const {
-  const std::int32_t s = slot_[sz(i)];
-  if (s < 0) return floor;
-  return std::min(floor,
-                  std::max<EventIndex>(tracks_[sz(s)].scan - 1, 0));
+  for (const Track& k : tracks_)
+    if (k.proc == i)
+      return std::min(floor, std::max<EventIndex>(k.scan - 1, 0));
+  return floor;
 }
 
 std::size_t WeakConjunctiveSearch::state_bytes() const {
   std::size_t bytes = tracks_.capacity() * sizeof(Track) +
-                      slot_.capacity() * sizeof(std::int32_t) +
                       cut_.size() * sizeof(EventIndex);
   for (const Track& k : tracks_)
-    bytes += k.pos.capacity() * sizeof(EventIndex) +
-             k.rows.capacity() * sizeof(std::int32_t);
+    bytes += k.rows.capacity() * sizeof(std::int32_t);
   return bytes;
 }
 

@@ -73,18 +73,20 @@ class WeakConjunctiveSearch {
   std::size_t state_bytes() const;
 
  private:
-  /// One tracked process. `pos` holds its queued true positions, ascending,
-  /// and `rows` their clock rows (num_procs entries each; zeros for
-  /// position 0); entries before `head` are popped.
+  /// One tracked process. `rows` holds the clock rows of its queued true
+  /// positions, ascending, num_procs entries each (zeros for position 0);
+  /// a row's own entry is its position. Entries before offset `head` are
+  /// popped.
   struct Track {
     ProcId proc = -1;
     const LocalPredicate* local = nullptr;  // nullptr: vacuously true
     EventIndex scan = 0;                    // next position to scan
-    std::vector<EventIndex> pos;
     std::vector<std::int32_t> rows;
     std::size_t head = 0;
     bool after_send = false;  // a send follows the last queued position
-    bool empty() const { return head == pos.size(); }
+    bool empty() const { return head == rows.size(); }
+    const std::int32_t* front() const { return rows.data() + head; }
+    EventIndex candidate() const { return front()[proc]; }
   };
 
   /// Scans `k` up to `limit`, queueing its true positions (offline: only
@@ -94,12 +96,10 @@ class WeakConjunctiveSearch {
   /// Drops the queued positions of `k` below `need`; later scans start at
   /// `need` at the earliest.
   void pop_below(Track& k, EventIndex need);
-  const std::int32_t* front_row(const Track& k) const;
 
   const Computation* c_ = nullptr;
   bool streaming_ = false;
-  std::vector<Track> tracks_;
-  std::vector<std::int32_t> slot_;  // per process: its track, or -1
+  std::vector<Track> tracks_;  // in process order
   Cut cut_;
   ProcId repairing_ = -1;  // offline: the repair charged when it succeeds
 };
