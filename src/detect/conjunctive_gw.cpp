@@ -17,6 +17,7 @@ void WeakConjunctiveSearch::bind(const Computation& c,
   c_ = &c;
   streaming_ = streaming;
   tracks_.clear();
+  tracks_.reserve(sz(c.num_procs()));
   for (ProcId i = 0; i < c.num_procs(); ++i) {
     const LocalPredicate* local = p.local_for(i);
     if (streaming && local == nullptr) continue;
@@ -114,9 +115,11 @@ SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
     // All candidates set: if the candidate event on process i has seen more
     // events of process j than cand[j], every queued position of j below
     // that clock entry is ruled out. Each repair strictly advances one
-    // candidate, so the search takes at most |E| repairs.
+    // candidate, so the search takes at most |E| repairs. A candidate at
+    // position 0 has a zero row and requires nothing.
     Track* repaired = nullptr;
     for (const Track& i : tracks_) {
+      if (i.candidate() == 0) continue;
       const std::int32_t* row = i.front();
       for (Track& j : tracks_) {
         if (&j == &i || row[sz(j.proc)] <= j.candidate()) continue;
@@ -137,6 +140,7 @@ SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
   // consistent at the fixpoint, so the join keeps every candidate.
   cut_ = Cut(cut_.size());
   for (const Track& k : tracks_) {
+    if (k.candidate() == 0) continue;
     const std::int32_t* row = k.front();
     for (std::size_t j = 0; j < cut_.size(); ++j)
       cut_[j] = std::max(cut_[j], row[j]);
