@@ -16,21 +16,26 @@ void WeakConjunctiveSearch::bind(const Computation& c,
                                  bool streaming) {
   c_ = &c;
   streaming_ = streaming;
+  procs_.clear();
   tracks_.clear();
+  procs_.reserve(sz(c.num_procs()));
   tracks_.reserve(sz(c.num_procs()));
   for (ProcId i = 0; i < c.num_procs(); ++i) {
     const LocalPredicate* local = p.local_for(i);
     if (streaming && local == nullptr) continue;
-    Track& k = tracks_.emplace_back();
-    k.proc = i;
-    k.local = local;
+    procs_.push_back(i);
+    tracks_.emplace_back().local = local;
   }
+  cand_ = Cut(std::vector<EventIndex>(sz(c.num_procs()), -1));
   cut_ = Cut(sz(c.num_procs()));
   repairing_ = -1;
 }
 
-SearchStatus WeakConjunctiveSearch::scan(Track& k, EventIndex limit,
+SearchStatus WeakConjunctiveSearch::scan(std::size_t a, EventIndex limit,
                                          DetectStats& st, BudgetTracker& t) {
+  const ProcId i = procs_[a];
+  Track& k = tracks_[a];
+  EventIndex& cand = cand_[sz(i)];
   if (k.scan <= limit) {
     const std::size_t n = sz(c_->num_procs());
     std::optional<LocalEval> ev;
@@ -40,22 +45,21 @@ SearchStatus WeakConjunctiveSearch::scan(Track& k, EventIndex limit,
       // of its sends (the latest of its events another process has seen),
       // so a repair pops whole send-to-send segments: only the first true
       // position after each send can become the candidate.
-      if (!k.empty() && !k.after_send) {
-        if (c_->event_view(k.proc, pos).kind != EventKind::kSend) continue;
+      if (cand >= 0 && !k.after_send) {
+        if (c_->event_view(i, pos).kind != EventKind::kSend) continue;
         k.after_send = true;
       }
       if (!t.ok()) return SearchStatus::kTripped;
       ++st.predicate_evals;
       if (ev && !(*ev)(pos)) continue;
       k.after_send = false;
-      if (pos == 0) {
-        k.rows.resize(k.rows.size() + n, 0);
-      } else {
-        const VClockView vc = c_->vclock(k.proc, pos);
-        HBCT_DASSERT(vc[sz(k.proc)] == pos);
+      if (pos > 0 && streaming_) {
+        const VClockView vc = c_->vclock(i, pos);
+        HBCT_DASSERT(vc[sz(i)] == pos);
         k.rows.insert(k.rows.end(), vc.data(), vc.data() + n);
       }
-      if (repairing_ == k.proc) {
+      if (cand < 0) cand = pos;
+      if (repairing_ == i) {
         ++st.cut_steps;
         repairing_ = -1;
       }
@@ -65,32 +69,46 @@ SearchStatus WeakConjunctiveSearch::scan(Track& k, EventIndex limit,
       }
     }
   }
-  return k.empty() ? SearchStatus::kExhausted : SearchStatus::kFound;
+  return cand < 0 ? SearchStatus::kExhausted : SearchStatus::kFound;
 }
 
-void WeakConjunctiveSearch::pop_below(Track& k, EventIndex need) {
-  HBCT_DASSERT(need <= c_->trimmed(k.proc) ||
-               c_->event_view(k.proc, need).kind == EventKind::kSend);
-  while (!k.empty() && k.candidate() < need) k.head += sz(c_->num_procs());
-  if (k.empty()) {
+void WeakConjunctiveSearch::pop_below(std::size_t a, EventIndex need) {
+  const ProcId i = procs_[a];
+  Track& k = tracks_[a];
+  HBCT_DASSERT(need <= c_->trimmed(i) ||
+               c_->event_view(i, need).kind == EventKind::kSend);
+  const std::size_t n = sz(c_->num_procs());
+  while (k.head < k.rows.size() && k.rows[k.head + sz(i)] < need) k.head += n;
+  if (k.head == k.rows.size()) {
     k.rows.clear();
     k.head = 0;
-  } else if (k.head * 2 > k.rows.size()) {
-    k.rows.erase(k.rows.begin(),
-                 k.rows.begin() + static_cast<std::ptrdiff_t>(k.head));
-    k.head = 0;
+    cand_[sz(i)] = -1;
+  } else {
+    if (k.head * 2 > k.rows.size()) {
+      k.rows.erase(k.rows.begin(),
+                   k.rows.begin() + static_cast<std::ptrdiff_t>(k.head));
+      k.head = 0;
+    }
+    cand_[sz(i)] = k.rows[k.head + sz(i)];
   }
   k.scan = std::max(k.scan, need);
+}
+
+const std::int32_t* WeakConjunctiveSearch::cand_row(std::size_t a) const {
+  const ProcId i = procs_[a];
+  if (!streaming_) return c_->vclock(i, cand_[sz(i)]).data();
+  return tracks_[a].rows.data() + tracks_[a].head;
 }
 
 SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
                                                DetectStats& st,
                                                BudgetTracker& t) {
+  const std::size_t m = procs_.size();
   for (;;) {
     bool exhausted = false;
-    for (Track& k : tracks_) {
-      if (!streaming_ && !k.empty()) continue;
-      const SearchStatus s = scan(k, limits[sz(k.proc)], st, t);
+    for (std::size_t a = 0; a < m; ++a) {
+      if (!streaming_ && cand_[sz(procs_[a])] >= 0) continue;
+      const SearchStatus s = scan(a, limits[sz(procs_[a])], st, t);
       if (s == SearchStatus::kTripped) return s;
       if (s == SearchStatus::kExhausted) {
         if (!streaming_) return s;
@@ -102,12 +120,15 @@ SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
       // position, so that candidate's row dominates the clock of its last
       // scanned position: queued positions below it are ruled out already.
       // Popping them keeps each queue to what a candidate can still use.
-      for (const Track& j : tracks_) {
-        if (!j.empty() || j.scan < 2) continue;
-        const VClockView vc = c_->vclock(j.proc, j.scan - 1);
-        for (Track& k : tracks_)
-          if (&k != &j && !k.empty() && vc[sz(k.proc)] > k.candidate())
-            pop_below(k, vc[sz(k.proc)]);
+      for (std::size_t a = 0; a < m; ++a) {
+        const ProcId i = procs_[a];
+        if (cand_[sz(i)] >= 0 || tracks_[a].scan < 2) continue;
+        const VClockView vc = c_->vclock(i, tracks_[a].scan - 1);
+        for (std::size_t b = 0; b < m; ++b) {
+          const ProcId j = procs_[b];
+          if (b != a && cand_[sz(j)] >= 0 && vc[sz(j)] > cand_[sz(j)])
+            pop_below(b, vc[sz(j)]);
+        }
       }
       return SearchStatus::kExhausted;
     }
@@ -115,50 +136,52 @@ SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
     // All candidates set: if the candidate event on process i has seen more
     // events of process j than cand[j], every queued position of j below
     // that clock entry is ruled out. Each repair strictly advances one
-    // candidate, so the search takes at most |E| repairs. A candidate at
-    // position 0 has a zero row and requires nothing.
-    Track* repaired = nullptr;
-    for (const Track& i : tracks_) {
-      if (i.candidate() == 0) continue;
-      const std::int32_t* row = i.front();
-      for (Track& j : tracks_) {
-        if (&j == &i || row[sz(j.proc)] <= j.candidate()) continue;
-        pop_below(j, row[sz(j.proc)]);
-        repaired = &j;
+    // candidate, so the search takes at most |E| repairs.
+    ProcId repaired = -1;
+    for (std::size_t a = 0; a < m && repaired < 0; ++a) {
+      if (cand_[sz(procs_[a])] == 0) continue;
+      const std::int32_t* row = cand_row(a);
+      for (std::size_t b = 0; b < m; ++b) {
+        const ProcId j = procs_[b];
+        if (b == a || row[sz(j)] <= cand_[sz(j)]) continue;
+        pop_below(b, row[sz(j)]);
+        repaired = j;
         break;
       }
-      if (repaired != nullptr) break;
     }
-    if (repaired == nullptr) break;
+    if (repaired < 0) break;
     if (streaming_) {
       ++st.cut_steps;
     } else {
-      repairing_ = repaired->proc;
+      repairing_ = repaired;
     }
   }
-  // A candidate's own row entry is its position, and the rows are pairwise
-  // consistent at the fixpoint, so the join keeps every candidate.
-  cut_ = Cut(cut_.size());
-  for (const Track& k : tracks_) {
-    if (k.candidate() == 0) continue;
-    const std::int32_t* row = k.front();
-    for (std::size_t j = 0; j < cut_.size(); ++j)
-      cut_[j] = std::max(cut_[j], row[j]);
+  // The cut is the join of the candidates' rows: a tracked process sits at
+  // its candidate (the rows are pairwise consistent at the fixpoint), an
+  // untracked one at the latest of its events some candidate has seen.
+  cut_ = cand_;
+  for (std::size_t j = 0; j < cut_.size(); ++j) {
+    if (cut_[j] >= 0) continue;
+    cut_[j] = 0;
+    for (std::size_t a = 0; a < m; ++a)
+      if (cand_[sz(procs_[a])] > 0)
+        cut_[j] = std::max(cut_[j], cand_row(a)[j]);
   }
   return SearchStatus::kFound;
 }
 
 EventIndex WeakConjunctiveSearch::scan_floor(ProcId i,
                                              EventIndex floor) const {
-  for (const Track& k : tracks_)
-    if (k.proc == i)
-      return std::min(floor, std::max<EventIndex>(k.scan - 1, 0));
+  for (std::size_t a = 0; a < procs_.size(); ++a)
+    if (procs_[a] == i)
+      return std::min(floor, std::max<EventIndex>(tracks_[a].scan - 1, 0));
   return floor;
 }
 
 std::size_t WeakConjunctiveSearch::state_bytes() const {
-  std::size_t bytes = tracks_.capacity() * sizeof(Track) +
-                      cut_.size() * sizeof(EventIndex);
+  std::size_t bytes = procs_.capacity() * sizeof(ProcId) +
+                      tracks_.capacity() * sizeof(Track) +
+                      (cand_.size() + cut_.size()) * sizeof(EventIndex);
   for (const Track& k : tracks_)
     bytes += k.rows.capacity() * sizeof(std::int32_t);
   return bytes;

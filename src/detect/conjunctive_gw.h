@@ -73,33 +73,37 @@ class WeakConjunctiveSearch {
   std::size_t state_bytes() const;
 
  private:
-  /// One tracked process. `rows` holds the clock rows of its queued true
-  /// positions, ascending, num_procs entries each (zeros for position 0);
-  /// a row's own entry is its position. Entries before offset `head` are
-  /// popped.
+  /// The queue of one tracked process: the clock rows of its queued true
+  /// positions above 0, ascending, num_procs entries each (a row's own
+  /// entry is its position); entries before offset `head` are popped. The
+  /// initial state, position 0, has a zero row and requires nothing of the
+  /// other candidates, so it is queued in cand_ alone. Offline the queue
+  /// holds at most the candidate and the computation is never collected,
+  /// so the rows stay empty and the candidate's row is read in place.
   struct Track {
-    ProcId proc = -1;
     const LocalPredicate* local = nullptr;  // nullptr: vacuously true
     EventIndex scan = 0;                    // next position to scan
     std::vector<std::int32_t> rows;
     std::size_t head = 0;
     bool after_send = false;  // a send follows the last queued position
-    bool empty() const { return head == rows.size(); }
-    const std::int32_t* front() const { return rows.data() + head; }
-    EventIndex candidate() const { return front()[proc]; }
   };
 
-  /// Scans `k` up to `limit`, queueing its true positions (offline: only
-  /// the first). kTripped, else kFound iff its queue is non-empty.
-  SearchStatus scan(Track& k, EventIndex limit, DetectStats& st,
+  /// Scans tracked process `a` up to `limit`, queueing its true positions
+  /// (offline: only the first). kTripped, else kFound iff it has a
+  /// candidate.
+  SearchStatus scan(std::size_t a, EventIndex limit, DetectStats& st,
                     BudgetTracker& t);
-  /// Drops the queued positions of `k` below `need`; later scans start at
-  /// `need` at the earliest.
-  void pop_below(Track& k, EventIndex need);
+  /// Drops the queued positions of tracked process `a` below `need` (>= 1);
+  /// later scans start at `need` at the earliest.
+  void pop_below(std::size_t a, EventIndex need);
+  /// The clock row of tracked process a's candidate, which is above 0.
+  const std::int32_t* cand_row(std::size_t a) const;
 
   const Computation* c_ = nullptr;
   bool streaming_ = false;
-  std::vector<Track> tracks_;  // in process order
+  std::vector<ProcId> procs_;  // the tracked processes, ascending
+  std::vector<Track> tracks_;  // parallel to procs_
+  Cut cand_;  // per process: its candidate (queue front), -1 when none
   Cut cut_;
   ProcId repairing_ = -1;  // offline: the repair charged when it succeeds
 };
