@@ -32,7 +32,8 @@ void WeakConjunctiveSearch::bind(const Computation& c,
 }
 
 SearchStatus WeakConjunctiveSearch::scan(std::size_t a, EventIndex limit,
-                                         DetectStats& st, BudgetTracker& t) {
+                                         bool fill, DetectStats& st,
+                                         BudgetTracker& t) {
   const ProcId i = procs_[a];
   Track& k = tracks_[a];
   EventIndex& cand = cand_[sz(i)];
@@ -63,7 +64,7 @@ SearchStatus WeakConjunctiveSearch::scan(std::size_t a, EventIndex limit,
         ++st.cut_steps;
         repairing_ = -1;
       }
-      if (!streaming_) {
+      if (!fill) {
         ++pos;
         break;
       }
@@ -107,31 +108,15 @@ SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
   for (;;) {
     bool exhausted = false;
     for (std::size_t a = 0; a < m; ++a) {
-      if (!streaming_ && cand_[sz(procs_[a])] >= 0) continue;
-      const SearchStatus s = scan(a, limits[sz(procs_[a])], st, t);
+      if (cand_[sz(procs_[a])] >= 0) continue;
+      const SearchStatus s = scan(a, limits[sz(procs_[a])], false, st, t);
       if (s == SearchStatus::kTripped) return s;
       if (s == SearchStatus::kExhausted) {
         if (!streaming_) return s;
         exhausted = true;
       }
     }
-    if (exhausted) {
-      // An exhausted process takes its candidate at or above its scan
-      // position, so that candidate's row dominates the clock of its last
-      // scanned position: queued positions below it are ruled out already.
-      // Popping them keeps each queue to what a candidate can still use.
-      for (std::size_t a = 0; a < m; ++a) {
-        const ProcId i = procs_[a];
-        if (cand_[sz(i)] >= 0 || tracks_[a].scan < 2) continue;
-        const VClockView vc = c_->vclock(i, tracks_[a].scan - 1);
-        for (std::size_t b = 0; b < m; ++b) {
-          const ProcId j = procs_[b];
-          if (b != a && cand_[sz(j)] >= 0 && vc[sz(j)] > cand_[sz(j)])
-            pop_below(b, vc[sz(j)]);
-        }
-      }
-      return SearchStatus::kExhausted;
-    }
+    if (exhausted) break;
 
     // All candidates set: if the candidate event on process i has seen more
     // events of process j than cand[j], every queued position of j below
@@ -149,13 +134,38 @@ SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
         break;
       }
     }
-    if (repaired < 0) break;
+    if (repaired < 0) return found();
     if (streaming_) {
       ++st.cut_steps;
     } else {
       repairing_ = repaired;
     }
   }
+  // Streaming, some process exhausted: the search waits for its events.
+  // Meanwhile every process scans on to its limit, queueing its true
+  // positions, so the scans (the GC pins) keep up with the limits.
+  for (std::size_t a = 0; a < m; ++a)
+    if (scan(a, limits[sz(procs_[a])], true, st, t) ==
+        SearchStatus::kTripped)
+      return SearchStatus::kTripped;
+  // An exhausted process takes its candidate at or above its scan position,
+  // so that candidate's row dominates the clock of its last scanned
+  // position: queued positions below it are ruled out already. Popping
+  // them keeps each queue to what a candidate can still use.
+  for (std::size_t a = 0; a < m; ++a) {
+    const ProcId i = procs_[a];
+    if (cand_[sz(i)] >= 0 || tracks_[a].scan < 2) continue;
+    const VClockView vc = c_->vclock(i, tracks_[a].scan - 1);
+    for (std::size_t b = 0; b < m; ++b) {
+      const ProcId j = procs_[b];
+      if (b != a && cand_[sz(j)] >= 0 && vc[sz(j)] > cand_[sz(j)])
+        pop_below(b, vc[sz(j)]);
+    }
+  }
+  return SearchStatus::kExhausted;
+}
+
+SearchStatus WeakConjunctiveSearch::found() {
   // The cut is the join of the candidates' rows: a tracked process sits at
   // its candidate (the rows are pairwise consistent at the fixpoint), an
   // untracked one at the latest of its events some candidate has seen.
@@ -163,7 +173,7 @@ SearchStatus WeakConjunctiveSearch::advance_to(const Cut& limits,
   for (std::size_t j = 0; j < cut_.size(); ++j) {
     if (cut_[j] >= 0) continue;
     cut_[j] = 0;
-    for (std::size_t a = 0; a < m; ++a)
+    for (std::size_t a = 0; a < procs_.size(); ++a)
       if (cand_[sz(procs_[a])] > 0)
         cut_[j] = std::max(cut_[j], cand_row(a)[j]);
   }

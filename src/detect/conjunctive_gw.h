@@ -32,7 +32,8 @@ namespace hbct {
 /// with a copy of its clock row: the GW checker's queue, which holds the
 /// first true position after each send. The queue's front is the process's
 /// candidate, and a repair pops the entries below the position another
-/// candidate's row requires. A found cut is the least satisfying cut below
+/// candidate's row requires, so the search reads no clock row below its
+/// scan positions. A found cut is the least satisfying cut below
 /// the limits, so it never changes when they grow. Not thread-safe; the
 /// computation and predicate must outlive the search. The computation may
 /// grow between calls (and be prefix-collected below scan_floor()), but
@@ -45,8 +46,8 @@ class WeakConjunctiveSearch {
   /// and a repair is charged one cut step when made. Offline, every process
   /// is tracked (a process without a conjunct is vacuously true), a scan
   /// stops at the first true position, the search ends at the first
-  /// exhausted process, and a repair is charged only once it finds a new
-  /// candidate.
+  /// exhausted process, a repair is charged only once it finds a new
+  /// candidate, and rows are read in place (nothing is collected).
   void bind(const Computation& c, const ConjunctivePredicate& p,
             bool streaming);
 
@@ -57,8 +58,9 @@ class WeakConjunctiveSearch {
                           BudgetTracker& t);
 
   /// After kFound: the least satisfying cut, the join of the candidates'
-  /// clock rows (an untracked process at the latest of its events some
-  /// candidate has seen).
+  /// clock rows. A tracked process sits at its candidate; an untracked one
+  /// at the latest of its events some candidate has seen, which may lie
+  /// above its limit (the predicate reads none of its state).
   const Cut& cut() const { return cut_; }
 
   /// The least of `floor` and the last position the search has scanned on
@@ -88,16 +90,18 @@ class WeakConjunctiveSearch {
     bool after_send = false;  // a send follows the last queued position
   };
 
-  /// Scans tracked process `a` up to `limit`, queueing its true positions
-  /// (offline: only the first). kTripped, else kFound iff it has a
-  /// candidate.
-  SearchStatus scan(std::size_t a, EventIndex limit, DetectStats& st,
-                    BudgetTracker& t);
+  /// Scans tracked process `a` up to `limit`, queueing its true positions:
+  /// all of them when `fill`, else only the first. kTripped, else kFound
+  /// iff it has a candidate.
+  SearchStatus scan(std::size_t a, EventIndex limit, bool fill,
+                    DetectStats& st, BudgetTracker& t);
   /// Drops the queued positions of tracked process `a` below `need` (>= 1);
   /// later scans start at `need` at the earliest.
   void pop_below(std::size_t a, EventIndex need);
   /// The clock row of tracked process a's candidate, which is above 0.
   const std::int32_t* cand_row(std::size_t a) const;
+  /// Sets cut_ from the candidates, which are pairwise consistent; kFound.
+  SearchStatus found();
 
   const Computation* c_ = nullptr;
   bool streaming_ = false;

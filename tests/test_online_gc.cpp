@@ -349,7 +349,10 @@ TEST(PrefixGc, ScanLeftBehindByATrippedBudgetStaysResident) {
   // One evaluation per round: the first watch takes it until it fires at
   // position 99, so the second one's scan stays at 0 meanwhile and then
   // catches up one position per event. Its pin must hold the positions it
-  // has yet to read; the GC-on fires match the GC-off ones.
+  // has yet to read; the GC-on fires match the GC-off ones. Every event of
+  // P0 is a send, so each of its positions is one the scan must evaluate:
+  // the second watch can fire only if it checks its candidate before it
+  // has scanned up to the limit.
   OnlineMonitor on(2);
   OnlineMonitor off(2);
   for (OnlineMonitor* m : {&on, &off}) {
@@ -363,7 +366,7 @@ TEST(PrefixGc, ScanLeftBehindByATrippedBudgetStaysResident) {
   std::vector<WatchFire> fires;
   for (int r = 1; r <= 300; ++r) {
     for (OnlineMonitor* m : {&on, &off}) {
-      m->internal(0);
+      m->send(0, 1);  // never received
       m->write(0, "x", r);
     }
     if (r % 8 == 0) on.collect_prefix();
