@@ -252,6 +252,10 @@ void OnlineMonitor::step_conj(Watch& w) {
   span.arg("watch", w.id);
   if (w.gw.advance_to(limits_, work_, *round_) != SearchStatus::kFound)
     return;
+  // The cut's clock rows may be collected already; check it while they are
+  // all resident.
+  HBCT_DASSERT(computation().trimmed_events() > 0 ||
+               computation().is_consistent(w.gw.cut()));
   w.done = true;
   fire(w.id, w.gw.cut(),
        (w.kind == WatchKind::kInvariant ? "invariant violated: "
