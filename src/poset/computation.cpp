@@ -256,43 +256,43 @@ Computation Computation::prefix(const Cut& k) const {
 }
 
 void Computation::compute_rvclocks() const {
-  // Reverse vector clocks: process the linearization backwards; a send
-  // merges the reverse clock of its matching receive. The arenas are
-  // pre-sized so recv_rclock can hold views into them (the same-process
-  // successor row is always written before its predecessor reads it).
+  // Reverse vector clocks: process the linearization backwards and write
+  // each row straight into its table slot. A row starts as a copy of the
+  // same-process successor's row (zeros at a process's last event), and a
+  // send merges the row of its matching receive. Both were written before
+  // the row that reads them: the successor follows on its process, and
+  // the receive follows the send in every linearization. The tables are
+  // sized up front, so the saved receive-row pointers stay valid.
   HBCT_ASSERT_MSG(trimmed_events_ == 0,
                   "reverse clocks need the whole computation; prefix GC "
                   "discarded part of it");
   const std::size_t n = procs_.size();
-  rvcache_.clocks.assign(n, {});
+  rvcache_.clocks.resize(n);
   for (std::size_t i = 0; i < n; ++i)
-    rvcache_.clocks[i].assign(
-        sz(num_events(static_cast<ProcId>(i))) * n, 0);
+    rvcache_.clocks[i].resize(sz(num_events(static_cast<ProcId>(i))) * n);
   auto row = [&](ProcId i, EventIndex idx) {
     return rvcache_.clocks[sz(i)].data() + sz(idx - 1) * n;
   };
-  std::unordered_map<MsgId, VClockView> recv_rclock;
-  VClock rvc(n);
+  std::unordered_map<MsgId, const std::int32_t*> recv_row;
+  recv_row.reserve(static_cast<std::size_t>(num_messages_));
   for (auto it = linearization_.rbegin(); it != linearization_.rend(); ++it) {
     const EventId& eid = *it;
     const EventView ev = event_view(eid);
-    // rvc(e)[j] counts events f on j with e <= f; start from the successor
-    // on the same process (if any).
-    if (eid.index < num_events(eid.proc)) {
-      const std::int32_t* succ = row(eid.proc, eid.index + 1);
-      for (std::size_t j = 0; j < n; ++j) rvc[j] = succ[j];
-    } else {
-      for (std::size_t j = 0; j < n; ++j) rvc[j] = 0;
-    }
+    // rvc(e)[j] counts events f on j with e <= f.
+    std::int32_t* out = row(eid.proc, eid.index);
+    if (eid.index < num_events(eid.proc))
+      std::memcpy(out, row(eid.proc, eid.index + 1), n * sizeof(std::int32_t));
+    else
+      std::fill_n(out, n, 0);
     if (ev.kind == EventKind::kSend) {
-      auto rit = recv_rclock.find(ev.msg);
-      if (rit != recv_rclock.end()) rvc.merge(rit->second);
       // An unmatched send (receive outside this computation) merges nothing.
+      auto rit = recv_row.find(ev.msg);
+      if (rit != recv_row.end())
+        for (std::size_t j = 0; j < n; ++j)
+          out[j] = std::max(out[j], rit->second[j]);
     }
-    rvc[sz(eid.proc)] = num_events(eid.proc) - eid.index + 1;
-    std::copy(rvc.raw().begin(), rvc.raw().end(), row(eid.proc, eid.index));
-    if (ev.kind == EventKind::kReceive)
-      recv_rclock.emplace(ev.msg, VClockView(row(eid.proc, eid.index), n));
+    out[sz(eid.proc)] = num_events(eid.proc) - eid.index + 1;
+    if (ev.kind == EventKind::kReceive) recv_row.emplace(ev.msg, out);
   }
   rvcache_.dirty.store(false, std::memory_order_release);
 }

@@ -23,6 +23,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -324,6 +325,23 @@ class Computation {
     return t == 0 ? 1 : t;
   }
 
+  /// std::allocator whose value-initialization is default-initialization,
+  /// so resize() of an int32 table skips the zero-fill.
+  template <class T>
+  struct NoInitAllocator : std::allocator<T> {
+    template <class U>
+    struct rebind {
+      using other = NoInitAllocator<U>;
+    };
+    NoInitAllocator() = default;
+    template <class U>
+    NoInitAllocator(const NoInitAllocator<U>&) noexcept {}
+    template <class U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+  };
+
   /// Reverse-clock cache: recomputed lazily after OnlineAppender
   /// invalidates it, with double-checked locking so concurrent const readers
   /// (detections on several threads) can share one Computation race-free.
@@ -332,8 +350,10 @@ class Computation {
   /// type.
   struct RvClockCache {
     /// Per-process flat arena, stride num_procs: clocks[i] holds the
-    /// reverse clocks of process i's events back to back.
-    std::vector<std::vector<std::int32_t>> clocks;
+    /// reverse clocks of process i's events back to back. Growing a table
+    /// leaves its new entries unwritten: compute_rvclocks writes every row.
+    std::vector<std::vector<std::int32_t, NoInitAllocator<std::int32_t>>>
+        clocks;
     std::atomic<bool> dirty{true};
 
     RvClockCache() = default;
