@@ -5,11 +5,28 @@
 // for a linear (meet-closed) predicate truth at the meet-irreducibles
 // implies truth at all their meets. So AG(p) ⟺ p holds at every
 // M(e) = E \ up-set(e) and at the final cut: |E| + 1 evaluations. The
-// meet-irreducibles come straight from the reverse vector clocks in O(n|E|)
-// (improving on the O(n^2|E|) slicing route the paper cites).
+// meet-irreducibles come straight from the reverse vector clocks
+// (M(e)[j] = N_j - rvc(e)[j]), improving on the O(n^2|E|) slicing route
+// the paper cites.
+//
+// The sweep reads only what the predicate reads. It visits the M(e_{i,k})
+// process by process in k order and moves only the components of the
+// predicate's support S (Predicate::support). For a non-send event
+// e_{i,k}, up-set(e_{i,k}) = {e_{i,k}} ∪ up-set(e_{i,k+1}), so M(i,k) and
+// M(i,k+1) differ only in component i; the sweep therefore re-reads a
+// reverse-clock row only at k = 1 and after a send, and otherwise moves
+// component i alone. Cost: the O(n|E|) reverse-clock table, built once per
+// computation, plus O(|E| + sends·|S|) row reads and cursor updates.
 //
 // The dual detects post-linear predicates on the join-irreducibles
-// J(e) = down-set(e) plus the initial cut.
+// J(e) = down-set(e) plus the initial cut. J(i,k) = vc(i,k), and J(i,k+1)
+// differs from J(i,k) outside component i only when e_{i,k+1} is a
+// receive, so the dual re-reads a clock row only at k = 1 and at receives.
+//
+// Both report the same verdict, witness and DetectStats as a sweep that
+// moves every component to the full irreducible: the evaluation order and
+// counts are those of the |E| + 1 irreducibles, and a violating
+// irreducible is rebuilt in full for the witness.
 #pragma once
 
 #include "detect/detector.h"

@@ -93,6 +93,9 @@ class ChannelBoundLe final : public Predicate {
   std::string describe() const override {
     return strfmt("intransit(%d->%d) <= %d", from_, to_, k_);
   }
+  std::vector<ProcId> support(const Computation&) const override {
+    return make_support({from_, to_});
+  }
   // Too many messages in flight: with the receiver frozen the count can only
   // grow, so the receiver is the forbidden process.
   ProcId forbidden(const Computation&, const Cut&) const override {
@@ -131,6 +134,9 @@ class ChannelBoundGe final : public Predicate {
   }
   std::string describe() const override {
     return strfmt("intransit(%d->%d) >= %d", from_, to_, k_);
+  }
+  std::vector<ProcId> support(const Computation&) const override {
+    return make_support({from_, to_});
   }
   ProcId forbidden(const Computation&, const Cut&) const override {
     return from_;

@@ -104,6 +104,13 @@ bool ConjunctivePredicate::eval(const Computation& c, const Cut& g) const {
   return true;
 }
 
+std::vector<ProcId> ConjunctivePredicate::support(const Computation&) const {
+  std::vector<ProcId> procs;
+  procs.reserve(locals_.size());
+  for (const auto& l : locals_) procs.push_back(l->proc());
+  return procs;  // locals_ is sorted by process, one per process
+}
+
 std::string ConjunctivePredicate::describe() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < locals_.size(); ++i) {

@@ -30,6 +30,8 @@ class ConjunctivePredicate final : public Predicate {
     return close_classes(kClassConjunctive);
   }
   std::string describe() const override;
+  /// The processes that own a conjunct.
+  std::vector<ProcId> support(const Computation&) const override;
 
   /// Chase–Garg oracle: any process whose conjunct is false must advance.
   ProcId forbidden(const Computation& c, const Cut& g) const override;

@@ -88,6 +88,13 @@ bool DisjunctivePredicate::eval(const Computation& c, const Cut& g) const {
   return false;
 }
 
+std::vector<ProcId> DisjunctivePredicate::support(const Computation&) const {
+  std::vector<ProcId> procs;
+  procs.reserve(locals_.size());
+  for (const auto& l : locals_) procs.push_back(l->proc());
+  return procs;  // locals_ is sorted by process, one per process
+}
+
 std::string DisjunctivePredicate::describe() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < locals_.size(); ++i) {

@@ -26,6 +26,8 @@ class DisjunctivePredicate final : public Predicate {
     return close_classes(kClassDisjunctive);
   }
   std::string describe() const override;
+  /// The processes that own a disjunct.
+  std::vector<ProcId> support(const Computation&) const override;
 
   /// ¬(∨ l_i) = ∧ ¬l_i — a ConjunctivePredicate.
   PredicatePtr negate() const override;

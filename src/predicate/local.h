@@ -58,6 +58,9 @@ class LocalPredicate final : public Predicate {
     return close_classes(kClassLocal);
   }
   std::string describe() const override { return desc_; }
+  std::vector<ProcId> support(const Computation&) const override {
+    return {proc_};
+  }
 
   /// For a false local predicate the owning process must advance.
   ProcId forbidden(const Computation&, const Cut&) const override {

@@ -1,5 +1,6 @@
 #include "predicate/predicate.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "predicate/conjunctive.h"
@@ -127,6 +128,17 @@ class JunctionCursor final : public EvalCursor {
   bool and_;
 };
 
+/// Union of the children's supports.
+std::vector<ProcId> union_support(const std::vector<PredicatePtr>& ch,
+                                  const Computation& c) {
+  std::vector<ProcId> procs;
+  for (const auto& p : ch) {
+    const std::vector<ProcId> s = p->support(c);
+    procs.insert(procs.end(), s.begin(), s.end());
+  }
+  return make_support(std::move(procs));
+}
+
 EvalCursorPtr make_junction_cursor(const std::vector<PredicatePtr>& ch,
                                    const Computation& c, const Cut& g,
                                    bool conjunction) {
@@ -147,6 +159,9 @@ class ConstPredicate final : public Predicate {
     return close_classes(kClassLocal | kClassStable);
   }
   std::string describe() const override { return v_ ? "true" : "false"; }
+  std::vector<ProcId> support(const Computation&) const override {
+    return {};
+  }
   ProcId forbidden(const Computation&, const Cut&) const override {
     // Only reachable for the constant-false predicate; no cut satisfies it,
     // so every process is forbidden.
@@ -179,6 +194,9 @@ class NotPredicate final : public Predicate {
   }
   ClassSet classes(const Computation&) const override { return 0; }
   std::string describe() const override { return "!(" + p_->describe() + ")"; }
+  std::vector<ProcId> support(const Computation& c) const override {
+    return p_->support(c);
+  }
   PredicatePtr negate() const override { return p_; }
   EvalCursorPtr make_cursor(const Computation& c, const Cut& g) const override {
     return std::make_unique<NotCursor>(c, g, p_->make_cursor(c, g));
@@ -211,6 +229,9 @@ class AndPredicate final : public Predicate {
   }
 
   std::string describe() const override { return join_desc(" && "); }
+  std::vector<ProcId> support(const Computation& c) const override {
+    return union_support(ch_, c);
+  }
 
   ProcId forbidden(const Computation& c, const Cut& g) const override {
     for (const auto& p : ch_)
@@ -299,6 +320,10 @@ class OrPredicate final : public Predicate {
 
   std::vector<PredicatePtr> disjuncts() const override { return ch_; }
 
+  std::vector<ProcId> support(const Computation& c) const override {
+    return union_support(ch_, c);
+  }
+
   EvalCursorPtr make_cursor(const Computation& c, const Cut& g) const override {
     return make_junction_cursor(ch_, c, g, /*conjunction=*/false);
   }
@@ -348,6 +373,9 @@ class RefinedPredicate final : public Predicate {
     return close_classes(inner_->classes(c) | extra_);
   }
   std::string describe() const override { return inner_->describe(); }
+  std::vector<ProcId> support(const Computation& c) const override {
+    return inner_->support(c);
+  }
   ProcId forbidden(const Computation& c, const Cut& g) const override {
     return inner_->forbidden(c, g);
   }
@@ -388,6 +416,19 @@ class RefinedPredicate final : public Predicate {
 
 PredicatePtr Predicate::negate() const {
   return std::make_shared<NotPredicate>(shared_from_this());
+}
+
+std::vector<ProcId> Predicate::support(const Computation& c) const {
+  std::vector<ProcId> all(static_cast<std::size_t>(c.num_procs()));
+  for (ProcId i = 0; i < c.num_procs(); ++i)
+    all[static_cast<std::size_t>(i)] = i;
+  return all;
+}
+
+std::vector<ProcId> make_support(std::vector<ProcId> procs) {
+  std::sort(procs.begin(), procs.end());
+  procs.erase(std::unique(procs.begin(), procs.end()), procs.end());
+  return procs;
 }
 
 EvalCursorPtr Predicate::make_cursor(const Computation& c,

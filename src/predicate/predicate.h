@@ -74,6 +74,16 @@ class Predicate : public std::enable_shared_from_this<Predicate> {
   /// One-line description for diagnostics ("x@P0 < 4 && empty(1,2)").
   virtual std::string describe() const = 0;
 
+  /// The processes whose cut components eval() and the cursor's value()
+  /// read: sorted, without repeats, each in [0, c.num_procs()). Cuts that
+  /// agree on the support get the same value, so a walk may leave the
+  /// other components anywhere in [trimmed(j), N_j] and skip their cursor
+  /// updates. The A2 sweeps (detect/ag_linear.h) move only these
+  /// components. The default is every process, which is always sound; a
+  /// predicate whose value reads the whole cut (equilevel, channels_empty,
+  /// an opaque make_asserted function) keeps it.
+  virtual std::vector<ProcId> support(const Computation& c) const;
+
   /// Linear-advancement oracle (Chase–Garg). Precondition: !eval(c, g) and
   /// classes(c) contains kClassLinear. Returns a process i such that no
   /// cut H ⊇ g with H[i] == g[i] satisfies the predicate: every satisfying
@@ -125,6 +135,9 @@ class Predicate : public std::enable_shared_from_this<Predicate> {
   /// outlive the cursor.
   virtual EvalCursorPtr make_cursor(const Computation& c, const Cut& g) const;
 };
+
+/// Sorts `procs` and drops repeats: the normal form support() returns.
+std::vector<ProcId> make_support(std::vector<ProcId> procs);
 
 /// classes(c) refined with the "holds initially ⇒ observer-independent"
 /// rule (costs one eval of the initial cut; after prefix GC, of the trim

@@ -40,6 +40,13 @@ bool all_nondecreasing(const Computation& c, const std::vector<VarRef>& ts) {
   return true;
 }
 
+std::vector<ProcId> terms_support(const std::vector<VarRef>& ts) {
+  std::vector<ProcId> procs;
+  procs.reserve(ts.size());
+  for (const VarRef& t : ts) procs.push_back(t.proc);
+  return make_support(std::move(procs));
+}
+
 std::string terms_desc(const std::vector<VarRef>& ts) {
   std::ostringstream os;
   for (std::size_t i = 0; i < ts.size(); ++i) {
@@ -123,6 +130,9 @@ class SumLe final : public Predicate {
   std::string describe() const override {
     return terms_desc(terms_) + strfmt(" <= %lld", static_cast<long long>(k_));
   }
+  std::vector<ProcId> support(const Computation&) const override {
+    return terms_support(terms_);
+  }
   ProcId forbidden(const Computation&, const Cut&) const override {
     // Down-closed and false at g: no cut above g satisfies the predicate at
     // all, so every process is forbidden; report the first term's owner.
@@ -160,6 +170,9 @@ class SumGe final : public Predicate {
   std::string describe() const override {
     return terms_desc(terms_) + strfmt(" >= %lld", static_cast<long long>(k_));
   }
+  std::vector<ProcId> support(const Computation&) const override {
+    return terms_support(terms_);
+  }
   ProcId forbidden_down(const Computation&, const Cut&) const override {
     // Up-closed and false at g: nothing below g satisfies it either.
     return terms_[0].proc;
@@ -192,6 +205,9 @@ class DiffLe final : public Predicate {
   std::string describe() const override {
     return strfmt("%s@P%d - %s@P%d <= %lld", a_.var.c_str(), a_.proc,
                   b_.var.c_str(), b_.proc, static_cast<long long>(k_));
+  }
+  std::vector<ProcId> support(const Computation&) const override {
+    return make_support({a_.proc, b_.proc});
   }
   // a - b too large: freezing b's owner keeps b fixed while a can only grow,
   // so b's owner must advance. Dually a's owner must retreat.

@@ -204,6 +204,33 @@ TEST(Capture, SpanTidsMatchFlightRecordTids) {
     EXPECT_EQ(s.tid, ring[0].tid) << name_of(s);
 }
 
+TEST(Capture, A2SpanCarriesSupportAndRows) {
+  const Computation c = small_comp();
+  DispatchOptions opt;
+  opt.trace = true;
+  // Holds at every cut, so the sweep visits every meet-irreducible.
+  const DetectResult r =
+      detect(c, Op::kAG, channel_bound_le(0, 2, 1000), nullptr, opt);
+  ASSERT_EQ(r.algorithm, "A2-ag-linear");
+  ASSERT_EQ(r.verdict, Verdict::kHolds);
+  // One row per process at its first event, plus one after each send.
+  std::int64_t rows = 0;
+  for (ProcId i = 0; i < c.num_procs(); ++i)
+    for (EventIndex k = 1; k <= c.num_events(i); ++k)
+      rows += k == 1 || c.event_view(i, k - 1).kind == EventKind::kSend;
+  std::size_t found = 0;
+  for (const Tracer::Record& s : r.trace->spans()) {
+    if (name_of(s) != "ag.a2-scan") continue;
+    ++found;
+    const FlightRecorder::Name labels = FlightRecorder::names()[s.name];
+    EXPECT_EQ(labels.arg0, "support");
+    EXPECT_EQ(labels.arg1, "rows");
+    EXPECT_EQ(s.a0, 2);
+    EXPECT_EQ(s.a1, rows);
+  }
+  EXPECT_EQ(found, 1u);
+}
+
 TEST(Capture, DetectWritesOneFlightRecordPerCall) {
   const Computation c = small_comp();
   const PredicatePtr p = wide_dnf(c.num_procs());
