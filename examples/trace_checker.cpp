@@ -2,6 +2,8 @@
 // check CTL queries against a recorded trace from the command line.
 //
 //   $ example_trace_checker <trace-file|-> "<query>" [more queries...]
+//
+// The trace file is text or hbct-mtrace (mapped and queried in place).
 //   $ example_trace_checker --demo
 //
 // With --demo, writes a sample trace to stdout instead (pipe it back in to
@@ -23,6 +25,7 @@
 #include <string>
 
 #include "hbct.h"
+#include "poset/mtrace.h"
 
 using namespace hbct;
 
@@ -97,12 +100,25 @@ int main(int argc, char** argv) {
   if (std::strcmp(argv[1], "-") == 0) {
     parsed = read_trace(std::cin);
   } else {
-    std::ifstream in(argv[1]);
+    std::ifstream in(argv[1], std::ios::binary);
     if (!in) {
       std::fprintf(stderr, "cannot open %s\n", argv[1]);
       return 66;
     }
-    parsed = read_trace(in);
+    std::string head(kMtraceMagic.size(), '\0');
+    in.read(head.data(), static_cast<std::streamsize>(head.size()));
+    if (in.gcount() == static_cast<std::streamsize>(head.size()) &&
+        head == kMtraceMagic) {
+      // An hbct-mtrace file is mapped and queried in place (view mode).
+      MtraceLoadResult m = load_mtrace(argv[1], MtraceMode::kMap);
+      parsed.ok = m.ok;
+      parsed.error = m.error;
+      parsed.computation = std::move(m.computation);
+    } else {
+      in.clear();
+      in.seekg(0);
+      parsed = read_trace(in);
+    }
   }
   if (!parsed.ok) {
     std::fprintf(stderr, "trace error: %s\n", parsed.error.c_str());
