@@ -315,8 +315,9 @@ TEST(AgSweep, MatchesFullRowReference) {
         const DetectResult got = sweep(c, *p, {}, meet);
         expect_same(got, want, what);
         const ClassSet need = meet ? kClassLinear : kClassPostLinear;
-        if (lc && (p->classes(c) & need) == need)
+        if (lc && (p->classes(c) & need) == need) {
           EXPECT_EQ(got.verdict, lc->detect(Op::kAG, *p).verdict) << what;
+        }
         // The budget ladder: every trip point and reason, up to the
         // unbudgeted run's whole work.
         const std::uint64_t work =
