@@ -191,7 +191,7 @@ TEST(PredicateSupport, EvalIgnoresComponentsOutsideSupport) {
   }
 }
 
-// ---- The full-row reference ----------------------------------------------------
+// ---- The full-row reference ---------------------------------------------
 
 /// The A2 loop before the support sweep: every irreducible is built in full
 /// from its clock row and every component of the bound cut is moved to it.
@@ -349,7 +349,7 @@ TEST(AgSweep, VisitsEveryIrreducibleOnTheSupport) {
         const Probe probe(s, -1);
         ASSERT_EQ(sweep(c, probe, {}, meet).verdict, Verdict::kHolds) << what;
         const std::vector<std::vector<EventIndex>> seen = probe.take();
-        ASSERT_EQ(seen.size(), sz(static_cast<std::int32_t>(c.total_events())) + 1)
+        ASSERT_EQ(seen.size(), static_cast<std::size_t>(c.total_events()) + 1)
             << what;
         std::size_t at = 1;
         for (ProcId i = 0; i < n; ++i)
