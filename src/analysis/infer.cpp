@@ -36,32 +36,6 @@ Mono term_mono(const Computation& c, int coef, const Term& t) {
   return m;
 }
 
-/// Normalized view of an atom: non-constant ±terms vs a constant bound.
-/// Mirrors the normalization compile_state performs before lowering.
-struct NormAtom {
-  std::vector<std::pair<int, Term>> terms;
-  Cmp op = Cmp::kEq;
-  std::int64_t k = 0;
-};
-
-NormAtom norm_atom(const Atom& a) {
-  NormAtom n;
-  n.op = a.op;
-  for (const auto& [coef, t] : a.lhs.terms) {
-    if (t.kind == Term::Kind::kConst)
-      n.k -= coef * t.value;
-    else
-      n.terms.emplace_back(coef, t);
-  }
-  for (const auto& [coef, t] : a.rhs.terms) {
-    if (t.kind == Term::Kind::kConst)
-      n.k += coef * t.value;
-    else
-      n.terms.emplace_back(-coef, t);
-  }
-  return n;
-}
-
 constexpr ClassSet kAndMask = kClassConjunctive | kClassLinear |
                               kClassPostLinear | kClassRegular | kClassStable;
 constexpr ClassSet kOrMask = kClassDisjunctive | kClassStable;
@@ -83,7 +57,7 @@ Inference leaf(std::string rule, ClassSet pos, ClassSet neg,
 constexpr ClassSet kConstantClasses = kClassLocal | kClassStable;
 
 Inference infer_atom(const Computation& c, const Node& node) {
-  const NormAtom n = norm_atom(node.atom);
+  const NormAtom n = normalize_atom(node.atom);
   const std::string text = to_string(node);
 
   if (n.terms.empty()) {

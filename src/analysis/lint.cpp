@@ -1,7 +1,5 @@
 #include "analysis/lint.h"
 
-#include <algorithm>
-
 #include "analysis/infer.h"
 #include "analysis/optimize.h"
 #include "analysis/plan.h"
@@ -25,18 +23,6 @@ void anchor(std::vector<Diagnostic>& ds, SourceSpan span) {
 bool plan_level(DiagCode c) {
   return c == DiagCode::kExponentialFallback ||
          c == DiagCode::kIntractableClass || c == DiagCode::kSplitDispatch;
-}
-
-/// Mirrors the eu-or-split side condition in detect/dispatch.cpp: every
-/// top-level disjunct of q is linear on c and carries the forbidden()
-/// oracle A3's I_q walk needs.
-bool q_splits_into_linear(const Computation& c, const PredicatePtr& q) {
-  const auto parts = q->disjuncts();
-  return !parts.empty() &&
-         std::all_of(parts.begin(), parts.end(), [&](const PredicatePtr& s) {
-           return (effective_classes(*s, c) & kClassLinear) != 0 &&
-                  s->has_forbidden();
-         });
 }
 
 }  // namespace

@@ -99,15 +99,6 @@ double unary_route_cost(Op op, const PredicatePtr& p, const Computation& c,
   return algo_cost(pl.algo, m);
 }
 
-bool q_splits_into_linear(const Computation& c, const PredicatePtr& q) {
-  const auto parts = q->disjuncts();
-  return !parts.empty() &&
-         std::all_of(parts.begin(), parts.end(), [&](const PredicatePtr& s) {
-           return (effective_classes(*s, c) & kClassLinear) != 0 &&
-                  s->has_forbidden();
-         });
-}
-
 std::size_t node_count(const NodePtr& n) {
   if (!n) return 0;
   std::size_t k = 1;

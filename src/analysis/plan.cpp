@@ -1,28 +1,13 @@
 #include "analysis/plan.h"
 
+#include <algorithm>
+
 #include "analysis/rules.h"
 #include "predicate/conjunctive.h"
 #include "predicate/disjunctive.h"
 #include "util/string_util.h"
 
 namespace hbct {
-
-namespace {
-
-// Local name table instead of to_string(Op): that symbol lives in
-// hbct_detect, which links *against* this library.
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::kEF: return "EF";
-    case Op::kAF: return "AF";
-    case Op::kEG: return "EG";
-    case Op::kAG: return "AG";
-    case Op::kEU: return "EU";
-    default: return "AU";
-  }
-}
-
-}  // namespace
 
 PredShape shape_of(const PredicatePtr& p, const Computation& c) {
   PredShape s;
@@ -34,6 +19,15 @@ PredShape shape_of(const PredicatePtr& p, const Computation& c) {
   s.has_forbidden = p->has_forbidden();
   s.has_forbidden_down = p->has_forbidden_down();
   return s;
+}
+
+bool q_splits_into_linear(const Computation& c, const PredicatePtr& q) {
+  const auto parts = q->disjuncts();
+  return !parts.empty() &&
+         std::all_of(parts.begin(), parts.end(), [&](const PredicatePtr& s) {
+           return (effective_classes(*s, c) & kClassLinear) != 0 &&
+                  s->has_forbidden();
+         });
 }
 
 namespace {
@@ -203,7 +197,7 @@ std::vector<Diagnostic> plan_diagnostics(Op op, const Predicate& p,
     d.code = DiagCode::kExponentialFallback;
     d.message = strfmt("%s over '%s' dispatches to %s (worst-case "
                        "exponential in the number of processes)%s",
-                       op_name(op), desc(), pl.name,
+                       to_string(op), desc(), pl.name,
                        pl.refused ? "; allow_exponential is off, so the "
                                     "verdict degrades to kUnknown"
                                   : "");
@@ -239,7 +233,7 @@ std::vector<Diagnostic> plan_diagnostics(Op op, const Predicate& p,
     d.message = strfmt(
         "%s over the observer-independent predicate '%s' is %s (Thm %s); "
         "no polynomial route can exist",
-        op_name(op), desc(),
+        to_string(op), desc(),
         op == Op::kEG ? "NP-complete" : "co-NP-complete",
         op == Op::kEG ? "5" : "6");
     out.push_back(std::move(d));
@@ -255,7 +249,7 @@ std::vector<Diagnostic> plan_diagnostics(Op op, const Predicate& p,
     d.severity = DiagSeverity::kInfo;
     d.message = strfmt("%s distributes over %zu operands of '%s'; cost is "
                        "the sum of the per-operand plans",
-                       op_name(op), width, desc());
+                       to_string(op), width, desc());
     out.push_back(std::move(d));
   }
 

@@ -99,6 +99,11 @@ DetectPlan plan_unary(Op op, const PredShape& p, bool allow_exponential);
 DetectPlan plan_until(Op op, const PredShape& p, const PredShape& q,
                       bool all_q_disjuncts_linear, bool allow_exponential);
 
+/// The eu-or-split side condition plan_until takes: every top-level
+/// disjunct of q is linear on c and carries the forbidden() oracle A3's
+/// I_q walk needs. The dispatcher, the lint and the optimizer all ask it.
+bool q_splits_into_linear(const Computation& c, const PredicatePtr& q);
+
 /// Renders "<name> (<cost>)", e.g. "chase-garg-ef (O(n^2|E|))" —
 /// DetectResult::plan and the classify report use this form.
 std::string plan_to_string(const DetectPlan& p);

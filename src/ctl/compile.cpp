@@ -32,32 +32,6 @@ std::int64_t term_eval(const Computation& c, const Term& t, const Cut& g) {
   return 0;
 }
 
-/// Normalized atom: Σ coef_i * term_i  <op>  k, with only non-constant terms
-/// on the left.
-struct NormAtom {
-  std::vector<std::pair<int, Term>> terms;
-  Cmp op = Cmp::kEq;
-  std::int64_t k = 0;
-};
-
-NormAtom normalize(const Atom& a) {
-  NormAtom n;
-  n.op = a.op;
-  for (const auto& [coef, t] : a.lhs.terms) {
-    if (t.kind == Term::Kind::kConst)
-      n.k -= coef * t.value;
-    else
-      n.terms.emplace_back(coef, t);
-  }
-  for (const auto& [coef, t] : a.rhs.terms) {
-    if (t.kind == Term::Kind::kConst)
-      n.k += coef * t.value;
-    else
-      n.terms.emplace_back(-coef, t);
-  }
-  return n;
-}
-
 /// Generic fallback: evaluate the normalized atom directly; no structural
 /// class is claimed, so detection uses the explicit-search algorithms.
 PredicatePtr arith_fallback(const NormAtom& n, std::string desc) {
@@ -81,18 +55,17 @@ PredicatePtr lower_single(const Term& t, Cmp op, std::int64_t k) {
     case Term::Kind::kPos:
       return pos_cmp(t.proc, op, k);
     case Term::Kind::kInTransit: {
-      const std::int32_t ik = static_cast<std::int32_t>(k);
+      // The strict forms are negated bounds: the bound's negate() owns the
+      // k ± 1 step and its saturation at the int64 limits.
+      const PredicatePtr le = channel_bound_le(t.from, t.to, k);
+      const PredicatePtr ge = channel_bound_ge(t.from, t.to, k);
       switch (op) {
-        case Cmp::kLe: return channel_bound_le(t.from, t.to, ik);
-        case Cmp::kLt: return channel_bound_le(t.from, t.to, ik - 1);
-        case Cmp::kGe: return channel_bound_ge(t.from, t.to, ik);
-        case Cmp::kGt: return channel_bound_ge(t.from, t.to, ik + 1);
-        case Cmp::kEq:
-          return make_and(channel_bound_le(t.from, t.to, ik),
-                          channel_bound_ge(t.from, t.to, ik));
-        case Cmp::kNe:
-          return make_or(channel_bound_le(t.from, t.to, ik - 1),
-                         channel_bound_ge(t.from, t.to, ik + 1));
+        case Cmp::kLe: return le;
+        case Cmp::kLt: return ge->negate();
+        case Cmp::kGe: return ge;
+        case Cmp::kGt: return le->negate();
+        case Cmp::kEq: return make_and(le, ge);
+        case Cmp::kNe: return make_or(ge->negate(), le->negate());
       }
       break;
     }
@@ -103,7 +76,7 @@ PredicatePtr lower_single(const Term& t, Cmp op, std::int64_t k) {
 }
 
 PredicatePtr lower_atom(const Atom& a) {
-  NormAtom n = normalize(a);
+  const NormAtom n = normalize_atom(a);
   const std::string desc = to_string(a.lhs) + " " +
                            std::string(hbct::to_string(a.op)) + " " +
                            to_string(a.rhs);

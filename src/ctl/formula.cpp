@@ -7,6 +7,24 @@
 
 namespace hbct::ctl {
 
+NormAtom normalize_atom(const Atom& a) {
+  NormAtom n;
+  n.op = a.op;
+  for (const auto& [coef, t] : a.lhs.terms) {
+    if (t.kind == Term::Kind::kConst)
+      n.k -= coef * t.value;
+    else
+      n.terms.emplace_back(coef, t);
+  }
+  for (const auto& [coef, t] : a.rhs.terms) {
+    if (t.kind == Term::Kind::kConst)
+      n.k += coef * t.value;
+    else
+      n.terms.emplace_back(-coef, t);
+  }
+  return n;
+}
+
 std::string to_string(const Term& t) {
   switch (t.kind) {
     case Term::Kind::kConst:

@@ -92,6 +92,17 @@ struct Query {
   NodePtr root;  // the whole formula
 };
 
+/// An atom normalized to Σ coef_i * term_i <op> k: the non-constant ±terms
+/// on the left, every constant folded into k. The lowering (ctl/compile.h)
+/// and the class inference (analysis/infer.h) both read atoms this way.
+struct NormAtom {
+  std::vector<std::pair<int, Term>> terms;
+  Cmp op = Cmp::kEq;
+  std::int64_t k = 0;
+};
+
+NormAtom normalize_atom(const Atom& a);
+
 std::string to_string(const Term& t);
 std::string to_string(const Sum& s);
 std::string to_string(const Node& n);

@@ -178,54 +178,4 @@ DetectResult LatticeChecker::detect(Op op, const Predicate& p,
   return r;
 }
 
-BruteClassCheck brute_check_classes(const LatticeChecker& chk,
-                                    const Predicate& p) {
-  const Lattice& lat = chk.lattice();
-  const std::vector<char> lp = chk.label(p);
-
-  BruteClassCheck out;
-  std::vector<NodeId> sat;
-  for (NodeId v = 0; v < lat.size(); ++v)
-    if (lp[v]) sat.push_back(v);
-
-  // The O(S^2) semilattice sweep stops once both flags are false.
-  out.linear = out.post_linear = true;
-  for (std::size_t a = 0; a < sat.size() && (out.linear || out.post_linear);
-       ++a) {
-    for (std::size_t b = a + 1;
-         b < sat.size() && (out.linear || out.post_linear); ++b) {
-      if (out.linear && !lp[lat.meet(sat[a], sat[b])]) out.linear = false;
-      if (out.post_linear && !lp[lat.join(sat[a], sat[b])])
-        out.post_linear = false;
-    }
-  }
-  out.regular = out.linear && out.post_linear;
-
-  out.stable = true;
-  for (NodeId v = 0; v < lat.size() && out.stable; ++v) {
-    if (!lp[v]) continue;
-    for (NodeId s : lat.successors(v))
-      if (!lp[s]) {
-        out.stable = false;
-        break;
-      }
-  }
-
-  out.observer_independent =
-      chk.ef(lp)[lat.bottom()] == chk.af(lp)[lat.bottom()];
-  return out;
-}
-
-const char* to_string(Op op) {
-  switch (op) {
-    case Op::kEF: return "EF";
-    case Op::kAF: return "AF";
-    case Op::kEG: return "EG";
-    case Op::kAG: return "AG";
-    case Op::kEU: return "EU";
-    case Op::kAU: return "AU";
-  }
-  return "?";
-}
-
 }  // namespace hbct

@@ -49,18 +49,4 @@ class LatticeChecker {
   Lattice lat_;
 };
 
-/// Ground-truth membership of a predicate's satisfying set in the
-/// lattice-theoretic classes, by exhaustive check on the explicit lattice.
-/// O(S^2) for the semilattice checks (S = number of satisfying cuts).
-struct BruteClassCheck {
-  bool linear = false;        // meet-closed
-  bool post_linear = false;   // join-closed
-  bool regular = false;       // both
-  bool stable = false;        // up-closed
-  bool observer_independent = false;  // EF(p) == AF(p) on this computation
-};
-
-BruteClassCheck brute_check_classes(const LatticeChecker& chk,
-                                    const Predicate& p);
-
 }  // namespace hbct

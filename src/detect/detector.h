@@ -24,7 +24,19 @@ namespace hbct {
 /// The CTL operators of the paper's fragment.
 enum class Op { kEF, kAF, kEG, kAG, kEU, kAU };
 
-const char* to_string(Op op);
+/// Defined here so that analysis/, which links below hbct_detect, can name
+/// operators without a link dependency.
+inline const char* to_string(Op op) {
+  switch (op) {
+    case Op::kEF: return "EF";
+    case Op::kAF: return "AF";
+    case Op::kEG: return "EG";
+    case Op::kAG: return "AG";
+    case Op::kEU: return "EU";
+    case Op::kAU: return "AU";
+  }
+  return "?";
+}
 
 class Tracer;
 

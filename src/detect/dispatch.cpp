@@ -1,7 +1,5 @@
 #include "detect/dispatch.h"
 
-#include <algorithm>
-
 #include "analysis/plan.h"
 #include "detect/ag_linear.h"
 #include "obs/flight.h"
@@ -30,17 +28,6 @@ DetectResult refuse_exponential(const char* algorithm) {
   r.verdict = Verdict::kUnknown;
   r.bound = BoundReason::kStateCap;
   return r;
-}
-
-/// The eu-or-split side condition: every top-level disjunct of q is linear
-/// on c and carries the oracle A3's I_q walk needs.
-bool q_splits_into_linear(const Computation& c, const PredicatePtr& q) {
-  const auto parts = q->disjuncts();
-  return !parts.empty() &&
-         std::all_of(parts.begin(), parts.end(), [&](const PredicatePtr& s) {
-           return (effective_classes(*s, c) & kClassLinear) != 0 &&
-                  s->has_forbidden();
-         });
 }
 
 DetectResult detect_unary(const Computation& c, Op op, const PredicatePtr& p,
@@ -97,55 +84,22 @@ DetectResult detect_unary(const Computation& c, Op op, const PredicatePtr& p,
 
     // Distributive laws before the exponential fallback: EF over top-level
     // disjunctions and AG over top-level conjunctions recurse into the
-    // operands, keeping e.g. DNF-of-comparisons polynomial.
-    case Algo::kEfOrSplit: {
-      const auto parts = p->disjuncts();
-      DetectResult r;
-      r.algorithm = "ef-or-split";
-      FirstMatch m = detect_first_match(
-          parts.size(),
-          [&](std::size_t i) {
-            return detect_unary(c, Op::kEF, parts[i], opt);
-          },
-          [](const DetectResult& sub) {
-            return sub.verdict == Verdict::kHolds;
-          },
-          r.stats, opt.budget.trace, "split.ef-or");
-      if (m.found()) {
-        // A witnessed disjunct is definite even if an earlier branch ran
-        // out of budget (Kleene disjunction with a definite true operand).
-        r.verdict = Verdict::kHolds;
-        r.witness_cut = std::move(m.result.witness_cut);
-        r.witness_path = std::move(m.result.witness_path);
-      } else if (m.bound != BoundReason::kNone) {
-        r.verdict = Verdict::kUnknown;
-        r.bound = m.bound;
-      }
-      return r;
-    }
+    // operands, keeping e.g. DNF-of-comparisons polynomial. The first
+    // holding EF operand, or failing AG operand, decides the split.
+    case Algo::kEfOrSplit:
     case Algo::kAgAndSplit: {
-      const auto parts = p->conjuncts();
+      const bool ef = plan.algo == Algo::kEfOrSplit;
+      const auto parts = ef ? p->disjuncts() : p->conjuncts();
+      const Verdict decides = ef ? Verdict::kHolds : Verdict::kFails;
       DetectResult r;
-      r.algorithm = "ag-and-split";
+      r.algorithm = ef ? "ef-or-split" : "ag-and-split";
       FirstMatch m = detect_first_match(
           parts.size(),
-          [&](std::size_t i) {
-            return detect_unary(c, Op::kAG, parts[i], opt);
-          },
-          [](const DetectResult& sub) {
-            return sub.verdict == Verdict::kFails;
-          },
-          r.stats, opt.budget.trace, "split.ag-and");
-      if (m.found()) {
-        // A definite counterexample refutes the conjunction outright.
-        r.verdict = Verdict::kFails;
-        r.witness_cut = std::move(m.result.witness_cut);
-      } else if (m.bound != BoundReason::kNone) {
-        r.verdict = Verdict::kUnknown;
-        r.bound = m.bound;
-      } else {
-        r.verdict = Verdict::kHolds;
-      }
+          [&](std::size_t i) { return detect_unary(c, op, parts[i], opt); },
+          [&](const DetectResult& sub) { return sub.verdict == decides; },
+          r.stats, opt.budget.trace, ef ? "split.ef-or" : "split.ag-and");
+      settle_first_match(r, m, decides,
+                         ef ? kWitnessCut | kWitnessPath : kWitnessCut);
       return r;
     }
 
@@ -195,14 +149,7 @@ DetectResult detect_impl(const Computation& c, Op op, const PredicatePtr& p,
             return sub.verdict == Verdict::kHolds;
           },
           r.stats, opt.budget.trace, "split.eu-or");
-      if (m.found()) {
-        r.verdict = Verdict::kHolds;
-        r.witness_cut = std::move(m.result.witness_cut);
-        r.witness_path = std::move(m.result.witness_path);
-      } else if (m.bound != BoundReason::kNone) {
-        r.verdict = Verdict::kUnknown;
-        r.bound = m.bound;
-      }
+      settle_first_match(r, m, Verdict::kHolds, kWitnessCut | kWitnessPath);
       return r;
     }
     case Algo::kEuDfs:

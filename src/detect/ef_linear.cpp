@@ -118,30 +118,34 @@ std::optional<Cut> greatest_satisfying_cut(const Computation& c,
   return g;
 }
 
-DetectResult detect_ef_linear(const Computation& c, const Predicate& p,
-                              const Budget& budget) {
+namespace {
+
+/// One Chase–Garg EF: the least satisfying cut (linear p, least = true) or,
+/// the dual, the greatest.
+DetectResult chase_garg_ef(const Computation& c, const Predicate& p,
+                           const Budget& budget, bool least) {
   DetectResult r;
-  r.algorithm = "chase-garg-ef";
-  ScopedSpan span(budget.trace, "ef.chase-garg");
+  r.algorithm = least ? "chase-garg-ef" : "chase-garg-ef-dual";
+  ScopedSpan span(budget.trace, least ? "ef.chase-garg" : "ef.chase-garg-dual");
   BudgetTracker t(budget, r.stats);
-  auto cut = least_satisfying_cut(c, p, r.stats, nullptr, &t);
+  auto cut = least ? least_satisfying_cut(c, p, r.stats, nullptr, &t)
+                   : greatest_satisfying_cut(c, p, r.stats, nullptr, &t);
   if (t.exceeded()) return mark_bounded(r, t);
   r.verdict = verdict_of(cut.has_value());
   if (cut) r.witness_cut = std::move(*cut);
   return r;
 }
 
+}  // namespace
+
+DetectResult detect_ef_linear(const Computation& c, const Predicate& p,
+                              const Budget& budget) {
+  return chase_garg_ef(c, p, budget, /*least=*/true);
+}
+
 DetectResult detect_ef_post_linear(const Computation& c, const Predicate& p,
                                    const Budget& budget) {
-  DetectResult r;
-  r.algorithm = "chase-garg-ef-dual";
-  ScopedSpan span(budget.trace, "ef.chase-garg-dual");
-  BudgetTracker t(budget, r.stats);
-  auto cut = greatest_satisfying_cut(c, p, r.stats, nullptr, &t);
-  if (t.exceeded()) return mark_bounded(r, t);
-  r.verdict = verdict_of(cut.has_value());
-  if (cut) r.witness_cut = std::move(*cut);
-  return r;
+  return chase_garg_ef(c, p, budget, /*least=*/false);
 }
 
 }  // namespace hbct

@@ -8,50 +8,72 @@
 
 namespace hbct {
 
-DetectResult detect_eg_linear(const Computation& c, const Predicate& p,
-                              const Budget& budget) {
+namespace {
+
+/// One A1 walk: down from the final cut through predecessors (linear p,
+/// down = true), or, the dual, up from the initial cut through successors.
+DetectResult a1_walk(const Computation& c, const Predicate& p,
+                     const Budget& budget, bool down) {
   DetectResult r;
-  r.algorithm = "A1-eg-linear";
-  ScopedSpan span(budget.trace, "eg.a1-walk");
+  r.algorithm = down ? "A1-eg-linear" : "A1-eg-post-linear";
+  ScopedSpan span(budget.trace, down ? "eg.a1-walk" : "eg.a1-walk-dual");
   BudgetTracker t(budget, r.stats);
   CountingEval eval(p, c, r.stats, &t);
 
   if (!t.ok()) return mark_bounded(r, t);
-  Cut w = c.final_cut();                  // Step 1
+  Cut w = down ? c.final_cut() : c.initial_cut();  // Step 1
   eval.bind(w);
   span.arg("cursor", eval.incremental() ? 1 : 0);
-  if (!eval.at()) {                       // final cut must satisfy p
+  if (!eval.at()) {                       // the start cut must satisfy p
     if (t.exceeded()) return mark_bounded(r, t);
     return r;
   }
-  const Cut initial = c.initial_cut();
+  const Cut end = down ? c.initial_cut() : c.final_cut();
   std::vector<Cut> path;
   path.push_back(w);
-  std::vector<ProcId> frontier;
+  std::vector<ProcId> moves;
 
-  while (!(w == initial)) {               // Step 2
-    // Step 3: predecessors of W are retreat(W, i) for i in frontier(W);
-    // keep the first one satisfying p (Theorem 2: any choice works). W is
-    // stepped in place: retreat one component, test, undo on a miss.
+  while (!(w == end)) {                   // Step 2
+    // Step 3: the neighbours of W one step towards `end` are the moves of
+    // the processes in frontier(W) (enabled(W) upward); keep the first one
+    // satisfying p (Theorem 2: any choice works). W is stepped in place:
+    // move one component, test, undo on a miss.
     bool found = false;
-    c.frontier_procs(w, &frontier);
-    for (ProcId i : frontier) {
-      eval.retreat(w, static_cast<std::size_t>(i));
+    if (down)
+      c.frontier_procs(w, &moves);
+    else
+      c.enabled_procs(w, &moves);
+    for (ProcId i : moves) {
+      const auto si = static_cast<std::size_t>(i);
+      down ? eval.retreat(w, si) : eval.advance(w, si);
       ++r.stats.cut_steps;
       if (eval.at()) {                    // Step 5
         path.push_back(w);
         found = true;
         break;
       }
-      eval.advance(w, static_cast<std::size_t>(i));  // undo the miss
+      down ? eval.advance(w, si) : eval.retreat(w, si);  // undo the miss
       if (t.exceeded()) return mark_bounded(r, t);
     }
     if (!found) return r;                 // Step 4: Q empty
   }
-  r.verdict = Verdict::kHolds;            // Step 7: initial cut satisfies p
-  std::reverse(path.begin(), path.end());
+  r.verdict = Verdict::kHolds;            // Step 7: the end cut satisfies p
+  if (down) std::reverse(path.begin(), path.end());
   r.witness_path = std::move(path);
   return r;
+}
+
+}  // namespace
+
+DetectResult detect_eg_linear(const Computation& c, const Predicate& p,
+                              const Budget& budget) {
+  return a1_walk(c, p, budget, /*down=*/true);
+}
+
+DetectResult detect_eg_post_linear(const Computation& c,
+                                   const Predicate& p,
+                                   const Budget& budget) {
+  return a1_walk(c, p, budget, /*down=*/false);
 }
 
 DetectResult detect_eg_linear_randomized(const Computation& c,
@@ -99,49 +121,6 @@ DetectResult detect_eg_linear_randomized(const Computation& c,
   }
   r.verdict = Verdict::kHolds;
   std::reverse(path.begin(), path.end());
-  r.witness_path = std::move(path);
-  return r;
-}
-
-DetectResult detect_eg_post_linear(const Computation& c,
-                                   const Predicate& p,
-                                   const Budget& budget) {
-  DetectResult r;
-  r.algorithm = "A1-eg-post-linear";
-  ScopedSpan span(budget.trace, "eg.a1-walk-dual");
-  BudgetTracker t(budget, r.stats);
-  CountingEval eval(p, c, r.stats, &t);
-
-  if (!t.ok()) return mark_bounded(r, t);
-  Cut w = c.initial_cut();
-  eval.bind(w);
-  span.arg("cursor", eval.incremental() ? 1 : 0);
-  if (!eval.at()) {
-    if (t.exceeded()) return mark_bounded(r, t);
-    return r;
-  }
-  const Cut final = c.final_cut();
-  std::vector<Cut> path;
-  path.push_back(w);
-  std::vector<ProcId> enabled;
-
-  while (!(w == final)) {
-    bool found = false;
-    c.enabled_procs(w, &enabled);
-    for (ProcId i : enabled) {
-      eval.advance(w, static_cast<std::size_t>(i));
-      ++r.stats.cut_steps;
-      if (eval.at()) {
-        path.push_back(w);
-        found = true;
-        break;
-      }
-      eval.retreat(w, static_cast<std::size_t>(i));
-      if (t.exceeded()) return mark_bounded(r, t);
-    }
-    if (!found) return r;
-  }
-  r.verdict = Verdict::kHolds;
   r.witness_path = std::move(path);
   return r;
 }

@@ -8,7 +8,8 @@
 // cut sequence on which p always holds.
 //
 // The dual detects post-linear predicates by walking upward from the
-// initial cut (Section 5's closing remark).
+// initial cut (Section 5's closing remark). Both are one walk
+// (eg_linear.cpp) that takes the direction, as A2's two sweeps are.
 #pragma once
 
 #include "detect/detector.h"

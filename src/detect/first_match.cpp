@@ -39,4 +39,20 @@ FirstMatch detect_first_match(
   return out;
 }
 
+void settle_first_match(DetectResult& r, FirstMatch& m, Verdict on_hit,
+                        unsigned fields) {
+  if (m.found()) {
+    r.verdict = on_hit;
+    if (fields & kWitnessCut) r.witness_cut = std::move(m.result.witness_cut);
+    if (fields & kWitnessPath)
+      r.witness_path = std::move(m.result.witness_path);
+  } else if (m.bound != BoundReason::kNone) {
+    r.verdict = Verdict::kUnknown;
+    r.bound = m.bound;
+  } else {
+    r.verdict =
+        on_hit == Verdict::kHolds ? Verdict::kFails : Verdict::kHolds;
+  }
+}
+
 }  // namespace hbct

@@ -4,7 +4,8 @@
 // event EG sweep share one shape: evaluate N independent branches in index
 // order and commit to the lowest-indexed branch that "hits", stopping there.
 // detect_first_match runs that loop once, so every site accounts its stats,
-// budget bounds and spans the same way.
+// budget bounds and spans the same way. settle_first_match folds the outcome
+// into a verdict by Kleene logic, once for the or-/and-splits and AU.
 #pragma once
 
 #include <cstddef>
@@ -39,5 +40,19 @@ FirstMatch detect_first_match(
     std::size_t count, const std::function<DetectResult(std::size_t)>& eval,
     const std::function<bool(const DetectResult&)>& hit, DetectStats& stats,
     Tracer* trace, const char* span_name);
+
+/// The winner's witness fields settle_first_match moves into the result.
+enum WitnessFields : unsigned {
+  kWitnessCut = 1u << 0,
+  kWitnessPath = 1u << 1,
+};
+
+/// Folds `m` into `r`: a hit decides `on_hit`, definite even if an earlier
+/// branch ran out of budget (a Kleene or with a true operand, or an and
+/// with a false one), and moves the winner's `fields`. No hit after an
+/// inconclusive branch is kUnknown with that bound; no hit otherwise is the
+/// opposite of `on_hit`.
+void settle_first_match(DetectResult& r, FirstMatch& m, Verdict on_hit,
+                        unsigned fields);
 
 }  // namespace hbct

@@ -16,49 +16,6 @@ DetectResult detect_eu_at(const Computation& c, const ConjunctivePredicate& p,
   return state.decide_at(iq, budget, /*want_path=*/true);
 }
 
-DetectResult detect_eu_at_reference(const Computation& c,
-                                    const ConjunctivePredicate& p,
-                                    const Cut& iq, const Budget& budget) {
-  DetectResult r;
-  r.algorithm = "A3-eu (given I_q)";
-  HBCT_ASSERT_MSG(c.is_consistent(iq), "I_q must be a consistent cut");
-  BudgetTracker t(budget, r.stats);
-  if (!t.ok()) return mark_bounded(r, t);
-
-  // Zero-length prefix: q already holds at the initial cut.
-  const Cut initial = c.initial_cut();
-  if (iq == initial) {
-    r.verdict = Verdict::kHolds;
-    r.witness_cut = initial;
-    r.witness_path = {initial};
-    return r;
-  }
-
-  // Step 2 of A3: EG(p) in some sub-computation E' = I_q \ {e},
-  // e in frontier(I_q), tried in frontier order. Each branch gets its own
-  // budget over its own stats; the first holding branch decides.
-  BoundReason bound = BoundReason::kNone;
-  for (const ProcId e : c.frontier_procs(iq)) {
-    // EG(p) over the prefix sublattice below retreat(I_q, e) — scanned in
-    // place instead of materializing a prefix Computation per branch.
-    DetectResult eg =
-        detect_eg_conjunctive_within(c, p, c.retreat(iq, e), budget);
-    r.stats += eg.stats;
-    ++r.stats.cut_steps;  // the retreat that formed this sub-computation
-    if (eg.verdict == Verdict::kHolds) {
-      // A witness prefix is definite even if an earlier branch was bounded.
-      r.verdict = Verdict::kHolds;
-      r.witness_path = std::move(eg.witness_path);
-      r.witness_path.push_back(iq);
-      r.witness_cut = iq;
-      return r;
-    }
-    if (bound == BoundReason::kNone) bound = eg.bound;
-  }
-  if (bound != BoundReason::kNone) mark_bounded(r, bound);
-  return r;
-}
-
 DetectResult detect_eu(const Computation& c, const ConjunctivePredicate& p,
                        const Predicate& q, const Budget& budget) {
   DetectResult r;
@@ -126,17 +83,7 @@ DetectResult detect_au_disjunctive(const Computation& c,
       [](const DetectResult& sub) { return sub.verdict == Verdict::kHolds; },
       r.stats, budget.trace, "au.refuter-fanout");
 
-  if (m.found()) {
-    // A definite refuter decides kFails even if the other branch was
-    // inconclusive (Kleene conjunction with a definite false operand).
-    r.verdict = Verdict::kFails;
-    r.witness_path = std::move(m.result.witness_path);
-  } else if (m.bound != BoundReason::kNone) {
-    r.verdict = Verdict::kUnknown;
-    r.bound = m.bound;
-  } else {
-    r.verdict = Verdict::kHolds;
-  }
+  settle_first_match(r, m, Verdict::kFails, kWitnessPath);
   return r;
 }
 

@@ -36,16 +36,6 @@ DetectResult detect_eu(const Computation& c, const ConjunctivePredicate& p,
 DetectResult detect_eu_at(const Computation& c, const ConjunctivePredicate& p,
                           const Cut& iq, const Budget& budget = {});
 
-/// Reference implementation of A3's Step 2, kept only as the test oracle
-/// for detect_eu_at / EgPrefixState: the literal frontier sweep, one
-/// sequential EG(p) scan of each sub-computation E' = I_q \ {e} in
-/// frontier order, committing to the first that holds. Same contract and
-/// result — verdict, witnesses, BoundReason and DetectStats — as
-/// detect_eu_at; no production code calls it.
-DetectResult detect_eu_at_reference(const Computation& c,
-                                    const ConjunctivePredicate& p,
-                                    const Cut& iq, const Budget& budget = {});
-
 /// A[p U q], p and q disjunctive: holds unless one of the two refuters
 /// EG(¬q) or E[¬q U (¬p ∧ ¬q)] holds, tried in that order.
 DetectResult detect_au_disjunctive(const Computation& c,

@@ -19,7 +19,7 @@
 // reached — instead of a full prefix sweep at fire time.
 //
 // Bit-identity contract. decide_at() returns exactly what the reference
-// frontier sweep detect_eu_at_reference() (detect/until.h) would: same
+// frontier sweep detect_eu_at_reference() (tests/oracle.h) would: same
 // verdict, same witness cut and path, same BoundReason, and the same
 // DetectStats — under every budget. Stats parity is achieved by
 // *replaying* the reference sweep's accounting: spans whose outcome the

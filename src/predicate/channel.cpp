@@ -1,5 +1,8 @@
 #include "predicate/channel.h"
 
+#include <limits>
+#include <utility>
+
 #include "util/assert.h"
 #include "util/string_util.h"
 
@@ -14,7 +17,7 @@ namespace {
 class ChannelBoundCursor final : public EvalCursor {
  public:
   ChannelBoundCursor(const Computation& c, const Cut& g, ProcId from,
-                     ProcId to, std::int32_t k, bool le)
+                     ProcId to, std::int64_t k, bool le)
       : EvalCursor(c, g),
         from_(from),
         to_(to),
@@ -36,7 +39,7 @@ class ChannelBoundCursor final : public EvalCursor {
 
  private:
   ProcId from_, to_;
-  std::int32_t k_;
+  std::int64_t k_;
   bool le_;
   std::int32_t sent_, rcvd_;
 };
@@ -79,84 +82,56 @@ class AllChannelsEmptyCursor final : public EvalCursor {
   std::int64_t total_ = 0;
 };
 
-class ChannelBoundLe final : public Predicate {
+/// in_transit(from, to) <= k (le) or >= k. The count is a difference of
+/// two local counters, so either bound is regular: with one process frozen
+/// the count moves one way only, which names the forbidden process in both
+/// directions.
+class ChannelBound final : public Predicate {
  public:
-  ChannelBoundLe(ProcId from, ProcId to, std::int32_t k)
-      : from_(from), to_(to), k_(k) {}
+  ChannelBound(ProcId from, ProcId to, std::int64_t k, bool le)
+      : from_(from), to_(to), k_(k), le_(le) {}
 
   bool eval(const Computation& c, const Cut& g) const override {
-    return c.in_transit(from_, to_, g) <= k_;
+    const std::int64_t t = c.in_transit(from_, to_, g);
+    return le_ ? t <= k_ : t >= k_;
   }
   ClassSet classes(const Computation&) const override {
     return close_classes(kClassRegular);
   }
   std::string describe() const override {
-    return strfmt("intransit(%d->%d) <= %d", from_, to_, k_);
+    return strfmt("intransit(%d->%d) %s %lld", from_, to_, le_ ? "<=" : ">=",
+                  static_cast<long long>(k_));
   }
   std::vector<ProcId> support(const Computation&) const override {
     return make_support({from_, to_});
   }
-  // Too many messages in flight: with the receiver frozen the count can only
-  // grow, so the receiver is the forbidden process.
+  // Too many messages in flight (<=): with the receiver frozen the count can
+  // only grow, so the receiver must advance; retreating with the sender
+  // frozen only undoes receives, so the sender must retreat. Too few (>=)
+  // swaps the two roles.
   ProcId forbidden(const Computation&, const Cut&) const override {
-    return to_;
+    return le_ ? to_ : from_;
   }
-  // Dually, with the sender frozen while retreating, receives can only be
-  // undone, so the count can only grow: the sender must retreat.
   ProcId forbidden_down(const Computation&, const Cut&) const override {
-    return from_;
+    return le_ ? from_ : to_;
   }
   bool has_forbidden() const override { return true; }
   bool has_forbidden_down() const override { return true; }
+  // ¬(t <= k) is t >= k + 1 and ¬(t >= k) is t <= k - 1. The count fits in
+  // 32 bits, so a bound saturated at the int64 limits keeps its meaning.
   PredicatePtr negate() const override {
-    return channel_bound_ge(from_, to_, k_ + 1);
+    using Lim = std::numeric_limits<std::int64_t>;
+    return le_ ? channel_bound_ge(from_, to_, k_ == Lim::max() ? k_ : k_ + 1)
+               : channel_bound_le(from_, to_, k_ == Lim::min() ? k_ : k_ - 1);
   }
   EvalCursorPtr make_cursor(const Computation& c, const Cut& g) const override {
-    return std::make_unique<ChannelBoundCursor>(c, g, from_, to_, k_,
-                                                /*le=*/true);
+    return std::make_unique<ChannelBoundCursor>(c, g, from_, to_, k_, le_);
   }
 
  private:
   ProcId from_, to_;
-  std::int32_t k_;
-};
-
-class ChannelBoundGe final : public Predicate {
- public:
-  ChannelBoundGe(ProcId from, ProcId to, std::int32_t k)
-      : from_(from), to_(to), k_(k) {}
-
-  bool eval(const Computation& c, const Cut& g) const override {
-    return c.in_transit(from_, to_, g) >= k_;
-  }
-  ClassSet classes(const Computation&) const override {
-    return close_classes(kClassRegular);
-  }
-  std::string describe() const override {
-    return strfmt("intransit(%d->%d) >= %d", from_, to_, k_);
-  }
-  std::vector<ProcId> support(const Computation&) const override {
-    return make_support({from_, to_});
-  }
-  ProcId forbidden(const Computation&, const Cut&) const override {
-    return from_;
-  }
-  ProcId forbidden_down(const Computation&, const Cut&) const override {
-    return to_;
-  }
-  bool has_forbidden() const override { return true; }
-  bool has_forbidden_down() const override { return true; }
-  PredicatePtr negate() const override {
-    return channel_bound_le(from_, to_, k_ - 1);
-  }
-  EvalCursorPtr make_cursor(const Computation& c, const Cut& g) const override {
-    return std::make_unique<ChannelBoundCursor>(c, g, from_, to_, k_,
-                                                /*le=*/false);
-  }
-
- private:
-  ProcId from_, to_;
-  std::int32_t k_;
+  std::int64_t k_;
+  bool le_;
 };
 
 class AllChannelsEmpty final : public Predicate {
@@ -170,19 +145,12 @@ class AllChannelsEmpty final : public Predicate {
   }
   std::string describe() const override { return "channels_empty"; }
 
+  // Some channel (i -> j) has traffic: j must receive it, or i un-send it.
   ProcId forbidden(const Computation& c, const Cut& g) const override {
-    // Some channel (i -> j) has traffic; j must receive it.
-    for (ProcId i = 0; i < c.num_procs(); ++i)
-      for (ProcId j = 0; j < c.num_procs(); ++j)
-        if (i != j && c.in_transit(i, j, g) > 0) return j;
-    HBCT_ASSERT_MSG(false, "forbidden() called on satisfied predicate");
+    return busy_channel(c, g).second;
   }
-
   ProcId forbidden_down(const Computation& c, const Cut& g) const override {
-    for (ProcId i = 0; i < c.num_procs(); ++i)
-      for (ProcId j = 0; j < c.num_procs(); ++j)
-        if (i != j && c.in_transit(i, j, g) > 0) return i;
-    HBCT_ASSERT_MSG(false, "forbidden_down() called on satisfied predicate");
+    return busy_channel(c, g).first;
   }
 
   bool has_forbidden() const override { return true; }
@@ -193,17 +161,23 @@ class AllChannelsEmpty final : public Predicate {
   }
 
  private:
+  static std::pair<ProcId, ProcId> busy_channel(const Computation& c,
+                                                const Cut& g) {
+    for (ProcId i = 0; i < c.num_procs(); ++i)
+      for (ProcId j = 0; j < c.num_procs(); ++j)
+        if (i != j && c.in_transit(i, j, g) > 0) return {i, j};
+    HBCT_ASSERT_MSG(false, "forbidden oracle called on satisfied predicate");
+  }
 };
 
 }  // namespace
 
-PredicatePtr channel_bound_le(ProcId from, ProcId to, std::int32_t k) {
-  HBCT_ASSERT(k >= -1);  // k == -1 is the constant-false bound
-  return std::make_shared<ChannelBoundLe>(from, to, k);
+PredicatePtr channel_bound_le(ProcId from, ProcId to, std::int64_t k) {
+  return std::make_shared<ChannelBound>(from, to, k, /*le=*/true);
 }
 
-PredicatePtr channel_bound_ge(ProcId from, ProcId to, std::int32_t k) {
-  return std::make_shared<ChannelBoundGe>(from, to, k);
+PredicatePtr channel_bound_ge(ProcId from, ProcId to, std::int64_t k) {
+  return std::make_shared<ChannelBound>(from, to, k, /*le=*/false);
 }
 
 PredicatePtr channel_empty(ProcId from, ProcId to) {

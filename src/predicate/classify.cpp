@@ -3,32 +3,11 @@
 #include <sstream>
 
 #include "analysis/plan.h"
-#include "predicate/conjunctive.h"
-#include "predicate/disjunctive.h"
 #include "util/string_util.h"
 
 namespace hbct {
 
 namespace {
-
-/// classify() takes a reference, shape_of() a shared_ptr (the structural
-/// as_conjunctive/as_disjunctive views need one). Recover the owner when
-/// there is one; a stack-allocated predicate still gets a class-accurate
-/// report, just without the structural-form views.
-PredShape shape_for(const Predicate& p, const Computation& c) {
-  if (PredicatePtr sp = p.weak_from_this().lock()) return shape_of(sp, c);
-  PredShape s;
-  s.classes = effective_classes(p, c);
-  s.conjunctive_form = dynamic_cast<const ConjunctivePredicate*>(&p) ||
-                       dynamic_cast<const LocalPredicate*>(&p);
-  s.disjunctive_form = dynamic_cast<const DisjunctivePredicate*>(&p) ||
-                       dynamic_cast<const LocalPredicate*>(&p);
-  s.num_disjuncts = p.disjuncts().size();
-  s.num_conjuncts = p.conjuncts().size();
-  s.has_forbidden = p.has_forbidden();
-  s.has_forbidden_down = p.has_forbidden_down();
-  return s;
-}
 
 std::string render(Op op, const PredShape& s) {
   const DetectPlan pl = plan_unary(op, s, /*allow_exponential=*/true);
@@ -48,7 +27,12 @@ ClassReport classify(const Predicate& p, const Computation& c,
                      ClassSet inferred_extra) {
   ClassReport r;
   r.holds_initially = p.eval(c, c.initial_cut());
-  PredShape s = shape_for(p, c);
+  // classify() takes a reference, shape_of() a shared_ptr (the structural
+  // as_conjunctive/as_disjunctive views need one). A stack-allocated
+  // predicate has no owner; it is viewed through a non-owning pointer, which
+  // shape_of does not keep.
+  PredicatePtr owner = p.weak_from_this().lock();
+  PredShape s = shape_of(owner ? owner : PredicatePtr(PredicatePtr(), &p), c);
   s.classes = close_classes(s.classes | inferred_extra);
   r.classes = s.classes;
   // The same planner detect() routes through, so the report can never drift

@@ -127,13 +127,6 @@ ProcId ConjunctivePredicate::forbidden(const Computation& c,
   HBCT_ASSERT_MSG(false, "forbidden() called on satisfied predicate");
 }
 
-ProcId ConjunctivePredicate::forbidden_down(const Computation& c,
-                                            const Cut& g) const {
-  for (const auto& l : locals_)
-    if (!l->eval(c, g)) return l->proc();
-  HBCT_ASSERT_MSG(false, "forbidden_down() called on satisfied predicate");
-}
-
 EvalCursorPtr ConjunctivePredicate::make_cursor(const Computation& c,
                                                 const Cut& g) const {
   return std::make_unique<ConjunctiveCursor>(*this, c, g);

@@ -35,7 +35,11 @@ class ConjunctivePredicate final : public Predicate {
 
   /// Chase–Garg oracle: any process whose conjunct is false must advance.
   ProcId forbidden(const Computation& c, const Cut& g) const override;
-  ProcId forbidden_down(const Computation& c, const Cut& g) const override;
+  // A false conjunct's process blocks both directions: moving any other
+  // process leaves that conjunct false.
+  ProcId forbidden_down(const Computation& c, const Cut& g) const override {
+    return forbidden(c, g);
+  }
   bool has_forbidden() const override { return true; }
   bool has_forbidden_down() const override { return true; }
 

@@ -111,82 +111,53 @@ EvalCursorPtr make_sum_cursor(const Computation& c, const Cut& g,
   return std::make_unique<SumCursor>(c, g, std::move(terms), op, k);
 }
 
-class SumLe final : public Predicate {
+/// Σ terms <= k (op kLe) or Σ terms >= k (op kGe). With every term
+/// non-decreasing the satisfying set of the upper bound is down-closed,
+/// hence meet-closed, hence linear; that of the lower bound is up-closed,
+/// hence join-closed, hence post-linear. Neither is closed under the other
+/// operation in general.
+class SumBound final : public Predicate {
  public:
-  SumLe(std::vector<VarRef> terms, std::int64_t k)
-      : terms_(std::move(terms)), k_(k) {
+  SumBound(std::vector<VarRef> terms, Cmp op, std::int64_t k)
+      : terms_(std::move(terms)), op_(op), k_(k) {
     HBCT_ASSERT(!terms_.empty());
   }
   bool eval(const Computation& c, const Cut& g) const override {
     std::int64_t s = 0;
     for (const VarRef& t : terms_) s += term_value(c, t, g);
-    return s <= k_;
+    return cmp_eval(op_, s, k_);
   }
   ClassSet classes(const Computation& c) const override {
-    // With non-decreasing terms the satisfying set is down-closed, hence
-    // meet-closed, hence linear — but not join-closed in general.
-    return all_nondecreasing(c, terms_) ? close_classes(kClassLinear) : 0;
+    if (!all_nondecreasing(c, terms_)) return 0;
+    return close_classes(op_ == Cmp::kLe ? kClassLinear : kClassPostLinear);
   }
   std::string describe() const override {
-    return terms_desc(terms_) + strfmt(" <= %lld", static_cast<long long>(k_));
+    return terms_desc(terms_) + strfmt(" %s %lld", to_string(op_),
+                                       static_cast<long long>(k_));
   }
   std::vector<ProcId> support(const Computation&) const override {
     return terms_support(terms_);
   }
+  // Down-closed (<=) and false at g: no cut above g satisfies the predicate
+  // at all, so every process is forbidden; report the first term's owner.
+  // Dually, up-closed (>=) and false at g: nothing below g satisfies it.
   ProcId forbidden(const Computation&, const Cut&) const override {
-    // Down-closed and false at g: no cut above g satisfies the predicate at
-    // all, so every process is forbidden; report the first term's owner.
     return terms_[0].proc;
-  }
-  bool has_forbidden() const override { return true; }
-  EvalCursorPtr make_cursor(const Computation& c, const Cut& g) const override {
-    auto cur = make_sum_cursor(
-        c, g, terms_, std::vector<std::int64_t>(terms_.size(), 1), Cmp::kLe,
-        k_);
-    return cur ? std::move(cur) : Predicate::make_cursor(c, g);
-  }
-
- private:
-  std::vector<VarRef> terms_;
-  std::int64_t k_;
-};
-
-class SumGe final : public Predicate {
- public:
-  SumGe(std::vector<VarRef> terms, std::int64_t k)
-      : terms_(std::move(terms)), k_(k) {
-    HBCT_ASSERT(!terms_.empty());
-  }
-  bool eval(const Computation& c, const Cut& g) const override {
-    std::int64_t s = 0;
-    for (const VarRef& t : terms_) s += term_value(c, t, g);
-    return s >= k_;
-  }
-  ClassSet classes(const Computation& c) const override {
-    // With non-decreasing terms the satisfying set is up-closed, hence
-    // join-closed, hence post-linear.
-    return all_nondecreasing(c, terms_) ? close_classes(kClassPostLinear) : 0;
-  }
-  std::string describe() const override {
-    return terms_desc(terms_) + strfmt(" >= %lld", static_cast<long long>(k_));
-  }
-  std::vector<ProcId> support(const Computation&) const override {
-    return terms_support(terms_);
   }
   ProcId forbidden_down(const Computation&, const Cut&) const override {
-    // Up-closed and false at g: nothing below g satisfies it either.
     return terms_[0].proc;
   }
-  bool has_forbidden_down() const override { return true; }
+  bool has_forbidden() const override { return op_ == Cmp::kLe; }
+  bool has_forbidden_down() const override { return op_ == Cmp::kGe; }
   EvalCursorPtr make_cursor(const Computation& c, const Cut& g) const override {
     auto cur = make_sum_cursor(
-        c, g, terms_, std::vector<std::int64_t>(terms_.size(), 1), Cmp::kGe,
-        k_);
+        c, g, terms_, std::vector<std::int64_t>(terms_.size(), 1), op_, k_);
     return cur ? std::move(cur) : Predicate::make_cursor(c, g);
   }
 
  private:
   std::vector<VarRef> terms_;
+  Cmp op_;
   std::int64_t k_;
 };
 
@@ -232,11 +203,11 @@ class DiffLe final : public Predicate {
 }  // namespace
 
 PredicatePtr sum_le(std::vector<VarRef> terms, std::int64_t k) {
-  return std::make_shared<SumLe>(std::move(terms), k);
+  return std::make_shared<SumBound>(std::move(terms), Cmp::kLe, k);
 }
 
 PredicatePtr sum_ge(std::vector<VarRef> terms, std::int64_t k) {
-  return std::make_shared<SumGe>(std::move(terms), k);
+  return std::make_shared<SumBound>(std::move(terms), Cmp::kGe, k);
 }
 
 PredicatePtr diff_le(VarRef a, VarRef b, std::int64_t k) {

@@ -8,7 +8,9 @@
 // The classic producer/consumer bound "produced - consumed <= capacity" is
 // the difference form. When monotonicity does not hold in the given
 // computation, classes(c) reports no structure and detectors fall back to
-// the explicit-lattice baseline.
+// the explicit-lattice baseline. The two sum bounds are one class
+// (relational.cpp) that takes the comparison, so a bound and its dual
+// share one body.
 #pragma once
 
 #include <string>

@@ -18,6 +18,8 @@
 #include "predicate/local.h"
 #include "predicate/relational.h"
 
+#include "oracle.h"
+
 namespace hbct {
 namespace {
 

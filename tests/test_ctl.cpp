@@ -2,10 +2,14 @@
 // structured predicate classes.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ctl/compile.h"
 #include "ctl/parser.h"
 #include "detect/brute_force.h"
+#include "poset/builder.h"
 #include "poset/generate.h"
+#include "predicate/channel.h"
 #include "predicate/conjunctive.h"
 #include "predicate/disjunctive.h"
 #include "sim/workloads.h"
@@ -207,6 +211,57 @@ TEST(CtlCompile, EvaluateMatchesBruteForce) {
     if (parsed.query.q) q = ctl::compile_state(parsed.query.q).pred;
     auto slow = chk.detect(parsed.query.op, *p, q.get());
     EXPECT_EQ(fast.result.verdict, slow.verdict) << text;
+  }
+}
+
+TEST(CtlCompile, ChannelBoundsTakeAnyInt64Constant) {
+  // Traffic on (0,1): in transit 0, 1, 2, 1, 0 along the only path.
+  ComputationBuilder b(2);
+  const MsgId m1 = b.send(0, 1);
+  const MsgId m2 = b.send(0, 1);
+  b.receive(1, m1);
+  b.receive(1, m2);
+  const Computation c = std::move(b).build();
+  LatticeChecker chk(c);
+  const auto bound = [](bool le, std::int64_t k) {
+    return make_asserted(
+        [le, k](const Computation& cc, const Cut& g) {
+          const std::int64_t t = cc.in_transit(0, 1, g);
+          return le ? t <= k : t >= k;
+        },
+        0, "in_transit(0,1) bound");
+  };
+  struct Case {
+    const char* text;
+    Op op;
+    PredicatePtr truth;
+  };
+  const std::int64_t big = std::int64_t{1} << 32;
+  const Case cases[] = {
+      {"AG(intransit(0,1) <= 4294967296)", Op::kAG, bound(true, big)},
+      {"EF(intransit(0,1) >= 4294967296)", Op::kEF, bound(false, big)},
+      {"EF(intransit(0,1) < -3)", Op::kEF, bound(true, -4)},
+      {"EF(!(intransit(0,1) >= -3))", Op::kEF, bound(true, -4)},
+      {"AG(intransit(0,1) > -4294967296)", Op::kAG, bound(false, 1 - big)},
+      {"EF(intransit(0,1) == 2)", Op::kEF, bound(false, 2)},
+      {"AG(intransit(0,1) != -1)", Op::kAG, bound(false, 0)},
+  };
+  for (const Case& k : cases) {
+    const auto fast = ctl::evaluate_query(c, k.text);
+    ASSERT_TRUE(fast.ok) << k.text << ": " << fast.error;
+    EXPECT_EQ(fast.result.verdict, chk.detect(k.op, *k.truth).verdict)
+        << k.text;
+  }
+  // k ± 1 saturates at the int64 limits instead of overflowing.
+  using Lim = std::numeric_limits<std::int64_t>;
+  EXPECT_EQ(channel_bound_le(0, 1, Lim::max())->negate()->describe(),
+            "intransit(0->1) >= 9223372036854775807");
+  EXPECT_EQ(channel_bound_ge(0, 1, Lim::min())->negate()->describe(),
+            "intransit(0->1) <= -9223372036854775808");
+  for (NodeId v = 0; v < chk.lattice().size(); ++v) {
+    const Cut g = chk.lattice().cut(v);
+    EXPECT_FALSE(channel_bound_le(0, 1, Lim::max())->negate()->eval(c, g));
+    EXPECT_FALSE(channel_bound_ge(0, 1, Lim::min())->negate()->eval(c, g));
   }
 }
 

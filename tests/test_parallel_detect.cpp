@@ -20,6 +20,8 @@
 #include "predicate/relational.h"
 #include "util/rng.h"
 
+#include "oracle.h"
+
 namespace hbct {
 namespace {
 

@@ -14,6 +14,8 @@
 #include "predicate/relational.h"
 #include "util/rng.h"
 
+#include "oracle.h"
+
 namespace hbct {
 namespace {
 
@@ -235,6 +237,65 @@ TEST(Predicates, NonMonotoneRelationalClaimsNothing) {
   EXPECT_TRUE(is_nonincreasing(c, 0, "x") == false);  // 0 -> 5 increased
   auto le = sum_le({{0, "x"}}, 3);
   EXPECT_EQ(le->classes(c), 0u);
+}
+
+// x on P0 and y on P1, with one message 0 -> 1. `monotone` keeps both
+// counters non-decreasing; otherwise x drops at the send.
+Computation bound_table_comp(bool monotone) {
+  ComputationBuilder b(2);
+  const VarId x = b.var("x"), y = b.var("y");
+  b.internal(0);
+  b.write(0, x, 1);
+  const MsgId m = b.send(0, 1);
+  b.write(0, x, monotone ? 3 : 0);
+  b.internal(1);
+  b.write(1, y, 2);
+  b.receive(1, m);
+  b.write(1, y, 5);
+  return std::move(b).build();
+}
+
+TEST(Predicates, SumAndChannelBoundTable) {
+  const Computation mono = bound_table_comp(true);
+  const Computation rough = bound_table_comp(false);
+  const ClassSet regular = close_classes(kClassRegular);
+  struct Row {
+    PredicatePtr p;
+    ClassSet on_mono, on_rough;
+    std::vector<ProcId> support;
+    bool has_forbidden, has_forbidden_down;
+    Cut false_cut;
+    ProcId forbidden, forbidden_down;  // -1: no oracle in that direction
+    const char* describe;
+    const char* negated;
+  };
+  const Row rows[] = {
+      {sum_le({{1, "y"}, {0, "x"}}, 4), close_classes(kClassLinear), 0,
+       {0, 1}, true, false, Cut({2, 2}), 1, -1, "y@P1 + x@P0 <= 4",
+       "!(y@P1 + x@P0 <= 4)"},
+      {sum_ge({{0, "x"}}, 2), close_classes(kClassPostLinear), 0, {0}, false,
+       true, Cut({1, 0}), -1, 0, "x@P0 >= 2", "!(x@P0 >= 2)"},
+      {channel_bound_le(0, 1, 0), regular, regular, {0, 1}, true, true,
+       Cut({2, 1}), 1, 0, "intransit(0->1) <= 0", "intransit(0->1) >= 1"},
+      {channel_bound_ge(0, 1, 1), regular, regular, {0, 1}, true, true,
+       Cut({0, 0}), 0, 1, "intransit(0->1) >= 1", "intransit(0->1) <= 0"},
+  };
+  for (const Row& r : rows) {
+    SCOPED_TRACE(r.describe);
+    EXPECT_EQ(r.p->classes(mono), r.on_mono);
+    EXPECT_EQ(r.p->classes(rough), r.on_rough);
+    EXPECT_EQ(r.p->support(mono), r.support);
+    EXPECT_EQ(r.p->has_forbidden(), r.has_forbidden);
+    EXPECT_EQ(r.p->has_forbidden_down(), r.has_forbidden_down);
+    ASSERT_TRUE(mono.is_consistent(r.false_cut));
+    ASSERT_FALSE(r.p->eval(mono, r.false_cut));
+    if (r.has_forbidden)
+      EXPECT_EQ(r.p->forbidden(mono, r.false_cut), r.forbidden);
+    if (r.has_forbidden_down)
+      EXPECT_EQ(r.p->forbidden_down(mono, r.false_cut), r.forbidden_down);
+    EXPECT_EQ(r.p->describe(), r.describe);
+    EXPECT_EQ(r.p->negate()->describe(), r.negated);
+  }
 }
 
 TEST(Predicates, ClassifyReportMentionsPaperAlgorithms) {

@@ -9,6 +9,8 @@
 #include "reduction/npc_reduction.h"
 #include "util/rng.h"
 
+#include "oracle.h"
+
 namespace hbct {
 namespace {
 

@@ -210,6 +210,28 @@ TEST(ServeSession, WatchQueryRegistersVariablesAndRejectsUnknownProcesses) {
   EXPECT_EQ(fires[0].cut, Cut({0, 0, 0, 1}));
 }
 
+TEST(ServeSession, NegativeChannelBoundWatchKeepsTheSessionRunning) {
+  // A channel bound below zero is legal and never met; registering it must
+  // neither abort the host nor fail the session. EF over a channel bound
+  // has no streaming watch kind; as the target of an until it does.
+  Session s(1, two_proc_cfg());
+  s.monitor().var("x");
+  auto parse = [](const char* text) {
+    auto r = ctl::parse_query(text);
+    EXPECT_TRUE(r.ok) << text << ": " << r.error;
+    return r.query;
+  };
+  EXPECT_EQ(s.watch_query(parse("EF(intransit(0,1) < -3)")), -1);
+  ASSERT_GE(s.watch_query(parse("E[x@P0 >= 0 U intransit(0,1) < -3]")), 0);
+
+  s.ingest(enc({procs_rec(2), send_rec(0, 1, 1), send_rec(0, 1, 2)}));
+  EXPECT_EQ(s.state(), SessionState::kOpen) << s.error();
+  EXPECT_TRUE(s.poll().empty());
+  s.ingest(enc({recv_rec(1, 1), recv_rec(1, 2), end_rec()}));
+  ASSERT_EQ(s.state(), SessionState::kFinished) << s.error();
+  EXPECT_TRUE(s.poll().empty()) << "a never-met target never fires";
+}
+
 TEST(ServeSession, GcKeepsResidencyBounded) {
   Session s(1, two_proc_cfg(/*gc_interval=*/32));
   std::string head = enc({procs_rec(2)});

@@ -11,6 +11,8 @@
 #include "predicate/local.h"
 #include "util/rng.h"
 
+#include "oracle.h"
+
 namespace hbct {
 namespace {
 

@@ -27,6 +27,8 @@
 #include "util/rng.h"
 #include "util/stats.h"
 
+#include "oracle.h"
+
 namespace hbct {
 namespace {
 
