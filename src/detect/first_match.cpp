@@ -50,8 +50,7 @@ void settle_first_match(DetectResult& r, FirstMatch& m, Verdict on_hit,
     r.verdict = Verdict::kUnknown;
     r.bound = m.bound;
   } else {
-    r.verdict =
-        on_hit == Verdict::kHolds ? Verdict::kFails : Verdict::kHolds;
+    r.verdict = on_hit == Verdict::kHolds ? Verdict::kFails : Verdict::kHolds;
   }
 }
 

@@ -31,7 +31,7 @@ ClassReport classify(const Predicate& p, const Computation& c,
   // as_conjunctive/as_disjunctive views need one). A stack-allocated
   // predicate has no owner; it is viewed through a non-owning pointer, which
   // shape_of does not keep.
-  PredicatePtr owner = p.weak_from_this().lock();
+  const PredicatePtr owner = p.weak_from_this().lock();
   PredShape s = shape_of(owner ? owner : PredicatePtr(PredicatePtr(), &p), c);
   s.classes = close_classes(s.classes | inferred_extra);
   r.classes = s.classes;
