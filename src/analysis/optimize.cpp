@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "analysis/plan.h"
 #include "analysis/rewrite.h"
 #include "analysis/rules.h"
-#include "obs/metrics.h"
 #include "util/string_util.h"
 
 namespace hbct::ctl {
@@ -407,77 +404,6 @@ std::vector<Diagnostic> optimize_diagnostics(const OptimizeOutcome& o,
     out.push_back(std::move(d));
   }
   return out;
-}
-
-double query_cost(const Computation& c, const Query& q,
-                  bool allow_exponential) {
-  Candidate cand;
-  cand.query = q;
-  compile_candidate(cand);
-  price(c, cand, allow_exponential, cost_model(c));
-  return cand.cost;
-}
-
-namespace {
-
-struct OptimizeCache {
-  std::mutex mu;
-  std::unordered_map<std::string, OptimizeOutcome> entries;
-};
-
-OptimizeCache& optimize_cache() {
-  static OptimizeCache* cache = new OptimizeCache();
-  return *cache;
-}
-
-Counter& cache_hits() {
-  static Counter* c = &MetricsRegistry::global().counter("analysis.cache_hits");
-  return *c;
-}
-
-Counter& cache_misses() {
-  static Counter* c =
-      &MetricsRegistry::global().counter("analysis.cache_misses");
-  return *c;
-}
-
-}  // namespace
-
-OptimizeOutcome optimize_query_cached(const Computation& c, const Query& q,
-                                      bool allow_exponential) {
-  // Sharing is sound only when the two computations are indistinguishable
-  // to the analysis pipeline. An empty computation exposes nothing beyond
-  // its process count (every per-process event count is zero, the value
-  // probe has nothing to read), so shape == num_procs. Anything else has
-  // observable event/value state and must be analyzed fresh.
-  if (c.total_events() != 0) {
-    cache_misses().add(1);
-    return optimize_query(c, q, allow_exponential);
-  }
-  std::string key = to_string(q);
-  key += '\x1f';
-  key += allow_exponential ? '1' : '0';
-  key += '\x1f';
-  key += std::to_string(c.num_procs());
-  OptimizeCache& cache = optimize_cache();
-  {
-    std::lock_guard<std::mutex> lk(cache.mu);
-    auto it = cache.entries.find(key);
-    if (it != cache.entries.end()) {
-      cache_hits().add(1);
-      return it->second;
-    }
-  }
-  OptimizeOutcome out = optimize_query(c, q, allow_exponential);
-  cache_misses().add(1);
-  std::lock_guard<std::mutex> lk(cache.mu);
-  return cache.entries.emplace(key, std::move(out)).first->second;
-}
-
-void clear_optimize_cache() {
-  OptimizeCache& cache = optimize_cache();
-  std::lock_guard<std::mutex> lk(cache.mu);
-  cache.entries.clear();
 }
 
 }  // namespace hbct::ctl

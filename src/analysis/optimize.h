@@ -70,33 +70,10 @@ struct OptimizeOutcome {
 OptimizeOutcome optimize_query(const Computation& c, const Query& q,
                                bool allow_exponential = true);
 
-/// Caching front-end for registration-time analysis: serve::Session watch
-/// registration re-analyzes the same handful of formulas for every session
-/// it opens, and the whole inference/rewrite/costing pipeline is pure, so
-/// the outcome can be reused. Entries are shared only between *empty*
-/// computations with the same process count — the cost model prices routes
-/// off the event counts and the structural probe may read values, so a
-/// non-empty computation bypasses the cache (counted as a miss) and always
-/// gets a fresh optimize_query. Process-global; thread-safe. Hits/misses
-/// are exposed as analysis.cache_hits / analysis.cache_misses on
-/// MetricsRegistry::global().
-OptimizeOutcome optimize_query_cached(const Computation& c, const Query& q,
-                                      bool allow_exponential = true);
-
-/// Drops every cached analysis outcome (tests, or to release memory).
-void clear_optimize_cache();
-
 /// Renders the outcome's steps as diagnostics: W008 for each applied (or,
 /// under kAnalyzeOnly, proposed) rewrite, W009 when the rule evidences a
 /// constant or redundant subformula. Empty for OptimizeMode::kOff.
 std::vector<Diagnostic> optimize_diagnostics(const OptimizeOutcome& o,
                                              OptimizeMode mode);
-
-/// The cost model's price for evaluating `q` as written on `c`: the
-/// Table-1 formula of the planned route (explicit-lattice and dfs
-/// fallbacks priced at their state-space size), scaled by formula size as
-/// a per-evaluation proxy. Exposed for tests and the lint CLI.
-double query_cost(const Computation& c, const Query& q,
-                  bool allow_exponential = true);
 
 }  // namespace hbct::ctl

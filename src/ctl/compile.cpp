@@ -75,14 +75,34 @@ PredicatePtr lower_single(const Term& t, Cmp op, std::int64_t k) {
   HBCT_ASSERT_MSG(false, "lower_single: unexpected term");
 }
 
+/// Lowers one atom; null when its folded constant, or one the lowering
+/// derives from it (the mirror's -k, a strict bound's k ± 1), leaves int64.
 PredicatePtr lower_atom(const Atom& a) {
   const NormAtom n = normalize_atom(a);
+  if (n.overflow) return nullptr;
   const std::string desc = to_string(a.lhs) + " " +
                            std::string(hbct::to_string(a.op)) + " " +
                            to_string(a.rhs);
 
   if (n.terms.empty())  // constant comparison
     return cmp_eval(n.op, 0, n.k) ? make_true() : make_false();
+
+  // Checked d + k and d - k. The arguments of a factory call are evaluated
+  // before `fits` reads the flag, so fits(make(k_plus(1))) is sound.
+  bool overflow = false;
+  const auto k_plus = [&](std::int64_t d) {
+    std::int64_t r = 0;
+    overflow |= __builtin_add_overflow(d, n.k, &r);
+    return r;
+  };
+  const auto k_minus = [&](std::int64_t d) {
+    std::int64_t r = 0;
+    overflow |= __builtin_sub_overflow(d, n.k, &r);
+    return r;
+  };
+  const auto fits = [&](PredicatePtr p) {
+    return overflow ? nullptr : std::move(p);
+  };
 
   if (n.terms.size() == 1) {
     auto [coef, t] = n.terms[0];
@@ -96,7 +116,7 @@ PredicatePtr lower_atom(const Atom& a) {
       case Cmp::kGe: m = Cmp::kLe; break;
       default: break;  // == and != are symmetric
     }
-    return lower_single(t, m, -n.k);
+    return fits(lower_single(t, m, k_minus(0)));
   }
 
   // Pure-variable sums map to the relational predicates of Section 4.
@@ -116,13 +136,14 @@ PredicatePtr lower_atom(const Atom& a) {
     if (all_plus) {
       switch (n.op) {
         case Cmp::kLe: return sum_le(refs(), n.k);
-        case Cmp::kLt: return sum_le(refs(), n.k - 1);
+        case Cmp::kLt: return fits(sum_le(refs(), k_plus(-1)));
         case Cmp::kGe: return sum_ge(refs(), n.k);
-        case Cmp::kGt: return sum_ge(refs(), n.k + 1);
+        case Cmp::kGt: return fits(sum_ge(refs(), k_plus(1)));
         case Cmp::kEq:
           return make_and(sum_le(refs(), n.k), sum_ge(refs(), n.k));
         case Cmp::kNe:
-          return make_or(sum_le(refs(), n.k - 1), sum_ge(refs(), n.k + 1));
+          return fits(make_or(sum_le(refs(), k_plus(-1)),
+                              sum_ge(refs(), k_plus(1))));
       }
     }
     if (n.terms.size() == 2 && n.terms[0].first + n.terms[1].first == 0) {
@@ -134,13 +155,15 @@ PredicatePtr lower_atom(const Atom& a) {
       VarRef a{pos.proc, pos.var}, b{neg.proc, neg.var};
       switch (n.op) {
         case Cmp::kLe: return diff_le(a, b, n.k);
-        case Cmp::kLt: return diff_le(a, b, n.k - 1);
-        case Cmp::kGe: return diff_le(b, a, -n.k);    // a-b>=k ⟺ b-a<=-k
-        case Cmp::kGt: return diff_le(b, a, -n.k - 1);
+        case Cmp::kLt: return fits(diff_le(a, b, k_plus(-1)));
+        case Cmp::kGe:  // a-b>=k ⟺ b-a<=-k
+          return fits(diff_le(b, a, k_minus(0)));
+        case Cmp::kGt: return fits(diff_le(b, a, k_minus(-1)));
         case Cmp::kEq:
-          return make_and(diff_le(a, b, n.k), diff_le(b, a, -n.k));
+          return fits(make_and(diff_le(a, b, n.k), diff_le(b, a, k_minus(0))));
         case Cmp::kNe:
-          return make_or(diff_le(a, b, n.k - 1), diff_le(b, a, -n.k - 1));
+          return fits(make_or(diff_le(a, b, k_plus(-1)),
+                              diff_le(b, a, k_minus(-1))));
       }
     }
   }
@@ -160,13 +183,18 @@ PredicatePtr lower(const NodePtr& node) {
       return make_terminated();
     case Node::Kind::kAtom:
       return lower_atom(node->atom);
-    case Node::Kind::kNot:
-      return make_not(lower(node->children[0]));
+    case Node::Kind::kNot: {
+      PredicatePtr inner = lower(node->children[0]);
+      return inner ? make_not(std::move(inner)) : nullptr;
+    }
     case Node::Kind::kAnd:
     case Node::Kind::kOr: {
       std::vector<PredicatePtr> parts;
       parts.reserve(node->children.size());
-      for (const auto& ch : node->children) parts.push_back(lower(ch));
+      for (const auto& ch : node->children) {
+        parts.push_back(lower(ch));
+        if (!parts.back()) return nullptr;
+      }
       return node->kind == Node::Kind::kAnd ? make_and(std::move(parts))
                                             : make_or(std::move(parts));
     }
@@ -263,6 +291,8 @@ void collect_term_errors(const Computation& c, const NodePtr& node,
   if (node->kind == Node::Kind::kAtom) {
     for (const auto& [coef, t] : node->atom.lhs.terms) check_term(t);
     for (const auto& [coef, t] : node->atom.rhs.terms) check_term(t);
+    if (err.empty() && lower_atom(node->atom) == nullptr)
+      err = "'" + to_string(*node) + "': an integer constant overflows int64";
   }
   for (const auto& ch : node->children) collect_term_errors(c, ch, err);
 }
@@ -280,7 +310,8 @@ CompileResult compile_state(const NodePtr& node) {
     return r;
   }
   r.pred = lower(node);
-  r.ok = true;
+  r.ok = r.pred != nullptr;
+  if (!r.ok) r.error = "an integer constant overflows int64";
   return r;
 }
 

@@ -26,11 +26,13 @@ struct CompileResult {
 };
 
 /// Lowers a state formula to a predicate. Computation-independent; variable
-/// names are resolved at evaluation time.
+/// names are resolved at evaluation time. Fails when an atom's constant,
+/// folded or derived by the lowering, leaves int64.
 CompileResult compile_state(const NodePtr& node);
 
 /// Checks that every variable and process referenced by the query exists in
-/// the computation. Returns an empty string when valid.
+/// the computation, and that every atom's constant fits in int64. Returns
+/// an empty string when valid.
 std::string validate_query(const Computation& c, const Query& q);
 
 struct EvalResult {

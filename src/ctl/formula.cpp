@@ -1,5 +1,6 @@
 #include "ctl/formula.h"
 
+#include <limits>
 #include <sstream>
 
 #include "util/assert.h"
@@ -10,18 +11,24 @@ namespace hbct::ctl {
 NormAtom normalize_atom(const Atom& a) {
   NormAtom n;
   n.op = a.op;
+  // Folded exactly in 128 bits (each step adds at most 2^63 in magnitude),
+  // so only the final constant has to fit.
+  __int128 k = 0;
   for (const auto& [coef, t] : a.lhs.terms) {
     if (t.kind == Term::Kind::kConst)
-      n.k -= coef * t.value;
+      k -= coef * static_cast<__int128>(t.value);
     else
       n.terms.emplace_back(coef, t);
   }
   for (const auto& [coef, t] : a.rhs.terms) {
     if (t.kind == Term::Kind::kConst)
-      n.k += coef * t.value;
+      k += coef * static_cast<__int128>(t.value);
     else
       n.terms.emplace_back(-coef, t);
   }
+  n.overflow = k < std::numeric_limits<std::int64_t>::min() ||
+               k > std::numeric_limits<std::int64_t>::max();
+  n.k = static_cast<std::int64_t>(k);
   return n;
 }
 

@@ -99,6 +99,7 @@ struct NormAtom {
   std::vector<std::pair<int, Term>> terms;
   Cmp op = Cmp::kEq;
   std::int64_t k = 0;
+  bool overflow = false;  // the folded constant does not fit in int64
 };
 
 NormAtom normalize_atom(const Atom& a);

@@ -33,7 +33,6 @@ OnlineAppender::OnlineAppender(std::int32_t num_procs) {
   const std::size_t n = sz(num_procs);
   c_.procs_.resize(n);
   c_.vclocks_.resize(n);
-  c_.initial_.resize(n);
   c_.values_.resize(n);
   c_.sends_to_.assign(n, std::vector<std::vector<std::int32_t>>(n));
   c_.recvs_from_.assign(n, std::vector<std::vector<std::int32_t>>(n));
@@ -58,7 +57,6 @@ AppendError OnlineAppender::try_var(std::string_view name, VarId* out) {
   c_.var_names_.emplace_back(name);
   c_.var_ids_.emplace(std::string(name), id);
   for (ProcId i = 0; i < c_.num_procs(); ++i) {
-    c_.initial_[sz(i)].resize(c_.var_names_.size(), 0);
     // Backfill a constant-zero history up to the current position (only
     // resident positions are stored when a prefix was collected; the
     // discarded prefix was all-zero for a just-registered variable anyway).
@@ -73,7 +71,6 @@ AppendError OnlineAppender::try_set_initial(ProcId i, VarId v,
   if (i < 0 || i >= c_.num_procs()) return AppendError::kBadProc;
   if (v < 0 || sz(v) >= c_.var_names_.size()) return AppendError::kBadVar;
   if (c_.total_events_ != 0) return AppendError::kInitialAfterEvent;
-  c_.initial_[sz(i)][sz(v)] = value;
   c_.values_[sz(i)][sz(v)][0] = value;
   return AppendError::kNone;
 }

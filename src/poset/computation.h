@@ -379,7 +379,7 @@ class Computation {
   /// View-mode backing; non-null puts the accessors on their arena
   /// branches. procs_ is still resized to nprocs (with empty inner vectors)
   /// so num_procs() and the geometry code shares one shape; vclocks_,
-  /// values_, initial_ and the channel tables stay empty.
+  /// values_ and the channel tables stay empty.
   MappedArenaPtr arena_;
 
   std::vector<std::vector<Event>> procs_;
@@ -400,10 +400,9 @@ class Computation {
   };
   std::vector<std::string> var_names_;
   std::unordered_map<std::string, VarId, NameHash, std::equal_to<>> var_ids_;
-  /// values_[i][v][pos] = value of var v on proc i after pos events.
+  /// values_[i][v][pos] = value of var v on proc i after pos events; pos 0
+  /// holds the initial value.
   std::vector<std::vector<std::vector<std::int64_t>>> values_;
-  /// initial_[i][v]
-  std::vector<std::vector<std::int64_t>> initial_;
 
   /// sends_to_[i][j][k] = #sends from i to j among the first k events of i.
   /// Empty inner vector = no traffic on that channel.

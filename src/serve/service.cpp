@@ -9,19 +9,9 @@
 namespace hbct {
 namespace serve {
 
-namespace {
-
-std::int32_t default_shards() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return static_cast<std::int32_t>(hw < 4 ? 4 : hw);
-}
-
-}  // namespace
-
 StreamingService::StreamingService(ServiceOptions opt)
     : opt_(opt),
-      pool_(opt.pool != nullptr ? opt.pool : &ThreadPool::shared()),
-      shards_(static_cast<std::size_t>(default_shards())) {
+      pool_(opt.pool != nullptr ? opt.pool : &ThreadPool::shared()) {
   MetricsRegistry& reg =
       opt.metrics != nullptr ? *opt.metrics : MetricsRegistry::global();
   records_ = &reg.counter("serve.records");
@@ -57,16 +47,11 @@ StreamingService::~StreamingService() {
   pool_->wait_idle();
 }
 
-StreamingService::Shard& StreamingService::shard_of(SessionId sid) const {
-  return shards_[static_cast<std::size_t>(sid) % shards_.size()];
-}
-
 std::shared_ptr<StreamingService::Entry> StreamingService::find(
     SessionId sid) const {
-  Shard& sh = shard_of(sid);
-  std::lock_guard<std::mutex> lk(sh.mu);
-  auto it = sh.sessions.find(sid);
-  return it == sh.sessions.end() ? nullptr : it->second;
+  std::lock_guard<std::mutex> lk(mu_);
+  auto it = sessions_.find(sid);
+  return it == sessions_.end() ? nullptr : it->second;
 }
 
 SessionId StreamingService::open(
@@ -77,10 +62,9 @@ SessionId StreamingService::open(
   auto entry = std::make_shared<Entry>(sid, cfg);
   entry->session.set_fire_instruments(fire_inst_);
   if (setup) setup(entry->session.monitor());
-  Shard& sh = shard_of(sid);
   {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    sh.sessions.emplace(sid, std::move(entry));
+    std::lock_guard<std::mutex> lk(mu_);
+    sessions_.emplace(sid, std::move(entry));
   }
   opened_->add(1);
   open_sessions_->add(1);
@@ -202,12 +186,11 @@ std::string StreamingService::error(SessionId sid) const {
 bool StreamingService::close(SessionId sid) {
   std::shared_ptr<Entry> e;
   {
-    Shard& sh = shard_of(sid);
-    std::lock_guard<std::mutex> lk(sh.mu);
-    auto it = sh.sessions.find(sid);
-    if (it == sh.sessions.end()) return false;
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = sessions_.find(sid);
+    if (it == sessions_.end()) return false;
     e = std::move(it->second);
-    sh.sessions.erase(it);
+    sessions_.erase(it);
   }
   {
     std::lock_guard<std::mutex> lk(e->mu);
@@ -222,27 +205,22 @@ bool StreamingService::close(SessionId sid) {
 }
 
 std::size_t StreamingService::num_sessions() const {
-  std::size_t n = 0;
-  for (const Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    n += sh.sessions.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lk(mu_);
+  return sessions_.size();
 }
 
 std::int64_t StreamingService::resident_events() const {
+  // Snapshot the table first: mu_ is never held while a session is locked.
+  std::vector<std::shared_ptr<Entry>> entries;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    entries.reserve(sessions_.size());
+    for (const auto& [sid, e] : sessions_) entries.push_back(e);
+  }
   std::int64_t n = 0;
-  for (const Shard& sh : shards_) {
-    std::vector<std::shared_ptr<Entry>> entries;
-    {
-      std::lock_guard<std::mutex> lk(sh.mu);
-      entries.reserve(sh.sessions.size());
-      for (const auto& [sid, e] : sh.sessions) entries.push_back(e);
-    }
-    for (const auto& e : entries) {
-      std::lock_guard<std::mutex> lk(e->mu);
-      n += e->session.stats().resident_events;
-    }
+  for (const auto& e : entries) {
+    std::lock_guard<std::mutex> lk(e->mu);
+    n += e->session.stats().resident_events;
   }
   return n;
 }

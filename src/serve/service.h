@@ -3,8 +3,9 @@
 // shared ThreadPool.
 //
 // Concurrency model — actor per session:
-//  - The session table is sharded; each shard has its own mutex, so opening
-//    and looking up sessions scales with the shard count.
+//  - The session table is one map behind one mutex. That mutex guards only
+//    the map: a lookup copies the entry's shared_ptr out and releases it,
+//    so it is never held across an ingest or while a session is locked.
 //  - post() enqueues a chunk into the session's inbox and, if no pump task
 //    is in flight for that session, schedules one on the pool. The pump
 //    drains the inbox one chunk at a time under the session's own mutex and
@@ -94,12 +95,6 @@ class StreamingService {
 
     Entry(SessionId id, const SessionConfig& cfg) : session(id, cfg) {}
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<SessionId, std::shared_ptr<Entry>> sessions;
-  };
-
-  Shard& shard_of(SessionId sid) const;
   std::shared_ptr<Entry> find(SessionId sid) const;
   void pump(const std::shared_ptr<Entry>& e);
   /// Folds the session's stats delta into the service-wide metrics.
@@ -107,7 +102,8 @@ class StreamingService {
 
   ServiceOptions opt_;
   ThreadPool* pool_;
-  mutable std::vector<Shard> shards_;
+  mutable std::mutex mu_;  // guards sessions_ only
+  std::unordered_map<SessionId, std::shared_ptr<Entry>> sessions_;
   std::atomic<SessionId> next_id_{1};
 
   Counter* records_;

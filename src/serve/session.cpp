@@ -40,28 +40,23 @@ Session::Session(SessionId id, const SessionConfig& cfg)
   mon_.set_budget(cfg_.budget);
 }
 
-WatchId Session::watch_query(const ctl::Query& query, OptimizeMode mode) {
+WatchId Session::watch_query(const ctl::Query& query) {
   register_vars(mon_, query.root ? query.root : query.p);
   if (!query.root) register_vars(mon_, query.q);
   if (!ctl::validate_query(mon_.computation(), query).empty()) return -1;
   ctl::Query q = query;
   PredicatePtr p;
   PredicatePtr qpred;
-  if (mode != OptimizeMode::kOff) {
-    // Cached: sessions register on an empty computation, so the analysis
-    // outcome is shared across every session opened on the same formula.
-    ctl::OptimizeOutcome o = ctl::optimize_query_cached(mon_.computation(), q);
-    if (mode == OptimizeMode::kApply && o.query.temporal &&
-        o.query.p != nullptr) {
-      q = o.query;
-      p = o.p;
-      qpred = o.q;
-    }
-    // else: keep the as-written form. In particular, costable-collapse on
-    // the empty registration-time computation is vacuous (every predicate
-    // probes down-closed/stable with zero events) and its non-temporal
-    // residue says nothing about the events this watch will observe.
+  ctl::OptimizeOutcome o = ctl::optimize_query(mon_.computation(), q);
+  if (o.query.temporal && o.query.p != nullptr) {
+    q = o.query;
+    p = o.p;
+    qpred = o.q;
   }
+  // else: keep the as-written form. In particular, costable-collapse on the
+  // empty registration-time computation is vacuous (every predicate probes
+  // down-closed/stable with zero events) and its non-temporal residue says
+  // nothing about the events this watch will observe.
   if (!q.temporal || q.p == nullptr) return -1;
   if (p == nullptr) {
     ctl::CompileResult cp = ctl::compile_state(q.p);
@@ -86,6 +81,9 @@ WatchId Session::watch_query(const ctl::Query& query, OptimizeMode mode) {
         return mon_.watch_invariant(disj);
       return -1;
     case Op::kEU:
+      // The Chase–Garg walk finds the least q-cut (Theorem 7) only for a
+      // linear q, that is one with a forbidden() oracle.
+      if (!qpred->has_forbidden()) return -1;
       if (ConjunctivePredicatePtr conj = as_conjunctive(p))
         return mon_.watch_until(conj, qpred);
       return -1;

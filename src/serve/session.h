@@ -77,21 +77,16 @@ class Session {
 
   /// Registers a watch for a parsed CTL query, routing by operator and
   /// operand class: EF(conjunctive|disjunctive) -> watch_possibly,
-  /// AG(disjunctive) -> watch_invariant, E[p U q] with conjunctive p ->
-  /// watch_until. Under kApply (the default) the query first runs through
-  /// the optimizer — optimize_query_cached, so opening many sessions over
-  /// the same formula pays for inference/rewrite/costing once
-  /// (analysis.cache_hits counts the skips) — and the *chosen* form is
-  /// registered when it is still a routable temporal query; otherwise the
-  /// as-written form is kept (costable-collapse is vacuous on the empty
-  /// registration-time computation and says nothing about future events).
-  /// kAnalyzeOnly warms the cache but registers the query as written;
-  /// kOff skips analysis entirely. Every variable the query names is
-  /// registered with the monitor first (the stream's kVar records arrive
-  /// later). Returns -1 when the query references a process outside the
-  /// session or does not fit a streaming watch class.
-  WatchId watch_query(const ctl::Query& q,
-                      OptimizeMode mode = OptimizeMode::kApply);
+  /// AG(disjunctive) -> watch_invariant, E[p U q] with conjunctive p and
+  /// linear q -> watch_until. The query first runs through optimize_query,
+  /// and the *chosen* form is registered when it is still a routable
+  /// temporal query; otherwise the as-written form is kept (costable-collapse
+  /// is vacuous on the empty registration-time computation and says nothing
+  /// about future events). Every variable the query names is registered
+  /// with the monitor first (the stream's kVar records arrive later).
+  /// Returns -1 when the query fails validation, references a process
+  /// outside the session or does not fit a streaming watch class.
+  WatchId watch_query(const ctl::Query& q);
 
   SessionState state() const { return state_; }
   const std::string& error() const { return error_; }

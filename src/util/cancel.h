@@ -1,5 +1,4 @@
-// Cooperative cancellation flag shared by the detection budget
-// (Budget::cancel) and ThreadPool::parallel_for.
+// Cooperative cancellation flag for the detection budget (Budget::cancel).
 #pragma once
 
 #include <atomic>
@@ -9,8 +8,7 @@ namespace hbct {
 /// Set from any thread; readers poll it at their checkpoints and stop once
 /// it is cancelled. Cancellation is advisory: work already running when it
 /// is set completes normally. A detection polls it at every budget
-/// checkpoint and stops with BoundReason::kCancelled; parallel_for stops
-/// claiming iterations.
+/// checkpoint and stops with BoundReason::kCancelled.
 class CancelToken {
  public:
   void cancel() noexcept { cancelled_.store(true, std::memory_order_release); }

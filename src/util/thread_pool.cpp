@@ -1,57 +1,11 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "util/assert.h"
 
 namespace hbct {
-
-// One parallel_for call's state. Participants (the caller plus up to
-// max_parallelism - 1 workers) claim contiguous chunks off `next`; the
-// caller waits until no participant is still executing a claimed chunk.
-// Helper tasks hold the Batch via shared_ptr, so one that is dequeued only
-// after the caller returned finds the cursor exhausted and exits without
-// ever touching `fn` (whose referent dies with the caller).
-struct ThreadPool::Batch {
-  const std::function<void(std::size_t)>* fn = nullptr;
-  CancelToken* cancel = nullptr;  // caller-supplied; may be null
-  std::size_t count = 0;
-  std::size_t chunk = 1;
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> stop{false};  // set on exception or cancellation
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t active = 0;  // participants currently inside run()
-  std::exception_ptr error;
-
-  void run() {
-    for (;;) {
-      if (stop.load(std::memory_order_acquire)) return;
-      const std::size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= count) return;
-      const std::size_t end = std::min(begin + chunk, count);
-      for (std::size_t i = begin; i < end; ++i) {
-        if (stop.load(std::memory_order_acquire) ||
-            (cancel && cancel->cancelled())) {
-          stop.store(true, std::memory_order_release);
-          return;
-        }
-        try {
-          (*fn)(i);
-        } catch (...) {
-          {
-            std::lock_guard<std::mutex> lk(mu);
-            if (!error) error = std::current_exception();
-          }
-          stop.store(true, std::memory_order_release);
-          return;
-        }
-      }
-    }
-  }
-};
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -98,50 +52,6 @@ void ThreadPool::wait_idle() {
     lk.unlock();
     std::rethrow_exception(err);
   }
-}
-
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn,
-                              std::size_t max_parallelism, std::size_t chunk,
-                              CancelToken* cancel) {
-  if (count == 0) return;
-  std::size_t participants = workers_.size() + 1;
-  if (max_parallelism != 0)
-    participants = std::min(participants, max_parallelism);
-  participants = std::min(participants, count);
-  if (workers_.size() <= 1 || participants <= 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (cancel && cancel->cancelled()) return;
-      fn(i);
-    }
-    return;
-  }
-
-  auto batch = std::make_shared<Batch>();
-  batch->fn = &fn;
-  batch->cancel = cancel;
-  batch->count = count;
-  batch->chunk =
-      chunk ? chunk : std::max<std::size_t>(1, count / (participants * 4));
-  for (std::size_t h = 0; h + 1 < participants; ++h) {
-    submit([batch] {
-      {
-        std::lock_guard<std::mutex> lk(batch->mu);
-        ++batch->active;
-      }
-      batch->run();
-      std::lock_guard<std::mutex> lk(batch->mu);
-      if (--batch->active == 0) batch->cv.notify_all();
-    });
-  }
-  batch->run();  // the caller claims chunks too; it never idles while
-                 // unclaimed work remains, so nesting cannot deadlock
-  // No chunk may start after this point: exhaust the cursor so a helper
-  // dequeued late exits immediately instead of touching fn.
-  batch->next.fetch_add(count, std::memory_order_relaxed);
-  std::unique_lock<std::mutex> lk(batch->mu);
-  batch->cv.wait(lk, [&] { return batch->active == 0; });
-  if (batch->error) std::rethrow_exception(batch->error);
 }
 
 void ThreadPool::worker_loop() {

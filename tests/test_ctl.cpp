@@ -265,6 +265,52 @@ TEST(CtlCompile, ChannelBoundsTakeAnyInt64Constant) {
   }
 }
 
+TEST(CtlCompile, ConstantsThatLeaveInt64AreValidationErrors) {
+  // Each of these folded (or, through the mirror and the strict steps,
+  // derived) a constant past the int64 limits, wrapped it, and returned a
+  // wrong definite verdict. They are now refused with a typed error.
+  sim::Simulator s = sim::make_producer_consumer(6, 2);
+  const Computation c = std::move(s).run({});
+  for (const char* text : {
+           "AG(intransit(0,1) <= 9223372036854775807 + 1)",
+           "EF(0 - intransit(0,1) <= -9223372036854775807 - 1)",
+           "EF(produced@P0 + consumed@P1 >= 9223372036854775807 + 1)",
+           "EF(produced@P0 + consumed@P1 > 9223372036854775807)",
+           "AG(produced@P0 + consumed@P1 != 9223372036854775807)",
+           "EF(produced@P0 - consumed@P1 < -9223372036854775807 - 1)",
+           "EF(produced@P0 - consumed@P1 >= -9223372036854775807 - 1)",
+           "AG(!(produced@P0 + consumed@P1 > 9223372036854775807))",
+       }) {
+    const auto parsed = parse_query(text);
+    ASSERT_TRUE(parsed.ok) << text << ": " << parsed.error;
+    const std::string err = ctl::validate_query(c, parsed.query);
+    EXPECT_NE(err.find("overflows int64"), std::string::npos)
+        << text << ": " << err;
+    const auto r = ctl::evaluate_query(c, text);
+    EXPECT_FALSE(r.ok) << text;
+    EXPECT_EQ(r.error, err) << text;
+  }
+  // The fold is exact: only the final constant has to fit, and the limits
+  // themselves are legal wherever no step past them is derived.
+  const struct {
+    const char* text;
+    Verdict want;
+  } legal[] = {
+      {"AG(intransit(0,1) <= 9223372036854775807)", Verdict::kHolds},
+      {"AG(intransit(0,1) <= 9223372036854775807 + 1 - 1)", Verdict::kHolds},
+      {"EF(produced@P0 + consumed@P1 >= 9223372036854775807)",
+       Verdict::kFails},
+      {"EF(0 - intransit(0,1) <= -9223372036854775807)", Verdict::kFails},
+      {"EF(produced@P0 - consumed@P1 <= -9223372036854775807 - 1)",
+       Verdict::kFails},
+  };
+  for (const auto& k : legal) {
+    const auto r = ctl::evaluate_query(c, k.text);
+    ASSERT_TRUE(r.ok) << k.text << ": " << r.error;
+    EXPECT_EQ(r.result.verdict, k.want) << k.text;
+  }
+}
+
 TEST(CtlCompile, BareStateEvaluatesAtInitialCut) {
   Computation c = vars_comp(9);
   auto r = ctl::evaluate_query(c, "v0@P0 >= 0 && channels_empty");

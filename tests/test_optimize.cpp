@@ -26,7 +26,6 @@
 #include "ctl/compile.h"
 #include "ctl/parser.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/report.h"
 #include "poset/generate.h"
 
@@ -524,30 +523,6 @@ TEST(Optimize, OffByDefaultLeavesRewritesEmpty) {
   const auto r = ctl::evaluate_query(c, "EF(pos(0) + pos(1) > 3)", {});
   ASSERT_TRUE(r.ok);
   EXPECT_TRUE(r.result.rewrites.empty());
-}
-
-TEST(Optimize, CacheServesRepeatedRegistrationTimeQueries) {
-  ctl::clear_optimize_cache();
-  MetricsRegistry& reg = MetricsRegistry::global();
-  const std::uint64_t h0 = reg.counter("analysis.cache_hits").value();
-  const std::uint64_t m0 = reg.counter("analysis.cache_misses").value();
-  const Computation empty = comp(1, 3, 0);
-  ASSERT_EQ(empty.total_events(), 0);
-  const Query q = parse("EF(pos(0) + pos(1) > 3)");
-  const ctl::OptimizeOutcome first = ctl::optimize_query_cached(empty, q);
-  const ctl::OptimizeOutcome again = ctl::optimize_query_cached(empty, q);
-  EXPECT_EQ(reg.counter("analysis.cache_hits").value(), h0 + 1);
-  EXPECT_EQ(reg.counter("analysis.cache_misses").value(), m0 + 1);
-  EXPECT_EQ(ctl::to_string(first.query), ctl::to_string(again.query));
-  EXPECT_EQ(first.plan_after, again.plan_after);
-  EXPECT_EQ(first.changed, again.changed);
-  // Non-empty computations bypass the cache entirely: the cost model
-  // prices routes off per-process event counts, so sharing would be
-  // unsound. The bypass is a counted miss.
-  const ctl::OptimizeOutcome live = ctl::optimize_query_cached(comp(1), q);
-  EXPECT_EQ(reg.counter("analysis.cache_hits").value(), h0 + 1);
-  EXPECT_EQ(reg.counter("analysis.cache_misses").value(), m0 + 2);
-  EXPECT_TRUE(live.changed);
 }
 
 TEST(Optimize, ReportCarriesTheRewriteChain) {

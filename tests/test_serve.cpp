@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ctl/parser.h"
@@ -11,6 +12,8 @@
 #include "obs/metrics.h"
 #include "online/appender.h"
 #include "poset/trace_io.h"
+#include "predicate/conjunctive.h"
+#include "predicate/disjunctive.h"
 #include "predicate/local.h"
 #include "predicate/predicate.h"
 #include "serve/service.h"
@@ -232,6 +235,31 @@ TEST(ServeSession, NegativeChannelBoundWatchKeepsTheSessionRunning) {
   EXPECT_TRUE(s.poll().empty()) << "a never-met target never fires";
 }
 
+TEST(ServeSession, UntilWithNonLinearTargetIsRefusedNotAborted) {
+  // The streaming until walk finds I_q by Chase–Garg advancement, which
+  // needs q linear (a forbidden() oracle). A disjunctive q has none, so
+  // registration refuses the watch and the session keeps running.
+  Session s(1, two_proc_cfg());
+  auto parse = [](const char* text) {
+    auto r = ctl::parse_query(text);
+    EXPECT_TRUE(r.ok) << text << ": " << r.error;
+    return r.query;
+  };
+  EXPECT_EQ(s.watch_query(parse("E[x@P0 >= 0 U x@P0 == 3 || y@P1 == 9]")), -1);
+  const WatchId eu = s.watch_query(parse("E[x@P0 >= 0 U x@P0 == 3]"));
+  ASSERT_GE(eu, 0);
+
+  Record ev = internal_rec(0);
+  ev.writes.push_back({0, 3});
+  s.ingest(enc({procs_rec(2), var_rec("x"), var_rec("y"), ev, internal_rec(1),
+                end_rec()}));
+  ASSERT_EQ(s.state(), SessionState::kFinished) << s.error();
+  const auto fires = s.poll();
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_EQ(fires[0].watch, eu);
+  EXPECT_EQ(fires[0].verdict, Verdict::kHolds);
+}
+
 TEST(ServeSession, GcKeepsResidencyBounded) {
   Session s(1, two_proc_cfg(/*gc_interval=*/32));
   std::string head = enc({procs_rec(2)});
@@ -381,6 +409,89 @@ TEST(StreamingService, ManySessionsDrainConcurrentlyAndIndependently) {
   }
   for (SessionId sid : sids) EXPECT_TRUE(svc.close(sid));
   EXPECT_EQ(svc.num_sessions(), 0u);
+}
+
+TEST(StreamingService, ConcurrentClientsSeeTheSingleThreadedFires) {
+  // Several client threads open, post, poll and close sessions on one
+  // service at once. The session table is shared by all of them; each
+  // session's fires must still match a standalone single-threaded Session
+  // fed the same bytes.
+  struct Fire {
+    WatchId watch;
+    Verdict verdict;
+    Cut cut;
+    bool operator==(const Fire&) const = default;
+  };
+  const auto setup = [](int k) {
+    return [k](OnlineMonitor& m) {
+      m.var("x");
+      m.watch_possibly(make_conjunctive({var_cmp(0, "x", Cmp::kEq, 3 + k % 5),
+                                         var_cmp(1, "x", Cmp::kGe, 1)}));
+      m.watch_invariant(make_disjunctive(
+          {var_cmp(0, "x", Cmp::kLe, 6 + k % 3), var_cmp(1, "x", Cmp::kLe, 2)}));
+      m.watch_stable(make_stable(
+          [k](const Computation&, const Cut& g) { return g.total() >= 30 + k; },
+          "progress"));
+    };
+  };
+  const auto stream = [](int k) {
+    std::vector<Record> rs{procs_rec(2), var_rec("x")};
+    for (std::uint64_t round = 0; round < 24; ++round) {
+      Record w0 = internal_rec(0);
+      w0.writes.push_back({0, static_cast<std::int64_t>((round + k) % 11)});
+      rs.push_back(w0);
+      rs.push_back(send_rec(0, 1, round));
+      Record r1 = recv_rec(1, round);
+      r1.writes.push_back({0, static_cast<std::int64_t>(round % 4)});
+      rs.push_back(r1);
+    }
+    rs.push_back(end_rec());
+    return enc(rs);
+  };
+  const auto fires_of = [](const std::vector<WatchFire>& fs) {
+    std::vector<Fire> out;
+    for (const WatchFire& f : fs) out.push_back({f.watch, f.verdict, f.cut});
+    return out;
+  };
+
+  const int kThreads = 4, kPerThread = 6;
+  std::vector<std::vector<Fire>> want(kThreads * kPerThread);
+  for (int k = 0; k < kThreads * kPerThread; ++k) {
+    Session ref(1, two_proc_cfg(/*gc_interval=*/16));
+    setup(k)(ref.monitor());
+    ref.ingest(stream(k));
+    ASSERT_EQ(ref.state(), SessionState::kFinished) << ref.error();
+    want[static_cast<std::size_t>(k)] = fires_of(ref.poll());
+    ASSERT_FALSE(want[static_cast<std::size_t>(k)].empty());
+  }
+
+  StreamingService svc;
+  std::vector<std::vector<Fire>> got(want.size());
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int j = 0; j < kPerThread; ++j) {
+        const int k = t * kPerThread + j;
+        std::vector<Fire>& mine = got[static_cast<std::size_t>(k)];
+        const SessionId sid =
+            svc.open(two_proc_cfg(/*gc_interval=*/16), setup(k));
+        const std::string bytes = stream(k);
+        for (std::size_t off = 0; off < bytes.size(); off += 11) {
+          svc.post(sid, bytes.substr(off, 11));
+          for (const Fire& f : fires_of(svc.poll(sid))) mine.push_back(f);
+        }
+        while (svc.state(sid) == SessionState::kOpen) std::this_thread::yield();
+        for (const Fire& f : fires_of(svc.poll(sid))) mine.push_back(f);
+        EXPECT_EQ(svc.state(sid), SessionState::kFinished) << svc.error(sid);
+        EXPECT_TRUE(svc.close(sid));
+      }
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  svc.drain();
+  EXPECT_EQ(svc.num_sessions(), 0u);
+  for (std::size_t k = 0; k < want.size(); ++k)
+    EXPECT_EQ(got[k], want[k]) << "session " << k;
 }
 
 TEST(StreamingService, OneMalformedStreamFailsOnlyItsSession) {

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
-#include <thread>
 
 #include "util/biguint.h"
 #include "util/rng.h"
@@ -220,59 +219,12 @@ TEST(BigUint, Ordering) {
   EXPECT_EQ(BigUint(42), BigUint(42));
 }
 
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(257, [&](std::size_t i) { ++hits[i]; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPool, SubmitAndWaitIdle) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) pool.submit([&] { ++counter; });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, SingleWorkerRunsInline) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  pool.parallel_for(5, [&](std::size_t i) {
-    order.push_back(static_cast<int>(i));
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, ParallelForZeroCountIsNoop) {
-  ThreadPool pool(4);
-  int calls = 0;
-  pool.parallel_for(0, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(ThreadPool, ParallelForPropagatesException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [](std::size_t i) {
-                          if (i == 37) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-  // The pool survives: in_flight_ was decremented on every path, so the
-  // next batch neither deadlocks nor sees stale state.
-  std::atomic<int> hits{0};
-  pool.parallel_for(100, [&](std::size_t) { ++hits; });
-  EXPECT_EQ(hits.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForExceptionInlinePath) {
-  ThreadPool pool(1);
-  EXPECT_THROW(pool.parallel_for(5,
-                                 [](std::size_t i) {
-                                   if (i == 2) throw std::runtime_error("x");
-                                 }),
-               std::runtime_error);
 }
 
 TEST(ThreadPool, SubmitExceptionSurfacesInWaitIdle) {
@@ -284,84 +236,6 @@ TEST(ThreadPool, SubmitExceptionSurfacesInWaitIdle) {
   for (int i = 0; i < 10; ++i) pool.submit([&] { ++counter; });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPool, PoolOf1VsNProduceSameResults) {
-  std::vector<int> seq(199, 0), par(199, 0);
-  ThreadPool one(1), many(4);
-  one.parallel_for(seq.size(),
-                   [&](std::size_t i) { seq[i] = static_cast<int>(i * i); });
-  many.parallel_for(par.size(),
-                    [&](std::size_t i) { par[i] = static_cast<int>(i * i); });
-  EXPECT_EQ(seq, par);
-}
-
-TEST(ThreadPool, ConcurrentParallelForCallersDoNotBlockEachOther) {
-  // Each parallel_for waits on its own batch only; two external callers
-  // sharing one pool must both complete with correct results.
-  ThreadPool pool(4);
-  std::atomic<int> a{0}, b{0};
-  std::thread t1([&] { pool.parallel_for(500, [&](std::size_t) { ++a; }); });
-  std::thread t2([&] { pool.parallel_for(500, [&](std::size_t) { ++b; }); });
-  t1.join();
-  t2.join();
-  EXPECT_EQ(a.load(), 500);
-  EXPECT_EQ(b.load(), 500);
-}
-
-TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
-  // A task body may itself fan out: the caller participates in its own
-  // batch, so nesting completes even when every worker is busy.
-  ThreadPool pool(2);
-  std::atomic<int> hits{0};
-  pool.parallel_for(4, [&](std::size_t) {
-    pool.parallel_for(4, [&](std::size_t) { ++hits; });
-  });
-  EXPECT_EQ(hits.load(), 16);
-}
-
-TEST(ThreadPool, PreCancelledTokenRunsNothing) {
-  ThreadPool pool(4);
-  CancelToken cancel;
-  cancel.cancel();
-  std::atomic<int> hits{0};
-  pool.parallel_for(
-      1000, [&](std::size_t) { ++hits; }, 0, 1, &cancel);
-  EXPECT_EQ(hits.load(), 0);
-}
-
-TEST(ThreadPool, CancelTokenStopsClaimingWork) {
-  ThreadPool pool(4);
-  CancelToken cancel;
-  std::atomic<int> hits{0};
-  pool.parallel_for(
-      100000,
-      [&](std::size_t) {
-        ++hits;
-        cancel.cancel();
-      },
-      0, 1, &cancel);
-  // Every participant stops at its next claim; only in-flight iterations
-  // finish.
-  EXPECT_GE(hits.load(), 1);
-  EXPECT_LT(hits.load(), 100000);
-}
-
-TEST(ThreadPool, MaxParallelismOneRunsInlineInOrder) {
-  ThreadPool pool(4);
-  std::vector<int> order;
-  pool.parallel_for(
-      5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); }, 1);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, StressManySmallBatches) {
-  ThreadPool pool(4);
-  for (int round = 0; round < 200; ++round) {
-    std::atomic<int> hits{0};
-    pool.parallel_for(17, [&](std::size_t) { ++hits; });
-    ASSERT_EQ(hits.load(), 17);
-  }
 }
 
 TEST(ThreadPool, SharedPoolHasWorkers) {
