@@ -1,5 +1,7 @@
 #include "detect/ag_linear.h"
 
+#include <optional>
+
 #include "obs/trace.h"
 
 namespace hbct {
@@ -35,6 +37,11 @@ DetectResult sweep_irreducibles(const Computation& c, const Predicate& p,
   Cut w = meet ? c.final_cut() : c.initial_cut();
   eval.bind(w);
   if (!eval.at()) return stop(w);
+  // M(e) is read only on the support, so only the reverse-clock column
+  // blocks that hold it are derived.
+  const std::optional<Computation::ReverseClocks> rv =
+      meet ? std::optional(c.reverse_clocks(support, budget.trace))
+           : std::nullopt;
   // One cursor-bound cut seeks from irreducible to irreducible, but only
   // on the support: it agrees with the irreducible there, components
   // outside it stay where they were, and no evaluation reads them. The
@@ -53,11 +60,9 @@ DetectResult sweep_irreducibles(const Computation& c, const Predicate& p,
       if (reread) {
         ++rows;
         if (meet) {
-          const VClockView rvc = c.reverse_vclock(i, k);
-          for (const ProcId j : support) {
-            const auto sj = static_cast<std::size_t>(j);
-            eval.move_to(w, sj, c.num_events(j) - rvc[sj]);
-          }
+          for (const ProcId j : support)
+            eval.move_to(w, static_cast<std::size_t>(j),
+                         c.num_events(j) - rv->at(i, k, j));
         } else {
           const VClockView vc = c.vclock(i, k);
           for (const ProcId j : support) {

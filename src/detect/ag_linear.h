@@ -13,10 +13,14 @@
 // process by process in k order and moves only the components of the
 // predicate's support S (Predicate::support). For a non-send event
 // e_{i,k}, up-set(e_{i,k}) = {e_{i,k}} ∪ up-set(e_{i,k+1}), so M(i,k) and
-// M(i,k+1) differ only in component i; the sweep therefore re-reads a
-// reverse-clock row only at k = 1 and after a send, and otherwise moves
-// component i alone. Cost: the O(n|E|) reverse-clock table, built once per
-// computation, plus O(|E| + sends·|S|) row reads and cursor updates.
+// M(i,k+1) differ only in component i; the sweep therefore re-reads the
+// support's reverse-clock entries only at k = 1 and after a send, and
+// otherwise moves component i alone. Cost: the reverse-clock column blocks
+// that hold S (Computation::reverse_clocks; O(|E|) per block of 8
+// processes, derived once per computation), plus O(|E| + sends·|S|) entry
+// reads and cursor updates. A violating irreducible's witness is searched
+// from forward clocks (Computation::meet_irreducible_of), so it derives no
+// further block.
 //
 // The dual detects post-linear predicates on the join-irreducibles
 // J(e) = down-set(e) plus the initial cut. J(i,k) = vc(i,k), and J(i,k+1)

@@ -96,21 +96,24 @@ std::optional<Cut> greatest_satisfying_cut(const Computation& c,
   eval.bind(g);
   span.arg("cursor", eval.incremental() ? 1 : 0);
   if (budget != nullptr && !budget->ok()) return std::nullopt;
-  Cut me = g;  // scratch for M(e)
   const std::size_t n = static_cast<std::size_t>(c.num_procs());
   while (!eval.at()) {
     if (budget != nullptr && budget->exceeded()) return std::nullopt;
     const ProcId i = p.forbidden_down(c, g);
     HBCT_DASSERT(i >= 0 && i < c.num_procs());
-    if (g[sz(i)] <= 0) return std::nullopt;  // i already at the initial state
-    // Remove the last event of i together with its causal future: the meet
-    // with M(e) = E \ up-set(e) is the greatest consistent cut below g not
-    // containing e, applied component-wise in place.
-    c.meet_irreducible_of(i, g[sz(i)], &me);
+    const EventIndex k = g[sz(i)];
+    if (k <= 0) return std::nullopt;  // i already at the initial state
+    // Remove e = (i, k) together with its causal future: the meet with
+    // M(e) = E \ up-set(e) is the greatest consistent cut below g not
+    // containing e. On each process j the events that have seen e
+    // (vc(f)[i] >= k) are a suffix, so g[j] retreats past them one clock
+    // read per removed event, and no reverse clock is needed.
     for (std::size_t j = 0; j < n; ++j) {
-      if (me[j] < g[j]) {
-        st.cut_steps += static_cast<std::uint64_t>(g[j] - me[j]);
-        eval.move_to(g, j, me[j]);
+      EventIndex m = g[j];
+      while (m > 0 && c.vclock(static_cast<ProcId>(j), m)[sz(i)] >= k) --m;
+      if (m < g[j]) {
+        st.cut_steps += static_cast<std::uint64_t>(g[j] - m);
+        eval.move_to(g, j, m);
       }
     }
     if (budget != nullptr && !budget->ok()) return std::nullopt;

@@ -16,12 +16,28 @@ std::vector<NodeId> join_irreducibles(const Lattice& lat) {
   return out;
 }
 
+namespace {
+
+/// M((i, k)) read off every reverse-clock column: M(e)[j] = N_j - rvc(e)[j],
+/// O(n) per cut once the blocks exist.
+Cut meet_from_columns(const Computation& c,
+                      const Computation::ReverseClocks& rv, ProcId i,
+                      EventIndex k) {
+  Cut m(static_cast<std::size_t>(c.num_procs()));
+  for (ProcId j = 0; j < c.num_procs(); ++j)
+    m[static_cast<std::size_t>(j)] = c.num_events(j) - rv.at(i, k, j);
+  return m;
+}
+
+}  // namespace
+
 std::vector<Cut> meet_irreducible_cuts(const Computation& c) {
   std::vector<Cut> out;
   out.reserve(static_cast<std::size_t>(c.total_events()));
+  const Computation::ReverseClocks rv = c.reverse_clocks();
   for (ProcId i = 0; i < c.num_procs(); ++i)
     for (EventIndex k = 1; k <= c.num_events(i); ++k)
-      out.push_back(c.meet_irreducible_of(i, k));
+      out.push_back(meet_from_columns(c, rv, i, k));
   return out;
 }
 
@@ -36,9 +52,10 @@ std::vector<Cut> join_irreducible_cuts(const Computation& c) {
 
 Cut birkhoff_meet_reconstruction(const Computation& c, const Cut& g) {
   Cut acc = c.final_cut();  // meet over the empty set = top
+  const Computation::ReverseClocks rv = c.reverse_clocks();
   for (ProcId i = 0; i < c.num_procs(); ++i)
     for (EventIndex k = 1; k <= c.num_events(i); ++k) {
-      Cut m = c.meet_irreducible_of(i, k);
+      Cut m = meet_from_columns(c, rv, i, k);
       if (g.subset_of(m)) acc = Cut::meet(acc, m);
     }
   return acc;

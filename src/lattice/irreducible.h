@@ -22,8 +22,9 @@ std::vector<NodeId> meet_irreducibles(const Lattice& lat);
 std::vector<NodeId> join_irreducibles(const Lattice& lat);
 
 /// Direct extraction from the computation: the cuts M(e) = E \ up-set(e)
-/// for every event e, computed from reverse vector clocks in O(n|E|) —
-/// no lattice construction. This is what A2 uses.
+/// for every event e, read off every reverse-clock column block
+/// (Computation::reverse_clocks) in O(n|E|) — no lattice construction.
+/// A2 reads the same columns, but only its predicate's support.
 std::vector<Cut> meet_irreducible_cuts(const Computation& c);
 /// Dually the cuts J(e) = down-set(e) (the events' vector clocks).
 std::vector<Cut> join_irreducible_cuts(const Computation& c);

@@ -36,7 +36,7 @@ OnlineAppender::OnlineAppender(std::int32_t num_procs) {
   c_.values_.resize(n);
   c_.sends_to_.assign(n, std::vector<std::vector<std::int32_t>>(n));
   c_.recvs_from_.assign(n, std::vector<std::vector<std::int32_t>>(n));
-  c_.rvcache_.dirty.store(true, std::memory_order_release);
+  c_.rv_.reshape(n);
 }
 
 VarId OnlineAppender::var(std::string_view name) {
@@ -128,7 +128,7 @@ EventId OnlineAppender::append(ProcId i, Event ev,
   const EventId id{i, idx};
   c_.linearization_.push_back(id);
   ++c_.total_events_;
-  c_.rvcache_.dirty.store(true, std::memory_order_release);
+  c_.rv_.dirty.store(true, std::memory_order_release);
   return id;
 }
 
@@ -233,7 +233,6 @@ Computation OnlineAppender::build() && {
   for (auto* tables : {&c_.sends_to_, &c_.recvs_from_})
     for (auto& per_peer : *tables)
       for (auto& counts : per_peer) counts.shrink_to_fit();
-  if (c_.trimmed_events() == 0) c_.compute_rvclocks();
   return std::move(c_);
 }
 
@@ -295,7 +294,7 @@ std::int64_t OnlineAppender::collect_prefix(const Cut& keep_from) {
                            }),
             lin.end());
   c_.trimmed_events_ += reclaimed;
-  c_.rvcache_.dirty.store(true, std::memory_order_release);
+  c_.rv_.dirty.store(true, std::memory_order_release);
   return reclaimed;
 }
 

@@ -111,8 +111,8 @@ class OnlineAppender {
 
   /// Hands over the finished computation. The appender is consumed. A
   /// finished computation no longer grows, so build() releases the growth
-  /// slack of its per-event tables and derives its reverse clocks once,
-  /// instead of on the first M(e) query (a collected prefix has none).
+  /// slack of its per-event tables. Reverse clocks are left to the readers
+  /// that need them (Computation::reverse_clocks).
   Computation build() &&;
 
  private:

@@ -111,7 +111,8 @@ EventIndex OnlineMonitor::frozen_limit(ProcId i) const {
   const EventIndex n = app_.computation().num_events(i);
   if (finished_) return n;
   // The newest event may still receive writes; position 0 (initial values)
-  // is always frozen because set_initial precedes the first event globally.
+  // is frozen once any event exists, because set_initial must precede the
+  // first event globally (run_round steps nothing before that).
   return n > 0 ? n - 1 : 0;
 }
 
@@ -125,6 +126,10 @@ BoundReason OnlineMonitor::run_round(Watch* only) {
   // cumulative counters, so only this round's work is charged. A tripped
   // round suspends the remaining steps; every watch's incremental state
   // resumes on the next event.
+  // Before the first event nothing is frozen: a kInit record may still
+  // rewrite any initial value, so no watch may judge the initial state yet.
+  if (!finished_ && app_.computation().total_events() == 0)
+    return BoundReason::kNone;
   BudgetTracker t(budget_, work_);
   round_ = &t;
   const std::int32_t n = app_.computation().num_procs();

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "obs/flight.h"
 #include "online/appender.h"
 #include "poset/replay.h"
 #include "util/assert.h"
@@ -28,22 +29,6 @@ VClockView Computation::vclock(ProcId i, EventIndex idx) const {
   const std::size_t n = procs_.size();
   if (arena_) return VClockView(arena_->vclocks[sz(i)] + sz(idx - 1) * n, n);
   return VClockView(vclocks_[sz(i)].data() + sz(idx - vclock_base(i)) * n, n);
-}
-
-VClockView Computation::reverse_vclock(ProcId i, EventIndex idx) const {
-  HBCT_DASSERT(idx >= 1 && idx <= num_events(i));
-  HBCT_DASSERT(trimmed_events_ == 0);
-  if (rvcache_.dirty.load(std::memory_order_acquire)) {
-    // Double-checked: concurrent const readers (detections running on
-    // several threads over one Computation) may race to refresh after load
-    // or an online append. The mutex is global — refresh is rare and the
-    // fast path above stays lock-free.
-    static std::mutex mu;
-    std::lock_guard<std::mutex> lk(mu);
-    if (rvcache_.dirty.load(std::memory_order_relaxed)) compute_rvclocks();
-  }
-  const std::size_t n = procs_.size();
-  return VClockView(rvcache_.clocks[sz(i)].data() + sz(idx - 1) * n, n);
 }
 
 bool Computation::happened_before(EventId e, EventId f) const {
@@ -198,10 +183,28 @@ void Computation::join_irreducible_of(ProcId i, EventIndex idx,
 
 void Computation::meet_irreducible_of(ProcId i, EventIndex idx,
                                       Cut* out) const {
+  HBCT_ASSERT_MSG(trimmed_events_ == 0,
+                  "M(e) needs the whole computation; prefix GC discarded "
+                  "part of it");
   if (out->size() != sz(num_procs())) *out = Cut(sz(num_procs()));
-  const VClockView rvc = reverse_vclock(i, idx);
-  for (ProcId j = 0; j < num_procs(); ++j)
-    (*out)[sz(j)] = num_events(j) - rvc[sz(j)];
+  // M(e)[j] counts the events f on j with not e -> f, that is with
+  // vc(f)[i] < idx. Along j that entry never decreases, so they are a
+  // prefix of j, found by binary search: O(n log |E|) and no reverse clock.
+  for (ProcId j = 0; j < num_procs(); ++j) {
+    if (j == i) {
+      (*out)[sz(j)] = idx - 1;
+      continue;
+    }
+    EventIndex lo = 0, hi = num_events(j);
+    while (lo < hi) {
+      const EventIndex mid = lo + (hi - lo + 1) / 2;
+      if (vclock(j, mid)[sz(i)] < idx)
+        lo = mid;
+      else
+        hi = mid - 1;
+    }
+    (*out)[sz(j)] = lo;
+  }
 }
 
 std::optional<EventId> Computation::find_label(std::string_view label) const {
@@ -220,6 +223,7 @@ Computation Computation::from_arena(MappedArenaPtr arena,
   const MappedArena& a = *c.arena_;
   HBCT_ASSERT(static_cast<std::int32_t>(var_names.size()) == a.nvars);
   c.procs_.resize(sz(a.nprocs));  // empty inners: shape only
+  c.rv_.reshape(sz(a.nprocs));
   c.total_events_ = a.total_events;
   c.num_messages_ = a.num_messages;
   c.var_names_ = std::move(var_names);
@@ -255,46 +259,141 @@ Computation Computation::prefix(const Cut& k) const {
   return std::move(app).build();
 }
 
-void Computation::compute_rvclocks() const {
-  // Reverse vector clocks: process the linearization backwards and write
-  // each row straight into its table slot. A row starts as a copy of the
-  // same-process successor's row (zeros at a process's last event), and a
-  // send merges the row of its matching receive. Both were written before
-  // the row that reads them: the successor follows on its process, and
-  // the receive follows the send in every linearization. The tables are
-  // sized up front, so the saved receive-row pointers stay valid.
+void Computation::RvColumns::reshape(std::size_t n) {
+  shape(std::min<std::size_t>(n, kRvBlock), (n + kRvBlock - 1) / kRvBlock);
+}
+
+void Computation::RvColumns::shape(std::size_t width, std::size_t nblocks) {
+  stride = width;
+  offset.clear();
+  merge.clear();
+  indexed = false;
+  blocks = decltype(blocks)(nblocks);
+  ready = std::vector<std::atomic<bool>>(nblocks);
+  dirty.store(true, std::memory_order_release);
+}
+
+Computation::ReverseClocks Computation::reverse_clocks(
+    const std::vector<ProcId>& columns, Tracer* trace) const {
+  require_rv_blocks(&columns, trace);
+  return ReverseClocks(&rv_);
+}
+
+Computation::ReverseClocks Computation::reverse_clocks(Tracer* trace) const {
+  require_rv_blocks(nullptr, trace);
+  return ReverseClocks(&rv_);
+}
+
+void Computation::require_rv_blocks(const std::vector<ProcId>* columns,
+                                    Tracer* trace) const {
   HBCT_ASSERT_MSG(trimmed_events_ == 0,
                   "reverse clocks need the whole computation; prefix GC "
                   "discarded part of it");
-  const std::size_t n = procs_.size();
-  rvcache_.clocks.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    rvcache_.clocks[i].resize(sz(num_events(static_cast<ProcId>(i))) * n);
-  auto row = [&](ProcId i, EventIndex idx) {
-    return rvcache_.clocks[sz(i)].data() + sz(idx - 1) * n;
-  };
-  std::unordered_map<MsgId, const std::int32_t*> recv_row;
-  recv_row.reserve(static_cast<std::size_t>(num_messages_));
-  for (auto it = linearization_.rbegin(); it != linearization_.rend(); ++it) {
-    const EventId& eid = *it;
-    const EventView ev = event_view(eid);
-    // rvc(e)[j] counts events f on j with e <= f.
-    std::int32_t* out = row(eid.proc, eid.index);
-    if (eid.index < num_events(eid.proc))
-      std::memcpy(out, row(eid.proc, eid.index + 1), n * sizeof(std::int32_t));
-    else
-      std::fill_n(out, n, 0);
-    if (ev.kind == EventKind::kSend) {
-      // An unmatched send (receive outside this computation) merges nothing.
-      auto rit = recv_row.find(ev.msg);
-      if (rit != recv_row.end())
-        for (std::size_t j = 0; j < n; ++j)
-          out[j] = std::max(out[j], rit->second[j]);
+  const auto for_each_block = [&](auto&& f) {
+    if (columns == nullptr) {
+      for (std::size_t b = 0; b < rv_.blocks.size(); ++b) f(b);
+    } else {
+      for (const ProcId j : *columns) {
+        HBCT_DASSERT(j >= 0 && j < num_procs());
+        f(sz(j) / kRvBlock);
+      }
     }
-    out[sz(eid.proc)] = num_events(eid.proc) - eid.index + 1;
-    if (ev.kind == EventKind::kReceive) recv_row.emplace(ev.msg, out);
+  };
+  bool missing = rv_.dirty.load(std::memory_order_acquire);
+  if (!missing)
+    for_each_block([&](std::size_t b) {
+      missing = missing || !rv_.ready[b].load(std::memory_order_acquire);
+    });
+  if (!missing) return;
+
+  // Double-checked: concurrent const readers may race to derive the same
+  // blocks after a load or an online append.
+  std::lock_guard<std::mutex> lk(rv_.mu);
+  const std::size_t n = procs_.size();
+  if (rv_.dirty.load(std::memory_order_relaxed)) {
+    for (auto& r : rv_.ready) r.store(false, std::memory_order_relaxed);
+    rv_.indexed = false;
+    rv_.dirty.store(false, std::memory_order_release);
   }
-  rvcache_.dirty.store(false, std::memory_order_release);
+  std::vector<std::size_t> todo;
+  for_each_block([&](std::size_t b) {
+    if (!rv_.ready[b].load(std::memory_order_relaxed) &&
+        std::find(todo.begin(), todo.end(), b) == todo.end())
+      todo.push_back(b);
+  });
+  if (todo.empty()) return;
+  static const std::uint16_t kRvColumns =
+      FlightRecorder::intern("poset.rv-columns", "blocks", "events");
+  FlightScope span(FlightRecorder::global(), kRvColumns, trace);
+  span.args(static_cast<std::int64_t>(todo.size()), total_events_);
+
+  if (!rv_.indexed) {
+    // The index: flat slot offsets, and for each send the slot of the
+    // receive that follows it in the linearization. Message ids are dense
+    // below num_messages() for every appended computation; a mapped file
+    // may carry others, which the overflow map matches.
+    rv_.offset.assign(n + 1, 0);
+    for (std::size_t i = 0; i < n; ++i)
+      rv_.offset[i + 1] =
+          rv_.offset[i] + sz(num_events(static_cast<ProcId>(i)));
+    rv_.merge.assign(rv_.offset[n], -1);
+    std::vector<std::int64_t> recv_slot(static_cast<std::size_t>(num_messages_),
+                                        -1);
+    std::unordered_map<MsgId, std::int64_t> overflow;
+    for (auto it = linearization_.rbegin(); it != linearization_.rend(); ++it) {
+      const EventView ev = event_view(*it);
+      const auto s = static_cast<std::int64_t>(rv_.slot(it->proc, it->index));
+      const bool dense = ev.msg >= 0 && ev.msg < num_messages_;
+      if (ev.kind == EventKind::kSend) {
+        // An unmatched send (receive outside this computation) merges
+        // nothing.
+        if (dense) {
+          rv_.merge[sz(s)] = recv_slot[sz(ev.msg)];
+        } else {
+          const auto r = overflow.find(ev.msg);
+          if (r != overflow.end()) rv_.merge[sz(s)] = r->second;
+        }
+      } else if (ev.kind == EventKind::kReceive) {
+        // Of two receives of one id the later one wins, as in a map that
+        // keeps its first entry of the backward pass.
+        if (!dense)
+          overflow.emplace(ev.msg, s);
+        else if (recv_slot[sz(ev.msg)] < 0)
+          recv_slot[sz(ev.msg)] = s;
+      }
+    }
+    rv_.indexed = true;
+  }
+
+  const std::size_t w = rv_.stride;
+  for (const std::size_t b : todo) {
+    // Process the linearization backwards: a row starts as a copy of the
+    // same-process successor's row (zeros at a process's last event), and
+    // a send merges the row of its receive. Both were written before the
+    // row that reads them: the successor follows on its process, and the
+    // receive follows the send in every linearization.
+    auto& block = rv_.blocks[b];
+    block.resize(rv_.offset[n] * w);
+    std::int32_t* const base = block.data();
+    const std::size_t first = b * kRvBlock;
+    for (auto it = linearization_.rbegin(); it != linearization_.rend(); ++it) {
+      const std::size_t s = rv_.slot(it->proc, it->index);
+      const EventIndex count = num_events(it->proc);
+      std::int32_t* out = base + s * w;
+      if (it->index < count)
+        std::copy_n(out + w, w, out);
+      else
+        std::fill_n(out, w, 0);
+      if (const std::int64_t m = rv_.merge[s]; m >= 0) {
+        const std::int32_t* in = base + static_cast<std::size_t>(m) * w;
+        for (std::size_t c = 0; c < w; ++c) out[c] = std::max(out[c], in[c]);
+      }
+      // rvc(e)[proc(e)] counts e and its successors on its own process.
+      const std::size_t p = sz(it->proc);
+      if (p >= first && p < first + w) out[p - first] = count - it->index + 1;
+    }
+    rv_.ready[b].store(true, std::memory_order_release);
+  }
 }
 
 void Computation::validate() const {
@@ -324,15 +423,19 @@ void Computation::validate() const {
     HBCT_ASSERT(seen[i] == num_events(static_cast<ProcId>(i)));
 
   // Clock sanity: vc(e)[proc(e)] == index(e); clocks strictly increase along
-  // a process; rvc(e)[proc(e)] counts the suffix.
+  // a process; every reverse-clock entry agrees with M(e), which is searched
+  // from the forward clocks (so rvc(e)[proc(e)] counts the suffix).
+  const ReverseClocks rv = reverse_clocks();
   for (ProcId i = 0; i < num_procs(); ++i) {
     for (EventIndex k = 1; k <= num_events(i); ++k) {
       HBCT_ASSERT(vclock(i, k)[sz(i)] == k);
-      HBCT_ASSERT(reverse_vclock(i, k)[sz(i)] == num_events(i) - k + 1);
       if (k > 1) HBCT_ASSERT(vclock(i, k - 1).before(vclock(i, k)));
+      const Cut m = meet_irreducible_of(i, k);
+      for (ProcId j = 0; j < num_procs(); ++j)
+        HBCT_ASSERT(rv.at(i, k, j) == num_events(j) - m[sz(j)]);
       // J(e) and M(e) must be consistent cuts.
       HBCT_ASSERT(is_consistent(join_irreducible_of(i, k)));
-      HBCT_ASSERT(is_consistent(meet_irreducible_of(i, k)));
+      HBCT_ASSERT(is_consistent(m));
     }
   }
   HBCT_ASSERT(is_consistent(initial_cut()));

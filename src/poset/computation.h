@@ -5,11 +5,13 @@
 // One writer builds it: OnlineAppender (online/appender.h, also spelled
 // ComputationBuilder) appends one event at a time and keeps vector clocks,
 // per-variable state timelines and channel prefix counters valid after each
-// event; reverse vector clocks are derived by build() (lazily, on first
-// use, while the computation still grows). Readers see a read-only
-// structure whose tables make the predicate detectors' inner loops O(n) or
-// O(1) per step, matching the cost model used in the paper's complexity
-// claims.
+// event. Reverse vector clocks are derived on demand, in column blocks of
+// kRvBlock processes: a reader asks for the columns it reads
+// (reverse_clocks), and each missing block costs one backward pass over the
+// linearization; a single M(e) needs none (meet_irreducible_of). Readers
+// see a read-only structure whose tables make the predicate detectors'
+// inner loops O(n) or O(1) per step, matching the cost model used in the
+// paper's complexity claims.
 //
 // Two storage modes share one interface:
 //   owning  built by appending: per-event payloads plus flat clock and
@@ -24,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -39,7 +42,11 @@
 
 namespace hbct {
 
+class Tracer;
+
 class Computation {
+  struct RvColumns;  // the reverse-clock column store (private, below)
+
  public:
   Computation() = default;
 
@@ -98,13 +105,45 @@ class Computation {
   VClockView vclock(ProcId i, EventIndex idx) const;
   VClockView vclock(EventId e) const { return vclock(e.proc, e.index); }
 
-  /// Reverse clock: rvc(e)[j] = |{f on process j : e -> f or e == f}|.
-  /// This is the vector clock of `e` in the computation with all edges
-  /// reversed; it yields the meet-irreducible cuts M(e) = E \ up-set(e).
-  /// Reverse clocks depend on the whole suffix of the computation, so
-  /// online appends (OnlineAppender) invalidate them; they are recomputed
-  /// lazily on first use (not thread-safe against concurrent appends).
-  VClockView reverse_vclock(ProcId i, EventIndex idx) const;
+  // ---- Reverse clocks ------------------------------------------------------
+
+  /// Processes per reverse-clock column block.
+  static constexpr std::int32_t kRvBlock = 8;
+
+  /// Read access to reverse clocks: rvc(e)[j] = |{f on process j : e -> f
+  /// or e == f}|, the vector clock of e in the computation with all edges
+  /// reversed. They yield the meet-irreducible cuts M(e) = E \ up-set(e):
+  /// M(e)[j] = num_events(j) - rvc(e)[j]. A reader reads only the columns
+  /// it was obtained for (reverse_clocks). It is valid while the
+  /// computation is alive and neither grown nor copied over.
+  class ReverseClocks {
+   public:
+    /// rvc((i, idx))[j]; j must lie in a requested column block.
+    std::int32_t at(ProcId i, EventIndex idx, ProcId j) const {
+      const auto sj = static_cast<std::size_t>(j);
+      HBCT_DASSERT(cols_->ready[sj / kRvBlock].load(std::memory_order_relaxed));
+      return cols_->blocks[sj / kRvBlock]
+                          [cols_->slot(i, idx) * cols_->stride + sj % kRvBlock];
+    }
+
+   private:
+    friend class Computation;
+    explicit ReverseClocks(const RvColumns* cols) : cols_(cols) {}
+    const RvColumns* cols_;
+  };
+
+  /// Makes the column blocks holding `columns` resident and returns their
+  /// reader. Each missing block is derived by one backward pass over the
+  /// linearization (a `poset.rv-columns` span, into `trace` too when
+  /// given); the first request also builds the once-per-computation index
+  /// of event offsets and message receives. Reverse clocks depend on the
+  /// whole suffix, so an online append invalidates every block, and a
+  /// computation whose prefix was collected has none (asserts). Safe
+  /// between concurrent readers, not against a concurrent append.
+  ReverseClocks reverse_clocks(const std::vector<ProcId>& columns,
+                               Tracer* trace = nullptr) const;
+  /// Every column.
+  ReverseClocks reverse_clocks(Tracer* trace = nullptr) const;
 
   // ---- Order between events ----------------------------------------------
 
@@ -267,7 +306,10 @@ class Computation {
   /// elements.
   Cut join_irreducible_of(ProcId i, EventIndex idx) const;
   /// M(e) = E \ up-set(e). The M(e) are exactly the meet-irreducible
-  /// lattice elements.
+  /// lattice elements. One M(e) is searched from forward clocks, O(n log
+  /// |E|), without deriving reverse clocks; a sweep over every M(e)
+  /// projected on a few processes reads reverse_clocks instead. Needs the
+  /// whole computation (asserts after prefix GC).
   Cut meet_irreducible_of(ProcId i, EventIndex idx) const;
 
   /// Scratch overloads: write the irreducible cut into `*out` (resized to
@@ -299,7 +341,10 @@ class Computation {
  private:
   friend class OnlineAppender;
 
-  void compute_rvclocks() const;  // (re)derives the reverse clocks
+  /// Derives the missing column blocks of `columns` (every block when
+  /// null); see reverse_clocks.
+  void require_rv_blocks(const std::vector<ProcId>* columns,
+                         Tracer* trace) const;
 
   /// Timeline row of variable v on process i inside the arena.
   const std::int64_t* arena_timeline(ProcId i, VarId v) const {
@@ -342,38 +387,72 @@ class Computation {
     }
   };
 
-  /// Reverse-clock cache: recomputed lazily after OnlineAppender
-  /// invalidates it, with double-checked locking so concurrent const readers
-  /// (detections on several threads) can share one Computation race-free.
-  /// A loaded mmap view starts dirty. The wrapper restores the
-  /// copy/move semantics std::atomic deletes, keeping Computation a value
-  /// type.
-  struct RvClockCache {
-    /// Per-process flat arena, stride num_procs: clocks[i] holds the
-    /// reverse clocks of process i's events back to back. Growing a table
-    /// leaves its new entries unwritten: compute_rvclocks writes every row.
+  /// Reverse-clock column store. Column j of every event's reverse clock
+  /// lives in block j / kRvBlock, at blocks[b][slot * stride + j %
+  /// kRvBlock], where an event's flat slot numbers the events of process 0,
+  /// then process 1, ... (offset[i] + idx - 1). stride is min(n, kRvBlock),
+  /// so the last block of a wider computation carries padding columns.
+  /// A block is derived by one backward pass over the linearization:
+  /// rvc(e)[j] = max(rvc(succ e)[j], rvc(receive of e)[j]), and e's own
+  /// process sets its entry. The pass reads `merge`, built with the first
+  /// request: the slot of each send's receive.
+  ///
+  /// Each block has its own ready flag, set with release after the block
+  /// is written; `dirty` (one store per online append) retires them all.
+  /// Readers take `mu` only when a block they need is missing
+  /// (double-checked), so concurrent const readers share one Computation
+  /// race-free. A copy starts empty and derives its own blocks; the ready
+  /// flags (one per block) and the stride are fixed at reshape().
+  struct RvColumns {
+    std::size_t stride = 0;
+    std::vector<std::size_t> offset;  // n + 1 flat event offsets
+    std::vector<std::int64_t> merge;  // per slot: a send's receive, or -1
+    bool indexed = false;             // offset and merge are current
+    /// Growing a block leaves its new entries unwritten: the pass writes
+    /// every one.
     std::vector<std::vector<std::int32_t, NoInitAllocator<std::int32_t>>>
-        clocks;
+        blocks;
+    std::vector<std::atomic<bool>> ready;
     std::atomic<bool> dirty{true};
+    std::mutex mu;
 
-    RvClockCache() = default;
-    RvClockCache(const RvClockCache& o)
-        : clocks(o.clocks), dirty(o.dirty.load(std::memory_order_acquire)) {}
-    RvClockCache(RvClockCache&& o) noexcept
-        : clocks(std::move(o.clocks)),
+    std::size_t slot(ProcId i, EventIndex idx) const {
+      return offset[static_cast<std::size_t>(i)] +
+             static_cast<std::size_t>(idx - 1);
+    }
+    /// Sizes the block and flag tables for n processes, all blocks missing.
+    void reshape(std::size_t n);
+
+    RvColumns() = default;
+    // Copies read only what shape() fixed, so copying a computation that
+    // other threads are deriving blocks of is race-free.
+    RvColumns(const RvColumns& o) { shape(o.stride, o.blocks.size()); }
+    RvColumns(RvColumns&& o) noexcept
+        : stride(o.stride),
+          offset(std::move(o.offset)),
+          merge(std::move(o.merge)),
+          indexed(o.indexed),
+          blocks(std::move(o.blocks)),
+          ready(std::move(o.ready)),
           dirty(o.dirty.load(std::memory_order_acquire)) {}
-    RvClockCache& operator=(const RvClockCache& o) {
-      clocks = o.clocks;
+    RvColumns& operator=(const RvColumns& o) {
+      if (this != &o) shape(o.stride, o.blocks.size());
+      return *this;
+    }
+    RvColumns& operator=(RvColumns&& o) noexcept {
+      stride = o.stride;
+      offset = std::move(o.offset);
+      merge = std::move(o.merge);
+      indexed = o.indexed;
+      blocks = std::move(o.blocks);
+      ready = std::move(o.ready);
       dirty.store(o.dirty.load(std::memory_order_acquire),
                   std::memory_order_release);
       return *this;
     }
-    RvClockCache& operator=(RvClockCache&& o) noexcept {
-      clocks = std::move(o.clocks);
-      dirty.store(o.dirty.load(std::memory_order_acquire),
-                  std::memory_order_release);
-      return *this;
-    }
+
+   private:
+    void shape(std::size_t width, std::size_t nblocks);
   };
 
   /// View-mode backing; non-null puts the accessors on their arena
@@ -387,7 +466,7 @@ class Computation {
   /// Fidge-Mattern clocks of process i's events contiguously, so vclock()
   /// is a pointer offset and leq/merge run over contiguous int32 rows.
   std::vector<std::vector<std::int32_t>> vclocks_;
-  mutable RvClockCache rvcache_;
+  mutable RvColumns rv_;
   std::vector<EventId> linearization_;
 
   /// Transparent hashing lets var_id(string_view) look names up without

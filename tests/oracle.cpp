@@ -1,5 +1,8 @@
 #include "oracle.h"
 
+#include <algorithm>
+#include <unordered_map>
+
 #include "detect/conjunctive_gw.h"
 #include "util/assert.h"
 
@@ -83,6 +86,48 @@ BruteClassCheck brute_check_classes(const LatticeChecker& chk,
 
   out.observer_independent =
       chk.ef(lp)[lat.bottom()] == chk.af(lp)[lat.bottom()];
+  return out;
+}
+
+std::vector<std::vector<std::vector<std::int32_t>>> reverse_clock_rows(
+    const Computation& c) {
+  const auto n = static_cast<std::size_t>(c.num_procs());
+  std::vector<std::vector<std::vector<std::int32_t>>> rows(n);
+  for (ProcId i = 0; i < c.num_procs(); ++i)
+    rows[static_cast<std::size_t>(i)].assign(
+        static_cast<std::size_t>(c.num_events(i)),
+        std::vector<std::int32_t>(n, 0));
+  const auto row = [&](EventId e) -> std::vector<std::int32_t>& {
+    return rows[static_cast<std::size_t>(e.proc)]
+               [static_cast<std::size_t>(e.index - 1)];
+  };
+  // The first receive of each message met walking backwards: the last one
+  // in the linearization.
+  std::unordered_map<MsgId, EventId> recv_of;
+  const std::vector<EventId>& lin = c.linearization();
+  for (auto it = lin.rbegin(); it != lin.rend(); ++it) {
+    const EventView ev = c.event_view(*it);
+    std::vector<std::int32_t>& out = row(*it);
+    if (it->index < c.num_events(it->proc))
+      out = row(EventId{it->proc, it->index + 1});
+    if (ev.kind == EventKind::kSend) {
+      const auto r = recv_of.find(ev.msg);
+      if (r != recv_of.end())
+        for (std::size_t j = 0; j < n; ++j)
+          out[j] = std::max(out[j], row(r->second)[j]);
+    }
+    out[static_cast<std::size_t>(it->proc)] =
+        c.num_events(it->proc) - it->index + 1;
+    if (ev.kind == EventKind::kReceive) recv_of.emplace(ev.msg, *it);
+  }
+  return rows;
+}
+
+std::vector<std::int32_t> reverse_clock_row(const Computation& c, ProcId i,
+                                            EventIndex idx) {
+  const Computation::ReverseClocks rv = c.reverse_clocks();
+  std::vector<std::int32_t> out;
+  for (ProcId j = 0; j < c.num_procs(); ++j) out.push_back(rv.at(i, idx, j));
   return out;
 }
 

@@ -3,6 +3,9 @@
 // calls them.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "detect/brute_force.h"
 #include "detect/detector.h"
 #include "predicate/conjunctive.h"
@@ -32,5 +35,18 @@ struct BruteClassCheck {
 
 BruteClassCheck brute_check_classes(const LatticeChecker& chk,
                                     const Predicate& p);
+
+/// Reference reverse clocks: the whole n-wide row of every event, derived
+/// by one backward pass over the linearization (a row copies its
+/// same-process successor's row, a send merges its receive's row, and the
+/// event's own process counts its suffix). rows[i][k - 1] is rvc((i, k)).
+/// The test oracle for Computation::reverse_clocks' column blocks.
+std::vector<std::vector<std::vector<std::int32_t>>> reverse_clock_rows(
+    const Computation& c);
+
+/// rvc((i, idx)) read entry by entry through Computation::reverse_clocks
+/// (every column).
+std::vector<std::int32_t> reverse_clock_row(const Computation& c, ProcId i,
+                                            EventIndex idx);
 
 }  // namespace hbct

@@ -262,10 +262,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MtraceDifferential,
                          ::testing::Range<std::uint64_t>(1, 41));
 
 TEST(MtraceConcurrentReaders, DetectOnOneFreshViewMatchesSingleThreaded) {
-  // A loaded view's reverse-clock cache starts dirty, and A2 reads reverse
-  // clocks through meet_irreducible_of: threads released together onto one
-  // fresh view race to refresh the cache, which the double-checked lock in
-  // Computation::reverse_vclock must serialize.
+  // A loaded view starts with no reverse-clock column blocks, and A2
+  // derives the blocks of its predicate's support: threads released
+  // together onto one fresh view race to derive them, which the
+  // double-checked lock in Computation::reverse_clocks must serialize.
   GenOptions g;
   g.num_procs = 8;
   g.events_per_proc = 400;

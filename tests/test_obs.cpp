@@ -231,6 +231,57 @@ TEST(Capture, A2SpanCarriesSupportAndRows) {
   EXPECT_EQ(found, 1u);
 }
 
+TEST(Capture, RvColumnFillIsItsOwnSpan) {
+  // 20 processes: reverse-clock blocks {0..7}, {8..15} and {16..19}.
+  GenOptions g;
+  g.num_procs = 20;
+  g.events_per_proc = 6;
+  g.p_send = 0.3;
+  g.seed = 5;
+  const Computation c = generate_random(g);
+  DispatchOptions opt;
+  opt.trace = true;
+  const PredicatePtr p = channel_bound_le(0, 1, 1000);
+  const std::uint64_t t0 = FlightRecorder::now_ns();
+  const DetectResult r = detect(c, Op::kAG, p, nullptr, opt);
+  ASSERT_EQ(r.algorithm, "A2-ag-linear");
+  ASSERT_EQ(r.verdict, Verdict::kHolds);
+  // The support {0, 1} lies in the first block: one fill of one block,
+  // nested under the sweep's span.
+  const std::vector<Tracer::Record> spans = r.trace->spans();
+  std::size_t fills = 0;
+  for (const Tracer::Record& s : spans) {
+    if (name_of(s) != "poset.rv-columns") continue;
+    ++fills;
+    const FlightRecorder::Name labels = FlightRecorder::names()[s.name];
+    EXPECT_EQ(labels.arg0, "blocks");
+    EXPECT_EQ(labels.arg1, "events");
+    EXPECT_EQ(s.a0, 1);
+    EXPECT_EQ(s.a1, c.total_events());
+    ASSERT_NE(s.parent, Tracer::npos);
+    EXPECT_EQ(name_of(spans[s.parent]), "ag.a2-scan");
+  }
+  EXPECT_EQ(fills, 1u);
+  // The always-on ring attributes the same fill.
+  std::size_t ring = 0;
+  for (const FlightRecorder::Record& rec : FlightRecorder::global().snapshot())
+    if (rec.ts_ns >= t0 && FlightRecorder::name_of(rec.name) == "poset.rv-columns")
+      ring += rec.a0 == 1 && rec.a1 == c.total_events() ? 1 : 0;
+  EXPECT_EQ(ring, 1u);
+
+  // The block stays derived: a second detection fills nothing.
+  const DetectResult again = detect(c, Op::kAG, p, nullptr, opt);
+  for (const Tracer::Record& s : again.trace->spans())
+    EXPECT_NE(name_of(s), "poset.rv-columns");
+  // A whole-M(e) reader derives the two missing blocks in one fill.
+  Tracer t;
+  c.reverse_clocks(&t);
+  c.reverse_clocks(&t);
+  ASSERT_EQ(t.spans().size(), 1u);
+  EXPECT_EQ(name_of(t.spans()[0]), "poset.rv-columns");
+  EXPECT_EQ(t.spans()[0].a0, 2);
+}
+
 TEST(Capture, DetectWritesOneFlightRecordPerCall) {
   const Computation c = small_comp();
   const PredicatePtr p = wide_dnf(c.num_procs());

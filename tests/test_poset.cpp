@@ -7,6 +7,8 @@
 #include "poset/generate.h"
 #include "poset/vclock.h"
 
+#include "oracle.h"
+
 namespace hbct {
 namespace {
 
@@ -50,11 +52,11 @@ TEST(Computation, VectorClocksOfHandExample) {
 TEST(Computation, ReverseClocksOfHandExample) {
   Computation c = two_proc();
   // rvc(e)[j] = number of events on j at-or-above e.
-  EXPECT_EQ(c.reverse_vclock(0, 1).raw(), (std::vector<std::int32_t>{2, 2}));
-  EXPECT_EQ(c.reverse_vclock(0, 2).raw(), (std::vector<std::int32_t>{1, 2}));
-  EXPECT_EQ(c.reverse_vclock(1, 1).raw(), (std::vector<std::int32_t>{0, 3}));
-  EXPECT_EQ(c.reverse_vclock(1, 2).raw(), (std::vector<std::int32_t>{0, 2}));
-  EXPECT_EQ(c.reverse_vclock(1, 3).raw(), (std::vector<std::int32_t>{0, 1}));
+  EXPECT_EQ(reverse_clock_row(c, 0, 1), (std::vector<std::int32_t>{2, 2}));
+  EXPECT_EQ(reverse_clock_row(c, 0, 2), (std::vector<std::int32_t>{1, 2}));
+  EXPECT_EQ(reverse_clock_row(c, 1, 1), (std::vector<std::int32_t>{0, 3}));
+  EXPECT_EQ(reverse_clock_row(c, 1, 2), (std::vector<std::int32_t>{0, 2}));
+  EXPECT_EQ(reverse_clock_row(c, 1, 3), (std::vector<std::int32_t>{0, 1}));
 }
 
 TEST(Computation, HappenedBeforeAndConcurrency) {

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "ctl/compile.h"
 #include "ctl/parser.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
@@ -211,6 +212,36 @@ TEST(ServeSession, WatchQueryRegistersVariablesAndRejectsUnknownProcesses) {
   EXPECT_EQ(fires[0].watch, ef);
   EXPECT_EQ(fires[0].verdict, Verdict::kHolds);
   EXPECT_EQ(fires[0].cut, Cut({0, 0, 0, 1}));
+}
+
+TEST(ServeSession, WatchBeforeInitialValuesJudgesTheStreamedState) {
+  // The watch is registered before the stream's kInit record, so the
+  // initial state is not known yet: x@P0 is 9 there, not 0, and the first
+  // cut where x@P0 <= 7 holds is after P0's second write.
+  Session s(1, two_proc_cfg());
+  auto parsed = ctl::parse_query("EF(x@P0 <= 7)");
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const WatchId w = s.watch_query(parsed.query);
+  ASSERT_EQ(w, 0);
+  std::vector<Record> records = {procs_rec(2), var_rec("x"), init_rec(0, 0, 9)};
+  for (const std::int64_t v : {9, 5, 3}) {
+    Record ev = internal_rec(0);
+    ev.writes.push_back({0, v});
+    records.push_back(ev);
+  }
+  records.push_back(end_rec());
+  s.ingest(enc(records));
+  ASSERT_EQ(s.state(), SessionState::kFinished) << s.error();
+  const auto fires = s.poll();
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_EQ(fires[0].watch, w);
+  EXPECT_EQ(fires[0].verdict, Verdict::kHolds);
+  EXPECT_EQ(fires[0].cut, Cut({2, 0}));
+  const ctl::EvalResult offline =
+      ctl::evaluate_query(s.monitor().computation(), parsed.query);
+  ASSERT_TRUE(offline.ok) << offline.error;
+  ASSERT_TRUE(offline.result.witness_cut.has_value());
+  EXPECT_EQ(*offline.result.witness_cut, fires[0].cut);
 }
 
 TEST(ServeSession, NegativeChannelBoundWatchKeepsTheSessionRunning) {
